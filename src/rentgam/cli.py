@@ -17,10 +17,9 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
-
-import numpy as np
+from typing import get_type_hints
 
 from .errors import ConfigurationError, DataError, NumericalError
 from .gam import (
@@ -125,11 +124,9 @@ class RunConfig:
                 raise ConfigurationError(f"{key} path not found: {value}")
 
 
-_INT_KEYS = {
-    "univariate_segments", "location_segments", "pair_segments",
-    "triple_segments", "bootstrap_b", "seed", "n",
-}
-_FLOAT_KEYS = {"center_lat", "center_lon", "radius_miles", "sigma"}
+_FIELD_TYPES = get_type_hints(RunConfig)
+_INT_KEYS = {name for name, hint in _FIELD_TYPES.items() if hint is int}
+_FLOAT_KEYS = {name for name, hint in _FIELD_TYPES.items() if hint is float}
 
 
 def _coerce(key: str, raw: str):
@@ -376,7 +373,9 @@ def cmd_fit(config: RunConfig) -> int:
     return 0
 
 
-def _load_model_file(config: RunConfig) -> tuple[dict, ModelSpec]:
+def _load_stored(config: RunConfig) -> tuple[dict, ModelSpec, list]:
+    """Read a fitted model file, rebuild its spec and derive the rows it
+    applies to, refusing rows that differ in count from the fit's."""
     with open(config.model, encoding="utf-8") as fh:
         stored = json.load(fh)
     try:
@@ -395,29 +394,21 @@ def _load_model_file(config: RunConfig) -> tuple[dict, ModelSpec]:
         spec = ModelSpec(terms=terms)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{config.model}: bad model file: {exc}") from exc
-    return stored, spec
-
-
-def _refit_stored(config: RunConfig):
-    """Rebuild the stored model from the clean listings at its selected
-    smoothing parameters."""
-    stored, spec = _load_model_file(config)
     rows = _fit_rows(config)
-    design = build_design(rows, spec)
-    y = rows_to_columns(rows)["logprice"]
-    if design.n != stored["n"]:
+    if len(rows) != stored["n"]:
         raise DataError(
-            f"clean listings give {design.n} rows but the model was "
+            f"clean listings give {len(rows)} rows but the model was "
             f"fitted on {stored['n']}; re-run fit"
         )
-    model = fit_pls(design, y, stored["lambdas"])
-    return stored, model, design, rows
+    return stored, spec, rows
 
 
 def cmd_surfaces(config: RunConfig) -> int:
     config.require("clean_listings", "model")
     out = _out_dir(config)
-    stored, model, design, _ = _refit_stored(config)
+    stored, spec, rows = _load_stored(config)
+    design = build_design(rows, spec)
+    model = fit_pls(design, rows_to_columns(rows)["logprice"], stored["lambdas"])
     written = []
     for block in design.blocks:
         term = block.term
@@ -450,8 +441,7 @@ def cmd_bootstrap(config: RunConfig) -> int:
             f"bootstrap_b must be at least 19, got {config.bootstrap_b}"
         )
     out = _out_dir(config)
-    stored, spec = _load_model_file(config)
-    rows = _fit_rows(config)
+    stored, spec, rows = _load_stored(config)
     result = bootstrap_term_test(
         rows,
         spec,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import calendar
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy import linalg
@@ -24,7 +24,6 @@ from scipy import linalg
 from .errors import DataError, NumericalError
 from .listings import GeocodedListing
 from .splines import (
-    BasisMatrix,
     ConstraintTransform,
     KnotVector,
     bspline_basis,
@@ -266,6 +265,17 @@ def default_model_spec(
     )
 
 
+def _raw_basis(
+    term: TermSpec,
+    knots: Sequence[KnotVector],
+    columns: Mapping[str, np.ndarray],
+) -> np.ndarray:
+    """Unconstrained basis of one term: its B-spline margin, or the
+    tensor product of its margins."""
+    margins = [bspline_basis(columns[v], kv) for v, kv in zip(term.variables, knots)]
+    return margins[0] if len(margins) == 1 else tensor_basis(margins)
+
+
 @dataclass
 class TermBlock:
     """A term's columns in the design matrix plus everything needed to
@@ -284,11 +294,7 @@ class TermBlock:
         return self.columns.stop - self.columns.start
 
     def raw_basis(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
-        margins = [
-            bspline_basis(columns[v], kv)
-            for v, kv in zip(self.term.variables, self.knots)
-        ]
-        return margins[0] if len(margins) == 1 else tensor_basis(margins)
+        return _raw_basis(self.term, self.knots, columns)
 
     def evaluate(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
         return self.transform.apply(self.raw_basis(columns))
@@ -377,10 +383,7 @@ def build_design(rows: Sequence[ModelRow], spec: ModelSpec) -> Design:
             )
         except ValueError as exc:
             raise DataError(f"term {term.name}: {exc}") from exc
-        margins = [
-            bspline_basis(columns[v], kv) for v, kv in zip(term.variables, knots)
-        ]
-        raw = margins[0] if len(margins) == 1 else tensor_basis(margins)
+        raw = _raw_basis(term, knots, columns)
         dims = tuple(kv.dimension for kv in knots)
         marginal_penalties = [
             difference_penalty(d, order=term.penalty_order) for d in dims
@@ -394,7 +397,7 @@ def build_design(rows: Sequence[ModelRow], spec: ModelSpec) -> Design:
         else:
             transform = sum_to_zero_transform(raw)
         z = transform.z
-        constrained = raw @ z
+        constrained = transform.apply(raw)
         penalties = [z.T @ p.matrix @ z for p in lifted]
         roots = [p.root @ z for p in lifted]
         owners = [spec.owner_of(v) for v in term.variables]
@@ -550,20 +553,20 @@ def fit_pls(
     )
 
 
-def select_smoothness(
+def _coordinate_descent(
     design: Design,
-    y: np.ndarray,
-    grid: Sequence[float] | Mapping[str, Sequence[float]] | None = None,
-    max_sweeps: int = 10,
+    grid: Sequence[float] | Mapping[str, Sequence[float]] | None,
+    max_sweeps: int,
+    score: Callable[[dict[str, float]], float],
 ) -> dict[str, float]:
-    """Choose main-effect smoothing parameters by coordinate descent on
-    BIC over a finite ladder.
+    """Minimize ``score`` over the main-effect smoothing parameters by
+    coordinate descent on a finite ladder per term.
 
-    Terms are swept in spec order, each set to its BIC-minimizing grid
-    value with the others held fixed, until a sweep changes nothing or
-    ``max_sweeps`` is reached. BIC ties within a relative 1e-9 go to the
-    larger (smoother) value. Interactions are never swept: their
-    penalties inherit the main-effect values as they move.
+    Every selectable term starts at the middle of its ladder. Terms are
+    swept in spec order, each set to its best-scoring ladder value with
+    the others held fixed, until a sweep changes nothing or
+    ``max_sweeps`` is reached. Scores within ``1e-9*|best| + 1e-12`` of
+    the best tie, and ties go to the larger (smoother) value.
     """
     selectable = [t.name for t in design.spec.main_terms if t.lam is None]
     grids: dict[str, np.ndarray] = {}
@@ -578,22 +581,18 @@ def select_smoothness(
             raise ValueError(f"invalid smoothing grid for term {name}")
 
     current = {name: float(g[len(g) // 2]) for name, g in grids.items()}
-    if not selectable:
-        return current
-
     for _ in range(max_sweeps):
         changed = False
         for name in selectable:
             best_lam = current[name]
-            best_bic = None
+            best = None
             for lam in grids[name]:
-                trial = dict(current)
-                trial[name] = float(lam)
-                value = fit_pls(design, y, trial).bic
-                if best_bic is None or value < best_bic - 1e-9 * abs(best_bic):
-                    best_bic = value
+                value = score({**current, name: float(lam)})
+                tol = 0.0 if best is None else 1e-9 * abs(best) + 1e-12
+                if best is None or value < best - tol:
+                    best = value
                     best_lam = float(lam)
-                elif value <= best_bic + 1e-9 * abs(best_bic) and lam > best_lam:
+                elif value <= best + tol and lam > best_lam:
                     # tie at numerical precision: prefer the smoother fit
                     best_lam = float(lam)
             if best_lam != current[name]:
@@ -602,6 +601,22 @@ def select_smoothness(
         if not changed:
             break
     return current
+
+
+def select_smoothness(
+    design: Design,
+    y: np.ndarray,
+    grid: Sequence[float] | Mapping[str, Sequence[float]] | None = None,
+    max_sweeps: int = 10,
+) -> dict[str, float]:
+    """Choose main-effect smoothing parameters by coordinate descent on
+    BIC over a finite ladder (see :func:`_coordinate_descent`).
+    Interactions are never swept: their penalties inherit the
+    main-effect values as they move.
+    """
+    return _coordinate_descent(
+        design, grid, max_sweeps, lambda lams: fit_pls(design, y, lams).bic
+    )
 
 
 def predict(model: FittedModel, rows: Sequence[ModelRow]) -> np.ndarray:

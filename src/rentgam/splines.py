@@ -21,7 +21,6 @@ from .errors import OutOfDomainError
 
 __all__ = [
     "KnotVector",
-    "BasisMatrix",
     "PenaltyMatrix",
     "ConstraintTransform",
     "make_knots",
@@ -56,32 +55,6 @@ class KnotVector:
     @property
     def spacing(self) -> float:
         return (self.hi - self.lo) / self.segments
-
-
-@dataclass(frozen=True)
-class BasisMatrix:
-    """Evaluated basis: one row per observation, one column per function."""
-
-    matrix: np.ndarray
-    knots: tuple[KnotVector, ...]
-
-    @property
-    def rows(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.matrix.shape[1]
-
-    @classmethod
-    def univariate(cls, x: np.ndarray, kv: KnotVector) -> "BasisMatrix":
-        return cls(matrix=bspline_basis(x, kv), knots=(kv,))
-
-    @classmethod
-    def tensor(cls, margins: Sequence["BasisMatrix"]) -> "BasisMatrix":
-        matrix = tensor_basis([m.matrix for m in margins])
-        knots = tuple(kv for m in margins for kv in m.knots)
-        return cls(matrix=matrix, knots=knots)
 
 
 @dataclass(frozen=True)
@@ -230,7 +203,7 @@ def sum_to_zero_transform(basis: np.ndarray) -> ConstraintTransform:
     The single constraint row is the vector of column sums; the
     returned ``z`` drops one degree of freedom.
     """
-    b = basis.matrix if isinstance(basis, BasisMatrix) else np.asarray(basis, dtype=float)
+    b = np.asarray(basis, dtype=float)
     if b.ndim != 2 or b.shape[1] < 2:
         raise ValueError("basis must have at least two columns to constrain")
     c = b.sum(axis=0, keepdims=True)

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .gam import (
-    DEFAULT_LAMBDA_GRID,
     EARTH_RADIUS_MILES,
     Design,
     FittedModel,
@@ -31,6 +30,7 @@ from .gam import (
     effect_surface,
     fit_pls,
     rows_to_columns,
+    _coordinate_descent,
 )
 from .listings import GeocodedListing
 
@@ -419,37 +419,15 @@ def oracle_smoothness(
     max_sweeps: int = 10,
 ) -> tuple[dict[str, float], FittedModel]:
     """Reference smoothing parameters chosen with access to the truth:
-    coordinate descent over the same ladder, minimizing the RMSE of the
-    fitted values against the noiseless signal. The returned model's k
-    is the truth-complexity yardstick for BIC selection."""
+    coordinate descent over the same ladder as BIC selection, minimizing
+    the RMSE of the fitted values against the noiseless signal. The
+    returned model's k is the truth-complexity yardstick for BIC
+    selection."""
     signal = np.asarray(signal, dtype=float).ravel()
-    selectable = [t.name for t in design.spec.main_terms if t.lam is None]
-    ladder = DEFAULT_LAMBDA_GRID if grid is None else np.asarray(grid, dtype=float)
-    current = {name: float(ladder[len(ladder) // 2]) for name in selectable}
 
     def score(lams: dict) -> float:
         fitted = fit_pls(design, y, lams).fitted
         return float(np.sqrt(np.mean((fitted - signal) ** 2)))
 
-    for _ in range(max_sweeps):
-        changed = False
-        for name in selectable:
-            best_lam = current[name]
-            best = None
-            for lam in ladder:
-                trial = dict(current)
-                trial[name] = float(lam)
-                value = score(trial)
-                # absolute floor: near-zero RMSE differences are noise
-                tol = 1e-9 * abs(best) + 1e-12 if best is not None else 0.0
-                if best is None or value < best - tol:
-                    best = value
-                    best_lam = float(lam)
-                elif value <= best + tol and lam > best_lam:
-                    best_lam = float(lam)
-            if best_lam != current[name]:
-                current[name] = best_lam
-                changed = True
-        if not changed:
-            break
+    current = _coordinate_descent(design, grid, max_sweeps, score)
     return current, fit_pls(design, y, current)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -28,23 +28,6 @@ class AreaCounts:
 class YearCounts:
     stock_thousands: float
     flow_thousands: float
-
-
-@dataclass
-class ReferenceSeries:
-    """Reference stock and flow counts: per area, and nationally by year
-    (in thousands). All counts must be non-negative."""
-
-    areas: dict[str, AreaCounts] = field(default_factory=dict)
-    national: dict[int, YearCounts] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for code, counts in self.areas.items():
-            if counts.stock < 0 or counts.flow < 0:
-                raise ValueError(f"negative reference count for area {code}")
-        for year, counts in self.national.items():
-            if counts.stock_thousands < 0 or counts.flow_thousands < 0:
-                raise ValueError(f"negative reference count for year {year}")
 
 
 def load_area_reference(path: str | Path) -> dict[str, AreaCounts]:

@@ -1,10 +1,11 @@
 import json
+from dataclasses import fields
 from datetime import date
 from pathlib import Path
 
 import pytest
 
-from rentgam.cli import build_run_config, load_config_file, main
+from rentgam.cli import RunConfig, build_run_config, load_config_file, main
 from rentgam.errors import ConfigurationError
 from rentgam.listings import GeocodedListing, write_clean_listings
 
@@ -41,10 +42,19 @@ def pipeline(tmp_path_factory):
     return {"data": data, "out": out}
 
 
+NUMERIC_KEYS = {f.name: f.type for f in fields(RunConfig) if f.type in ("int", "float")}
+
+
 class TestConfig:
-    def test_file_plus_flag_override(self, tmp_path):
+    @pytest.mark.parametrize("key", sorted(NUMERIC_KEYS))
+    def test_file_plus_flag_override(self, tmp_path, key):
+        """Every int and float key read from a file keeps its type."""
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("# comment\nseed = 3\nradius_miles = 5.0\n\nn = 10\n")
+        text = "# comment\nseed = 3\nradius_miles = 5.0\n\nn = 10\n"
+        sample = 7 if NUMERIC_KEYS[key] == "int" else 0.5
+        if f"\n{key} =" not in text:
+            text += f"{key} = {sample}\n"
+        cfg.write_text(text)
         parser_args = ["simulate", "--config", str(cfg), "--seed", "9"]
         from rentgam.cli import build_parser
 
@@ -53,6 +63,10 @@ class TestConfig:
         assert config.seed == 9  # flag wins
         assert config.radius_miles == 5.0
         assert config.n == 10
+        value = getattr(config, key)
+        assert type(value).__name__ == NUMERIC_KEYS[key]
+        if key not in ("seed", "radius_miles", "n"):
+            assert value == sample
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -307,7 +321,8 @@ class TestSurfaces:
         assert two_way[0] == "longitude,latitude,effect,se,significant"
         assert len(two_way) == 1 + 60 * 60
 
-    def test_stale_model_rejected(self, pipeline, tmp_path):
+    @pytest.mark.parametrize("command", ["surfaces", "bootstrap"])
+    def test_stale_model_rejected(self, pipeline, tmp_path, command):
         data2 = tmp_path / "data2"
         out2 = tmp_path / "out2"
         assert main([
@@ -318,7 +333,7 @@ class TestSurfaces:
             "--postcodes", str(data2 / "postcodes.csv"), "--out", str(out2),
         ]) == 0
         code = main([
-            "surfaces", "--clean-listings", str(out2 / "clean_listings.csv"),
+            command, "--clean-listings", str(out2 / "clean_listings.csv"),
             "--model", str(pipeline["out"] / "model.json"), "--out", str(out2),
         ])
         assert code == 2

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from rentgam.errors import OutOfDomainError
 from rentgam.splines import (
-    BasisMatrix,
     bspline_basis,
     difference_penalty,
     interaction_constraint_transform,
@@ -185,16 +184,12 @@ class TestTensor:
         with pytest.raises(ValueError):
             tensor_basis([np.ones((3, 2))])
 
-    def test_basis_matrix_carrier(self):
+    def test_tensor_basis_shape(self):
         kv1 = make_knots(0.0, 1.0, segments=4)
         kv2 = make_knots(0.0, 1.0, segments=5)
         x = np.linspace(0, 1, 9)
-        m = BasisMatrix.tensor(
-            [BasisMatrix.univariate(x, kv1), BasisMatrix.univariate(x, kv2)]
-        )
-        assert m.rows == 9
-        assert m.cols == kv1.dimension * kv2.dimension
-        assert m.knots == (kv1, kv2)
+        m = tensor_basis([bspline_basis(x, kv1), bspline_basis(x, kv2)])
+        assert m.shape == (9, kv1.dimension * kv2.dimension)
 
 
 class TestTensorPenalty:
