@@ -436,10 +436,6 @@ def cmd_surfaces(config: RunConfig) -> int:
 
 def cmd_bootstrap(config: RunConfig) -> int:
     config.require("clean_listings", "model")
-    if config.bootstrap_b < 19:
-        raise ConfigurationError(
-            f"bootstrap_b must be at least 19, got {config.bootstrap_b}"
-        )
     out = _out_dir(config)
     stored, spec, rows = _load_stored(config)
     result = bootstrap_term_test(

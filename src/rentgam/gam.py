@@ -403,8 +403,9 @@ def build_design(rows: Sequence[ModelRow], spec: ModelSpec) -> Design:
         owners = [spec.owner_of(v) for v in term.variables]
 
         width = constrained.shape[1]
-        stacked = np.vstack([constrained] + roots)
-        if np.linalg.matrix_rank(stacked) < width:
+        gram = constrained.T @ constrained + sum(r.T @ r for r in roots)
+        # cut-off ~ sqrt(width*eps) in singular values, below which Cholesky is unusable
+        if np.linalg.matrix_rank(gram, hermitian=True) < width:
             raise NumericalError(
                 f"term {term.name}: constrained block is rank deficient "
                 "even under its penalty"
@@ -686,7 +687,7 @@ def effect_surface(
     g = block.evaluate(columns)
     effect = g @ model.beta[block.columns]
     v = model.covariance_block(term)
-    se = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", g, v, g), 0.0))
+    se = np.sqrt(np.maximum(((g @ v) * g).sum(axis=1), 0.0))
     return EffectSurface(
         term=term,
         variables=block.term.variables,

@@ -54,6 +54,7 @@ class BootstrapResult:
     p_value: float
     replicates: np.ndarray
     discarded: int
+    wald_rank: int
     b: int
     seed: int
     lambdas: dict
@@ -66,6 +67,7 @@ class BootstrapResult:
             "b": self.b,
             "kept": int(self.replicates.size),
             "discarded": self.discarded,
+            "wald_rank": self.wald_rank,
             "seed": self.seed,
             "lambdas": self.lambdas,
         }
@@ -85,10 +87,12 @@ def bootstrap_term_test(
     Fits the full model (selecting smoothness by BIC unless ``lambdas``
     is given), then simulates B responses from the reduced fit at its
     estimated noise level and recomputes the Wald statistic on each.
+    With the smoothing parameters fixed, every replicate is solved
+    against the full fit's factorization of X'X + S and shares one
+    pseudo-inverse of the term's covariance block (rank ``wald_rank``).
     Replicate b draws from a fresh stream keyed by (seed, b), so any
-    prefix of the replicates is reproducible. Replicates that fail to
-    fit or give a non-finite statistic are discarded; more than 10% of
-    them failing aborts the test.
+    prefix of the replicates is reproducible. Replicates with a
+    non-finite statistic are discarded; over 10% discarded aborts.
     """
     if b < 19:
         raise ValueError(f"need at least 19 replicates for a p-value, got {b}")
@@ -112,22 +116,17 @@ def bootstrap_term_test(
     mu = reduced.fitted
     scale = float(np.sqrt(reduced.sigma2))
 
-    kept = []
-    discarded = 0
+    # one X'X + S for every replicate: its factor, and k, are the full fit's
     n = len(y)
-    for i in range(b):
-        rng = np.random.default_rng([seed, i])
-        simulated = mu + scale * rng.standard_normal(n)
-        try:
-            refit = fit_pls(design, simulated, lams)
-            stat = wald_statistic(refit, term)
-        except NumericalError:
-            discarded += 1
-            continue
-        if not np.isfinite(stat):
-            discarded += 1
-            continue
-        kept.append(stat)
+    draws = [np.random.default_rng([seed, i]).standard_normal(n) for i in range(b)]
+    simulated = mu[:, None] + scale * np.column_stack(draws)
+    betas = linalg.cho_solve(full._cho, design.matrix.T @ simulated)
+    sigma2 = ((simulated - design.matrix @ betas) ** 2).sum(axis=0) / (n - full.k)
+    sl = design.block(term).columns
+    v_inv, wald_rank = linalg.pinvh(full.covariance_unscaled[sl, sl], return_rank=True)
+    stats = ((v_inv @ betas[sl]) * betas[sl]).sum(axis=0) / sigma2
+    kept = stats[np.isfinite(stats)]
+    discarded = b - kept.size
     if discarded > 0.1 * b:
         raise NumericalError(
             f"{discarded} of {b} bootstrap replicates failed to produce "
@@ -137,8 +136,9 @@ def bootstrap_term_test(
         term=term,
         statistic=observed,
         p_value=empirical_p(observed, kept),
-        replicates=np.array(kept),
+        replicates=kept,
         discarded=discarded,
+        wald_rank=int(wald_rank),
         b=b,
         seed=seed,
         lambdas=dict(resolved),

@@ -262,6 +262,19 @@ class TestBuildDesign:
         with pytest.raises(DataError, match="deprivation"):
             build_design(rows, one_term_spec())
 
+    def test_unidentifiable_block_rejected(self):
+        # two distinct bedroom counts cannot pin down the quadratic null
+        # space of a third-order penalty: rank 5 of 6 constrained columns
+        rows, _ = synthetic_rows(60)
+        rows = [
+            ModelRow(r.logprice, 1 + i % 2, r.deprivation, r.year, r.doy,
+                     r.longitude, r.latitude)
+            for i, r in enumerate(rows)
+        ]
+        spec = ModelSpec(terms=(TermSpec("beds", ("beds",), (4,), penalty_order=3),))
+        with pytest.raises(NumericalError, match="rank deficient"):
+            build_design(rows, spec)
+
     def test_intercept_only(self):
         rows, y = synthetic_rows(40, noise=0.1)
         design = build_design(rows, ModelSpec(terms=()))

@@ -163,3 +163,32 @@ class TestBootstrapTermTest:
         rows = rows_for(strong_truth(), n=250, seed=14)
         res = bootstrap_term_test(rows, small_spec(), "year", b=19, seed=5)
         assert res.p_value == pytest.approx(1 / 20)
+
+    @pytest.mark.parametrize("term", ["deprivation:year", "year"])
+    def test_replicates_equal_per_replicate_refits(self, term):
+        # oracle: refit the full model to each (seed, i) response one at
+        # a time, as a bootstrap without the shared factorization would
+        rows = rows_for(strong_truth(), n=250, seed=15)
+        spec = small_spec()
+        lams = {"deprivation": 3.0, "year": 30.0}
+        res = bootstrap_term_test(rows, spec, term, b=19, seed=4, lambdas=lams)
+        y = rows_to_columns(rows)["logprice"]
+        design = build_design(rows, spec)
+        reduced_spec = spec.drop(term)
+        reduced = fit_pls(
+            build_design(rows, reduced_spec),
+            y,
+            {t.name: lams[t.name] for t in reduced_spec.main_terms},
+        )
+        oracle = []
+        for i in range(19):
+            rng = np.random.default_rng([4, i])
+            simulated = reduced.fitted + np.sqrt(reduced.sigma2) * rng.standard_normal(len(y))
+            oracle.append(wald_statistic(fit_pls(design, simulated, lams), term))
+        assert res.discarded == 0
+        np.testing.assert_allclose(res.replicates, oracle, rtol=1e-10, atol=0.0)
+        full = fit_pls(design, y, lams)
+        assert res.statistic == wald_statistic(full, term)
+        sl = design.block(term).columns
+        v = full.covariance_unscaled[sl, sl]
+        assert res.wald_rank == np.linalg.matrix_rank(v, hermitian=True)
