@@ -23,11 +23,13 @@ from typing import get_type_hints
 
 from .errors import ConfigurationError, DataError, NumericalError
 from .gam import (
+    DEFAULT_LAMBDA_GRID,
     build_design,
     default_model_spec,
     derive_rows,
     effect_surface,
     fit_pls,
+    FittedModel,
     ModelSpec,
     rows_to_columns,
     select_smoothness,
@@ -348,6 +350,12 @@ def cmd_fit(config: RunConfig) -> int:
     design = build_design(rows, spec)
     y = rows_to_columns(rows)["logprice"]
     lams = select_smoothness(design, y, config.lambda_grid)
+    ladder = DEFAULT_LAMBDA_GRID if config.lambda_grid is None else config.lambda_grid
+    ends = {min(ladder): "lowest", max(ladder): "highest"}
+    for name, lam in lams.items():
+        if len(ends) > 1 and lam in ends:
+            print(f"note: {name} selected lambda {lam!r}, the {ends[lam]} value "
+                  "of its ladder; BIC may improve beyond it", file=sys.stderr)
     model = fit_pls(design, y, lams)
     payload = _model_payload(config, model, design)
 
@@ -373,9 +381,10 @@ def cmd_fit(config: RunConfig) -> int:
     return 0
 
 
-def _load_stored(config: RunConfig) -> tuple[dict, ModelSpec, list]:
-    """Read a fitted model file, rebuild its spec and derive the rows it
-    applies to, refusing rows that differ in count from the fit's."""
+def _load_stored(config: RunConfig) -> tuple[dict, FittedModel]:
+    """Read a fitted model file and refit it at its stored smoothing
+    parameters on the rows it applies to, refusing rows that differ in
+    count from the fit's."""
     with open(config.model, encoding="utf-8") as fh:
         stored = json.load(fh)
     try:
@@ -400,17 +409,17 @@ def _load_stored(config: RunConfig) -> tuple[dict, ModelSpec, list]:
             f"clean listings give {len(rows)} rows but the model was "
             f"fitted on {stored['n']}; re-run fit"
         )
-    return stored, spec, rows
+    design = build_design(rows, spec)
+    model = fit_pls(design, rows_to_columns(rows)["logprice"], stored["lambdas"])
+    return stored, model
 
 
 def cmd_surfaces(config: RunConfig) -> int:
     config.require("clean_listings", "model")
     out = _out_dir(config)
-    stored, spec, rows = _load_stored(config)
-    design = build_design(rows, spec)
-    model = fit_pls(design, rows_to_columns(rows)["logprice"], stored["lambdas"])
+    stored, model = _load_stored(config)
     written = []
-    for block in design.blocks:
+    for block in model.design.blocks:
         term = block.term
         surface = effect_surface(model, term.name)
         name = term.name.replace(":", "_by_")
@@ -437,14 +446,9 @@ def cmd_surfaces(config: RunConfig) -> int:
 def cmd_bootstrap(config: RunConfig) -> int:
     config.require("clean_listings", "model")
     out = _out_dir(config)
-    stored, spec, rows = _load_stored(config)
+    _, model = _load_stored(config)
     result = bootstrap_term_test(
-        rows,
-        spec,
-        config.term,
-        b=config.bootstrap_b,
-        seed=config.seed,
-        lambdas=stored["lambdas"],
+        model, config.term, b=config.bootstrap_b, seed=config.seed
     )
     payload = {
         "config_sha256": config.sha256(),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import calendar
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -329,6 +329,19 @@ class Design:
             if b.term.name == name:
                 return b
         raise KeyError(f"no term named {name!r}")
+
+    def drop(self, name: str) -> "Design":
+        """Design of ``spec.drop(name)`` on the same rows: the kept
+        blocks' columns, hstacked (a fancy-indexed copy is F-ordered
+        and rounds X'y differently from building the reduced spec)."""
+        spec = self.spec.drop(name)
+        kept = [b for b in self.blocks if b.term in spec.terms]
+        blocks, start = [], 1
+        for b in kept:
+            blocks.append(replace(b, columns=slice(start, start + b.width)))
+            start += b.width
+        parts = [self.matrix[:, :1]] + [self.matrix[:, b.columns] for b in kept]
+        return Design(spec=spec, matrix=np.hstack(parts), blocks=blocks)
 
     def resolve_lambdas(self, lambdas: Mapping[str, float]) -> dict[str, float]:
         """Fill in fixed values and check every selectable main effect

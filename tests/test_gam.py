@@ -27,6 +27,7 @@ from rentgam.gam import (
     spatial_filter,
 )
 from rentgam.listings import GeocodedListing
+from rentgam.synthetic import default_truth, simulate_listings
 
 
 def geocoded(
@@ -281,6 +282,31 @@ class TestBuildDesign:
         model = fit_pls(design, y, {})
         assert model.k == pytest.approx(1.0, abs=1e-9)
         assert predict(model, rows) == pytest.approx(np.full(40, y.mean()), abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def default_design():
+    rows = derive_rows(simulate_listings(400, default_truth(), sigma=0.1, seed=3).listings)
+    return rows, build_design(rows, default_model_spec())
+
+
+class TestDesignDrop:
+    @pytest.mark.parametrize("term", [t.name for t in default_model_spec().terms])
+    def test_equals_building_the_reduced_spec(self, default_design, term):
+        rows, design = default_design
+        dropped = design.drop(term)
+        built = build_design(rows, design.spec.drop(term))
+        assert dropped.spec == built.spec
+        assert np.array_equal(dropped.matrix, built.matrix)
+        assert dropped.matrix.flags.c_contiguous
+        assert len(dropped.blocks) == len(built.blocks)
+        for got, want in zip(dropped.blocks, built.blocks):
+            assert got.term == want.term
+            assert got.columns == want.columns
+            assert got.penalty_owners == want.penalty_owners
+            assert len(got.penalties) == len(want.penalties)
+            for a, b in zip(got.penalties, want.penalties):
+                assert np.array_equal(a, b)
 
 
 def augmented_ls_oracle(design, y, lambdas):

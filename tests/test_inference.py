@@ -9,6 +9,7 @@ from rentgam.gam import (
     derive_rows,
     fit_pls,
     rows_to_columns,
+    select_smoothness,
 )
 from rentgam.inference import bootstrap_term_test, empirical_p, wald_statistic
 from rentgam.synthetic import TruthSpec, simulate_listings
@@ -60,6 +61,15 @@ def rows_for(truth, n=300, sigma=0.1, seed=0):
     return derive_rows(simulate_listings(n, truth, sigma=sigma, seed=seed).listings)
 
 
+def fit_for(rows, spec=None, lambdas=None):
+    """The model the bootstrap tests: ``spec`` (default the small spec)
+    fitted at ``lambdas``, or at BIC-selected ones when none are given."""
+    design = build_design(rows, small_spec() if spec is None else spec)
+    y = rows_to_columns(rows)["logprice"]
+    lams = select_smoothness(design, y) if lambdas is None else lambdas
+    return fit_pls(design, y, lams)
+
+
 class TestEmpiricalP:
     def test_counting(self):
         # five of nine replicates at or above the observed value
@@ -103,54 +113,52 @@ class TestWaldStatistic:
 
 class TestBootstrapTermTest:
     def test_deterministic_given_seed(self):
-        rows = rows_for(null_truth(), seed=5)
-        a = bootstrap_term_test(rows, small_spec(), "deprivation:year", b=19, seed=3)
-        b = bootstrap_term_test(rows, small_spec(), "deprivation:year", b=19, seed=3)
+        model = fit_for(rows_for(null_truth(), seed=5))
+        a = bootstrap_term_test(model, "deprivation:year", b=19, seed=3)
+        b = bootstrap_term_test(model, "deprivation:year", b=19, seed=3)
         assert a.p_value == b.p_value
         assert np.array_equal(a.replicates, b.replicates)
-        c = bootstrap_term_test(rows, small_spec(), "deprivation:year", b=19, seed=4)
+        c = bootstrap_term_test(model, "deprivation:year", b=19, seed=4)
         assert not np.array_equal(a.replicates, c.replicates)
 
     def test_replicate_streams_prefix_stable(self):
         # replicate i is keyed by (seed, i): a longer run extends, never
         # reshuffles, a shorter one
-        rows = rows_for(null_truth(), seed=6)
-        short = bootstrap_term_test(rows, small_spec(), "deprivation:year", b=19, seed=8)
-        long = bootstrap_term_test(rows, small_spec(), "deprivation:year", b=29, seed=8)
+        model = fit_for(rows_for(null_truth(), seed=6))
+        short = bootstrap_term_test(model, "deprivation:year", b=19, seed=8)
+        long = bootstrap_term_test(model, "deprivation:year", b=29, seed=8)
         assert np.array_equal(long.replicates[:19], short.replicates)
 
     def test_validates_b_and_term(self):
-        rows = rows_for(null_truth(), n=100, seed=7)
+        model = fit_for(rows_for(null_truth(), n=100, seed=7))
         with pytest.raises(ValueError, match="at least 19"):
-            bootstrap_term_test(rows, small_spec(), "deprivation:year", b=5)
+            bootstrap_term_test(model, "deprivation:year", b=5)
         with pytest.raises(KeyError):
-            bootstrap_term_test(rows, small_spec(), "nope", b=19)
+            bootstrap_term_test(model, "nope", b=19)
 
-    def test_fixed_lambdas_respected(self):
-        rows = rows_for(null_truth(), seed=9)
+    def test_result_carries_the_models_lambdas(self):
         lams = {"deprivation": 10.0, "year": 10.0}
-        res = bootstrap_term_test(
-            rows, small_spec(), "deprivation:year", b=19, seed=1, lambdas=lams
-        )
+        model = fit_for(rows_for(null_truth(), seed=9), lambdas=lams)
+        res = bootstrap_term_test(model, "deprivation:year", b=19, seed=1)
         assert res.lambdas == lams
         assert res.b == 19
         assert res.discarded == 0
         assert res.replicates.size == 19
 
     def test_strong_term_maximally_significant(self):
-        rows = rows_for(strong_truth(), n=300, seed=11)
-        res = bootstrap_term_test(rows, small_spec(), "deprivation:year", b=19, seed=11)
+        model = fit_for(rows_for(strong_truth(), n=300, seed=11))
+        res = bootstrap_term_test(model, "deprivation:year", b=19, seed=11)
         assert res.p_value == pytest.approx(1 / 20)
         assert res.statistic > float(res.replicates.max())
 
     def test_null_term_not_significant(self):
-        rows = rows_for(null_truth(), n=400, seed=12)
-        res = bootstrap_term_test(rows, small_spec(), "deprivation:year", b=99, seed=12)
+        model = fit_for(rows_for(null_truth(), n=400, seed=12))
+        res = bootstrap_term_test(model, "deprivation:year", b=99, seed=12)
         assert res.p_value > 0.05
 
     def test_result_dict_shape(self):
-        rows = rows_for(null_truth(), n=150, seed=13)
-        res = bootstrap_term_test(rows, small_spec(), "deprivation:year", b=19, seed=2)
+        model = fit_for(rows_for(null_truth(), n=150, seed=13))
+        res = bootstrap_term_test(model, "deprivation:year", b=19, seed=2)
         d = res.to_dict()
         assert d["term"] == "deprivation:year"
         assert d["kept"] == 19
@@ -160,8 +168,8 @@ class TestBootstrapTermTest:
     def test_main_effect_term_testable(self):
         # dropping a main effect also drops its interactions; the test
         # still runs end to end
-        rows = rows_for(strong_truth(), n=250, seed=14)
-        res = bootstrap_term_test(rows, small_spec(), "year", b=19, seed=5)
+        model = fit_for(rows_for(strong_truth(), n=250, seed=14))
+        res = bootstrap_term_test(model, "year", b=19, seed=5)
         assert res.p_value == pytest.approx(1 / 20)
 
     @pytest.mark.parametrize("term", ["deprivation:year", "year"])
@@ -171,7 +179,7 @@ class TestBootstrapTermTest:
         rows = rows_for(strong_truth(), n=250, seed=15)
         spec = small_spec()
         lams = {"deprivation": 3.0, "year": 30.0}
-        res = bootstrap_term_test(rows, spec, term, b=19, seed=4, lambdas=lams)
+        res = bootstrap_term_test(fit_for(rows, spec, lams), term, b=19, seed=4)
         y = rows_to_columns(rows)["logprice"]
         design = build_design(rows, spec)
         reduced_spec = spec.drop(term)
