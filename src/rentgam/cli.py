@@ -36,7 +36,7 @@ from .gam import (
     spatial_filter,
     TermSpec,
 )
-from .inference import bootstrap_term_test
+from .inference import bootstrap_term_test, check_bootstrap_request
 from .listings import (
     PostcodeIndex,
     clean_pipeline,
@@ -381,10 +381,8 @@ def cmd_fit(config: RunConfig) -> int:
     return 0
 
 
-def _load_stored(config: RunConfig) -> tuple[dict, FittedModel]:
-    """Read a fitted model file and refit it at its stored smoothing
-    parameters on the rows it applies to, refusing rows that differ in
-    count from the fit's."""
+def _read_stored(config: RunConfig) -> tuple[dict, ModelSpec]:
+    """Read a fitted model file and the model spec it records."""
     with open(config.model, encoding="utf-8") as fh:
         stored = json.load(fh)
     try:
@@ -403,6 +401,12 @@ def _load_stored(config: RunConfig) -> tuple[dict, FittedModel]:
         spec = ModelSpec(terms=terms)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{config.model}: bad model file: {exc}") from exc
+    return stored, spec
+
+
+def _refit_stored(config: RunConfig, stored: dict, spec: ModelSpec) -> FittedModel:
+    """Refit a stored model at its smoothing parameters on the rows it
+    applies to, refusing rows that differ in count from the fit's."""
     rows = _fit_rows(config)
     if len(rows) != stored["n"]:
         raise DataError(
@@ -410,14 +414,14 @@ def _load_stored(config: RunConfig) -> tuple[dict, FittedModel]:
             f"fitted on {stored['n']}; re-run fit"
         )
     design = build_design(rows, spec)
-    model = fit_pls(design, rows_to_columns(rows)["logprice"], stored["lambdas"])
-    return stored, model
+    return fit_pls(design, rows_to_columns(rows)["logprice"], stored["lambdas"])
 
 
 def cmd_surfaces(config: RunConfig) -> int:
     config.require("clean_listings", "model")
     out = _out_dir(config)
-    stored, model = _load_stored(config)
+    stored, spec = _read_stored(config)
+    model = _refit_stored(config, stored, spec)
     written = []
     for block in model.design.blocks:
         term = block.term
@@ -446,7 +450,9 @@ def cmd_surfaces(config: RunConfig) -> int:
 def cmd_bootstrap(config: RunConfig) -> int:
     config.require("clean_listings", "model")
     out = _out_dir(config)
-    _, model = _load_stored(config)
+    stored, spec = _read_stored(config)
+    check_bootstrap_request(spec, config.term, config.bootstrap_b)
+    model = _refit_stored(config, stored, spec)
     result = bootstrap_term_test(
         model, config.term, b=config.bootstrap_b, seed=config.seed
     )

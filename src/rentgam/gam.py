@@ -569,38 +569,32 @@ def fit_pls(
 
 def _coordinate_descent(
     design: Design,
-    grid: Sequence[float] | Mapping[str, Sequence[float]] | None,
+    grid: Sequence[float] | None,
     max_sweeps: int,
     score: Callable[[dict[str, float]], float],
 ) -> dict[str, float]:
     """Minimize ``score`` over the main-effect smoothing parameters by
-    coordinate descent on a finite ladder per term.
+    coordinate descent on one finite ladder shared by every term
+    (``DEFAULT_LAMBDA_GRID`` when ``grid`` is None).
 
-    Every selectable term starts at the middle of its ladder. Terms are
+    Every selectable term starts at the middle of the ladder. Terms are
     swept in spec order, each set to its best-scoring ladder value with
     the others held fixed, until a sweep changes nothing or
     ``max_sweeps`` is reached. Scores within ``1e-9*|best| + 1e-12`` of
     the best tie, and ties go to the larger (smoother) value.
     """
-    selectable = [t.name for t in design.spec.main_terms if t.lam is None]
-    grids: dict[str, np.ndarray] = {}
-    for name in selectable:
-        if grid is None:
-            grids[name] = DEFAULT_LAMBDA_GRID
-        elif isinstance(grid, Mapping):
-            grids[name] = np.asarray(grid[name], dtype=float)
-        else:
-            grids[name] = np.asarray(grid, dtype=float)
-        if grids[name].size == 0 or (grids[name] < 0).any():
-            raise ValueError(f"invalid smoothing grid for term {name}")
+    ladder = DEFAULT_LAMBDA_GRID if grid is None else np.asarray(grid, dtype=float)
+    if ladder.size == 0 or (ladder < 0).any():
+        raise ValueError(f"invalid smoothing grid {ladder.tolist()}")
 
-    current = {name: float(g[len(g) // 2]) for name, g in grids.items()}
+    selectable = [t.name for t in design.spec.main_terms if t.lam is None]
+    current = {name: float(ladder[len(ladder) // 2]) for name in selectable}
     for _ in range(max_sweeps):
         changed = False
         for name in selectable:
             best_lam = current[name]
             best = None
-            for lam in grids[name]:
+            for lam in ladder:
                 value = score({**current, name: float(lam)})
                 tol = 0.0 if best is None else 1e-9 * abs(best) + 1e-12
                 if best is None or value < best - tol:
@@ -620,7 +614,7 @@ def _coordinate_descent(
 def select_smoothness(
     design: Design,
     y: np.ndarray,
-    grid: Sequence[float] | Mapping[str, Sequence[float]] | None = None,
+    grid: Sequence[float] | None = None,
     max_sweeps: int = 10,
 ) -> dict[str, float]:
     """Choose main-effect smoothing parameters by coordinate descent on

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import linalg
 
 from .errors import NumericalError
-from .gam import FittedModel, fit_pls
+from .gam import FittedModel, ModelSpec, fit_pls
 
 # unused here; the benchmark's tracer wraps these names on this module
 from .gam import build_design, rows_to_columns, select_smoothness  # noqa: F401
@@ -37,6 +37,15 @@ def wald_statistic(model: FittedModel, term: str) -> float:
     beta = model.coefficients(term)
     v_inv, _ = _pseudo_inverse(model.covariance_block(term))
     return float(beta @ v_inv @ beta)
+
+
+def check_bootstrap_request(spec: ModelSpec, term: str, b: int) -> None:
+    """Refuse a bootstrap of ``b`` replicates for ``term`` before any
+    work: under 19 replicates cannot give a p-value (ValueError), and
+    ``term`` must be one of ``spec``'s (KeyError)."""
+    if b < 19:
+        raise ValueError(f"need at least 19 replicates for a p-value, got {b}")
+    spec.term(term)
 
 
 def empirical_p(observed: float, replicates: Sequence[float]) -> float:
@@ -88,9 +97,7 @@ def bootstrap_term_test(
     prefix of the replicates is reproducible. Replicates with a
     non-finite statistic are discarded; over 10% discarded aborts.
     """
-    if b < 19:
-        raise ValueError(f"need at least 19 replicates for a p-value, got {b}")
-    model.spec.term(term)  # raises KeyError for unknown terms
+    check_bootstrap_request(model.spec, term, b)
     observed = wald_statistic(model, term)
     design = model.design
     reduced = fit_pls(design.drop(term), model.y, model.lambdas)

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .errors import ConfigurationError, DataError
 
@@ -136,44 +137,34 @@ def _listing_from_mapping(row: dict, row_number: int) -> Listing | MalformedRow:
     )
 
 
-def parse_listings(path: str | Path) -> ParseResult:
-    """Read a listings feed, delimited or JSON-lines by extension.
-
-    Malformed rows are captured with their row numbers and skipped;
-    row-level problems never abort the parse.
-    """
+def read_table(
+    path: str | Path, columns: Iterable[str], what: str
+) -> Iterator[tuple[int, dict]]:
+    """Yield ``(row_number, row)`` for each data row of a CSV file,
+    numbered as file lines from 2 (the header is line 1). A missing file
+    raises ConfigurationError naming ``what``; a header lacking any of
+    ``columns`` raises DataError."""
     path = Path(path)
     if not path.exists():
-        raise ConfigurationError(f"listings file not found: {path}")
-    if path.suffix in (".jsonl", ".ndjson"):
-        return _parse_jsonl(path)
-    return _parse_delimited(path)
-
-
-def _parse_delimited(path: Path) -> ParseResult:
-    listings: list[Listing] = []
-    malformed: list[MalformedRow] = []
+        raise ConfigurationError(f"{what} not found: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in REQUIRED_COLUMNS if c not in header]
+        missing = set(columns) - set(reader.fieldnames or [])
         if missing:
-            raise DataError(f"{path}: missing columns {missing}")
-        for row_number, row in enumerate(reader, start=2):
-            if row.get(None) or any(v is None for v in row.values()):
-                malformed.append(MalformedRow(row_number, "wrong column count"))
-                continue
-            parsed = _listing_from_mapping(row, row_number)
-            if isinstance(parsed, MalformedRow):
-                malformed.append(parsed)
-            else:
-                listings.append(parsed)
-    return ParseResult(listings, malformed)
+            raise DataError(f"{path}: missing columns {sorted(missing)}")
+        yield from enumerate(reader, start=2)
 
 
-def _parse_jsonl(path: Path) -> ParseResult:
-    listings: list[Listing] = []
-    malformed: list[MalformedRow] = []
+def _delimited_rows(path: Path) -> Iterator[tuple[int, dict | MalformedRow]]:
+    for row_number, row in read_table(path, REQUIRED_COLUMNS, "listings file"):
+        if row.get(None) or any(v is None for v in row.values()):
+            row = MalformedRow(row_number, "wrong column count")
+        yield row_number, row
+
+
+def _jsonl_rows(path: Path) -> Iterator[tuple[int, dict | MalformedRow]]:
+    if not path.exists():
+        raise ConfigurationError(f"listings file not found: {path}")
     with open(path, encoding="utf-8") as fh:
         for row_number, line in enumerate(fh, start=1):
             if not line.strip():
@@ -181,17 +172,31 @@ def _parse_jsonl(path: Path) -> ParseResult:
             try:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
-                malformed.append(MalformedRow(row_number, f"bad json: {exc.msg}"))
+                yield row_number, MalformedRow(row_number, f"bad json: {exc.msg}")
                 continue
             if not isinstance(row, dict):
-                malformed.append(MalformedRow(row_number, "not an object"))
-                continue
-            parsed = _listing_from_mapping(row, row_number)
-            if isinstance(parsed, MalformedRow):
-                malformed.append(parsed)
-            else:
-                listings.append(parsed)
-    return ParseResult(listings, malformed)
+                row = MalformedRow(row_number, "not an object")
+            yield row_number, row
+
+
+def parse_listings(path: str | Path) -> ParseResult:
+    """Read a listings feed, delimited or JSON-lines by extension.
+
+    Malformed rows are captured with their row numbers and skipped;
+    row-level problems never abort the parse.
+    """
+    path = Path(path)
+    jsonl = path.suffix in (".jsonl", ".ndjson")
+    rows = _jsonl_rows(path) if jsonl else _delimited_rows(path)
+    result = ParseResult([], [])
+    for row_number, row in rows:
+        if isinstance(row, dict):
+            row = _listing_from_mapping(row, row_number)
+        if isinstance(row, MalformedRow):
+            result.malformed.append(row)
+        else:
+            result.listings.append(row)
+    return result
 
 
 def dedup_key(listing: Listing) -> tuple:
@@ -258,35 +263,27 @@ class PostcodeIndex:
 
     @classmethod
     def load(cls, path: str | Path) -> "PostcodeIndex":
-        path = Path(path)
-        if not path.exists():
-            raise ConfigurationError(f"postcode index not found: {path}")
         entries: dict[str, PostcodeEntry] = {}
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            needed = {"postcode", "latitude", "longitude", "area_code", "deprivation"}
-            missing = needed - set(reader.fieldnames or [])
-            if missing:
-                raise DataError(f"{path}: missing columns {sorted(missing)}")
-            for row_number, row in enumerate(reader, start=2):
-                postcode = normalize_postcode(row["postcode"])
-                try:
-                    lat = float(row["latitude"])
-                    lon = float(row["longitude"])
-                    dep = float(row["deprivation"])
-                except (TypeError, ValueError):
-                    raise DataError(f"{path}:{row_number}: non-numeric field")
-                if not (49.0 <= lat <= 61.0 and -9.0 <= lon <= 2.0):
-                    raise DataError(
-                        f"{path}:{row_number}: ({lat}, {lon}) outside GB bounding box"
-                    )
-                if not 0.0 <= dep <= 1.0:
-                    raise DataError(
-                        f"{path}:{row_number}: deprivation {dep} outside [0, 1]"
-                    )
-                if postcode in entries:
-                    raise DataError(f"{path}:{row_number}: duplicate postcode {postcode}")
-                entries[postcode] = PostcodeEntry(lat, lon, row["area_code"].strip(), dep)
+        needed = ("postcode", "latitude", "longitude", "area_code", "deprivation")
+        for row_number, row in read_table(path, needed, "postcode index"):
+            postcode = normalize_postcode(row["postcode"])
+            try:
+                lat = float(row["latitude"])
+                lon = float(row["longitude"])
+                dep = float(row["deprivation"])
+            except (TypeError, ValueError):
+                raise DataError(f"{path}:{row_number}: non-numeric field")
+            if not (49.0 <= lat <= 61.0 and -9.0 <= lon <= 2.0):
+                raise DataError(
+                    f"{path}:{row_number}: ({lat}, {lon}) outside GB bounding box"
+                )
+            if not 0.0 <= dep <= 1.0:
+                raise DataError(
+                    f"{path}:{row_number}: deprivation {dep} outside [0, 1]"
+                )
+            if postcode in entries:
+                raise DataError(f"{path}:{row_number}: duplicate postcode {postcode}")
+            entries[postcode] = PostcodeEntry(lat, lon, row["area_code"].strip(), dep)
         return cls(entries)
 
 
@@ -304,21 +301,7 @@ def geocode(
         if entry is None:
             unmatched.append(listing)
             continue
-        matched.append(
-            GeocodedListing(
-                listing_id=listing.listing_id,
-                start_date=listing.start_date,
-                end_date=listing.end_date,
-                postcode=listing.postcode,
-                rent=listing.rent,
-                bedrooms=listing.bedrooms,
-                property_type=listing.property_type,
-                latitude=entry.latitude,
-                longitude=entry.longitude,
-                area_code=entry.area_code,
-                deprivation=entry.deprivation,
-            )
-        )
+        matched.append(GeocodedListing(**vars(listing), **vars(entry)))
     return matched, unmatched
 
 
@@ -478,34 +461,26 @@ def clean_pipeline(
 
 def read_clean_listings(path: str | Path) -> list[GeocodedListing]:
     """Read a file produced by write_clean_listings back into records."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"clean listings file not found: {path}")
     out: list[GeocodedListing] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(GEOCODED_COLUMNS) - set(reader.fieldnames or [])
-        if missing:
-            raise DataError(f"{path}: missing columns {sorted(missing)}")
-        for row_number, row in enumerate(reader, start=2):
-            try:
-                out.append(
-                    GeocodedListing(
-                        listing_id=row["listing_id"],
-                        start_date=date.fromisoformat(row["start_date"]),
-                        end_date=date.fromisoformat(row["end_date"]),
-                        postcode=row["postcode"],
-                        rent=float(row["rent"]),
-                        bedrooms=int(row["bedrooms"]),
-                        property_type=row["property_type"],
-                        latitude=float(row["latitude"]),
-                        longitude=float(row["longitude"]),
-                        area_code=row["area_code"],
-                        deprivation=float(row["deprivation"]),
-                    )
+    for row_number, row in read_table(path, GEOCODED_COLUMNS, "clean listings file"):
+        try:
+            out.append(
+                GeocodedListing(
+                    listing_id=row["listing_id"],
+                    start_date=date.fromisoformat(row["start_date"]),
+                    end_date=date.fromisoformat(row["end_date"]),
+                    postcode=row["postcode"],
+                    rent=float(row["rent"]),
+                    bedrooms=int(row["bedrooms"]),
+                    property_type=row["property_type"],
+                    latitude=float(row["latitude"]),
+                    longitude=float(row["longitude"]),
+                    area_code=row["area_code"],
+                    deprivation=float(row["deprivation"]),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{row_number}: {exc}") from exc
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}:{row_number}: {exc}") from exc
     return out
 
 

@@ -52,10 +52,6 @@ class KnotVector:
         """Number of B-spline basis functions supported on the domain."""
         return self.segments + self.degree
 
-    @property
-    def spacing(self) -> float:
-        return (self.hi - self.lo) / self.segments
-
 
 @dataclass(frozen=True)
 class PenaltyMatrix:
@@ -64,7 +60,6 @@ class PenaltyMatrix:
 
     matrix: np.ndarray
     root: np.ndarray
-    order: int
 
 
 @dataclass(frozen=True)
@@ -148,7 +143,7 @@ def difference_penalty(dimension: int, order: int = 2) -> PenaltyMatrix:
             f"dimension {dimension} must exceed difference order {order}"
         )
     root = np.diff(np.eye(dimension), n=order, axis=0)
-    return PenaltyMatrix(matrix=root.T @ root, root=root, order=order)
+    return PenaltyMatrix(matrix=root.T @ root, root=root)
 
 
 def tensor_basis(margins: Sequence[np.ndarray]) -> np.ndarray:
@@ -192,7 +187,7 @@ def tensor_penalty(
         for j, d in enumerate(dims):
             matrix = np.kron(matrix, pen.matrix if j == k else np.eye(d))
             root = np.kron(root, pen.root if j == k else np.eye(d))
-        lifted.append(PenaltyMatrix(matrix=matrix, root=root, order=pen.order))
+        lifted.append(PenaltyMatrix(matrix=matrix, root=root))
     return lifted
 
 

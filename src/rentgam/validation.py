@@ -6,7 +6,6 @@ and median rents.
 
 from __future__ import annotations
 
-import csv
 import math
 import statistics
 from dataclasses import dataclass
@@ -14,8 +13,8 @@ from datetime import date
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ConfigurationError, DataError, NumericalError
-from .listings import GeocodedListing
+from .errors import DataError, NumericalError
+from .listings import GeocodedListing, read_table
 
 
 @dataclass(frozen=True)
@@ -32,53 +31,41 @@ class YearCounts:
 
 def load_area_reference(path: str | Path) -> dict[str, AreaCounts]:
     """Read `area_code,stock,flow` rows."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"area reference not found: {path}")
     out: dict[str, AreaCounts] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = {"area_code", "stock", "flow"} - set(reader.fieldnames or [])
-        if missing:
-            raise DataError(f"{path}: missing columns {sorted(missing)}")
-        for row_number, row in enumerate(reader, start=2):
-            code = row["area_code"].strip()
-            try:
-                counts = AreaCounts(float(row["stock"]), float(row["flow"]))
-            except (TypeError, ValueError):
-                raise DataError(f"{path}:{row_number}: non-numeric count")
-            if counts.stock < 0 or counts.flow < 0:
-                raise DataError(f"{path}:{row_number}: negative count")
-            if code in out:
-                raise DataError(f"{path}:{row_number}: duplicate area {code}")
-            out[code] = counts
+    for row_number, row in read_table(
+        path, ("area_code", "stock", "flow"), "area reference"
+    ):
+        code = row["area_code"].strip()
+        try:
+            counts = AreaCounts(float(row["stock"]), float(row["flow"]))
+        except (TypeError, ValueError):
+            raise DataError(f"{path}:{row_number}: non-numeric count")
+        if counts.stock < 0 or counts.flow < 0:
+            raise DataError(f"{path}:{row_number}: negative count")
+        if code in out:
+            raise DataError(f"{path}:{row_number}: duplicate area {code}")
+        out[code] = counts
     return out
 
 
 def load_national_reference(path: str | Path) -> dict[int, YearCounts]:
     """Read `year,stock_thousands,flow_thousands` rows."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"national reference not found: {path}")
     out: dict[int, YearCounts] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = {"year", "stock_thousands", "flow_thousands"} - set(
-            reader.fieldnames or []
-        )
-        if missing:
-            raise DataError(f"{path}: missing columns {sorted(missing)}")
-        for row_number, row in enumerate(reader, start=2):
-            try:
-                year = int(row["year"])
-                counts = YearCounts(
-                    float(row["stock_thousands"]), float(row["flow_thousands"])
-                )
-            except (TypeError, ValueError):
-                raise DataError(f"{path}:{row_number}: non-numeric field")
-            if counts.stock_thousands < 0 or counts.flow_thousands < 0:
-                raise DataError(f"{path}:{row_number}: negative count")
-            out[year] = counts
+    for row_number, row in read_table(
+        path, ("year", "stock_thousands", "flow_thousands"), "national reference"
+    ):
+        try:
+            year = int(row["year"])
+            counts = YearCounts(
+                float(row["stock_thousands"]), float(row["flow_thousands"])
+            )
+        except (TypeError, ValueError):
+            raise DataError(f"{path}:{row_number}: non-numeric field")
+        if counts.stock_thousands < 0 or counts.flow_thousands < 0:
+            raise DataError(f"{path}:{row_number}: negative count")
+        if year in out:
+            raise DataError(f"{path}:{row_number}: duplicate year {year}")
+        out[year] = counts
     return out
 
 

@@ -328,6 +328,24 @@ class TestFit:
         _, notes = self.fit_with_ladder(pipeline, tmp_path, capsys, "10")
         assert notes == []
 
+    @pytest.mark.parametrize(
+        "ladder",
+        [pytest.param("", id="empty"), pytest.param("-1,10", id="negative")],
+    )
+    def test_invalid_ladder_exits_2(self, pipeline, tmp_path, capsys, ladder):
+        cfg = tmp_path / "ladder.cfg"
+        cfg.write_text(f"lambda_grid = {ladder}\n")
+        code, _, err = run(
+            [
+                "fit", "--config", cfg,
+                "--clean-listings", pipeline["out"] / "clean_listings.csv",
+                "--out", tmp_path,
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert "invalid smoothing grid" in err
+
 
 class TestSurfaces:
     def test_grids_written(self, pipeline, tmp_path):
@@ -416,8 +434,19 @@ class TestBootstrap:
         assert code == 2
         assert "nope" in err
 
-    def test_builds_one_design(self, pipeline, tmp_path, monkeypatch):
-        # the stored model's design; the reduced fit reuses its columns
+    @pytest.mark.parametrize(
+        "term, b, code, designs",
+        [
+            # the stored model's design; the reduced fit reuses its columns
+            pytest.param("deprivation:year", "19", 0, 1, id="good-input"),
+            # bad requests are refused before any rows are derived
+            pytest.param("deprivation:year", "5", 2, 0, id="b-below-19"),
+            pytest.param("nope", "19", 2, 0, id="unknown-term"),
+        ],
+    )
+    def test_builds_one_design(
+        self, pipeline, tmp_path, monkeypatch, term, b, code, designs
+    ):
         built = []
 
         def counting(*args, **kwargs):
@@ -430,9 +459,9 @@ class TestBootstrap:
             "bootstrap",
             "--clean-listings", str(pipeline["out"] / "clean_listings.csv"),
             "--model", str(pipeline["out"] / "model.json"),
-            "--term", "deprivation:year", "--b", "19", "--out", str(tmp_path),
-        ]) == 0
-        assert len(built) == 1
+            "--term", term, "--b", b, "--out", str(tmp_path),
+        ]) == code
+        assert len(built) == designs
 
 
 class TestSimulate:

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from rentgam.errors import ConfigurationError, DataError
 from rentgam.listings import (
+    GEOCODED_COLUMNS,
+    REQUIRED_COLUMNS,
     CleanReport,
     Listing,
     PostcodeEntry,
@@ -21,6 +23,7 @@ from rentgam.listings import (
     validate_record,
     write_clean_listings,
 )
+from rentgam.validation import load_area_reference, load_national_reference
 
 
 def make_listing(
@@ -395,3 +398,43 @@ class TestPostcodeIndex:
     def test_geocode_empty_index_is_config_error(self):
         with pytest.raises(ConfigurationError, match="empty"):
             geocode([make_listing()], PostcodeIndex({}))
+
+
+class TestTableReaders:
+    @pytest.mark.parametrize(
+        "reader, filename, columns",
+        [
+            pytest.param(parse_listings, "feed.csv", REQUIRED_COLUMNS, id="listings-csv"),
+            # JSON lines carry no header, so only the missing file applies
+            pytest.param(parse_listings, "feed.jsonl", (), id="listings-jsonl"),
+            pytest.param(
+                PostcodeIndex.load,
+                "postcodes.csv",
+                ("postcode", "latitude", "longitude", "area_code", "deprivation"),
+                id="postcodes",
+            ),
+            pytest.param(
+                read_clean_listings, "clean.csv", GEOCODED_COLUMNS, id="clean-listings"
+            ),
+            pytest.param(
+                load_area_reference,
+                "areas.csv",
+                ("area_code", "stock", "flow"),
+                id="area-reference",
+            ),
+            pytest.param(
+                load_national_reference,
+                "national.csv",
+                ("year", "stock_thousands", "flow_thousands"),
+                id="national-reference",
+            ),
+        ],
+    )
+    def test_missing_file_and_missing_column(self, tmp_path, reader, filename, columns):
+        path = tmp_path / filename
+        with pytest.raises(ConfigurationError, match="not found"):
+            reader(path)
+        for dropped in columns:
+            path.write_text(",".join(c for c in columns if c != dropped) + "\n")
+            with pytest.raises(DataError, match=rf"missing columns \['{dropped}'\]"):
+                reader(path)

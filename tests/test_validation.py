@@ -284,3 +284,12 @@ class TestLoaders:
         p.write_text("year,stock_thousands,flow_thousands\n2014,4818,1241\n")
         ref = load_national_reference(p)
         assert ref[2014].stock_thousands == 4818
+
+    def test_national_reference_rejects_duplicate_year(self, tmp_path):
+        p = tmp_path / "national.csv"
+        p.write_text(
+            "year,stock_thousands,flow_thousands\n"
+            "2014,4818,1241\n2015,4900,1250\n2014,5000,1300\n"
+        )
+        with pytest.raises(DataError, match=r"national\.csv:4: duplicate year 2014"):
+            load_national_reference(p)
