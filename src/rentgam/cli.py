@@ -190,6 +190,8 @@ def _emit(config: RunConfig, payload: dict, table_lines: list[str]) -> None:
 
 
 def _out_dir(config: RunConfig) -> Path:
+    """The output directory, created. Commands call this only once their
+    inputs are checked, so a refused run leaves no directory behind."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -197,12 +199,12 @@ def _out_dir(config: RunConfig) -> Path:
 
 def cmd_clean(config: RunConfig) -> int:
     config.require("listings", "postcodes")
-    out = _out_dir(config)
     parsed = parse_listings(config.listings)
     index = PostcodeIndex.load(config.postcodes)
     cleaned, report = clean_pipeline(
         parsed.listings, index, malformed=len(parsed.malformed)
     )
+    out = _out_dir(config)
     write_clean_listings(out / "clean_listings.csv", cleaned)
     table = report.render_table()
     (out / "clean_report.txt").write_text(table + "\n", encoding="utf-8")
@@ -214,7 +216,6 @@ def cmd_clean(config: RunConfig) -> int:
 
 def cmd_validate(config: RunConfig) -> int:
     config.require("clean_listings", "area_reference", "national_reference")
-    out = _out_dir(config)
     listings = read_clean_listings(config.clean_listings)
     areas = load_area_reference(config.area_reference)
     national = load_national_reference(config.national_reference)
@@ -229,6 +230,7 @@ def cmd_validate(config: RunConfig) -> int:
     years = sorted({l.start_date.year for l in listings})
 
     correlations: dict[str, dict[str, float]] = {}
+    out = _out_dir(config)
     with open(out / "scatter.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("year,area_code,listings,stock,flow\n")
         for year in years:
@@ -344,7 +346,6 @@ def _model_payload(config: RunConfig, model, design) -> dict:
 
 def cmd_fit(config: RunConfig) -> int:
     config.require("clean_listings")
-    out = _out_dir(config)
     rows = _fit_rows(config)
     spec = _spec_from_config(config)
     design = build_design(rows, spec)
@@ -375,6 +376,7 @@ def cmd_fit(config: RunConfig) -> int:
         for name, value in rmse.items():
             lines.append(f"  {name:<18} {value:.6f}")
 
+    out = _out_dir(config)
     _write_json(out / "model.json", payload)
     lines.append(f"model -> {out / 'model.json'}")
     _emit(config, payload, lines)
@@ -419,9 +421,9 @@ def _refit_stored(config: RunConfig, stored: dict, spec: ModelSpec) -> FittedMod
 
 def cmd_surfaces(config: RunConfig) -> int:
     config.require("clean_listings", "model")
-    out = _out_dir(config)
     stored, spec = _read_stored(config)
     model = _refit_stored(config, stored, spec)
+    out = _out_dir(config)
     written = []
     for block in model.design.blocks:
         term = block.term
@@ -449,7 +451,6 @@ def cmd_surfaces(config: RunConfig) -> int:
 
 def cmd_bootstrap(config: RunConfig) -> int:
     config.require("clean_listings", "model")
-    out = _out_dir(config)
     stored, spec = _read_stored(config)
     check_bootstrap_request(spec, config.term, config.bootstrap_b)
     model = _refit_stored(config, stored, spec)
@@ -461,6 +462,7 @@ def cmd_bootstrap(config: RunConfig) -> int:
         **result.to_dict(),
         "replicates": result.replicates.tolist(),
     }
+    out = _out_dir(config)
     _write_json(out / "bootstrap.json", payload)
     lines = [
         f"term {result.term}: W_obs = {result.statistic:.3f}, "
@@ -472,7 +474,6 @@ def cmd_bootstrap(config: RunConfig) -> int:
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    out = _out_dir(config)
     if config.truth is not None:
         truth = load_truth(config.truth)
     elif config.truth_kind == "linear":
@@ -487,6 +488,7 @@ def cmd_simulate(config: RunConfig) -> int:
         center=(config.center_lat, config.center_lon),
         radius_miles=config.radius_miles,
     )
+    out = _out_dir(config)
     paths = write_corpus(out, corpus)
     payload = {
         "config_sha256": config.sha256(),

@@ -24,6 +24,7 @@ from .gam import (
     EARTH_RADIUS_MILES,
     Design,
     FittedModel,
+    LadderFit,
     ModelRow,
     decimal_year,
     day_of_year,
@@ -425,9 +426,8 @@ def oracle_smoothness(
     selection."""
     signal = np.asarray(signal, dtype=float).ravel()
 
-    def score(lams: dict) -> float:
-        fitted = fit_pls(design, y, lams).fitted
-        return float(np.sqrt(np.mean((fitted - signal) ** 2)))
+    def score(fit: LadderFit | FittedModel) -> float:
+        return float(np.sqrt(np.mean((fit.fitted - signal) ** 2)))
 
-    current = _coordinate_descent(design, grid, max_sweeps, score)
+    current = _coordinate_descent(design, y, grid, max_sweeps, score)
     return current, fit_pls(design, y, current)

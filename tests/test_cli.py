@@ -464,6 +464,29 @@ class TestBootstrap:
         assert len(built) == designs
 
 
+class TestRefusedRuns:
+    @pytest.mark.parametrize("command", ["bootstrap", "surfaces"])
+    def test_leave_no_out_directory(self, pipeline, tmp_path, command):
+        """bootstrap with --b 5 and surfaces against a stale model both
+        exit 2 without creating their --out directory."""
+        clean = pipeline["out"] / "clean_listings.csv"
+        extra = ["--term", "deprivation:year", "--b", "5"]
+        if command == "surfaces":
+            data2, out2 = tmp_path / "data2", tmp_path / "out2"
+            assert main(["simulate", "--n", "80", "--seed", "99", "--out", str(data2)]) == 0
+            assert main([
+                "clean", "--listings", str(data2 / "listings.csv"),
+                "--postcodes", str(data2 / "postcodes.csv"), "--out", str(out2),
+            ]) == 0
+            clean, extra = out2 / "clean_listings.csv", []
+        out = tmp_path / "runbad"
+        assert main([
+            command, "--clean-listings", str(clean),
+            "--model", str(pipeline["out"] / "model.json"), "--out", str(out), *extra,
+        ]) == 2
+        assert not out.exists()
+
+
 class TestSimulate:
     def test_schema_and_row_count(self, tmp_path):
         out = tmp_path / "sim"

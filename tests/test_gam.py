@@ -3,7 +3,9 @@ from datetime import date
 
 import numpy as np
 import pytest
+from scipy import linalg
 
+from rentgam import gam
 from rentgam.errors import DataError, NumericalError, OutOfDomainError
 from rentgam.gam import (
     DEFAULT_LAMBDA_GRID,
@@ -27,7 +29,7 @@ from rentgam.gam import (
     spatial_filter,
 )
 from rentgam.listings import GeocodedListing
-from rentgam.synthetic import default_truth, simulate_listings
+from rentgam.synthetic import default_truth, oracle_smoothness, simulate_listings
 
 
 def geocoded(
@@ -526,6 +528,89 @@ class TestSelectSmoothness:
         assert np.max(
             np.abs(s[inner.columns, inner.columns] - 5.0 * inner.penalties[0])
         ) < 1e-12
+
+
+def plain_ladder_fits(design, y, current, name, ladder):
+    """The plain path: one fit_pls per ladder point."""
+    return [fit_pls(design, y, {**current, name: float(lam)}) for lam in ladder]
+
+
+def counting_fit_pls(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fit_pls(*args, **kwargs)
+
+    monkeypatch.setattr(gam, "fit_pls", counting)
+    return calls
+
+
+def simulated(n, seed, spec):
+    truth = default_truth()
+    rows = derive_rows(simulate_listings(n, truth, sigma=0.1, seed=seed).listings)
+    columns = rows_to_columns(rows)
+    return build_design(rows, spec), columns["logprice"], truth.signal(columns)
+
+
+class TestLadderEvaluator:
+    def test_every_point_of_one_sweep_matches_fit_pls(self, monkeypatch):
+        """The eigen evaluator against fit_pls at every ladder point of
+        every selectable term over one BIC sweep of the default spec.
+        Measured worst relative errors at the mid-ladder base are about
+        4e-10 in k and 1e-11 in BIC; a base at the lowest ladder value
+        gives about 2e-8 in k, and so fails, as does an owned penalty
+        that leaves out the interaction directions a term lends."""
+        design, y, _ = simulated(1000, 3, default_model_spec())
+        ladder = DEFAULT_LAMBDA_GRID
+        current = {t.name: float(ladder[len(ladder) // 2]) for t in design.spec.main_terms}
+        for name in list(current):
+            calls = counting_fit_pls(monkeypatch)
+            fits = list(gam._ladder_fits(design, y, current, name, ladder))
+            monkeypatch.undo()
+            assert calls == []  # the evaluator, not the plain path
+            bics = []
+            for lam, fit in zip(ladder, fits):
+                m = fit_pls(design, y, {**current, name: float(lam)})
+                assert fit.k == pytest.approx(m.k, rel=1e-8)
+                assert fit.rss == pytest.approx(m.rss, rel=1e-8)
+                assert bic(fit.rss, m.n, fit.k) == pytest.approx(m.bic, rel=1e-8)
+                assert np.max(np.abs(fit.fitted - m.fitted)) <= 1e-8 * np.max(np.abs(y))
+                bics.append(m.bic)
+            current[name] = float(ladder[int(np.argmin(bics))])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_selection_identical_to_plain_path(self, monkeypatch, seed):
+        """BIC and oracle selection pick exactly the lambdas that the same
+        loop picks with fit_pls at every ladder point."""
+        spec = default_model_spec(6, 5, 4, 3)
+        design, y, signal = simulated(1000, seed, spec)
+        calls = counting_fit_pls(monkeypatch)
+        fast_bic = select_smoothness(design, y)
+        fast_oracle, _ = oracle_smoothness(design, y, signal)
+        assert calls == []
+        monkeypatch.setattr(gam, "_ladder_fits", plain_ladder_fits)
+        assert fast_bic == select_smoothness(design, y)
+        assert fast_oracle == oracle_smoothness(design, y, signal)[0]
+
+    @pytest.mark.parametrize(
+        "grid, factors",
+        [([10.0], True), ([0.0, 10.0], True), ([1.0, 100.0], False)],
+        ids=["one-point", "holding-zero", "base-not-positive-definite"],
+    )
+    def test_plain_ladders_fit_every_point(self, monkeypatch, grid, factors):
+        design, y, _ = simulated(1000, 0, default_model_spec(6, 5, 4, 3))
+        if not factors:
+            def not_pd(*args):
+                raise linalg.LinAlgError("not positive definite")
+
+            monkeypatch.setattr(gam, "_eigen_ladder", not_pd)
+        calls = counting_fit_pls(monkeypatch)
+        select_smoothness(design, y, grid=grid)
+        per_sweep = len(grid) * 5
+        assert len(calls) > 0 and len(calls) % per_sweep == 0
+        if len(grid) == 1:
+            assert len(calls) == 5  # one sweep, which changes nothing
 
 
 class TestPredictAndSurfaces:
