@@ -1,15 +1,13 @@
 """Checks of listings coverage against reference counts, plus the
 summary statistics used to compare the feed with external sources:
-area-level correlations, coverage ratios, index series, turnover rates
-and median rents.
+area-level correlations, coverage ratios, index series and turnover
+rates.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
-from datetime import date
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -183,91 +181,3 @@ def turnover_rate(flow: float, stock: float) -> int:
     if flow < 0:
         raise ValueError(f"negative flow {flow}")
     return round(100.0 * flow / stock)
-
-
-def median_rent_by_area(
-    records: Iterable[GeocodedListing],
-    bedrooms: int | None = None,
-    year: int | None = None,
-) -> dict[str, float]:
-    """Median monthly rent per area, the even-count midpoint convention.
-
-    Optionally restricted to an exact bedroom count and a start-date
-    calendar year.
-    """
-    rents: dict[str, list[float]] = {}
-    for record in records:
-        if bedrooms is not None and record.bedrooms != bedrooms:
-            continue
-        if year is not None and (
-            record.start_date is None or record.start_date.year != year
-        ):
-            continue
-        rents.setdefault(record.area_code, []).append(record.rent)
-    return {area: float(statistics.median(v)) for area, v in sorted(rents.items())}
-
-
-def quarter_label(day: date) -> str:
-    return f"{day.year}Q{(day.month - 1) // 3 + 1}"
-
-
-def _bedroom_stratum(bedrooms: int) -> int:
-    # strata 1, 2, 3 and 4-or-more; studios count with the 1-beds
-    return min(max(bedrooms, 1), 4)
-
-
-def rent_index(
-    records: Iterable[GeocodedListing], base_quarter: str
-) -> IndexSeries:
-    """Mix-adjusted quarterly rent index.
-
-    Within each quarter the median log rent is computed per bedroom
-    stratum (1, 2, 3, 4+); strata are combined with fixed weights equal
-    to the base quarter's stratum shares, then exponentiated. Quarters
-    missing a base stratum are combined over the remaining strata with
-    weights renormalized. The raw values are mix-adjusted rent levels;
-    the index is 100 at the base quarter.
-    """
-    logs: dict[str, dict[int, list[float]]] = {}
-    for record in records:
-        if record.start_date is None or record.rent is None or record.rent <= 0:
-            continue
-        quarter = quarter_label(record.start_date)
-        stratum = _bedroom_stratum(record.bedrooms)
-        logs.setdefault(quarter, {}).setdefault(stratum, []).append(
-            math.log(record.rent)
-        )
-    if base_quarter not in logs:
-        raise DataError(f"base quarter {base_quarter} has no listings")
-    base_strata = logs[base_quarter]
-    base_total = sum(len(v) for v in base_strata.values())
-    weights = {s: len(v) / base_total for s, v in base_strata.items()}
-
-    raw: dict[str, float] = {}
-    for quarter, strata in logs.items():
-        present = [s for s in weights if s in strata]
-        weight_sum = sum(weights[s] for s in present)
-        if weight_sum == 0.0:
-            raise NumericalError(
-                f"quarter {quarter} shares no bedroom strata with the base quarter"
-            )
-        level = sum(
-            weights[s] * statistics.median(strata[s]) for s in present
-        ) / weight_sum
-        raw[quarter] = math.exp(level)
-    return IndexSeries.from_raw(raw, base_quarter)
-
-
-def median_rent_index(
-    records: Iterable[GeocodedListing], base_quarter: str
-) -> IndexSeries:
-    """Unadjusted quarterly index of the all-listings median rent."""
-    rents: dict[str, list[float]] = {}
-    for record in records:
-        if record.start_date is None or record.rent is None or record.rent <= 0:
-            continue
-        rents.setdefault(quarter_label(record.start_date), []).append(record.rent)
-    if base_quarter not in rents:
-        raise DataError(f"base quarter {base_quarter} has no listings")
-    raw = {q: float(statistics.median(v)) for q, v in rents.items()}
-    return IndexSeries.from_raw(raw, base_quarter)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from datetime import date
 
 import numpy as np
@@ -426,6 +427,14 @@ class TestFitPls:
         m2 = fit_pls(build_design(rows + rows, spec), y2, {"deprivation": 0.0})
         assert np.max(np.abs(predict(m2, rows) - predict(m1, rows))) < 1e-8
 
+    def test_ridge_retry_warns(self):
+        # two identical unpenalized columns: X'X is exactly singular
+        design = Design(spec=ModelSpec(terms=()), matrix=np.ones((4, 2)), blocks=[])
+        with pytest.warns(RuntimeWarning, match="ridge"):
+            model = fit_pls(design, np.array([1.0, 2.0, 3.0, 4.0]), {})
+        assert model.k == pytest.approx(1.0)
+        assert model.fitted == pytest.approx(np.full(4, 2.5))
+
     def test_duplicated_rows_with_doubled_lambda(self):
         # (2X'X + 2S) beta = 2X'y has the original solution
         rows, y = synthetic_rows(80, noise=0.4)
@@ -499,6 +508,17 @@ class TestSelectSmoothness:
                 trial = dict(sel)
                 trial[name] = lam
                 assert chosen <= fit_pls(design, y, trial).bic + 1e-6
+
+    def test_sweep_cap_warns(self):
+        rows, y = synthetic_rows(
+            250, noise=0.2, seed=3, fn=lambda x, t: np.sin(5 * x) + 0.05 * t
+        )
+        design = build_design(rows, two_term_spec())
+        with pytest.warns(RuntimeWarning, match="max_sweeps=1"):
+            select_smoothness(design, y, max_sweeps=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # converged: no warning
+            select_smoothness(design, y)
 
     def test_fixed_lambda_respected(self):
         spec = ModelSpec(
@@ -592,6 +612,39 @@ class TestLadderEvaluator:
         monkeypatch.setattr(gam, "_ladder_fits", plain_ladder_fits)
         assert fast_bic == select_smoothness(design, y)
         assert fast_oracle == oracle_smoothness(design, y, signal)[0]
+
+    def test_owned_root_per_term(self, monkeypatch):
+        """Each term's cached penalty root: R'R reproduces the penalty the
+        term owns, R touches only the owned blocks' columns, and a second
+        ladder on the same design reuses the array with no second eigh."""
+        design, y, _ = simulated(1000, 0, default_model_spec(6, 5, 4, 3))
+        ladder = DEFAULT_LAMBDA_GRID
+        current = {t.name: float(ladder[6]) for t in design.spec.main_terms}
+        for name in current:
+            s = np.zeros((design.p, design.p))
+            owned = np.zeros(design.p, dtype=bool)
+            for block in design.blocks:
+                for pen, owner in zip(block.penalties, block.penalty_owners):
+                    if owner == name:
+                        s[block.columns, block.columns] += pen
+                        owned[block.columns] = True
+            gam._eigen_ladder(design, y, current, name, ladder)
+            root = design._roots[name]
+            assert np.max(np.abs(root.T @ root - s)) <= 1e-12 * np.max(np.abs(s))
+            assert not root[:, ~owned].any()
+
+            calls = []
+            eigh = linalg.eigh
+
+            def counting(*args, **kwargs):
+                calls.append(args[0].shape)
+                return eigh(*args, **kwargs)
+
+            monkeypatch.setattr(gam.linalg, "eigh", counting)
+            gam._eigen_ladder(design, y, current, name, ladder)
+            monkeypatch.undo()
+            assert design._roots[name] is root
+            assert len(calls) == 1  # the r x r eigenproblem, not the root's
 
     @pytest.mark.parametrize(
         "grid, factors",

@@ -17,10 +17,6 @@ from rentgam.validation import (
     listings_index,
     load_area_reference,
     load_national_reference,
-    median_rent_by_area,
-    median_rent_index,
-    quarter_label,
-    rent_index,
     turnover_rate,
 )
 
@@ -178,91 +174,6 @@ class TestTurnover:
     def test_zero_stock(self):
         with pytest.raises(NumericalError, match="stock"):
             turnover_rate(5, 0)
-
-
-class TestMedians:
-    def test_even_count_midpoint(self):
-        records = [record(rent=500.0), record(rent=700.0)]
-        assert median_rent_by_area(records) == {"AREA1": 600.0}
-
-    def test_odd_count(self):
-        records = [record(rent=r) for r in (500.0, 900.0, 700.0)]
-        assert median_rent_by_area(records) == {"AREA1": 700.0}
-
-    def test_bedroom_and_year_filters(self):
-        records = [
-            record(rent=500.0, bedrooms=2, start=date(2014, 3, 1)),
-            record(rent=900.0, bedrooms=3, start=date(2014, 3, 1)),
-            record(rent=700.0, bedrooms=2, start=date(2015, 3, 1)),
-        ]
-        assert median_rent_by_area(records, bedrooms=2, year=2014) == {"AREA1": 500.0}
-        assert median_rent_by_area(records, bedrooms=2) == {"AREA1": 600.0}
-
-    def test_sort_oracle(self):
-        rng = np.random.default_rng(7)
-        rents = rng.uniform(300, 1500, size=40)
-        records = [record(rent=float(r)) for r in rents]
-        got = median_rent_by_area(records)["AREA1"]
-        s = np.sort(rents)
-        assert got == pytest.approx((s[19] + s[20]) / 2, abs=1e-12)
-
-
-def mix_fixture(q2_scale=1.0, q2_one_beds=15, q2_two_beds=5):
-    """Composition shifts between quarters; stratum rents stay flat."""
-    records = []
-    for _ in range(10):
-        records.append(record(rent=500.0, bedrooms=1, start=date(2014, 2, 1)))
-        records.append(record(rent=700.0, bedrooms=2, start=date(2014, 2, 1)))
-    for _ in range(q2_one_beds):
-        records.append(record(rent=500.0 * q2_scale, bedrooms=1, start=date(2014, 5, 1)))
-    for _ in range(q2_two_beds):
-        records.append(record(rent=700.0 * q2_scale, bedrooms=2, start=date(2014, 5, 1)))
-    return records
-
-
-class TestRentIndex:
-    def test_quarter_labels(self):
-        assert quarter_label(date(2014, 1, 15)) == "2014Q1"
-        assert quarter_label(date(2014, 12, 31)) == "2014Q4"
-
-    def test_mix_shift_leaves_adjusted_index_flat(self):
-        # 40 records; stratum medians identical across quarters
-        series = rent_index(mix_fixture(), "2014Q1")
-        assert series.index["2014Q1"] == 100.0
-        assert series.index["2014Q2"] == pytest.approx(100.0, abs=1e-9)
-
-    def test_unadjusted_index_moves_under_mix_shift(self):
-        series = median_rent_index(mix_fixture(), "2014Q1")
-        assert series.raw["2014Q1"] == 600.0
-        assert series.raw["2014Q2"] == 500.0
-        assert series.index["2014Q2"] == pytest.approx(100 * 500 / 600)
-
-    def test_uniform_scaling_moves_index_exactly(self):
-        series = rent_index(mix_fixture(q2_scale=1.02), "2014Q1")
-        assert series.index["2014Q2"] == pytest.approx(102.0, abs=1e-9)
-
-    def test_base_level_is_geometric_stratum_mean(self):
-        series = rent_index(mix_fixture(), "2014Q1")
-        assert series.raw["2014Q1"] == pytest.approx(math.sqrt(500.0 * 700.0))
-
-    def test_missing_base_quarter(self):
-        with pytest.raises(DataError, match="base quarter"):
-            rent_index(mix_fixture(), "2013Q1")
-
-    def test_absent_stratum_renormalizes(self):
-        records = mix_fixture(q2_two_beds=0)
-        series = rent_index(records, "2014Q1")
-        # only the 1-bed stratum remains in Q2; its median is unchanged
-        assert series.raw["2014Q2"] == pytest.approx(500.0)
-
-    def test_four_plus_stratum_pools_larger_homes(self):
-        records = [
-            record(rent=1000.0, bedrooms=4, start=date(2014, 2, 1)),
-            record(rent=1000.0, bedrooms=6, start=date(2014, 2, 1)),
-            record(rent=1000.0, bedrooms=5, start=date(2014, 5, 1)),
-        ]
-        series = rent_index(records, "2014Q1")
-        assert series.index["2014Q2"] == pytest.approx(100.0)
 
 
 class TestLoaders:
