@@ -1,12 +1,13 @@
 """Checks of listings coverage against reference counts, plus the
 summary statistics used to compare the feed with external sources:
-area-level correlations, coverage ratios, index series and turnover
-rates.
+area-level correlations, coverage ratios, index series, turnover rates
+and median rents.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -181,3 +182,25 @@ def turnover_rate(flow: float, stock: float) -> int:
     if flow < 0:
         raise ValueError(f"negative flow {flow}")
     return round(100.0 * flow / stock)
+
+
+def median_rent_by_area(
+    records: Iterable[GeocodedListing],
+    bedrooms: int | None = None,
+    year: int | None = None,
+) -> dict[str, float]:
+    """Median monthly rent per area, the even-count midpoint convention.
+
+    Optionally restricted to an exact bedroom count and a start-date
+    calendar year.
+    """
+    rents: dict[str, list[float]] = {}
+    for record in records:
+        if bedrooms is not None and record.bedrooms != bedrooms:
+            continue
+        if year is not None and (
+            record.start_date is None or record.start_date.year != year
+        ):
+            continue
+        rents.setdefault(record.area_code, []).append(record.rent)
+    return {area: float(statistics.median(v)) for area, v in sorted(rents.items())}

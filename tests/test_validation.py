@@ -17,6 +17,7 @@ from rentgam.validation import (
     listings_index,
     load_area_reference,
     load_national_reference,
+    median_rent_by_area,
     turnover_rate,
 )
 
@@ -174,6 +175,33 @@ class TestTurnover:
     def test_zero_stock(self):
         with pytest.raises(NumericalError, match="stock"):
             turnover_rate(5, 0)
+
+
+class TestMedians:
+    def test_even_count_midpoint(self):
+        records = [record(rent=500.0), record(rent=700.0)]
+        assert median_rent_by_area(records) == {"AREA1": 600.0}
+
+    def test_odd_count(self):
+        records = [record(rent=r) for r in (500.0, 900.0, 700.0)]
+        assert median_rent_by_area(records) == {"AREA1": 700.0}
+
+    def test_bedroom_and_year_filters(self):
+        records = [
+            record(rent=500.0, bedrooms=2, start=date(2014, 3, 1)),
+            record(rent=900.0, bedrooms=3, start=date(2014, 3, 1)),
+            record(rent=700.0, bedrooms=2, start=date(2015, 3, 1)),
+        ]
+        assert median_rent_by_area(records, bedrooms=2, year=2014) == {"AREA1": 500.0}
+        assert median_rent_by_area(records, bedrooms=2) == {"AREA1": 600.0}
+
+    def test_sort_oracle(self):
+        rng = np.random.default_rng(7)
+        rents = rng.uniform(300, 1500, size=40)
+        records = [record(rent=float(r)) for r in rents]
+        got = median_rent_by_area(records)["AREA1"]
+        s = np.sort(rents)
+        assert got == pytest.approx((s[19] + s[20]) / 2, abs=1e-12)
 
 
 class TestLoaders:
