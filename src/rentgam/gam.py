@@ -277,6 +277,43 @@ def _raw_basis(
     return margins[0] if len(margins) == 1 else tensor_basis(margins)
 
 
+def _main_effect_basis(
+    term: TermSpec,
+    knots: Sequence[KnotVector],
+    columns: Mapping[str, np.ndarray],
+    out: np.ndarray,
+) -> ConstraintTransform:
+    """Write a main effect's basis, constrained to sum to zero over
+    ``columns``, into ``out`` and return the constraint transform."""
+    raw = _raw_basis(term, knots, columns)
+    transform = sum_to_zero_transform(raw)
+    np.matmul(raw, transform.z, out=out)  # transform.apply, without a copy
+    return transform
+
+
+def _interaction_basis(
+    term: TermSpec,
+    knots: Sequence[KnotVector],
+    transform: ConstraintTransform,
+    columns: Mapping[str, np.ndarray],
+    out: np.ndarray,
+) -> None:
+    """Write an interaction's constrained basis into ``out`` (rows x
+    width) as the row-wise tensor product of its constrained margins
+    ``bspline_basis(x_k) @ z_k``. Since ``z = z_1 (x) ... (x) z_K``, this
+    equals ``transform.apply(raw_basis)`` without forming the raw tensor
+    (Currie, Durban & Eilers 2006)."""
+    margins = [
+        m.apply(bspline_basis(columns[v], kv))
+        for m, v, kv in zip(transform.margins, term.variables, knots)
+    ]
+    left = margins[0] if len(margins) == 2 else tensor_basis(margins[:-1])
+    last = margins[-1]
+    # splitting the last axis of a column slice is a view, never a copy
+    cube = out.reshape(out.shape[0], left.shape[1], last.shape[1])
+    np.multiply(left[:, :, None], last[:, None, :], out=cube)
+
+
 @dataclass
 class TermBlock:
     """A term's columns in the design matrix plus everything needed to
@@ -298,33 +335,67 @@ class TermBlock:
         return _raw_basis(self.term, self.knots, columns)
 
     def evaluate(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
-        return self.transform.apply(self.raw_basis(columns))
+        if not self.term.interaction:
+            return self.transform.apply(self.raw_basis(columns))
+        rows = len(columns[self.term.variables[0]])
+        out = np.empty((rows, self.width))
+        _interaction_basis(self.term, self.knots, self.transform, columns, out)
+        return out
 
 
-@dataclass
 class Design:
     """Assembled design matrix: intercept column followed by one
-    constrained block per term."""
+    constrained block per term.
 
-    spec: ModelSpec
-    matrix: np.ndarray
-    blocks: list[TermBlock]
-    _gram: np.ndarray | None = field(default=None, repr=False)
-    _roots: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    The columns live in one n x P array. A design from :meth:`drop` shares
+    its parent's array and keeps the index of its own columns in it, so
+    its products ``X @ b`` (:meth:`matvec`) and ``X' v`` (:meth:`rmatvec`)
+    run through the parent's columns and no n x p copy is made.
+    """
+
+    def __init__(self, spec: ModelSpec, matrix: np.ndarray, blocks: list[TermBlock]):
+        self.spec = spec
+        self.blocks = blocks
+        self._x = matrix
+        self._kept: np.ndarray | None = None  # this design's columns of _x
+        self._gram: np.ndarray | None = None
+        self._roots: dict[str, np.ndarray] = {}
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The n x p design matrix; a dropped design copies its columns
+        out of the shared array on every read."""
+        if self._kept is None:
+            return self._x
+        return np.ascontiguousarray(self._x[:, self._kept])
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self._x.shape[0]
 
     @property
     def p(self) -> int:
-        return self.matrix.shape[1]
+        return self._x.shape[1] if self._kept is None else self._kept.size
 
     @property
     def gram(self) -> np.ndarray:
         if self._gram is None:
-            self._gram = self.matrix.T @ self.matrix
+            self._gram = self._x.T @ self._x
         return self._gram
+
+    def matvec(self, b: np.ndarray) -> np.ndarray:
+        """``X @ b`` for a coefficient vector or a p x m matrix; a dropped
+        design pads ``b`` with zeros in the columns it lacks."""
+        if self._kept is not None:
+            full = np.zeros((self._x.shape[1],) + b.shape[1:])
+            full[self._kept] = b
+            b = full
+        return self._x @ b
+
+    def rmatvec(self, v: np.ndarray) -> np.ndarray:
+        """``X' v`` for an n-vector or an n x m matrix."""
+        out = self._x.T @ v
+        return out if self._kept is None else out[self._kept]
 
     def block(self, name: str) -> TermBlock:
         for b in self.blocks:
@@ -334,16 +405,21 @@ class Design:
 
     def drop(self, name: str) -> "Design":
         """Design of ``spec.drop(name)`` on the same rows: the kept
-        blocks' columns, hstacked (a fancy-indexed copy is F-ordered
-        and rounds X'y differently from building the reduced spec)."""
+        blocks, re-based, over this design's array, with ``X'X`` the
+        matching sub-block of this design's."""
         spec = self.spec.drop(name)
         kept = [b for b in self.blocks if b.term in spec.terms]
         blocks, start = [], 1
         for b in kept:
             blocks.append(replace(b, columns=slice(start, start + b.width)))
             start += b.width
-        parts = [self.matrix[:, :1]] + [self.matrix[:, b.columns] for b in kept]
-        return Design(spec=spec, matrix=np.hstack(parts), blocks=blocks)
+        pos = np.concatenate(
+            [np.arange(1)] + [np.arange(b.columns.start, b.columns.stop) for b in kept]
+        )
+        out = Design(spec=spec, matrix=self._x, blocks=blocks)
+        out._kept = pos if self._kept is None else self._kept[pos]
+        out._gram = self.gram[np.ix_(pos, pos)]
+        return out
 
     def resolve_lambdas(self, lambdas: Mapping[str, float]) -> dict[str, float]:
         """Fill in fixed values and check every selectable main effect
@@ -403,19 +479,38 @@ class Design:
         return root
 
 
+def _width(term: TermSpec, dims: Sequence[int]) -> int:
+    """Constrained column count: one sum-to-zero constraint on a main
+    effect, one per margin and index on an interaction."""
+    if term.interaction:
+        return math.prod(d - 1 for d in dims)
+    return math.prod(dims) - 1
+
+
+def _constrained_penalties(
+    term: TermSpec, dims: Sequence[int], z: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The term's penalties ``z' P z`` and their roots ``R z``, one per
+    margin (the lifted p_raw x p_raw penalties die on return)."""
+    marginal = [difference_penalty(d, order=term.penalty_order) for d in dims]
+    lifted = marginal if len(dims) == 1 else tensor_penalty(marginal, dims)
+    return [z.T @ p.matrix @ z for p in lifted], [p.root @ z for p in lifted]
+
+
 def build_design(rows: Sequence[ModelRow], spec: ModelSpec) -> Design:
     """Evaluate and constrain every term's basis at the observed rows.
 
-    Domains come from the observed minima and maxima. Raises when a
-    term's constrained block is not identifiable even under its penalty.
+    Domains come from the observed minima and maxima. The knots fix each
+    term's width, so the n x p matrix is allocated once and every block
+    is written into its own columns; ``X'X`` is formed once on the
+    result. Raises when a term's constrained block is not identifiable
+    even under its penalty.
     """
     if len(rows) < 2:
         raise DataError(f"need at least 2 rows, got {len(rows)}")
     columns = rows_to_columns(rows)
     n = len(rows)
-    parts = [np.ones((n, 1))]
-    blocks: list[TermBlock] = []
-    start = 1
+    term_knots = []
     for term in spec.terms:
         try:
             knots = tuple(
@@ -426,33 +521,30 @@ def build_design(rows: Sequence[ModelRow], spec: ModelSpec) -> Design:
             )
         except ValueError as exc:
             raise DataError(f"term {term.name}: {exc}") from exc
-        raw = _raw_basis(term, knots, columns)
-        dims = tuple(kv.dimension for kv in knots)
-        marginal_penalties = [
-            difference_penalty(d, order=term.penalty_order) for d in dims
-        ]
-        if len(dims) == 1:
-            lifted = marginal_penalties
-        else:
-            lifted = tensor_penalty(marginal_penalties, dims)
+        term_knots.append(knots)
+    term_dims = [tuple(kv.dimension for kv in knots) for knots in term_knots]
+    # An interaction's transform and penalties depend on its knots alone.
+    # Forming them before the n x p buffer keeps their raw-size lifted
+    # penalties (3 x 2 MB for location:year) out of the buffer's lifetime.
+    fixed = {}
+    for term, dims in zip(spec.terms, term_dims):
         if term.interaction:
             transform = interaction_constraint_transform(dims)
+            penalties, roots = _constrained_penalties(term, dims, transform.z)
+            fixed[term.name] = transform, penalties, roots
+    widths = [_width(term, dims) for term, dims in zip(spec.terms, term_dims)]
+    x = np.empty((n, 1 + sum(widths)))
+    x[:, 0] = 1.0
+    blocks: list[TermBlock] = []
+    start = 1
+    for term, knots, dims, width in zip(spec.terms, term_knots, term_dims, widths):
+        out = x[:, start : start + width]
+        if term.interaction:
+            transform, penalties, roots = fixed[term.name]
+            _interaction_basis(term, knots, transform, columns, out)
         else:
-            transform = sum_to_zero_transform(raw)
-        z = transform.z
-        constrained = transform.apply(raw)
-        penalties = [z.T @ p.matrix @ z for p in lifted]
-        roots = [p.root @ z for p in lifted]
-        owners = [spec.owner_of(v) for v in term.variables]
-
-        width = constrained.shape[1]
-        gram = constrained.T @ constrained + sum(r.T @ r for r in roots)
-        # cut-off ~ sqrt(width*eps) in singular values, below which Cholesky is unusable
-        if np.linalg.matrix_rank(gram, hermitian=True) < width:
-            raise NumericalError(
-                f"term {term.name}: constrained block is rank deficient "
-                "even under its penalty"
-            )
+            transform = _main_effect_basis(term, knots, columns, out)
+            penalties, roots = _constrained_penalties(term, dims, transform.z)
         blocks.append(
             TermBlock(
                 term=term,
@@ -461,12 +553,22 @@ def build_design(rows: Sequence[ModelRow], spec: ModelSpec) -> Design:
                 transform=transform,
                 penalties=penalties,
                 penalty_roots=roots,
-                penalty_owners=owners,
+                penalty_owners=[spec.owner_of(v) for v in term.variables],
             )
         )
-        parts.append(constrained)
         start += width
-    return Design(spec=spec, matrix=np.hstack(parts), blocks=blocks)
+    design = Design(spec=spec, matrix=x, blocks=blocks)
+    gram = design.gram
+    for block in blocks:
+        sl = block.columns
+        penalized = gram[sl, sl] + sum(r.T @ r for r in block.penalty_roots)
+        # cut-off ~ sqrt(width*eps) in singular values, below which Cholesky is unusable
+        if np.linalg.matrix_rank(penalized, hermitian=True) < block.width:
+            raise NumericalError(
+                f"term {block.term.name}: constrained block is rank deficient "
+                "even under its penalty"
+            )
+    return design
 
 
 def bic(rss: float, n: int, k: float) -> float:
@@ -509,7 +611,7 @@ class FittedModel:
 
     @property
     def fitted(self) -> np.ndarray:
-        return self.design.matrix @ self.beta
+        return self.design.matvec(self.beta)
 
     @property
     def r_squared(self) -> float:
@@ -583,9 +685,8 @@ def fit_pls(
                 "penalized normal equations are not positive definite "
                 "(after ridge retry)"
             ) from exc
-    xty = design.matrix.T @ y
-    beta = linalg.cho_solve(cho, xty)
-    fitted = design.matrix @ beta
+    beta = linalg.cho_solve(cho, design.rmatvec(y))
+    fitted = design.matvec(beta)
     rss = float(np.sum((y - fitted) ** 2))
 
     hat = linalg.cho_solve(cho, gram)
@@ -657,12 +758,11 @@ def _eigen_ladder(
     d = d[keep]
     cv = (c @ v[:, keep]) / np.sqrt(d)
     w = linalg.solve_triangular(low, cv, lower=True, trans="T")
-    x = design.matrix
-    base = x @ linalg.cho_solve(cho, x.T @ y)
+    base = design.matvec(linalg.cho_solve(cho, design.rmatvec(y)))
     half = linalg.lapack.dpotri(low, lower=1)[0]  # M0^-1, lower triangle only
     inv = np.tril(half) + np.tril(half, -1).T
     k0 = float(np.sum(inv * design.gram))
-    xw = x @ w
+    xw = design.matvec(w)
     proj = xw.T @ y
     g = np.sum(xw * xw, axis=0)  # diag(W'X'XW)
     out = []
@@ -798,6 +898,10 @@ class EffectSurface:
 
 DEFAULT_GRID_POINTS = {1: 100, 2: 60, 3: 20}
 
+# rows per pointwise-SE product: bounds its temporaries to a few MB,
+# not three grid x width arrays (8000 x 343 for location:year)
+SE_CHUNK_ROWS = 1024
+
 
 def effect_surface(
     model: FittedModel,
@@ -840,7 +944,11 @@ def effect_surface(
     g = block.evaluate(columns)
     effect = g @ model.beta[block.columns]
     v = model.covariance_block(term)
-    se = np.sqrt(np.maximum(((g @ v) * g).sum(axis=1), 0.0))
+    var = np.empty(len(effect))
+    for i in range(0, len(var), SE_CHUNK_ROWS):
+        chunk = g[i : i + SE_CHUNK_ROWS]
+        var[i : i + SE_CHUNK_ROWS] = ((chunk @ v) * chunk).sum(axis=1)
+    se = np.sqrt(np.maximum(var, 0.0))
     return EffectSurface(
         term=term,
         variables=block.term.variables,

@@ -108,8 +108,8 @@ def bootstrap_term_test(
     n = model.n
     draws = [np.random.default_rng([seed, i]).standard_normal(n) for i in range(b)]
     simulated = mu[:, None] + scale * np.column_stack(draws)
-    betas = linalg.cho_solve(model._cho, design.matrix.T @ simulated)
-    sigma2 = ((simulated - design.matrix @ betas) ** 2).sum(axis=0) / (n - model.k)
+    betas = linalg.cho_solve(model._cho, design.rmatvec(simulated))
+    sigma2 = ((simulated - design.matvec(betas)) ** 2).sum(axis=0) / (n - model.k)
     sl = design.block(term).columns
     v_inv, wald_rank = _pseudo_inverse(model.covariance_unscaled[sl, sl])
     stats = ((v_inv @ betas[sl]) * betas[sl]).sum(axis=0) / sigma2

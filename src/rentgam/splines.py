@@ -68,11 +68,14 @@ class ConstraintTransform:
 
     ``z`` has orthonormal columns spanning the null space of the
     constraint rows; a constrained basis is ``B @ z`` and constrained
-    penalties are ``z.T @ P @ z``.
+    penalties are ``z.T @ P @ z``. A tensor-product interaction's ``z``
+    is the Kronecker product of its ``margins``' factors, one sum-to-zero
+    transform per margin (empty for other transforms).
     """
 
     z: np.ndarray
     constraint: np.ndarray
+    margins: tuple["ConstraintTransform", ...] = ()
 
     @property
     def free_dimension(self) -> int:
@@ -214,7 +217,11 @@ def interaction_constraint_transform(dims: Sequence[int]) -> ConstraintTransform
     Coefficients must sum to zero along every dimension, for every
     combination of indices in the other dimensions. The orthonormal
     null basis is built as the Kronecker product of the marginal
-    sum-to-zero bases, leaving ``prod(d_k - 1)`` free coefficients.
+    sum-to-zero bases ``null_space(ones((1, d_k)))``, kept as
+    ``margins``, leaving ``prod(d_k - 1)`` free coefficients. So a
+    constrained tensor basis is the row-wise tensor product of the
+    constrained margins: ``(B_1 (.) B_2) (z_1 (x) z_2) =
+    (B_1 z_1) (.) (B_2 z_2)``.
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) < 2:
@@ -230,7 +237,10 @@ def interaction_constraint_transform(dims: Sequence[int]) -> ConstraintTransform
             block = np.kron(block, np.ones((1, d)) if j == k else np.eye(d))
         rows.append(block)
     c = np.vstack(rows)
+    margins = []
     z = np.ones((1, 1))
     for d in dims:
-        z = np.kron(z, linalg.null_space(np.ones((1, d))))
-    return ConstraintTransform(z=z, constraint=c)
+        ones = np.ones((1, d))
+        margins.append(ConstraintTransform(z=linalg.null_space(ones), constraint=ones))
+        z = np.kron(z, margins[-1].z)
+    return ConstraintTransform(z=z, constraint=c, margins=tuple(margins))

@@ -312,6 +312,31 @@ class TestDesignDrop:
                 assert np.array_equal(a, b)
 
 
+class TestInteractionMargins:
+    """Interaction blocks come from the constrained margins; the oracle is
+    the constraint applied to the raw tensor-product basis."""
+
+    @pytest.mark.parametrize("term", ["beds:year", "deprivation:year", "location:year"])
+    def test_design_block_equals_constrained_raw_tensor(self, default_design, term):
+        rows, design = default_design
+        block = design.block(term)
+        oracle = block.transform.apply(block.raw_basis(rows_to_columns(rows)))
+        got = design.matrix[:, block.columns]
+        assert np.max(np.abs(got - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("term", ["beds:year", "deprivation:year", "location:year"])
+    def test_evaluate_on_a_grid_equals_constrained_raw_tensor(self, default_design, term):
+        _, design = default_design
+        block = design.block(term)
+        axes = [np.linspace(kv.lo, kv.hi, 9) for kv in block.knots]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        grid = {v: m.ravel() for v, m in zip(block.term.variables, mesh)}
+        oracle = block.transform.apply(block.raw_basis(grid))
+        got = block.evaluate(grid)
+        assert got.shape == oracle.shape
+        assert np.max(np.abs(got - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+
 def augmented_ls_oracle(design, y, lambdas):
     """Stack sqrt(lambda) * penalty roots under X and solve by least squares."""
     resolved = design.resolve_lambdas(lambdas)
@@ -726,6 +751,19 @@ class TestPredictAndSurfaces:
             wide[:, block.columns] = g
             oracle = np.sqrt(np.einsum("ij,jk,ik->i", wide, v_full, wide))
             assert np.max(np.abs(surface.se - oracle)) < 1e-8
+
+    def test_chunked_se_equals_one_product(self, monkeypatch):
+        # the SE is taken in row chunks; the reference is one product over
+        # every grid row, with a chunk size that leaves a ragged last chunk
+        monkeypatch.setattr(gam, "SE_CHUNK_ROWS", 7)
+        rows, y = synthetic_rows(150, noise=0.3)
+        model = fit_pls(build_design(rows, two_term_spec()), y, {"deprivation": 1.0, "year": 1.0})
+        surface = effect_surface(model, "deprivation:year", grid=12)
+        block = model.design.block("deprivation:year")
+        g = block.evaluate(dict(zip(block.term.variables, surface.points)))
+        v = model.covariance_block("deprivation:year")
+        oracle = np.sqrt(np.maximum(((g @ v) * g).sum(axis=1), 0.0))
+        assert np.max(np.abs(surface.se - oracle) / oracle) <= 1e-12
 
     def test_multiplicative_effect_reads_linear_truth(self):
         # slope 0.25 per unit, so a unit step multiplies rent by e^0.25

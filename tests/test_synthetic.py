@@ -9,6 +9,7 @@ from rentgam.gam import (
     build_design,
     default_model_spec,
     derive_rows,
+    effect_surface,
     fit_pls,
     haversine_miles,
     rows_to_columns,
@@ -241,6 +242,28 @@ class TestRecovery:
         rmse = recovery_rmse(model, rows, truth)
         assert set(rmse) == {t.name for t in spec.terms}
         assert rmse["deprivation:year"] > 0.0
+
+    def test_equals_the_effect_surface_route(self):
+        # reference: each term's effect from effect_surface at the observed
+        # covariates, as recovery_rmse took it before it stopped computing SEs
+        truth = default_truth()
+        rows = derive_rows(simulate_listings(400, truth, sigma=0.1, seed=5).listings)
+        spec = default_model_spec()
+        columns = rows_to_columns(rows)
+        model = fit_pls(
+            build_design(rows, spec), columns["logprice"],
+            {t.name: 10.0 for t in spec.main_terms},
+        )
+        true_values = truth.component_values(columns)
+        want = {}
+        for term in spec.terms:
+            effect = effect_surface(
+                model, term.name, at=[columns[v] for v in term.variables]
+            ).effect
+            target = true_values.get(term.name, np.zeros(len(rows)))
+            gap = (effect - effect.mean()) - (target - target.mean())
+            want[term.name] = float(np.sqrt(np.mean(gap**2)))
+        assert recovery_rmse(model, rows, truth) == want
 
 
 class TestOracle:
