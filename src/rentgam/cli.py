@@ -30,6 +30,7 @@ from .gam import (
     effect_surface,
     fit_pls,
     FittedModel,
+    MODEL_VARIABLES,
     ModelSpec,
     rows_to_columns,
     select_smoothness,
@@ -290,17 +291,25 @@ def cmd_validate(config: RunConfig) -> int:
     return 0
 
 
-def _fit_rows(config: RunConfig):
-    listings = read_clean_listings(config.clean_listings)
+def _fit_rows(config: RunConfig) -> dict:
+    """The model columns of the clean listings the spatial filter keeps."""
     kept = spatial_filter(
-        listings,
+        rows_to_columns(read_clean_listings(config.clean_listings)),
         (config.center_lat, config.center_lon),
         config.radius_miles,
         config.property_type or None,
     )
-    if not kept:
+    if not kept["rent"].size:
         raise DataError("no listings survive the spatial filter")
     return derive_rows(kept)
+
+
+def _rows_sha256(rows: dict) -> str:
+    """sha256 of the model columns' bytes, in a fixed column order."""
+    digest = hashlib.sha256()
+    for name in ("logprice", *MODEL_VARIABLES):
+        digest.update(rows[name].tobytes())
+    return digest.hexdigest()
 
 
 def _spec_from_config(config: RunConfig) -> ModelSpec:
@@ -349,7 +358,7 @@ def cmd_fit(config: RunConfig) -> int:
     rows = _fit_rows(config)
     spec = _spec_from_config(config)
     design = build_design(rows, spec)
-    y = rows_to_columns(rows)["logprice"]
+    y = rows["logprice"]
     lams = select_smoothness(design, y, config.lambda_grid)
     ladder = DEFAULT_LAMBDA_GRID if config.lambda_grid is None else config.lambda_grid
     ends = {min(ladder): "lowest", max(ladder): "highest"}
@@ -359,6 +368,7 @@ def cmd_fit(config: RunConfig) -> int:
                   "of its ladder; BIC may improve beyond it", file=sys.stderr)
     model = fit_pls(design, y, lams)
     payload = _model_payload(config, model, design)
+    payload["rows_sha256"] = _rows_sha256(rows)
 
     lines = [
         f"n = {model.n}   k = {model.k:.2f}   BIC = {model.bic:.1f}",
@@ -408,15 +418,16 @@ def _read_stored(config: RunConfig) -> tuple[dict, ModelSpec]:
 
 def _refit_stored(config: RunConfig, stored: dict, spec: ModelSpec) -> FittedModel:
     """Refit a stored model at its smoothing parameters on the rows it
-    applies to, refusing rows that differ in count from the fit's."""
+    applies to, refusing rows whose fingerprint differs from the fit's."""
     rows = _fit_rows(config)
-    if len(rows) != stored["n"]:
+    if stored.get("rows_sha256") != _rows_sha256(rows):
         raise DataError(
-            f"clean listings give {len(rows)} rows but the model was "
-            f"fitted on {stored['n']}; re-run fit"
+            f"clean listings give {rows['logprice'].size} rows that are not "
+            f"the {stored['n']} the model was fitted on (rows_sha256 differs "
+            "or is missing); re-run fit"
         )
     design = build_design(rows, spec)
-    return fit_pls(design, rows_to_columns(rows)["logprice"], stored["lambdas"])
+    return fit_pls(design, rows["logprice"], stored["lambdas"])
 
 
 def cmd_surfaces(config: RunConfig) -> int:

@@ -13,10 +13,10 @@ matching main effect.
 
 from __future__ import annotations
 
-import calendar
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -50,51 +50,60 @@ MODEL_VARIABLES = (
 DEFAULT_LAMBDA_GRID = np.logspace(-3.0, 6.0, 13)
 
 
-@dataclass(frozen=True)
-class ModelRow:
-    """One observation ready for model fitting."""
-
-    logprice: float
-    beds: int
-    deprivation: float
-    year: float
-    doy: int
-    longitude: float
-    latitude: float
+def year_and_doy(starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decimal year and day of year of ``datetime64[D]`` dates. The
+    decimal year is the calendar year plus the fraction of it elapsed
+    before the day, ``year + (doy - 1) / days_in_year``."""
+    first = starts.astype("datetime64[Y]")
+    first_day = first.astype("datetime64[D]")
+    doy = (starts - first_day).astype(float) + 1.0
+    days = ((first + 1).astype("datetime64[D]") - first_day).astype(float)
+    return (first.astype(float) + 1970.0) + (doy - 1.0) / days, doy
 
 
-def day_of_year(d) -> int:
-    return d.timetuple().tm_yday
+LISTING_FIELDS = {
+    "rent": float,
+    "bedrooms": float,
+    "start_date": "datetime64[D]",
+    "latitude": float,
+    "longitude": float,
+    "deprivation": float,
+    "property_type": str,
+}
 
 
-def decimal_year(d) -> float:
-    """Calendar year plus the fraction of the year elapsed at day d."""
-    days = 366 if calendar.isleap(d.year) else 365
-    return d.year + (day_of_year(d) - 1) / days
+def rows_to_columns(listings: Sequence[GeocodedListing]) -> dict[str, np.ndarray]:
+    """One array per field of cleaned, geocoded listings that the model
+    path reads (:data:`LISTING_FIELDS`). A missing rent or bedroom count
+    becomes NaN and a missing start date NaT, for :func:`derive_rows` to
+    refuse."""
+    return {
+        name: np.array(list(map(attrgetter(name), listings)), dtype=dtype)
+        for name, dtype in LISTING_FIELDS.items()
+    }
 
 
-def derive_rows(listings: Sequence[GeocodedListing]) -> list[ModelRow]:
-    """Turn cleaned, geocoded listings into model rows.
+def derive_rows(columns: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The model columns (``logprice`` and :data:`MODEL_VARIABLES`) of
+    listing columns from :func:`rows_to_columns`.
 
-    Requires positive rents, bedrooms and a start date on every record,
-    which the cleaning pipeline guarantees.
+    Requires a positive rent, a bedroom count and a start date on every
+    row, which the cleaning pipeline guarantees.
     """
-    rows = []
-    for l in listings:
-        if l.rent is None or l.rent <= 0 or l.start_date is None or l.bedrooms is None:
-            raise DataError(f"listing {l.listing_id!r} is not clean")
-        rows.append(
-            ModelRow(
-                logprice=math.log(l.rent),
-                beds=l.bedrooms,
-                deprivation=l.deprivation,
-                year=decimal_year(l.start_date),
-                doy=day_of_year(l.start_date),
-                longitude=l.longitude,
-                latitude=l.latitude,
-            )
-        )
-    return rows
+    rent, starts = columns["rent"], columns["start_date"]
+    unclean = ~(rent > 0) | np.isnan(columns["bedrooms"]) | np.isnat(starts)
+    if unclean.any():
+        raise DataError(f"listing at row {int(np.argmax(unclean))} is not clean")
+    year, doy = year_and_doy(starts)
+    return {
+        "logprice": np.log(rent),
+        "beds": columns["bedrooms"],
+        "deprivation": columns["deprivation"],
+        "year": year,
+        "doy": doy,
+        "longitude": columns["longitude"],
+        "latitude": columns["latitude"],
+    }
 
 
 def haversine_miles(lat1, lon1, lat2, lon2) -> np.ndarray:
@@ -109,35 +118,21 @@ def haversine_miles(lat1, lon1, lat2, lon2) -> np.ndarray:
 
 
 def spatial_filter(
-    listings: Sequence[GeocodedListing],
+    columns: Mapping[str, np.ndarray],
     center: tuple[float, float],
     radius_miles: float = 10.0,
     property_type: str | None = "flat",
-) -> list[GeocodedListing]:
-    """Keep listings within ``radius_miles`` of ``center`` (lat, lon),
-    optionally restricted to one property type."""
+) -> dict[str, np.ndarray]:
+    """The rows of listing columns within ``radius_miles`` of ``center``
+    (lat, lon), optionally restricted to one property type."""
     if radius_miles <= 0:
         raise ValueError(f"radius must be positive, got {radius_miles}")
-    out = []
-    for l in listings:
-        if property_type is not None and l.property_type != property_type:
-            continue
-        d = haversine_miles(center[0], center[1], l.latitude, l.longitude)
-        if d <= radius_miles:
-            out.append(l)
-    return out
-
-
-def rows_to_columns(rows: Sequence[ModelRow]) -> dict[str, np.ndarray]:
-    return {
-        "logprice": np.array([r.logprice for r in rows], dtype=float),
-        "beds": np.array([r.beds for r in rows], dtype=float),
-        "deprivation": np.array([r.deprivation for r in rows], dtype=float),
-        "year": np.array([r.year for r in rows], dtype=float),
-        "doy": np.array([r.doy for r in rows], dtype=float),
-        "longitude": np.array([r.longitude for r in rows], dtype=float),
-        "latitude": np.array([r.latitude for r in rows], dtype=float),
-    }
+    keep = haversine_miles(
+        center[0], center[1], columns["latitude"], columns["longitude"]
+    ) <= radius_miles
+    if property_type is not None:
+        keep &= columns["property_type"] == property_type
+    return {name: values[keep] for name, values in columns.items()}
 
 
 @dataclass(frozen=True)
@@ -497,8 +492,9 @@ def _constrained_penalties(
     return [z.T @ p.matrix @ z for p in lifted], [p.root @ z for p in lifted]
 
 
-def build_design(rows: Sequence[ModelRow], spec: ModelSpec) -> Design:
-    """Evaluate and constrain every term's basis at the observed rows.
+def build_design(columns: Mapping[str, np.ndarray], spec: ModelSpec) -> Design:
+    """Evaluate and constrain every term's basis at the observed rows,
+    given as model columns (see :func:`derive_rows`).
 
     Domains come from the observed minima and maxima. The knots fix each
     term's width, so the n x p matrix is allocated once and every block
@@ -506,10 +502,9 @@ def build_design(rows: Sequence[ModelRow], spec: ModelSpec) -> Design:
     result. Raises when a term's constrained block is not identifiable
     even under its penalty.
     """
-    if len(rows) < 2:
-        raise DataError(f"need at least 2 rows, got {len(rows)}")
-    columns = rows_to_columns(rows)
-    n = len(rows)
+    n = len(next(iter(columns.values())))
+    if n < 2:
+        raise DataError(f"need at least 2 rows, got {n}")
     term_knots = []
     for term in spec.terms:
         try:
@@ -873,11 +868,10 @@ def select_smoothness(
     )
 
 
-def predict(model: FittedModel, rows: Sequence[ModelRow]) -> np.ndarray:
-    """Fitted log rent at new rows; covariates must lie inside the
-    training domains."""
-    columns = rows_to_columns(rows)
-    out = np.full(len(rows), model.intercept)
+def predict(model: FittedModel, columns: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Fitted log rent at new rows of model columns; covariates must lie
+    inside the training domains."""
+    out = np.full(len(next(iter(columns.values()))), model.intercept)
     for block in model.design.blocks:
         out += block.evaluate(columns) @ model.beta[block.columns]
     return out

@@ -25,17 +25,14 @@ from .gam import (
     Design,
     FittedModel,
     LadderFit,
-    ModelRow,
-    decimal_year,
-    day_of_year,
     fit_pls,
-    rows_to_columns,
+    year_and_doy,
     _coordinate_descent,
 )
 from .listings import GeocodedListing
 
-# unused here; the benchmark's tracer wraps this name on this module
-from .gam import effect_surface  # noqa: F401
+# unused here; the benchmark's tracer wraps these names on this module
+from .gam import effect_surface, rows_to_columns  # noqa: F401
 
 GLASGOW_CENTER = (55.8609, -4.2514)
 
@@ -258,10 +255,7 @@ def simulate_listings(
         raise ConfigurationError(f"sigma must be non-negative, got {sigma}")
     rng = np.random.default_rng(seed)
     day_span = (last_day - first_day).days
-    starts = [
-        first_day + timedelta(days=int(o))
-        for o in rng.integers(0, day_span + 1, n)
-    ]
+    starts = np.datetime64(first_day, "D") + rng.integers(0, day_span + 1, n)
     durations = rng.integers(7, 120, n)
     beds = rng.integers(1, 6, n)
     deprivation = rng.uniform(0.0, 1.0, n)
@@ -272,11 +266,12 @@ def simulate_listings(
     lon = center[1] + (r * np.cos(theta)) / (
         MILES_PER_DEGREE * math.cos(math.radians(center[0]))
     )
+    year, doy = year_and_doy(starts)
     columns = {
         "beds": beds.astype(float),
         "deprivation": deprivation,
-        "year": np.array([decimal_year(d) for d in starts]),
-        "doy": np.array([float(day_of_year(d)) for d in starts]),
+        "year": year,
+        "doy": doy,
         "longitude": lon,
         "latitude": lat,
     }
@@ -286,8 +281,7 @@ def simulate_listings(
     rent = np.exp(log_rent)
 
     listings = []
-    for i in range(n):
-        start = starts[i]
+    for i, start in enumerate(starts.tolist()):
         listings.append(
             GeocodedListing(
                 listing_id=f"SYN{i + 1:06d}",
@@ -395,19 +389,19 @@ def write_corpus(out_dir: str | Path, corpus: SimulatedCorpus) -> dict[str, Path
 
 
 def recovery_rmse(
-    model: FittedModel, rows: Sequence[ModelRow], truth: TruthSpec
+    model: FittedModel, columns: Mapping[str, np.ndarray], truth: TruthSpec
 ) -> dict[str, float]:
     """Root-mean-square gap between each fitted term effect and the
-    matching truth component at the observed covariates, both centered
-    there. Terms without a truth component are scored against zero."""
-    columns = rows_to_columns(rows)
+    matching truth component at the observed model columns, both
+    centered there. Terms without a truth component are scored against
+    zero."""
     true_values = truth.component_values(columns)
     out: dict[str, float] = {}
     for term in model.spec.terms:
         block = model.design.block(term.name)
         effect = block.evaluate(columns) @ model.coefficients(term.name)
         fitted = effect - effect.mean()
-        target = true_values.get(term.name, np.zeros(len(rows)))
+        target = true_values.get(term.name, np.zeros(effect.size))
         target = target - target.mean()
         out[term.name] = float(np.sqrt(np.mean((fitted - target) ** 2)))
     return out

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from rentgam.gam import (
-    ModelRow,
     ModelSpec,
     TermSpec,
     build_design,
@@ -83,14 +82,13 @@ def check(criterion: str, ok: bool, detail: str = "") -> None:
 def recovery_experiment():
     truth = default_truth()
     corpus = simulate_listings(5000, truth, sigma=0.1, seed=11)
-    rows = derive_rows(corpus.listings)
-    columns = rows_to_columns(rows)
-    y = columns["logprice"]
+    rows = derive_rows(rows_to_columns(corpus.listings))
+    y = rows["logprice"]
     spec = default_model_spec()
     design = build_design(rows, spec)
     lams = select_smoothness(design, y)
     model = fit_pls(design, y, lams)
-    _, oracle_model = oracle_smoothness(design, y, truth.signal(columns))
+    _, oracle_model = oracle_smoothness(design, y, truth.signal(rows))
     return {
         "truth": truth,
         "rows": rows,
@@ -116,7 +114,7 @@ def bedroom_fit():
         },
     )
     corpus = simulate_listings(800, truth, sigma=0.01, seed=42)
-    rows = derive_rows(corpus.listings)
+    rows = derive_rows(rows_to_columns(corpus.listings))
     spec = ModelSpec(
         terms=(
             TermSpec("beds", ("beds",), (10,)),
@@ -124,7 +122,7 @@ def bedroom_fit():
         )
     )
     design = build_design(rows, spec)
-    y = rows_to_columns(rows)["logprice"]
+    y = rows["logprice"]
     model = fit_pls(design, y, select_smoothness(design, y))
     return rows, design, model
 
@@ -228,15 +226,21 @@ def test_criterion_04_spline_algebra():
     )
 
 
+def _model_columns(n, **given):
+    """Model columns of n rows: the given arrays, every other column held
+    fixed."""
+    fixed = {"logprice": 0.0, "beds": 2.0, "deprivation": 0.5, "year": 2014.0,
+             "doy": 180.0, "longitude": -4.25, "latitude": 55.86}
+    return {name: np.full(n, given.get(name, value), dtype=float)
+            for name, value in fixed.items()}
+
+
 def _random_instance(rng):
     n = int(rng.integers(40, 201))
     x = rng.uniform(0.0, 1.0, n)
     t = rng.uniform(2012.0, 2017.0, n)
     y = np.sin(3 * x) + 0.1 * t + 0.5 * rng.standard_normal(n)
-    rows = [
-        ModelRow(float(yi), 2, float(xi), float(ti), 180, -4.25, 55.86)
-        for xi, ti, yi in zip(x, t, y)
-    ]
+    rows = _model_columns(n, logprice=y, deprivation=x, year=t)
     segments = (int(rng.integers(4, 10)), int(rng.integers(4, 10)))
     spec = ModelSpec(
         terms=(
@@ -288,10 +292,7 @@ def test_criterion_06_limit_behavior():
     n = 200
     x = rng.uniform(0.0, 1.0, n)
     y = 1.0 + 2.0 * x + 0.2 * rng.standard_normal(n)
-    rows = [
-        ModelRow(float(yi), 2, float(xi), 2014.0, 180, -4.25, 55.86)
-        for xi, yi in zip(x, y)
-    ]
+    rows = _model_columns(n, logprice=y, deprivation=x)
     spec = ModelSpec(terms=(TermSpec("deprivation", ("deprivation",), (10,)),))
     design = build_design(rows, spec)
 
@@ -311,12 +312,11 @@ def test_criterion_06_limit_behavior():
 
 
 def _identifiability_gaps(model, rows):
-    columns = rows_to_columns(rows)
     design = model.design
     main_gap = 0.0
     slice_gap = 0.0
     for block in design.blocks:
-        effect = block.evaluate(columns) @ model.coefficients(block.term.name)
+        effect = block.evaluate(rows) @ model.coefficients(block.term.name)
         if block.term.interaction:
             theta = block.transform.z @ model.coefficients(block.term.name)
             dims = tuple(kv.dimension for kv in block.knots)
@@ -339,8 +339,9 @@ def test_criterion_07_identifiability(recovery_experiment, bedroom_fit):
     ok = True
     for model, rows in models:
         main_gap, slice_gap = _identifiability_gaps(model, rows)
-        ok = ok and main_gap < 1e-6 * len(rows) and slice_gap < 1e-8
-        worst_main = max(worst_main, main_gap / len(rows))
+        n = rows["logprice"].size
+        ok = ok and main_gap < 1e-6 * n and slice_gap < 1e-8
+        worst_main = max(worst_main, main_gap / n)
         worst_slice = max(worst_slice, slice_gap)
     check(
         "identifiability: effect sums < 1e-6 n, interaction slice sums < 1e-8",
@@ -389,14 +390,15 @@ def test_criterion_09_bootstrap_calibration():
 
     def fitted(rows):
         design = build_design(rows, spec)
-        y = rows_to_columns(rows)["logprice"]
+        y = rows["logprice"]
         return fit_pls(design, y, select_smoothness(design, y))
 
     p_values = []
     for s in range(20):
         corpus = simulate_listings(400, null_truth, sigma=0.1, seed=100 + s)
         result = bootstrap_term_test(
-            fitted(derive_rows(corpus.listings)), "deprivation:year", b=99, seed=s
+            fitted(derive_rows(rows_to_columns(corpus.listings))), "deprivation:year",
+            b=99, seed=s,
         )
         p_values.append(result.p_value)
     mean_p = float(np.mean(p_values))
@@ -414,7 +416,8 @@ def test_criterion_09_bootstrap_calibration():
     )
     corpus = simulate_listings(400, strong_truth, sigma=0.1, seed=7)
     strong = bootstrap_term_test(
-        fitted(derive_rows(corpus.listings)), "deprivation:year", b=99, seed=7
+        fitted(derive_rows(rows_to_columns(corpus.listings))), "deprivation:year",
+        b=99, seed=7,
     )
     ok_strong = strong.p_value == pytest.approx(1.0 / 100.0)
 

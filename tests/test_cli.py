@@ -487,6 +487,53 @@ class TestRefusedRuns:
         assert not out.exists()
 
 
+def _edit_rent(lines):
+    header = lines[0].split(",")
+    fields_ = lines[5].split(",")
+    rent = header.index("rent")
+    fields_[rent] = repr(float(fields_[rent]) + 1.0)
+    return lines[:5] + [",".join(fields_)] + lines[6:]
+
+
+def _swap_rows(lines):
+    return [lines[0], lines[2], lines[1], *lines[3:]]
+
+
+class TestFingerprint:
+    """surfaces and bootstrap refit only on the rows the model was fitted
+    on: a clean file with the same row count but other rows, or a model
+    file without the fingerprint, exits 2 before any output."""
+
+    @pytest.mark.parametrize("command", ["surfaces", "bootstrap"])
+    @pytest.mark.parametrize("case", ["edited-rent", "swapped-rows", "no-fingerprint"])
+    def test_other_rows_rejected(self, pipeline, tmp_path, capsys, command, case):
+        clean = pipeline["out"] / "clean_listings.csv"
+        model = pipeline["out"] / "model.json"
+        if case == "no-fingerprint":
+            stored = json.loads(model.read_text())
+            del stored["rows_sha256"]
+            model = tmp_path / "model.json"
+            model.write_text(json.dumps(stored))
+        else:
+            lines = clean.read_text().splitlines()
+            edit = _edit_rent if case == "edited-rent" else _swap_rows
+            clean = tmp_path / "clean_listings.csv"
+            clean.write_text("\n".join(edit(lines)) + "\n")
+        out = tmp_path / "out"
+        extra = ["--term", "deprivation:year", "--b", "19"] if command == "bootstrap" else []
+        code, _, err = run(
+            [command, "--clean-listings", clean, "--model", model, "--out", out, *extra],
+            capsys,
+        )
+        assert code == 2
+        assert "re-run fit" in err and "600 rows" in err and "the 600 " in err
+        assert not out.exists()
+
+    def test_fit_records_the_fingerprint(self, pipeline):
+        stored = json.loads((pipeline["out"] / "model.json").read_text())
+        assert len(stored["rows_sha256"]) == 64
+
+
 class TestSimulate:
     def test_schema_and_row_count(self, tmp_path):
         out = tmp_path / "sim"

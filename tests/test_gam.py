@@ -1,9 +1,13 @@
+import calendar
 import math
 import warnings
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import linalg
 
 from rentgam import gam
@@ -12,12 +16,10 @@ from rentgam.gam import (
     DEFAULT_LAMBDA_GRID,
     EARTH_RADIUS_MILES,
     Design,
-    ModelRow,
     ModelSpec,
     TermSpec,
     bic,
     build_design,
-    decimal_year,
     default_model_spec,
     derive_rows,
     effect_surface,
@@ -28,6 +30,7 @@ from rentgam.gam import (
     rows_to_columns,
     select_smoothness,
     spatial_filter,
+    year_and_doy,
 )
 from rentgam.listings import GeocodedListing
 from rentgam.synthetic import default_truth, oracle_smoothness, simulate_listings
@@ -57,6 +60,24 @@ def geocoded(
     )
 
 
+def model_columns(n, **given):
+    """Model columns of n rows: the given values (arrays or scalars),
+    every other column held fixed."""
+    fixed = {"logprice": 0.0, "beds": 2.0, "deprivation": 0.5, "year": 2014.0,
+             "doy": 180.0, "longitude": -4.25, "latitude": 55.86}
+    return {name: np.full(n, given.get(name, value), dtype=float)
+            for name, value in fixed.items()}
+
+
+def same_columns(a, b):
+    return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
+
+
+def doubled(rows):
+    """Every row twice: the rows, then the same rows again."""
+    return {name: np.concatenate([v, v]) for name, v in rows.items()}
+
+
 def synthetic_rows(n=300, seed=0, noise=0.0, fn=None):
     """Rows over two covariates (deprivation, year); others held fixed."""
     rng = np.random.default_rng(seed)
@@ -65,19 +86,7 @@ def synthetic_rows(n=300, seed=0, noise=0.0, fn=None):
     if fn is None:
         fn = lambda x, t: 1.0 + 0.5 * x + 0.1 * (t - 2014.0)
     y = fn(x, t) + noise * rng.standard_normal(n)
-    rows = [
-        ModelRow(
-            logprice=float(yi),
-            beds=2,
-            deprivation=float(xi),
-            year=float(ti),
-            doy=180,
-            longitude=-4.25,
-            latitude=55.86,
-        )
-        for xi, ti, yi in zip(x, t, y)
-    ]
-    return rows, y
+    return model_columns(n, logprice=y, deprivation=x, year=t), y
 
 
 def one_term_spec(segments=10):
@@ -101,27 +110,58 @@ def two_term_spec():
 
 class TestDeriveRows:
     def test_calendar_arithmetic(self):
-        row = derive_rows([geocoded(start=date(2015, 7, 2))])[0]
+        row = derive_rows(rows_to_columns([geocoded(start=date(2015, 7, 2))]))
         # oracle: day count from January 1st
         doy = (date(2015, 7, 2) - date(2015, 1, 1)).days + 1
-        assert row.doy == doy == 183
-        assert row.year == pytest.approx(2015 + 182 / 365, abs=1e-12)
+        assert row["doy"][0] == doy == 183
+        assert row["year"][0] == pytest.approx(2015 + 182 / 365, abs=1e-12)
 
     def test_leap_year(self):
-        row = derive_rows([geocoded(start=date(2016, 7, 2))])[0]
-        assert row.doy == 184
-        assert row.year == pytest.approx(2016 + 183 / 366, abs=1e-12)
-        assert decimal_year(date(2016, 12, 31)) == pytest.approx(2016 + 365 / 366)
+        row = derive_rows(rows_to_columns([geocoded(start=date(2016, 7, 2))]))
+        assert row["doy"][0] == 184
+        assert row["year"][0] == pytest.approx(2016 + 183 / 366, abs=1e-12)
+        year, _ = year_and_doy(np.array([date(2016, 12, 31)], dtype="datetime64[D]"))
+        assert year[0] == pytest.approx(2016 + 365 / 366)
 
     def test_log_rent(self):
-        row = derive_rows([geocoded(rent=650.0)])[0]
-        assert row.logprice == pytest.approx(math.log(650.0), abs=1e-14)
+        row = derive_rows(rows_to_columns([geocoded(rent=650.0)]))
+        assert row["logprice"][0] == pytest.approx(math.log(650.0), abs=1e-14)
 
     def test_rejects_unclean(self):
         with pytest.raises(DataError, match="not clean"):
-            derive_rows([geocoded(rent=-1.0)])
+            derive_rows(rows_to_columns([geocoded(rent=-1.0)]))
         with pytest.raises(DataError):
-            derive_rows([geocoded(start=None)])
+            derive_rows(rows_to_columns([geocoded(start=None)]))
+
+
+class TestColumnRounding:
+    """The column path must round as the per-row formulas it replaced,
+    or CLI outputs would move: each test keeps that formula as its
+    oracle and asks for equality bit for bit."""
+
+    # 29 February of leap years with each leap rule; 31 December of a
+    # century non-leap year, a leap year and the range's ends
+    EDGE_DATES = [
+        date(1904, 2, 29), date(2000, 2, 29), date(2096, 2, 29),
+        date(1900, 12, 31), date(2000, 12, 31), date(2015, 12, 31), date(2100, 12, 31),
+    ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.dates(date(1900, 1, 1), date(2100, 12, 31)), max_size=40))
+    def test_year_and_doy_equal_per_row_formula(self, drawn):
+        days = drawn + self.EDGE_DATES
+        year, doy = year_and_doy(np.array(days, dtype="datetime64[D]"))
+        for d, got_year, got_doy in zip(days, year.tolist(), doy.tolist()):
+            yday = d.timetuple().tm_yday
+            length = 366 if calendar.isleap(d.year) else 365
+            assert got_doy == yday
+            assert got_year == d.year + (yday - 1) / length
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(1.0, 1e5), min_size=1, max_size=100))
+    def test_log_rent_equals_math_log(self, rents):
+        got = np.log(np.array(rents))
+        assert got.tolist() == [math.log(r) for r in rents]
 
 
 def haversine_oracle(lat1, lon1, lat2, lon2):
@@ -157,16 +197,36 @@ class TestSpatial:
         near_flat = geocoded(lat=55.8650, lon=-4.2600)
         near_house = geocoded(lat=55.8650, lon=-4.2600, property_type="detached")
         far_flat = geocoded(lat=56.1000, lon=-3.9)  # > 10 miles away
-        kept = spatial_filter([near_flat, near_house, far_flat], center, 10.0, "flat")
-        assert kept == [near_flat]
-        no_type = spatial_filter(
-            [near_flat, near_house, far_flat], center, 10.0, property_type=None
-        )
-        assert kept[0] in no_type and near_house in no_type and far_flat not in no_type
+        columns = rows_to_columns([near_flat, near_house, far_flat])
+        kept = spatial_filter(columns, center, 10.0, "flat")
+        assert same_columns(kept, rows_to_columns([near_flat]))
+        no_type = spatial_filter(columns, center, 10.0, property_type=None)
+        assert same_columns(no_type, rows_to_columns([near_flat, near_house]))
 
     def test_filter_validates_radius(self):
         with pytest.raises(ValueError, match="radius"):
-            spatial_filter([], (55.86, -4.25), 0.0)
+            spatial_filter(rows_to_columns([]), (55.86, -4.25), 0.0)
+
+    def test_filter_keeps_the_rows_of_a_per_listing_loop(self):
+        # scalar and array haversine can differ in the last bit, so only a
+        # point within an ulp of the radius could be kept by one alone
+        corpus = simulate_listings(3000, default_truth(), seed=4)
+        listings = [
+            replace(l, property_type="flat" if i % 3 else "detached")
+            for i, l in enumerate(corpus.listings)
+        ]
+        center = (55.88, -4.22)
+        columns = rows_to_columns(listings)
+        for radius in (2.0, 5.0, 10.0):
+            for kind in ("flat", None):
+                want = [
+                    l for l in listings
+                    if (kind is None or l.property_type == kind)
+                    and haversine_miles(center[0], center[1], l.latitude, l.longitude)
+                    <= radius
+                ]
+                kept = spatial_filter(columns, center, radius, kind)
+                assert 0 < len(want) and same_columns(kept, rows_to_columns(want))
 
 
 class TestModelSpec:
@@ -242,12 +302,9 @@ class TestBuildDesign:
     def test_location_tensor_single_constraint(self):
         rng = np.random.default_rng(2)
         n = 150
-        rows = [
-            ModelRow(0.0, 2, 0.5, 2014.0, 100, float(lon), float(lat))
-            for lon, lat in zip(
-                rng.uniform(-4.4, -4.1, n), rng.uniform(55.7, 56.0, n)
-            )
-        ]
+        lon = rng.uniform(-4.4, -4.1, n)
+        lat = rng.uniform(55.7, 56.0, n)
+        rows = model_columns(n, doy=100.0, longitude=lon, latitude=lat)
         spec = ModelSpec(
             terms=(
                 TermSpec("location", ("longitude", "latitude"), (5, 5)),
@@ -259,10 +316,7 @@ class TestBuildDesign:
 
     def test_degenerate_covariate_names_term(self):
         rows, _ = synthetic_rows(50)
-        rows = [
-            ModelRow(r.logprice, r.beds, 0.5, r.year, r.doy, r.longitude, r.latitude)
-            for r in rows
-        ]
+        rows = {**rows, "deprivation": np.full(50, 0.5)}
         with pytest.raises(DataError, match="deprivation"):
             build_design(rows, one_term_spec())
 
@@ -270,11 +324,7 @@ class TestBuildDesign:
         # two distinct bedroom counts cannot pin down the quadratic null
         # space of a third-order penalty: rank 5 of 6 constrained columns
         rows, _ = synthetic_rows(60)
-        rows = [
-            ModelRow(r.logprice, 1 + i % 2, r.deprivation, r.year, r.doy,
-                     r.longitude, r.latitude)
-            for i, r in enumerate(rows)
-        ]
+        rows = {**rows, "beds": 1.0 + np.arange(60) % 2}
         spec = ModelSpec(terms=(TermSpec("beds", ("beds",), (4,), penalty_order=3),))
         with pytest.raises(NumericalError, match="rank deficient"):
             build_design(rows, spec)
@@ -289,7 +339,8 @@ class TestBuildDesign:
 
 @pytest.fixture(scope="module")
 def default_design():
-    rows = derive_rows(simulate_listings(400, default_truth(), sigma=0.1, seed=3).listings)
+    corpus = simulate_listings(400, default_truth(), sigma=0.1, seed=3)
+    rows = derive_rows(rows_to_columns(corpus.listings))
     return rows, build_design(rows, default_model_spec())
 
 
@@ -320,7 +371,7 @@ class TestInteractionMargins:
     def test_design_block_equals_constrained_raw_tensor(self, default_design, term):
         rows, design = default_design
         block = design.block(term)
-        oracle = block.transform.apply(block.raw_basis(rows_to_columns(rows)))
+        oracle = block.transform.apply(block.raw_basis(rows))
         got = design.matrix[:, block.columns]
         assert np.max(np.abs(got - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
@@ -386,7 +437,7 @@ class TestFitPls:
         )
         design = build_design(rows, one_term_spec())
         model = fit_pls(design, y, {"deprivation": 1e12})
-        x = rows_to_columns(rows)["deprivation"]
+        x = rows["deprivation"]
         coef = np.polynomial.polynomial.polyfit(x, y, 1)
         assert np.max(np.abs(model.fitted - (coef[0] + coef[1] * x))) < 1e-4
 
@@ -420,11 +471,10 @@ class TestFitPls:
         )
         design = build_design(rows, two_term_spec())
         model = fit_pls(design, y, {"deprivation": 1.0, "year": 1.0})
-        columns = rows_to_columns(rows)
         for name in ("deprivation", "year"):
             block = design.block(name)
-            values = block.evaluate(columns) @ model.coefficients(name)
-            assert abs(values.sum()) < 1e-6 * len(rows)
+            values = block.evaluate(rows) @ model.coefficients(name)
+            assert abs(values.sum()) < 1e-6 * len(y)
         block = design.block("deprivation:year")
         theta = block.transform.z @ model.coefficients("deprivation:year")
         arr = theta.reshape(6, 6)
@@ -449,7 +499,7 @@ class TestFitPls:
         spec = one_term_spec(segments=5)
         m1 = fit_pls(build_design(rows, spec), y, {"deprivation": 0.0})
         y2 = np.concatenate([y, y])
-        m2 = fit_pls(build_design(rows + rows, spec), y2, {"deprivation": 0.0})
+        m2 = fit_pls(build_design(doubled(rows), spec), y2, {"deprivation": 0.0})
         assert np.max(np.abs(predict(m2, rows) - predict(m1, rows))) < 1e-8
 
     def test_ridge_retry_warns(self):
@@ -466,7 +516,7 @@ class TestFitPls:
         spec = one_term_spec()
         m1 = fit_pls(build_design(rows, spec), y, {"deprivation": 7.0})
         y2 = np.concatenate([y, y])
-        m2 = fit_pls(build_design(rows + rows, spec), y2, {"deprivation": 14.0})
+        m2 = fit_pls(build_design(doubled(rows), spec), y2, {"deprivation": 14.0})
         assert np.max(np.abs(predict(m2, rows) - predict(m1, rows))) < 1e-8
 
 
@@ -593,9 +643,9 @@ def counting_fit_pls(monkeypatch):
 
 def simulated(n, seed, spec):
     truth = default_truth()
-    rows = derive_rows(simulate_listings(n, truth, sigma=0.1, seed=seed).listings)
-    columns = rows_to_columns(rows)
-    return build_design(rows, spec), columns["logprice"], truth.signal(columns)
+    corpus = simulate_listings(n, truth, sigma=0.1, seed=seed)
+    rows = derive_rows(rows_to_columns(corpus.listings))
+    return build_design(rows, spec), rows["logprice"], truth.signal(rows)
 
 
 class TestLadderEvaluator:
@@ -701,9 +751,7 @@ class TestPredictAndSurfaces:
     def test_out_of_domain_prediction(self):
         rows, y = synthetic_rows(100, noise=0.3)
         model = fit_pls(build_design(rows, one_term_spec()), y, {"deprivation": 1.0})
-        bad = [
-            ModelRow(0.0, 2, 1.5, 2014.0, 180, -4.25, 55.86)  # deprivation beyond max
-        ]
+        bad = model_columns(1, deprivation=1.5)  # deprivation beyond max
         with pytest.raises(OutOfDomainError):
             predict(model, bad)
 
@@ -730,9 +778,8 @@ class TestPredictAndSurfaces:
         )
         design = build_design(rows, two_term_spec())
         model = fit_pls(design, y, {"deprivation": 1.0, "year": 1.0})
-        columns = rows_to_columns(rows)
         s = effect_surface(
-            model, "deprivation", at=[columns["deprivation"]]
+            model, "deprivation", at=[rows["deprivation"]]
         )
         assert abs(s.effect.mean()) < 1e-6
 
@@ -769,10 +816,7 @@ class TestPredictAndSurfaces:
         # slope 0.25 per unit, so a unit step multiplies rent by e^0.25
         x = np.linspace(0.0, 1.0, 400)
         y = 6.0 + 0.25 * x
-        rows = [
-            ModelRow(float(yi), 2, float(xi), 2014.0, 180, -4.25, 55.86)
-            for xi, yi in zip(x, y)
-        ]
+        rows = model_columns(400, logprice=y, deprivation=x)
         model = fit_pls(build_design(rows, one_term_spec()), y, {"deprivation": 1.0})
         ratio = multiplicative_effect(model, "deprivation", 0.0, 1.0)
         assert ratio == pytest.approx(math.exp(0.25), abs=1e-6)

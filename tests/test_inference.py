@@ -58,14 +58,15 @@ def strong_truth():
 
 
 def rows_for(truth, n=300, sigma=0.1, seed=0):
-    return derive_rows(simulate_listings(n, truth, sigma=sigma, seed=seed).listings)
+    corpus = simulate_listings(n, truth, sigma=sigma, seed=seed)
+    return derive_rows(rows_to_columns(corpus.listings))
 
 
 def fit_for(rows, spec=None, lambdas=None):
     """The model the bootstrap tests: ``spec`` (default the small spec)
     fitted at ``lambdas``, or at BIC-selected ones when none are given."""
     design = build_design(rows, small_spec() if spec is None else spec)
-    y = rows_to_columns(rows)["logprice"]
+    y = rows["logprice"]
     lams = select_smoothness(design, y) if lambdas is None else lambdas
     return fit_pls(design, y, lams)
 
@@ -92,7 +93,7 @@ class TestEmpiricalP:
 class TestWaldStatistic:
     def test_matches_pinv_quadratic_form(self):
         rows = rows_for(strong_truth(), n=250, seed=2)
-        y = rows_to_columns(rows)["logprice"]
+        y = rows["logprice"]
         design = build_design(rows, small_spec())
         model = fit_pls(design, y, {"deprivation": 1.0, "year": 1.0})
         for term in ("deprivation", "deprivation:year"):
@@ -104,7 +105,7 @@ class TestWaldStatistic:
 
     def test_positive_for_nonzero_block(self):
         rows = rows_for(strong_truth(), n=250, seed=2)
-        y = rows_to_columns(rows)["logprice"]
+        y = rows["logprice"]
         model = fit_pls(
             build_design(rows, small_spec()), y, {"deprivation": 1.0, "year": 1.0}
         )
@@ -180,7 +181,7 @@ class TestBootstrapTermTest:
         spec = small_spec()
         lams = {"deprivation": 3.0, "year": 30.0}
         res = bootstrap_term_test(fit_for(rows, spec, lams), term, b=19, seed=4)
-        y = rows_to_columns(rows)["logprice"]
+        y = rows["logprice"]
         design = build_design(rows, spec)
         reduced_spec = spec.drop(term)
         reduced = fit_pls(

@@ -23,7 +23,8 @@ def traced_peak(fn):
 
 
 def default_rows(n):
-    return derive_rows(simulate_listings(n, default_truth(), sigma=0.1, seed=3).listings)
+    corpus = simulate_listings(n, default_truth(), sigma=0.1, seed=3)
+    return derive_rows(rows_to_columns(corpus.listings))
 
 
 def test_build_design_holds_one_matrix():
@@ -41,7 +42,7 @@ def test_bootstrap_makes_no_copy_of_the_design():
     spec = default_model_spec()
     design = build_design(rows, spec)
     model = fit_pls(
-        design, rows_to_columns(rows)["logprice"], {t.name: 10.0 for t in spec.main_terms}
+        design, rows["logprice"], {t.name: 10.0 for t in spec.main_terms}
     )
     result, peak = traced_peak(
         lambda: bootstrap_term_test(model, "deprivation:year", b=19, seed=1)

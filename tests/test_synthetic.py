@@ -162,8 +162,7 @@ class TestSimulate:
     def test_noiseless_log_rent_equals_signal(self):
         truth = linear_truth()
         corpus = simulate_listings(200, truth, sigma=0.0, seed=6)
-        rows = derive_rows(corpus.listings)
-        columns = rows_to_columns(rows)
+        columns = derive_rows(rows_to_columns(corpus.listings))
         signal = truth.signal(columns)
         # date-derived covariates must reproduce the generating signal
         assert np.max(np.abs(columns["logprice"] - signal)) < 1e-9
@@ -219,10 +218,10 @@ class TestRecovery:
     def test_noiseless_linear_truth_recovered_exactly(self):
         truth = linear_truth()
         corpus = simulate_listings(600, truth, sigma=0.0, seed=3)
-        rows = derive_rows(corpus.listings)
+        rows = derive_rows(rows_to_columns(corpus.listings))
         spec = default_model_spec()
         design = build_design(rows, spec)
-        y = rows_to_columns(rows)["logprice"]
+        y = rows["logprice"]
         model = fit_pls(design, y, {t.name: 1.0 for t in spec.main_terms})
         rmse = recovery_rmse(model, rows, truth)
         for term, value in rmse.items():
@@ -234,10 +233,10 @@ class TestRecovery:
         # the size of the fitted effect itself
         truth = linear_truth()
         corpus = simulate_listings(300, truth, sigma=0.3, seed=21)
-        rows = derive_rows(corpus.listings)
+        rows = derive_rows(rows_to_columns(corpus.listings))
         spec = default_model_spec()
         design = build_design(rows, spec)
-        y = rows_to_columns(rows)["logprice"]
+        y = rows["logprice"]
         model = fit_pls(design, y, {t.name: 10.0 for t in spec.main_terms})
         rmse = recovery_rmse(model, rows, truth)
         assert set(rmse) == {t.name for t in spec.terms}
@@ -247,11 +246,11 @@ class TestRecovery:
         # reference: each term's effect from effect_surface at the observed
         # covariates, as recovery_rmse took it before it stopped computing SEs
         truth = default_truth()
-        rows = derive_rows(simulate_listings(400, truth, sigma=0.1, seed=5).listings)
+        corpus = simulate_listings(400, truth, sigma=0.1, seed=5)
+        columns = derive_rows(rows_to_columns(corpus.listings))
         spec = default_model_spec()
-        columns = rows_to_columns(rows)
         model = fit_pls(
-            build_design(rows, spec), columns["logprice"],
+            build_design(columns, spec), columns["logprice"],
             {t.name: 10.0 for t in spec.main_terms},
         )
         true_values = truth.component_values(columns)
@@ -260,20 +259,19 @@ class TestRecovery:
             effect = effect_surface(
                 model, term.name, at=[columns[v] for v in term.variables]
             ).effect
-            target = true_values.get(term.name, np.zeros(len(rows)))
+            target = true_values.get(term.name, np.zeros(effect.size))
             gap = (effect - effect.mean()) - (target - target.mean())
             want[term.name] = float(np.sqrt(np.mean(gap**2)))
-        assert recovery_rmse(model, rows, truth) == want
+        assert recovery_rmse(model, columns, truth) == want
 
 
 class TestOracle:
     def test_noiseless_oracle_prefers_smoothest_tie(self):
         truth = linear_truth()
         corpus = simulate_listings(300, truth, sigma=0.0, seed=15)
-        rows = derive_rows(corpus.listings)
+        columns = derive_rows(rows_to_columns(corpus.listings))
         spec = default_model_spec()
-        design = build_design(rows, spec)
-        columns = rows_to_columns(rows)
+        design = build_design(columns, spec)
         y = columns["logprice"]
         lams, model = oracle_smoothness(
             design, y, truth.signal(columns), grid=[0.1, 10.0]
@@ -293,12 +291,11 @@ class TestOracle:
             },
         )
         corpus = simulate_listings(500, truth, sigma=0.3, seed=16)
-        rows = derive_rows(corpus.listings)
+        columns = derive_rows(rows_to_columns(corpus.listings))
         from rentgam.gam import ModelSpec, TermSpec
 
         spec = ModelSpec(terms=(TermSpec("deprivation", ("deprivation",), (10,)),))
-        design = build_design(rows, spec)
-        columns = rows_to_columns(rows)
+        design = build_design(columns, spec)
         y = columns["logprice"]
         signal = truth.signal(columns)
         lams, model = oracle_smoothness(design, y, signal)
