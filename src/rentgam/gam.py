@@ -23,7 +23,7 @@ import numpy as np
 from scipy import linalg
 
 from .errors import DataError, NumericalError
-from .listings import GeocodedListing
+from .listings import COLUMN_DTYPES, GeocodedListing
 from .splines import (
     ConstraintTransform,
     KnotVector,
@@ -61,31 +61,22 @@ def year_and_doy(starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (first.astype(float) + 1970.0) + (doy - 1.0) / days, doy
 
 
-LISTING_FIELDS = {
-    "rent": float,
-    "bedrooms": float,
-    "start_date": "datetime64[D]",
-    "latitude": float,
-    "longitude": float,
-    "deprivation": float,
-    "property_type": str,
-}
-
-
 def rows_to_columns(listings: Sequence[GeocodedListing]) -> dict[str, np.ndarray]:
-    """One array per field of cleaned, geocoded listings that the model
-    path reads (:data:`LISTING_FIELDS`). A missing rent or bedroom count
-    becomes NaN and a missing start date NaT, for :func:`derive_rows` to
-    refuse."""
+    """One array per column of in-memory cleaned, geocoded listings, with
+    the dtypes :func:`~rentgam.listings.read_clean_listings` gives the
+    clean file's (:data:`~rentgam.listings.COLUMN_DTYPES`). A missing rent
+    or bedroom count becomes NaN and a missing date NaT, for
+    :func:`derive_rows` to refuse."""
     return {
         name: np.array(list(map(attrgetter(name), listings)), dtype=dtype)
-        for name, dtype in LISTING_FIELDS.items()
+        for name, dtype in COLUMN_DTYPES.items()
     }
 
 
 def derive_rows(columns: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
     """The model columns (``logprice`` and :data:`MODEL_VARIABLES`) of
-    listing columns from :func:`rows_to_columns`.
+    listing columns from :func:`~rentgam.listings.read_clean_listings` or
+    :func:`rows_to_columns`.
 
     Requires a positive rent, a bedroom count and a start date on every
     row, which the cleaning pipeline guarantees.
@@ -355,6 +346,9 @@ class Design:
         self._kept: np.ndarray | None = None  # this design's columns of _x
         self._gram: np.ndarray | None = None
         self._roots: dict[str, np.ndarray] = {}
+        # (lambdas, factor) of the last fit_pls: refits at known smoothness
+        # repeat the same lambdas, often many times
+        self._factor: tuple[dict[str, float], _Factor] | None = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -648,44 +642,77 @@ def _check_dof(n: int, k: float) -> None:
         raise NumericalError(f"no residual degrees of freedom (n={n}, k={k:.2f})")
 
 
+class _Factor(NamedTuple):
+    """What :func:`fit_pls` needs of ``X'X + S`` at given smoothing
+    parameters apart from ``y``: its Cholesky factor, the diagonal of the
+    hat matrix ``(X'X + S)^-1 X'X`` (k and the per-term EDFs), and
+    whether the factorization took the ridge retry."""
+
+    cho: tuple
+    hat_diag: np.ndarray
+    ridged: bool
+
+
+def _penalized_factor(design: Design, lambdas: dict[str, float]) -> _Factor:
+    """The :class:`_Factor` at resolved ``lambdas``, from the design's
+    one-entry cache when they repeat its last ones. ``X'X + S`` is built
+    in Fortran order, with S freed at once, and factored in place; a
+    failed factorization leaves it overwritten, so the ridge retry
+    rebuilds it."""
+    if design._factor is not None and design._factor[0] == lambdas:
+        return design._factor[1]
+    gram = design.gram
+    a = np.add(gram, design.penalty(lambdas), order="F")
+    ridged = False
+    try:
+        cho = linalg.cho_factor(a, overwrite_a=True)
+    except linalg.LinAlgError:
+        ridged = True
+        a = np.add(gram, design.penalty(lambdas), order="F")
+        diagonal = np.diag_indices_from(a)
+        a[diagonal] += 1e-10 * a[diagonal]
+        try:
+            cho = linalg.cho_factor(a, overwrite_a=True)
+        except linalg.LinAlgError as exc:
+            raise NumericalError(
+                "penalized normal equations are not positive definite "
+                "(after ridge retry)"
+            ) from exc
+    hat_diag = np.diag(linalg.cho_solve(cho, gram)).copy()  # frees the p x p hat
+    factor = _Factor(cho, hat_diag, ridged)
+    design._factor = (dict(lambdas), factor)
+    return factor
+
+
 def fit_pls(
     design: Design, y: np.ndarray, lambdas: Mapping[str, float]
 ) -> FittedModel:
     """Penalized least squares via the normal equations.
 
     Solves (X'X + S) beta = X'y with a Cholesky factorization, retrying
-    once with a tiny ridge on the diagonal (with a ``RuntimeWarning``)
-    before giving up. The effective degrees of freedom k are the trace
-    of the hat matrix.
+    once with a tiny ridge on the diagonal (with a ``RuntimeWarning``, on
+    every fit that uses that factor) before giving up. The effective
+    degrees of freedom k are the trace of the hat matrix. The factor and
+    the hat diagonal depend on the smoothing parameters alone, so a fit
+    at the design's last smoothing parameters reuses them (see
+    :func:`_penalized_factor`) and costs one solve against ``X'y``.
     """
     y = _response(design, y)
     n = design.n
-    gram = design.gram
-    s = design.penalty(lambdas)
-    a = gram + s
-    try:
-        cho = linalg.cho_factor(a)
-    except linalg.LinAlgError:
+    resolved = design.resolve_lambdas(lambdas)
+    factor = _penalized_factor(design, resolved)
+    if factor.ridged:
         warnings.warn(
             "penalized normal equations are not positive definite; "
             "retrying with a 1e-10 relative ridge on the diagonal",
             RuntimeWarning,
             stacklevel=2,
         )
-        ridge = a + 1e-10 * np.diag(np.diag(a))
-        try:
-            cho = linalg.cho_factor(ridge)
-        except linalg.LinAlgError as exc:
-            raise NumericalError(
-                "penalized normal equations are not positive definite "
-                "(after ridge retry)"
-            ) from exc
-    beta = linalg.cho_solve(cho, design.rmatvec(y))
+    beta = linalg.cho_solve(factor.cho, design.rmatvec(y))
     fitted = design.matvec(beta)
     rss = float(np.sum((y - fitted) ** 2))
 
-    hat = linalg.cho_solve(cho, gram)
-    diag = np.diag(hat)
+    diag = factor.hat_diag
     k = float(diag.sum())
     _check_dof(n, k)
     sigma2 = rss / (n - k)
@@ -693,7 +720,6 @@ def fit_pls(
     for block in design.blocks:
         edf[block.term.name] = float(diag[block.columns].sum())
 
-    resolved = design.resolve_lambdas(lambdas)
     return FittedModel(
         design=design,
         lambdas=resolved,
@@ -705,7 +731,7 @@ def fit_pls(
         sigma2=sigma2,
         edf_by_term=edf,
         bic=bic(rss, n, k),
-        _cho=cho,
+        _cho=factor.cho,
     )
 
 

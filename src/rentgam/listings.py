@@ -12,8 +12,11 @@ import json
 import re
 from dataclasses import dataclass, field
 from datetime import date
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import ConfigurationError, DataError
 
@@ -40,6 +43,24 @@ GEOCODED_COLUMNS = REQUIRED_COLUMNS + (
     "area_code",
     "deprivation",
 )
+
+# The array dtype of each clean-listings column: read_clean_listings and
+# gam.rows_to_columns both build one array per column with these, so they
+# give equal dicts. Bedrooms are float so that a missing count in memory
+# can be NaN; the clean file holds whole numbers.
+COLUMN_DTYPES = {
+    "listing_id": str,
+    "start_date": "datetime64[D]",
+    "end_date": "datetime64[D]",
+    "postcode": str,
+    "rent": float,
+    "bedrooms": float,
+    "property_type": str,
+    "latitude": float,
+    "longitude": float,
+    "area_code": str,
+    "deprivation": float,
+}
 
 
 @dataclass(frozen=True)
@@ -137,6 +158,20 @@ def _listing_from_mapping(row: dict, row_number: int) -> Listing | MalformedRow:
     )
 
 
+def _open_table(path: Path, what: str):
+    """The CSV file at ``path``, opened for reading; ConfigurationError
+    naming ``what`` when it is missing."""
+    if not path.exists():
+        raise ConfigurationError(f"{what} not found: {path}")
+    return open(path, newline="", encoding="utf-8")
+
+
+def _check_header(path: Path, header: list[str] | None, columns: Iterable[str]) -> None:
+    missing = set(columns) - set(header or [])
+    if missing:
+        raise DataError(f"{path}: missing columns {sorted(missing)}")
+
+
 def read_table(
     path: str | Path, columns: Iterable[str], what: str
 ) -> Iterator[tuple[int, dict]]:
@@ -145,13 +180,9 @@ def read_table(
     raises ConfigurationError naming ``what``; a header lacking any of
     ``columns`` raises DataError."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"{what} not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_table(path, what) as fh:
         reader = csv.DictReader(fh)
-        missing = set(columns) - set(reader.fieldnames or [])
-        if missing:
-            raise DataError(f"{path}: missing columns {sorted(missing)}")
+        _check_header(path, reader.fieldnames, columns)
         yield from enumerate(reader, start=2)
 
 
@@ -459,29 +490,93 @@ def clean_pipeline(
     return included, report
 
 
-def read_clean_listings(path: str | Path) -> list[GeocodedListing]:
-    """Read a file produced by write_clean_listings back into records."""
-    out: list[GeocodedListing] = []
-    for row_number, row in read_table(path, GEOCODED_COLUMNS, "clean listings file"):
-        try:
-            out.append(
-                GeocodedListing(
-                    listing_id=row["listing_id"],
-                    start_date=date.fromisoformat(row["start_date"]),
-                    end_date=date.fromisoformat(row["end_date"]),
-                    postcode=row["postcode"],
-                    rent=float(row["rent"]),
-                    bedrooms=int(row["bedrooms"]),
-                    property_type=row["property_type"],
-                    latitude=float(row["latitude"]),
-                    longitude=float(row["longitude"]),
-                    area_code=row["area_code"],
-                    deprivation=float(row["deprivation"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}:{row_number}: {exc}") from exc
-    return out
+def _days(texts: Sequence[str]) -> np.ndarray:
+    """``YYYY-MM-DD`` dates, as :func:`write_clean_listings` writes them,
+    as ``datetime64[D]``; ValueError on any other text."""
+    days = np.array(texts, dtype="datetime64[D]")  # also reads "2015-07", "NaT"
+    written = np.datetime_as_string(days)
+    if np.isnat(days).any() or (written != np.array(texts, dtype=str)).any():
+        raise ValueError("not a YYYY-MM-DD date")
+    return days
+
+
+def _clean_column(name: str, texts: Sequence[str]) -> np.ndarray:
+    """One clean-file column's texts as an array of its dtype."""
+    dtype = COLUMN_DTYPES[name]
+    if dtype is str:
+        return np.array(texts, dtype=str)
+    if dtype == "datetime64[D]":
+        return _days(texts)
+    parse = int if name == "bedrooms" else float
+    return np.fromiter(map(parse, texts), dtype=float, count=len(texts))
+
+
+# Rows converted per chunk. csv gives one Python string per field: a
+# 20000-row clean file read whole holds 16 MB of them and their row lists
+# at once, a chunk about 3 MB.
+READ_CHUNK_ROWS = 4096
+
+
+def read_clean_listings(path: str | Path) -> dict[str, np.ndarray]:
+    """Read a file produced by :func:`write_clean_listings` into one array
+    per column of :data:`GEOCODED_COLUMNS` (dtypes :data:`COLUMN_DTYPES`),
+    converting each column whole, a chunk of rows at a time. A row too
+    short for the columns, or a field that is not a number, a whole
+    bedroom count or a ``YYYY-MM-DD`` date, raises DataError naming
+    ``path:row`` for the first such row."""
+    path = Path(path)
+    chunks = []
+    with _open_table(path, "clean listings file") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        _check_header(path, header, GEOCODED_COLUMNS)
+        where = {name: i for i, name in enumerate(header)}
+        width = 1 + max(where[name] for name in GEOCODED_COLUMNS)
+        rows = filter(None, reader)  # blank lines are no rows, as for DictReader
+        first = 2
+        while True:
+            chunk = list(islice(rows, READ_CHUNK_ROWS))
+            chunks.append(_clean_rows(path, chunk, first, where, width))
+            if len(chunk) < READ_CHUNK_ROWS:
+                break
+            first += len(chunk)
+    return {
+        name: np.concatenate([c[name] for c in chunks]) for name in GEOCODED_COLUMNS
+    }
+
+
+def _clean_rows(
+    path: Path, rows: list[list[str]], first: int, where: dict[str, int], width: int
+) -> dict[str, np.ndarray]:
+    """The columns of clean-file ``rows``, numbered from ``first``."""
+    try:
+        if min(map(len, rows), default=width) < width:
+            raise ValueError("short row")
+        fields = list(zip(*rows)) if rows else [()] * width
+        return {
+            name: _clean_column(name, fields[where[name]])
+            for name in GEOCODED_COLUMNS
+        }
+    except (ValueError, OverflowError):
+        _raise_first_bad_row(path, rows, first, where, width)
+        raise
+
+
+def _raise_first_bad_row(
+    path: Path, rows: list[list[str]], first: int, where: dict[str, int], width: int
+) -> None:
+    """Raise DataError for the first of ``rows`` (numbered from ``first``)
+    that is too short or has a field its column cannot hold, as a
+    row-by-row read would."""
+    for row_number, row in enumerate(rows, start=first):
+        if len(row) < width:
+            raise DataError(f"{path}:{row_number}: {len(row)} fields, need {width}")
+        for name in GEOCODED_COLUMNS:
+            text = row[where[name]]
+            try:
+                _clean_column(name, [text])
+            except (ValueError, OverflowError):
+                raise DataError(f"{path}:{row_number}: bad {name} {text!r}") from None
 
 
 def write_clean_listings(path: str | Path, listings: list[GeocodedListing]) -> None:

@@ -107,7 +107,13 @@ def make_knots(lo: float, hi: float, segments: int, degree: int = 3) -> KnotVect
 def bspline_basis(x: np.ndarray, kv: KnotVector) -> np.ndarray:
     """Evaluate every B-spline basis function at the points ``x``.
 
-    Uses the Cox-de Boor recurrence, vectorized over observations.
+    Uses the Cox-de Boor recurrence, vectorized over observations and run
+    on each row's band only (Eilers & Marx 1996): a point in knot span
+    ``[t_m, t_{m+1})`` (the last span closed at the domain end) has
+    ``degree + 1`` non-zero functions, ``m - degree .. m``, and the
+    recurrence at degree ``d`` only reaches functions ``m - d .. m``. Each
+    band entry is the dense recurrence's own expression, with exact zeros
+    beside the band, so the basis equals the dense one bit for bit.
     Rows sum to one everywhere on the domain; values outside
     ``[kv.lo, kv.hi]`` raise :class:`OutOfDomainError`.
     """
@@ -118,18 +124,23 @@ def bspline_basis(x: np.ndarray, kv: KnotVector) -> np.ndarray:
         raise OutOfDomainError(
             f"value {offender!r} outside basis domain [{kv.lo}, {kv.hi}]"
         )
-    t = kv.knots
-    # degree 0: indicators of [t_j, t_{j+1}), closed at the domain end
-    b = ((x[:, None] >= t[None, :-1]) & (x[:, None] < t[None, 1:])).astype(float)
-    at_hi = x == kv.hi
-    if at_hi.any():
-        b[at_hi, :] = 0.0
-        b[at_hi, kv.degree + kv.segments - 1] = 1.0
-    for d in range(1, kv.degree + 1):
-        left = (x[:, None] - t[None, : -d - 1]) / (t[d:-1] - t[: -d - 1])
-        right = (t[None, d + 1 :] - x[:, None]) / (t[d + 1 :] - t[1:-d])
-        b = left * b[:, :-1] + right * b[:, 1:]
-    return b
+    t, degree = kv.knots, kv.degree
+    span = np.minimum(np.searchsorted(t, x, side="right") - 1, kv.dimension - 1)
+    knot = {c: t[span + c] for c in range(-degree, degree + 2)}  # t_{m+c} per row
+    zero = np.zeros(x.size)
+    band = [np.ones(x.size)]  # degree 0: the indicator of the span
+    for d in range(1, degree + 1):
+        padded = [zero, *band, zero]
+        band = []
+        for k in range(d + 1):  # function j = m - d + k
+            left = (x - knot[k - d]) / (knot[k] - knot[k - d])
+            right = (knot[k + 1] - x) / (knot[k + 1] - knot[k + 1 - d])
+            band.append(left * padded[k] + right * padded[k + 1])
+    out = np.zeros((x.size, kv.dimension))
+    first = np.arange(x.size) * kv.dimension + span - degree  # flat index of m - degree
+    for k, values in enumerate(band):
+        out.ravel()[first + k] = values
+    return out
 
 
 def difference_penalty(dimension: int, order: int = 2) -> PenaltyMatrix:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import DataError, NumericalError
 from .listings import GeocodedListing, read_table
 
@@ -68,21 +70,28 @@ def load_national_reference(path: str | Path) -> dict[int, YearCounts]:
     return out
 
 
+def start_years(columns: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Calendar year of each listing's start date (a missing date gives a
+    value no real year equals)."""
+    return columns["start_date"].astype("datetime64[Y]").astype(np.int64) + 1970
+
+
 def count_by_area(
-    records: Iterable[GeocodedListing],
+    columns: Mapping[str, np.ndarray],
     year: int | None = None,
     areas: Iterable[str] | None = None,
 ) -> dict[str, int]:
-    """Listings per area code, optionally restricted to a start-date
-    calendar year. When ``areas`` is given, every area in it appears in
-    the result, zero-count areas included."""
+    """Listings per area code, from listing columns (``area_code`` and
+    ``start_date``), optionally restricted to a start-date calendar year.
+    When ``areas`` is given, every area in it appears in the result,
+    zero-count areas included."""
+    codes = columns["area_code"]
+    if year is not None:
+        codes = codes[start_years(columns) == year]
     counts: dict[str, int] = {a: 0 for a in areas} if areas is not None else {}
-    for record in records:
-        if year is not None and (
-            record.start_date is None or record.start_date.year != year
-        ):
-            continue
-        counts[record.area_code] = counts.get(record.area_code, 0) + 1
+    found, found_counts = np.unique(codes, return_counts=True)
+    for code, count in zip(found.tolist(), found_counts.tolist()):
+        counts[code] = counts.get(code, 0) + count
     return counts
 
 

@@ -510,6 +510,16 @@ class TestFitPls:
         assert model.k == pytest.approx(1.0)
         assert model.fitted == pytest.approx(np.full(4, 2.5))
 
+    def test_ridge_retry_warns_on_every_fit_of_its_factor(self):
+        design = Design(spec=ModelSpec(terms=()), matrix=np.ones((4, 2)), blocks=[])
+        y = np.array([1.0, 2.0, 3.0, 4.0])
+        with pytest.warns(RuntimeWarning, match="ridge"):
+            first = fit_pls(design, y, {})
+        with pytest.warns(RuntimeWarning, match="ridge"):
+            again = fit_pls(design, y, {})  # from the cached factor
+        assert again._cho is first._cho
+        assert again.k == first.k
+
     def test_duplicated_rows_with_doubled_lambda(self):
         # (2X'X + 2S) beta = 2X'y has the original solution
         rows, y = synthetic_rows(80, noise=0.4)
@@ -518,6 +528,67 @@ class TestFitPls:
         y2 = np.concatenate([y, y])
         m2 = fit_pls(build_design(doubled(rows), spec), y2, {"deprivation": 14.0})
         assert np.max(np.abs(predict(m2, rows) - predict(m1, rows))) < 1e-8
+
+
+class TestFactorCache:
+    """fit_pls factors X'X + S once per design and smoothing parameters."""
+
+    @staticmethod
+    def counting_cho_factor(monkeypatch):
+        calls = []
+        cho_factor = linalg.cho_factor
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return cho_factor(*args, **kwargs)
+
+        monkeypatch.setattr(gam.linalg, "cho_factor", counting)
+        return calls
+
+    @staticmethod
+    def same_fit(a, b):
+        return (np.array_equal(a.beta, b.beta) and a.rss == b.rss and a.k == b.k
+                and a.edf_by_term == b.edf_by_term and a.bic == b.bic)
+
+    def test_repeated_lambdas_factor_once(self, monkeypatch):
+        rows, y = synthetic_rows(150, noise=0.3)
+        lams = {"deprivation": 3.0, "year": 30.0}
+        fresh = fit_pls(build_design(rows, two_term_spec()), y, lams)
+        design = build_design(rows, two_term_spec())
+        calls = self.counting_cho_factor(monkeypatch)
+        fits = [fit_pls(design, y, lams) for _ in range(4)]
+        assert len(calls) == 1
+        assert all(self.same_fit(fit, fresh) for fit in fits)
+        # another response at the same lambdas reuses the factor too
+        other = fit_pls(design, y[::-1].copy(), lams)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        plain = fit_pls(build_design(rows, two_term_spec()), y[::-1].copy(), lams)
+        assert self.same_fit(other, plain)
+
+    def test_new_lambdas_and_dropped_designs_factor_again(self, monkeypatch):
+        rows, y = synthetic_rows(150, noise=0.3)
+        design = build_design(rows, two_term_spec())
+        calls = self.counting_cho_factor(monkeypatch)
+        fit_pls(design, y, {"deprivation": 3.0, "year": 30.0})
+        fit_pls(design, y, {"deprivation": 3.0, "year": 31.0})
+        assert len(calls) == 2
+        fit_pls(design, y, {"deprivation": 3.0, "year": 30.0})  # one entry only
+        assert len(calls) == 3
+        reduced = design.drop("year")
+        fit_pls(reduced, y, {"deprivation": 3.0, "year": 30.0})
+        assert calls[-1] == (reduced.p, reduced.p) and len(calls) == 4
+        fit_pls(design, y, {"deprivation": 3.0, "year": 30.0})  # still cached
+        assert len(calls) == 4
+
+    def test_a_changed_lambda_record_does_not_move_the_cache(self):
+        rows, y = synthetic_rows(150, noise=0.3)
+        design = build_design(rows, two_term_spec())
+        lams = {"deprivation": 3.0, "year": 30.0}
+        model = fit_pls(design, y, lams)
+        model.lambdas["year"] = 1e6
+        again = fit_pls(design, y, {"deprivation": 3.0, "year": 1e6})
+        assert again._cho is not model._cho
 
 
 class TestBic:

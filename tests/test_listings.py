@@ -1,10 +1,14 @@
+from dataclasses import replace
 from datetime import date
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rentgam import listings
 from rentgam.errors import ConfigurationError, DataError
+from rentgam.gam import rows_to_columns
 from rentgam.listings import (
     GEOCODED_COLUMNS,
     REQUIRED_COLUMNS,
@@ -23,6 +27,7 @@ from rentgam.listings import (
     validate_record,
     write_clean_listings,
 )
+from rentgam.synthetic import default_truth, simulate_listings
 from rentgam.validation import load_area_reference, load_national_reference
 
 
@@ -209,7 +214,40 @@ class TestCleanPipeline:
         included, _ = clean_pipeline(corpus, index)
         out = tmp_path / "clean.csv"
         write_clean_listings(out, included)
-        assert read_clean_listings(out) == included
+        columns, expected = read_clean_listings(out), rows_to_columns(included)
+        assert list(columns) == list(expected) == list(GEOCODED_COLUMNS)
+        for name, values in expected.items():
+            assert columns[name].dtype == values.dtype, name
+            assert np.array_equal(columns[name], values), name
+
+    @pytest.mark.parametrize("chunk", [1, 3, 12])
+    def test_clean_file_reader_chunks_give_the_same_columns(
+        self, tmp_path, monkeypatch, chunk
+    ):
+        corpus = simulate_listings(24, default_truth(), sigma=0.1, seed=5).listings
+        # ids of one to two characters: later chunks hold wider strings
+        included = [replace(l, listing_id=str(i)) for i, l in enumerate(corpus)]
+        out = tmp_path / "clean.csv"
+        write_clean_listings(out, included)
+        whole = read_clean_listings(out)
+        monkeypatch.setattr(listings, "READ_CHUNK_ROWS", chunk)
+        chunked = read_clean_listings(out)
+        for name, values in whole.items():
+            assert chunked[name].dtype == values.dtype, name
+            assert np.array_equal(chunked[name], values), name
+        # a bad row in a later chunk keeps its file-wide number
+        rows = out.read_text().splitlines()
+        rows[-1] = rows[-1].replace(",flat,", ",flat,x")
+        out.write_text("\n".join(rows) + "\n")
+        with pytest.raises(DataError, match=rf"clean\.csv:{len(rows)}: bad latitude"):
+            read_clean_listings(out)
+
+    def test_clean_file_reader_of_a_header_only_file(self, tmp_path):
+        out = tmp_path / "clean.csv"
+        write_clean_listings(out, [])
+        columns, expected = read_clean_listings(out), rows_to_columns([])
+        assert all(columns[n].dtype == v.dtype and v.size == columns[n].size == 0
+                   for n, v in expected.items())
 
     def test_clean_file_reader_errors(self, tmp_path):
         with pytest.raises(ConfigurationError, match="not found"):
@@ -218,6 +256,41 @@ class TestCleanPipeline:
         bad.write_text("listing_id,rent\nA,1\n")
         with pytest.raises(DataError, match="missing columns"):
             read_clean_listings(bad)
+
+    GOOD_ROW = "A,2015-07-02,2015-08-01,G12 8QQ,650.0,2,flat,55.87,-4.29,AREA1,0.3"
+
+    @pytest.mark.parametrize(
+        "field, text",
+        [
+            ("rent", "6x0"),
+            ("latitude", ""),
+            ("bedrooms", "2.0"),
+            ("start_date", "2015-07"),
+            ("end_date", "2015-02-30"),
+            ("start_date", "NaT"),
+        ],
+    )
+    def test_clean_file_reader_names_the_first_bad_row(self, tmp_path, field, text):
+        fields = self.GOOD_ROW.split(",")
+        fields[GEOCODED_COLUMNS.index(field)] = text
+        path = tmp_path / "clean.csv"
+        path.write_text(
+            "\n".join([",".join(GEOCODED_COLUMNS), self.GOOD_ROW, ",".join(fields),
+                       ",".join(fields)]) + "\n"
+        )
+        with pytest.raises(DataError, match=rf"clean\.csv:3: bad {field} '{text}'"):
+            read_clean_listings(path)
+
+    def test_clean_file_reader_rejects_a_short_row(self, tmp_path):
+        path = tmp_path / "clean.csv"
+        short = self.GOOD_ROW.rsplit(",", 1)[0]
+        path.write_text(
+            "\n".join([",".join(GEOCODED_COLUMNS), self.GOOD_ROW, "", self.GOOD_ROW,
+                       short]) + "\n"
+        )
+        # blank lines are skipped and not numbered, as csv.DictReader does
+        with pytest.raises(DataError, match=r"clean\.csv:4: 10 fields, need 11"):
+            read_clean_listings(path)
 
     @settings(max_examples=60, deadline=None)
     @given(

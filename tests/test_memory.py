@@ -1,5 +1,6 @@
-"""Traced memory of design assembly and of the bootstrap: the n x p
-design matrix exists once, and the reduced fit makes no copy of it."""
+"""Traced memory of design assembly, of a penalized fit and of the
+bootstrap: the n x p design matrix exists once, a fit holds few p x p
+arrays at a time, and the reduced fit makes no copy of the design."""
 
 import tracemalloc
 
@@ -9,17 +10,17 @@ from rentgam.synthetic import default_truth, simulate_listings
 
 
 def traced_peak(fn):
-    """``fn()`` and the bytes it held at its peak above what was held
-    when it started, by tracemalloc."""
+    """``fn()``, the bytes it held at its peak above what was held when it
+    started and the bytes still held when it returned, by tracemalloc."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         result = fn()
-        peak = tracemalloc.get_traced_memory()[1] - start
+        held, peak = (m - start for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    return result, peak
+    return result, peak, held
 
 
 def default_rows(n):
@@ -31,7 +32,7 @@ def test_build_design_holds_one_matrix():
     # n 5000, p 640: X is 25.6 MB; per-block copies, a stacked copy or the
     # 512-column raw location:year tensor each add over 0.3 X
     rows = default_rows(5000)
-    design, peak = traced_peak(lambda: build_design(rows, default_model_spec()))
+    design, peak, _ = traced_peak(lambda: build_design(rows, default_model_spec()))
     assert peak <= 1.3 * design.matrix.nbytes + 8e6
 
 
@@ -44,8 +45,26 @@ def test_bootstrap_makes_no_copy_of_the_design():
     model = fit_pls(
         design, rows["logprice"], {t.name: 10.0 for t in spec.main_terms}
     )
-    result, peak = traced_peak(
+    result, peak, _ = traced_peak(
         lambda: bootstrap_term_test(model, "deprivation:year", b=19, seed=1)
     )
     assert result.replicates.size == 19
     assert peak < 0.5 * design.matrix.nbytes
+
+
+def test_fit_holds_two_p_by_p_arrays_at_a_time():
+    # X'X + S is built without keeping S and factored in place, and the
+    # p x p hat matrix is freed after its diagonal is read: at most the
+    # factor and one more p x p array live at once (S, a copy of X'X + S
+    # for the factor and the hat make four), and the factor, shared by the
+    # model and the design's cache, is all that stays
+    rows = default_rows(5000)
+    spec = default_model_spec()
+    design = build_design(rows, spec)
+    design.gram  # formed once per design, before any fit
+    lams = {t.name: 10.0 for t in spec.main_terms}
+    model, peak, held = traced_peak(lambda: fit_pls(design, rows["logprice"], lams))
+    assert model.beta.size == design.p
+    p2 = design.p ** 2 * 8
+    assert peak <= 2.5 * p2 + 1e6
+    assert held <= p2 + 1e6

@@ -26,6 +26,23 @@ def cox_de_boor(x, t, j, d):
     return left + right
 
 
+def dense_bspline_basis(x, kv):
+    """The dense Cox-de Boor recurrence over every knot interval: the
+    oracle of the banded evaluation in ``bspline_basis``."""
+    x = np.asarray(x, dtype=float).ravel()
+    t = kv.knots
+    b = ((x[:, None] >= t[None, :-1]) & (x[:, None] < t[None, 1:])).astype(float)
+    at_hi = x == kv.hi
+    if at_hi.any():
+        b[at_hi, :] = 0.0
+        b[at_hi, kv.degree + kv.segments - 1] = 1.0
+    for d in range(1, kv.degree + 1):
+        left = (x[:, None] - t[None, : -d - 1]) / (t[d:-1] - t[: -d - 1])
+        right = (t[None, d + 1 :] - x[:, None]) / (t[d + 1 :] - t[1:-d])
+        b = left * b[:, :-1] + right * b[:, 1:]
+    return b
+
+
 class TestKnots:
     def test_layout(self):
         kv = make_knots(0.0, 1.0, segments=4, degree=3)
@@ -105,6 +122,39 @@ class TestBasis:
         x = np.random.default_rng(seed).uniform(lo, lo + width, size=40)
         b = bspline_basis(x, kv)
         assert np.max(np.abs(b.sum(axis=1) - 1.0)) < 1e-9
+
+
+class TestBandedBasis:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lo=st.floats(-1e3, 1e3),
+        width=st.floats(1e-3, 1e3),
+        segments=st.integers(1, 20),
+        degree=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_dense_recurrence(self, lo, width, segments, degree, seed):
+        kv = make_knots(lo, lo + width, segments=segments, degree=degree)
+        inner = kv.knots[degree : degree + segments + 1]  # lo, knots, hi
+        x = np.concatenate([
+            np.random.default_rng(seed).uniform(kv.lo, kv.hi, size=30),
+            inner, [kv.lo, kv.hi], np.nextafter(inner[1:], -np.inf),
+        ])
+        b = bspline_basis(x, kv)
+        assert b.shape == (x.size, kv.dimension)
+        assert np.array_equal(b, dense_bspline_basis(x, kv))
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_out_of_domain_raises_like_the_dense_path(self, degree):
+        kv = make_knots(-1.0, 2.0, segments=5, degree=degree)
+        for bad in (np.nextafter(-1.0, -np.inf), np.nextafter(2.0, np.inf),
+                    np.inf, -np.inf, np.nan):
+            with pytest.raises(OutOfDomainError, match="outside basis domain"):
+                bspline_basis(np.array([0.0, bad]), kv)
+
+    def test_empty_input(self):
+        kv = make_knots(0.0, 1.0, segments=4)
+        assert bspline_basis(np.array([]), kv).shape == (0, kv.dimension)
 
 
 class TestPenalty:

@@ -202,7 +202,7 @@ class TestWriteCorpus:
         assert set(areas) == {l.area_code for l in corpus.listings}
         years = {l.start_date.year for l in corpus.listings}
         assert set(national) == years
-        counts = count_by_area(corpus.listings, areas=areas)
+        counts = count_by_area(rows_to_columns(corpus.listings), areas=areas)
         flows = {code: ref.flow for code, ref in areas.items()}
         result = coverage_ratio(counts, flows)
         assert result.national == pytest.approx(0.95, abs=0.01)

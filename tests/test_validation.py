@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rentgam.errors import DataError, NumericalError
+from rentgam.gam import rows_to_columns
 from rentgam.listings import GeocodedListing
 from rentgam.validation import (
     CoverageResult,
@@ -90,21 +91,49 @@ class TestCorrelate:
 class TestCounts:
     def test_count_by_area_with_zero_fill(self):
         records = [record("AREA1"), record("AREA1"), record("AREA2")]
-        counts = count_by_area(records, areas=["AREA1", "AREA2", "AREA3"])
+        counts = count_by_area(
+            rows_to_columns(records), areas=["AREA1", "AREA2", "AREA3"]
+        )
         assert counts == {"AREA1": 2, "AREA2": 1, "AREA3": 0}
 
     def test_count_by_area_year_filter(self):
-        records = [
+        columns = rows_to_columns([
             record("AREA1", start=date(2014, 2, 1)),
             record("AREA1", start=date(2015, 2, 1)),
-        ]
-        assert count_by_area(records, year=2014) == {"AREA1": 1}
-        assert count_by_area(records, year=2013, areas=["AREA1"]) == {"AREA1": 0}
+        ])
+        assert count_by_area(columns, year=2014) == {"AREA1": 1}
+        assert count_by_area(columns, year=2013, areas=["AREA1"]) == {"AREA1": 0}
 
     def test_excluding_filter_gives_all_zero_map(self):
-        records = [record("AREA1")]
-        counts = count_by_area(records, year=1999, areas=["AREA1", "AREA2"])
+        columns = rows_to_columns([record("AREA1")])
+        counts = count_by_area(columns, year=1999, areas=["AREA1", "AREA2"])
         assert counts == {"AREA1": 0, "AREA2": 0}
+
+    def test_missing_start_date_counts_in_no_year(self):
+        columns = rows_to_columns([record("AREA1", start=None), record("AREA1")])
+        assert count_by_area(columns) == {"AREA1": 2}
+        assert count_by_area(columns, year=2014) == {"AREA1": 1}
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["AREA1", "AREA2", "AREA3"]),
+                st.dates(date(1990, 1, 1), date(2030, 12, 31)) | st.none(),
+            ),
+            max_size=30,
+        ),
+        st.sampled_from([None, 2014, 2015]),
+    )
+    def test_counts_equal_a_per_record_loop(self, pairs, year):
+        records = [record(area, start=start) for area, start in pairs]
+        expected = {"AREA1": 0}
+        for r in records:
+            if year is None or (r.start_date is not None and r.start_date.year == year):
+                expected[r.area_code] = expected.get(r.area_code, 0) + 1
+        counts = count_by_area(rows_to_columns(records), year=year, areas=["AREA1"])
+        assert counts == expected
+        assert all(type(c) is int for c in counts.values())
 
 
 class TestCoverage:
