@@ -178,7 +178,8 @@ def read_table(
     """Yield ``(row_number, row)`` for each data row of a CSV file,
     numbered as file lines from 2 (the header is line 1). A missing file
     raises ConfigurationError naming ``what``; a header lacking any of
-    ``columns`` raises DataError."""
+    ``columns`` raises DataError. A row shorter than the header has None
+    for each field it lacks."""
     path = Path(path)
     with _open_table(path, what) as fh:
         reader = csv.DictReader(fh)
@@ -297,6 +298,8 @@ class PostcodeIndex:
         entries: dict[str, PostcodeEntry] = {}
         needed = ("postcode", "latitude", "longitude", "area_code", "deprivation")
         for row_number, row in read_table(path, needed, "postcode index"):
+            if None in row.values():
+                raise DataError(f"{path}:{row_number}: missing fields")
             postcode = normalize_postcode(row["postcode"])
             try:
                 lat = float(row["latitude"])

@@ -36,6 +36,8 @@ def load_area_reference(path: str | Path) -> dict[str, AreaCounts]:
     for row_number, row in read_table(
         path, ("area_code", "stock", "flow"), "area reference"
     ):
+        if None in row.values():
+            raise DataError(f"{path}:{row_number}: missing fields")
         code = row["area_code"].strip()
         try:
             counts = AreaCounts(float(row["stock"]), float(row["flow"]))

@@ -330,7 +330,12 @@ class TestFit:
 
     @pytest.mark.parametrize(
         "ladder",
-        [pytest.param("", id="empty"), pytest.param("-1,10", id="negative")],
+        [
+            pytest.param("", id="empty"),
+            pytest.param("-1,10", id="negative"),
+            pytest.param("nan", id="nan"),
+            pytest.param("1, inf", id="inf"),
+        ],
     )
     def test_invalid_ladder_exits_2(self, pipeline, tmp_path, capsys, ladder):
         cfg = tmp_path / "ladder.cfg"

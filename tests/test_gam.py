@@ -1,6 +1,7 @@
 import calendar
 import math
 import warnings
+from contextlib import nullcontext
 from dataclasses import replace
 from datetime import date
 
@@ -34,6 +35,7 @@ from rentgam.gam import (
 )
 from rentgam.listings import GeocodedListing
 from rentgam.synthetic import default_truth, oracle_smoothness, simulate_listings
+from tolerance import rounding_tolerance
 
 
 def geocoded(
@@ -581,6 +583,24 @@ class TestFactorCache:
         fit_pls(design, y, {"deprivation": 3.0, "year": 30.0})  # still cached
         assert len(calls) == 4
 
+    @pytest.mark.parametrize("lam", [1e-3, 10.0, 1e6])
+    def test_inverse_and_hat_diagonal_match_a_dense_oracle(self, lam):
+        # both come from one dpotri of the cached factor; the oracle is
+        # numpy's dense inverse and solve of X'X + S
+        design, y, _ = simulated(1000, 3, default_model_spec())
+        lams = {t.name: lam for t in design.spec.main_terms}
+        model = fit_pls(design, y, lams)
+        a = design.gram + design.penalty(lams)
+        tol = rounding_tolerance(a)
+        inv = np.linalg.inv(a)
+        hat = np.diag(np.linalg.solve(a, design.gram))
+        cov = model.covariance_unscaled
+        assert np.array_equal(cov, cov.T)
+        assert np.max(np.abs(cov - inv)) <= tol * np.max(np.abs(inv))
+        got = gam._penalized_factor(design, model.lambdas).hat_diag
+        assert np.max(np.abs(got - hat)) <= tol * np.max(np.abs(hat))
+        assert model.k == float(got.sum())
+
     def test_a_changed_lambda_record_does_not_move_the_cache(self):
         rows, y = synthetic_rows(150, noise=0.3)
         design = build_design(rows, two_term_spec())
@@ -635,6 +655,19 @@ class TestSelectSmoothness:
         design = build_design(rows, two_term_spec())
         sel = select_smoothness(design, y, grid=[3.3])
         assert sel == {"deprivation": 3.3, "year": 3.3}
+
+    @pytest.mark.parametrize(
+        "grid", [[], [-1.0, 10.0], [math.nan], [1.0, math.inf]],
+        ids=["empty", "negative", "nan", "inf"],
+    )
+    def test_invalid_grid_rejected_before_any_fit(self, monkeypatch, grid):
+        rows, y = synthetic_rows(150, noise=0.3)
+        design = build_design(rows, two_term_spec())
+        monkeypatch.setattr(gam, "_penalized_factor", None)  # any fit fails
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="invalid smoothing grid"):
+                select_smoothness(design, y, grid=grid)
 
     def test_deterministic(self):
         rows, y = synthetic_rows(200, noise=0.3)
@@ -724,9 +757,10 @@ class TestLadderEvaluator:
         """The eigen evaluator against fit_pls at every ladder point of
         every selectable term over one BIC sweep of the default spec.
         Measured worst relative errors at the mid-ladder base are about
-        4e-10 in k and 1e-11 in BIC; a base at the lowest ladder value
-        gives about 2e-8 in k, and so fails, as does an owned penalty
-        that leaves out the interaction directions a term lends."""
+        8e-10 in k, 7e-11 in rss and 2e-10 in BIC (a base at the lowest
+        ladder value gives about 8e-10 in k too); an owned penalty that
+        leaves out the interaction directions a term lends fails, at
+        about 0.1 in k."""
         design, y, _ = simulated(1000, 3, default_model_spec())
         ladder = DEFAULT_LAMBDA_GRID
         current = {t.name: float(ladder[len(ladder) // 2]) for t in design.spec.main_terms}
@@ -744,6 +778,20 @@ class TestLadderEvaluator:
                 assert np.max(np.abs(fit.fitted - m.fitted)) <= 1e-8 * np.max(np.abs(y))
                 bics.append(m.bic)
             current[name] = float(ladder[int(np.argmin(bics))])
+
+    def test_middle_point_is_the_direct_fit(self):
+        """The ladder's base is fit_pls's own cached factor, so at the
+        middle value, where the Woodbury update is zero, the evaluator
+        gives the direct fit bit for bit."""
+        design, y, _ = simulated(1000, 3, default_model_spec())
+        ladder = DEFAULT_LAMBDA_GRID
+        mid = float(ladder[len(ladder) // 2])
+        current = {t.name: mid for t in design.spec.main_terms}
+        for name in current:
+            fit = gam._eigen_ladder(design, y, current, name, ladder)[len(ladder) // 2]
+            m = fit_pls(design, y, {**current, name: mid})
+            assert fit.k == m.k and fit.rss == m.rss
+            assert np.array_equal(fit.fitted, m.fitted)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_selection_identical_to_plain_path(self, monkeypatch, seed):
@@ -800,12 +848,17 @@ class TestLadderEvaluator:
     def test_plain_ladders_fit_every_point(self, monkeypatch, grid, factors):
         design, y, _ = simulated(1000, 0, default_model_spec(6, 5, 4, 3))
         if not factors:
-            def not_pd(*args):
-                raise linalg.LinAlgError("not positive definite")
-
-            monkeypatch.setattr(gam, "_eigen_ladder", not_pd)
+            # every factor reports the ridge retry, the ladder base's too
+            factor = gam._penalized_factor
+            monkeypatch.setattr(
+                gam, "_penalized_factor", lambda *args: factor(*args)._replace(ridged=True)
+            )
         calls = counting_fit_pls(monkeypatch)
-        select_smoothness(design, y, grid=grid)
+        # a zero on the ladder leaves a term unpenalized, which here needs
+        # the ridge retry; every fit on a ridged factor warns
+        ridged = not factors or 0.0 in grid
+        with pytest.warns(RuntimeWarning, match="ridge") if ridged else nullcontext():
+            select_smoothness(design, y, grid=grid)
         per_sweep = len(grid) * 5
         assert len(calls) > 0 and len(calls) % per_sweep == 0
         if len(grid) == 1:

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from datetime import date
 
@@ -456,6 +457,17 @@ class TestPostcodeIndex:
         p = tmp_path / "pc.csv"
         p.write_text(f"postcode,latitude,longitude,area_code,deprivation\n{row}\n")
         with pytest.raises(DataError, match=match):
+            PostcodeIndex.load(p)
+
+    def test_load_rejects_a_short_row(self, tmp_path):
+        # the text column last, so the short row lacks it
+        p = tmp_path / "pc.csv"
+        p.write_text(
+            "postcode,latitude,longitude,deprivation,area_code\n"
+            "G12 8QQ,55.87,-4.29,0.3,AREA1\n"
+            "G12 8QR,55.87,-4.29,0.3\n"
+        )
+        with pytest.raises(DataError, match=rf"{re.escape(str(p))}:3: missing fields"):
             PostcodeIndex.load(p)
 
     def test_load_rejects_duplicate_postcode(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 from datetime import date
 
 import numpy as np
@@ -245,6 +246,13 @@ class TestLoaders:
         p = tmp_path / "areas.csv"
         p.write_text("area_code,stock,flow\nAREA1,-1,5\n")
         with pytest.raises(DataError, match="negative"):
+            load_area_reference(p)
+
+    def test_area_reference_rejects_a_short_row(self, tmp_path):
+        # the text column last, so the short row lacks it
+        p = tmp_path / "areas.csv"
+        p.write_text("stock,flow,area_code\n4426,1265,AREA1\n10,5\n")
+        with pytest.raises(DataError, match=rf"{re.escape(str(p))}:3: missing fields"):
             load_area_reference(p)
 
     def test_national_reference(self, tmp_path):
