@@ -33,7 +33,7 @@ from .gam import (
     FittedModel,
     MODEL_VARIABLES,
     ModelSpec,
-    rows_to_columns,  # unused here; the benchmark's tracer wraps this name
+    rows_to_columns,
     select_smoothness,
     spatial_filter,
     TermSpec,
@@ -205,7 +205,7 @@ def cmd_clean(config: RunConfig) -> int:
     parsed = parse_listings(config.listings)
     index = PostcodeIndex.load(config.postcodes)
     cleaned, report = clean_pipeline(
-        parsed.listings, index, malformed=len(parsed.malformed)
+        rows_to_columns(parsed.listings), index, malformed=len(parsed.malformed)
     )
     out = _out_dir(config)
     write_clean_listings(out / "clean_listings.csv", cleaned)

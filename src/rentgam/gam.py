@@ -16,14 +16,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import linalg
 
 from .errors import DataError, NumericalError
-from .listings import COLUMN_DTYPES, GeocodedListing
+from .listings import REQUIRED_COLUMNS, columns_of
 from .splines import (
     ConstraintTransform,
     KnotVector,
@@ -61,22 +60,21 @@ def year_and_doy(starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (first.astype(float) + 1970.0) + (doy - 1.0) / days, doy
 
 
-def rows_to_columns(listings: Sequence[GeocodedListing]) -> dict[str, np.ndarray]:
-    """One array per column of in-memory cleaned, geocoded listings, with
-    the dtypes :func:`~rentgam.listings.read_clean_listings` gives the
-    clean file's (:data:`~rentgam.listings.COLUMN_DTYPES`). A missing rent
-    or bedroom count becomes NaN and a missing date NaT, for
-    :func:`derive_rows` to refuse."""
-    return {
-        name: np.array(list(map(attrgetter(name), listings)), dtype=dtype)
-        for name, dtype in COLUMN_DTYPES.items()
-    }
+def rows_to_columns(rows: Sequence[tuple]) -> dict[str, np.ndarray]:
+    """One array per column of :data:`~rentgam.listings.REQUIRED_COLUMNS`
+    from the rows :func:`~rentgam.listings.parse_listings` gives (tuples
+    in that column order), with the dtypes of
+    :data:`~rentgam.listings.COLUMN_DTYPES`: the columns that
+    :func:`~rentgam.listings.clean_pipeline` takes. An empty field
+    becomes NaN or NaT."""
+    return columns_of(rows, REQUIRED_COLUMNS)
 
 
 def derive_rows(columns: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
     """The model columns (``logprice`` and :data:`MODEL_VARIABLES`) of
-    listing columns from :func:`~rentgam.listings.read_clean_listings` or
-    :func:`rows_to_columns`.
+    listing columns from :func:`~rentgam.listings.read_clean_listings`,
+    :func:`~rentgam.listings.clean_pipeline` or
+    :func:`~rentgam.synthetic.simulate_listings`.
 
     Requires a positive rent, a bedroom count and a start date on every
     row, which the cleaning pipeline guarantees.

@@ -1,20 +1,23 @@
 """Listings ingest: parse raw feeds, deduplicate, validate, geocode.
 
-The cleaning stages run in a fixed order -- duplicates first, then date
-checks, then postcode checks -- so every record lands in exactly one
-exclusion category and the category counts always sum to the input size.
+Listings are held as one numpy array per column (:data:`COLUMN_DTYPES`)
+from the parsed feed to the clean file. The cleaning stages run in a
+fixed order -- duplicates first, then date checks, then postcode checks
+-- so every record lands in exactly one exclusion category and the
+category counts always sum to the input size.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from datetime import date
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -37,17 +40,15 @@ REQUIRED_COLUMNS = (
     "property_type",
 )
 
-GEOCODED_COLUMNS = REQUIRED_COLUMNS + (
-    "latitude",
-    "longitude",
-    "area_code",
-    "deprivation",
-)
+INDEX_COLUMNS = ("postcode", "latitude", "longitude", "area_code", "deprivation")
 
-# The array dtype of each clean-listings column: read_clean_listings and
-# gam.rows_to_columns both build one array per column with these, so they
-# give equal dicts. Bedrooms are float so that a missing count in memory
-# can be NaN; the clean file holds whole numbers.
+GEOCODED_COLUMNS = REQUIRED_COLUMNS + INDEX_COLUMNS[1:]
+
+# The array dtype of each listings column, wherever listings are held:
+# parsed feeds, the postcode index, cleaned and simulated listings and the
+# clean file read back. Bedrooms are float so that a missing count can be
+# NaN; files hold whole numbers. A missing rent is NaN and a missing date
+# NaT.
 COLUMN_DTYPES = {
     "listing_id": str,
     "start_date": "datetime64[D]",
@@ -64,28 +65,6 @@ COLUMN_DTYPES = {
 
 
 @dataclass(frozen=True)
-class Listing:
-    """One advertised let. Empty feed fields parse to None; rent is
-    always monthly (weekly inputs are converted at parse time)."""
-
-    listing_id: str
-    start_date: date | None
-    end_date: date | None
-    postcode: str
-    rent: float | None
-    bedrooms: int | None
-    property_type: str
-
-
-@dataclass(frozen=True)
-class GeocodedListing(Listing):
-    latitude: float = 0.0
-    longitude: float = 0.0
-    area_code: str = ""
-    deprivation: float = 0.0
-
-
-@dataclass(frozen=True)
 class MalformedRow:
     row_number: int
     reason: str
@@ -93,7 +72,12 @@ class MalformedRow:
 
 @dataclass
 class ParseResult:
-    listings: list[Listing]
+    """``listings`` holds one tuple per parsed row, its fields in
+    :data:`REQUIRED_COLUMNS` order: empty fields are None, dates are
+    :class:`datetime.date` and rent is always monthly (weekly inputs are
+    converted at parse time)."""
+
+    listings: list[tuple]
     malformed: list[MalformedRow]
 
 
@@ -111,7 +95,7 @@ def _normalize_property_type(raw: str) -> str:
     return cleaned if cleaned in PROPERTY_TYPES else "other"
 
 
-def _listing_from_mapping(row: dict, row_number: int) -> Listing | MalformedRow:
+def _listing_from_mapping(row: dict, row_number: int) -> tuple | MalformedRow:
     def text(key: str) -> str:
         value = row.get(key)
         return "" if value is None else str(value).strip()
@@ -136,6 +120,9 @@ def _listing_from_mapping(row: dict, row_number: int) -> Listing | MalformedRow:
             rent *= WEEKS_PER_MONTH
     elif period not in ("", "month", "monthly"):
         return MalformedRow(row_number, f"unknown rent period {period!r}")
+    # so that NaN in the rent column only ever means a missing rent
+    if rent is not None and not math.isfinite(rent):
+        return MalformedRow(row_number, f"non-finite rent {rent_raw!r}")
 
     beds_raw = text("bedrooms")
     bedrooms: int | None = None
@@ -147,15 +134,26 @@ def _listing_from_mapping(row: dict, row_number: int) -> Listing | MalformedRow:
         if bedrooms < 0:
             return MalformedRow(row_number, f"negative bedrooms {bedrooms}")
 
-    return Listing(
-        listing_id=text("listing_id"),
-        start_date=start,
-        end_date=end,
-        postcode=normalize_postcode(text("postcode")),
-        rent=rent,
-        bedrooms=bedrooms,
-        property_type=_normalize_property_type(text("property_type")),
+    return (
+        text("listing_id"),
+        start,
+        end,
+        normalize_postcode(text("postcode")),
+        rent,
+        bedrooms,
+        _normalize_property_type(text("property_type")),
     )
+
+
+def columns_of(rows: Iterable[Sequence], names: Sequence[str]) -> dict[str, np.ndarray]:
+    """One array per column of ``names`` (dtypes :data:`COLUMN_DTYPES`)
+    from rows holding those columns' values in that order. None becomes
+    NaN in a float column and NaT in a date column."""
+    fields = list(zip(*rows)) or [()] * len(names)
+    return {
+        name: np.array(values, dtype=COLUMN_DTYPES[name])
+        for name, values in zip(names, fields)
+    }
 
 
 def _open_table(path: Path, what: str):
@@ -179,12 +177,28 @@ def read_table(
     numbered as file lines from 2 (the header is line 1). A missing file
     raises ConfigurationError naming ``what``; a header lacking any of
     ``columns`` raises DataError. A row shorter than the header has None
-    for each field it lacks."""
+    for each field it lacks; the fields of a longer row beyond the header
+    are listed under the key None."""
     path = Path(path)
     with _open_table(path, what) as fh:
         reader = csv.DictReader(fh)
         _check_header(path, reader.fieldnames, columns)
         yield from enumerate(reader, start=2)
+
+
+def read_reference(
+    path: str | Path, columns: Iterable[str], what: str
+) -> Iterator[tuple[int, dict]]:
+    """:func:`read_table` for a reference file (postcode index, area or
+    national counts), where every row must have exactly the header's
+    fields: a shorter or a longer row raises DataError naming
+    ``path:row``."""
+    for row_number, row in read_table(path, columns, what):
+        if None in row:
+            raise DataError(f"{path}:{row_number}: extra fields")
+        if None in row.values():
+            raise DataError(f"{path}:{row_number}: missing fields")
+        yield row_number, row
 
 
 def _delimited_rows(path: Path) -> Iterator[tuple[int, dict | MalformedRow]]:
@@ -231,81 +245,31 @@ def parse_listings(path: str | Path) -> ParseResult:
     return result
 
 
-def dedup_key(listing: Listing) -> tuple:
-    return (listing.start_date, listing.end_date, listing.postcode, listing.rent)
-
-
-def deduplicate(listings: list[Listing]) -> tuple[list[Listing], list[Listing]]:
-    """Split into (kept, duplicated). A record is a duplicate when an
-    earlier record shares its (start_date, end_date, postcode, rent)
-    key; the first occurrence in input order is kept."""
-    seen: set[tuple] = set()
-    kept: list[Listing] = []
-    duplicated: list[Listing] = []
-    for listing in listings:
-        key = dedup_key(listing)
-        if key in seen:
-            duplicated.append(listing)
-        else:
-            seen.add(key)
-            kept.append(listing)
-    return kept, duplicated
-
-
-def validate_record(listing: Listing) -> str:
-    """Classify one deduplicated record: 'valid', 'missing_dates' or
-    'invalid' (date order, nonpositive or missing rent, missing
-    bedrooms, malformed postcode)."""
-    if listing.start_date is None or listing.end_date is None:
-        return "missing_dates"
-    if listing.start_date > listing.end_date:
-        return "invalid"
-    if listing.rent is None or listing.rent <= 0:
-        return "invalid"
-    if listing.bedrooms is None:
-        return "invalid"
-    if not valid_postcode_shape(listing.postcode):
-        return "invalid"
-    return "valid"
-
-
-@dataclass(frozen=True)
-class PostcodeEntry:
-    latitude: float
-    longitude: float
-    area_code: str
-    deprivation: float
-
-
 class PostcodeIndex:
-    """Postcode centroid lookup joined with area code and deprivation."""
+    """Postcode centroids joined with area code and deprivation: one
+    array per column of :data:`INDEX_COLUMNS`, sorted by postcode."""
 
-    def __init__(self, entries: dict[str, PostcodeEntry]):
-        self._entries = entries
+    def __init__(self, columns: Mapping[str, Sequence]):
+        postcodes = np.asarray(columns["postcode"], dtype=str)
+        order = np.argsort(postcodes, kind="stable")
+        self.columns = {
+            name: np.asarray(columns[name], dtype=COLUMN_DTYPES[name])[order]
+            for name in INDEX_COLUMNS
+        }
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, postcode: str) -> PostcodeEntry | None:
-        return self._entries.get(normalize_postcode(postcode))
-
-    @property
-    def area_codes(self) -> set[str]:
-        return {e.area_code for e in self._entries.values()}
+        return self.columns["postcode"].size
 
     @classmethod
     def load(cls, path: str | Path) -> "PostcodeIndex":
-        entries: dict[str, PostcodeEntry] = {}
-        needed = ("postcode", "latitude", "longitude", "area_code", "deprivation")
-        for row_number, row in read_table(path, needed, "postcode index"):
-            if None in row.values():
-                raise DataError(f"{path}:{row_number}: missing fields")
+        rows: dict[str, tuple] = {}
+        for row_number, row in read_reference(path, INDEX_COLUMNS, "postcode index"):
             postcode = normalize_postcode(row["postcode"])
             try:
                 lat = float(row["latitude"])
                 lon = float(row["longitude"])
                 dep = float(row["deprivation"])
-            except (TypeError, ValueError):
+            except ValueError:
                 raise DataError(f"{path}:{row_number}: non-numeric field")
             if not (49.0 <= lat <= 61.0 and -9.0 <= lon <= 2.0):
                 raise DataError(
@@ -315,28 +279,10 @@ class PostcodeIndex:
                 raise DataError(
                     f"{path}:{row_number}: deprivation {dep} outside [0, 1]"
                 )
-            if postcode in entries:
+            if postcode in rows:
                 raise DataError(f"{path}:{row_number}: duplicate postcode {postcode}")
-            entries[postcode] = PostcodeEntry(lat, lon, row["area_code"].strip(), dep)
-        return cls(entries)
-
-
-def geocode(
-    listings: list[Listing], index: PostcodeIndex
-) -> tuple[list[GeocodedListing], list[Listing]]:
-    """Attach centroid coordinates, area code and deprivation by
-    postcode. Returns (geocoded, unmatched)."""
-    if len(index) == 0:
-        raise ConfigurationError("postcode index is empty")
-    matched: list[GeocodedListing] = []
-    unmatched: list[Listing] = []
-    for listing in listings:
-        entry = index.lookup(listing.postcode)
-        if entry is None:
-            unmatched.append(listing)
-            continue
-        matched.append(GeocodedListing(**vars(listing), **vars(entry)))
-    return matched, unmatched
+            rows[postcode] = (postcode, lat, lon, row["area_code"].strip(), dep)
+        return cls(columns_of(rows.values(), INDEX_COLUMNS))
 
 
 @dataclass
@@ -436,61 +382,93 @@ class CleanReport:
         return "\n".join(lines) + "\n"
 
 
-def _year_bucket(listing: Listing) -> int | None:
-    return listing.start_date.year if listing.start_date else None
+def _duplicated(columns: Mapping[str, np.ndarray]) -> np.ndarray:
+    """True for each row whose (start_date, end_date, postcode, rent) key
+    an earlier row has, so that the first occurrence in input order is
+    kept. Keys compare as values: a missing date equals a missing date, a
+    missing rent a missing rent, and a rent of -0.0 equals 0.0."""
+    rent = columns["rent"]
+    rent = np.where(np.isnan(rent), np.nan, rent + 0.0)  # one NaN, no -0.0
+    _, postcode = np.unique(columns["postcode"], return_inverse=True)
+    key = np.stack([
+        columns["start_date"].view(np.int64),  # NaT is one value, int64 min
+        columns["end_date"].view(np.int64),
+        postcode.astype(np.int64),
+        rent.view(np.int64),
+    ], axis=1)
+    duplicated = np.ones(len(key), dtype=bool)
+    # a stable sort underlies return_index: it gives each key's first row
+    duplicated[np.unique(key, axis=0, return_index=True)[1]] = False
+    return duplicated
+
+
+def _counts_by_year(starts: np.ndarray) -> dict[int | None, int]:
+    """Rows per start-date calendar year, None for a missing start date."""
+    years = starts.astype("datetime64[Y]").astype(np.int64)
+    found, counts = np.unique(years, return_counts=True)
+    nat = np.iinfo(np.int64).min
+    return {
+        (None if y == nat else 1970 + y): c
+        for y, c in zip(found.tolist(), counts.tolist())
+    }
 
 
 def clean_pipeline(
-    listings: list[Listing], index: PostcodeIndex, malformed: int = 0
-) -> tuple[list[GeocodedListing], CleanReport]:
-    """Run the full cleaning sequence and account for every record.
+    columns: Mapping[str, np.ndarray], index: PostcodeIndex, malformed: int = 0
+) -> tuple[dict[str, np.ndarray], CleanReport]:
+    """Run the full cleaning sequence on listing columns (those of
+    :data:`REQUIRED_COLUMNS`, as :func:`gam.rows_to_columns` gives them)
+    and account for every record. Returns the included rows' columns,
+    :data:`GEOCODED_COLUMNS`, in input order, and the report.
 
     Order matters: a record that is both a duplicate and missing a date
-    counts as duplicated. Postcodes that fail the shape check or miss
-    the index count as invalid.
+    counts as duplicated. Among the others, an end date before the start
+    date, a rent that is missing or not positive, a missing bedroom count,
+    or a postcode that fails the shape check or misses the index makes a
+    record invalid.
     """
-    total = len(listings)
-    kept, duplicated = deduplicate(listings)
+    if len(index) == 0:
+        raise ConfigurationError("postcode index is empty")
+    start, end = columns["start_date"], columns["end_date"]
+    postcodes = columns["postcode"]
+    duplicated = _duplicated(columns)
+    missing_dates = ~duplicated & (np.isnat(start) | np.isnat(end))
 
-    missing_dates: list[Listing] = []
-    invalid: list[Listing] = []
-    candidates: list[Listing] = []
-    for listing in kept:
-        status = validate_record(listing)
-        if status == "missing_dates":
-            missing_dates.append(listing)
-        elif status == "invalid":
-            invalid.append(listing)
-        else:
-            candidates.append(listing)
+    # geocoding: each postcode's row among the index's sorted postcodes;
+    # one that is not there differs from the key it lands next to
+    keys = index.columns["postcode"]
+    at = np.minimum(np.searchsorted(keys, postcodes), keys.size - 1)
+    unique, of = np.unique(postcodes, return_inverse=True)
+    well_formed = np.array([valid_postcode_shape(pc) for pc in unique.tolist()], bool)
+    invalid = ~duplicated & ~missing_dates & (
+        (start > end)
+        | ~(columns["rent"] > 0)
+        | np.isnan(columns["bedrooms"])
+        | ~well_formed[of]
+        | (keys[at] != postcodes)
+    )
+    included = ~(duplicated | missing_dates | invalid)
 
-    included, unmatched = geocode(candidates, index)
-    invalid.extend(unmatched)
-
-    by_year: dict[str, dict[int | None, int]] = {
-        "duplicated": {},
-        "missing_dates": {},
-        "invalid": {},
-    }
-    for reason, bucket in (
-        ("duplicated", duplicated),
-        ("missing_dates", missing_dates),
-        ("invalid", invalid),
-    ):
-        for listing in bucket:
-            year = _year_bucket(listing)
-            by_year[reason][year] = by_year[reason].get(year, 0) + 1
-
+    cleaned = {name: columns[name][included] for name in REQUIRED_COLUMNS}
+    for name in INDEX_COLUMNS[1:]:
+        cleaned[name] = index.columns[name][at[included]]
     report = CleanReport(
-        total=total,
-        duplicated=len(duplicated),
-        missing_dates=len(missing_dates),
-        invalid=len(invalid),
-        included=len(included),
-        by_year=by_year,
+        total=len(start),
+        duplicated=int(duplicated.sum()),
+        missing_dates=int(missing_dates.sum()),
+        invalid=int(invalid.sum()),
+        included=int(included.sum()),
+        by_year={
+            reason: _counts_by_year(start[mask])
+            for reason, mask in (
+                ("duplicated", duplicated),
+                ("missing_dates", missing_dates),
+                ("invalid", invalid),
+            )
+        },
         malformed=malformed,
     )
-    return included, report
+    return cleaned, report
 
 
 def _days(texts: Sequence[str]) -> np.ndarray:
@@ -582,23 +560,29 @@ def _raise_first_bad_row(
                 raise DataError(f"{path}:{row_number}: bad {name} {text!r}") from None
 
 
-def write_clean_listings(path: str | Path, listings: list[GeocodedListing]) -> None:
+
+
+def _fields(name: str, values: np.ndarray) -> list:
+    """A column's fields as the clean file holds them: ISO dates, the
+    ``repr`` of floats, bedrooms as whole numbers and "" for a missing
+    value."""
+    dtype = COLUMN_DTYPES[name]
+    if dtype is str:
+        return values.tolist()
+    if dtype == "datetime64[D]":
+        return ["" if d is None else d.isoformat() for d in values.tolist()]
+    write = int if name == "bedrooms" else repr
+    return ["" if v != v else write(v) for v in values.tolist()]  # NaN != NaN
+
+
+def write_clean_listings(
+    path: str | Path,
+    columns: Mapping[str, np.ndarray],
+    names: Sequence[str] = GEOCODED_COLUMNS,
+) -> None:
+    """Write the ``names`` columns of listing columns as a CSV file, in
+    that order, as :func:`read_clean_listings` reads them back."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(GEOCODED_COLUMNS)
-        for l in listings:
-            writer.writerow(
-                [
-                    l.listing_id,
-                    l.start_date.isoformat() if l.start_date else "",
-                    l.end_date.isoformat() if l.end_date else "",
-                    l.postcode,
-                    "" if l.rent is None else repr(l.rent),
-                    "" if l.bedrooms is None else l.bedrooms,
-                    l.property_type,
-                    repr(l.latitude),
-                    repr(l.longitude),
-                    l.area_code,
-                    repr(l.deprivation),
-                ]
-            )
+        writer.writerow(names)
+        writer.writerows(zip(*(_fields(name, columns[name]) for name in names)))

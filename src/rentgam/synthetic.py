@@ -13,7 +13,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -29,7 +29,8 @@ from .gam import (
     year_and_doy,
     _coordinate_descent,
 )
-from .listings import GeocodedListing
+from .listings import INDEX_COLUMNS, REQUIRED_COLUMNS, write_clean_listings
+from .validation import count_by_area, start_years
 
 # unused here; the benchmark's tracer wraps these names on this module
 from .gam import effect_surface, rows_to_columns  # noqa: F401
@@ -219,14 +220,13 @@ def synthetic_postcode(i: int) -> str:
     return f"{letters[0]}{letters[1]}{d1} {d2}{letters[2]}{letters[3]}"
 
 
-def _area_code(lat: float, lon: float, center: tuple[float, float]) -> str:
-    quadrant = 1 + (lat >= center[0]) * 2 + (lon >= center[1])
-    return f"AREA{quadrant}"
-
-
 @dataclass(frozen=True)
 class SimulatedCorpus:
-    listings: list[GeocodedListing]
+    """``listings`` holds one array per column of
+    :data:`~rentgam.listings.GEOCODED_COLUMNS`, as
+    :func:`~rentgam.listings.clean_pipeline` gives them."""
+
+    listings: dict[str, np.ndarray]
     truth: TruthSpec
     sigma: float
     seed: int
@@ -280,23 +280,21 @@ def simulate_listings(
         log_rent = log_rent + sigma * rng.standard_normal(n)
     rent = np.exp(log_rent)
 
-    listings = []
-    for i, start in enumerate(starts.tolist()):
-        listings.append(
-            GeocodedListing(
-                listing_id=f"SYN{i + 1:06d}",
-                start_date=start,
-                end_date=start + timedelta(days=int(durations[i])),
-                postcode=synthetic_postcode(i),
-                rent=float(rent[i]),
-                bedrooms=int(beds[i]),
-                property_type="flat",
-                latitude=float(lat[i]),
-                longitude=float(lon[i]),
-                area_code=_area_code(float(lat[i]), float(lon[i]), center),
-                deprivation=float(deprivation[i]),
-            )
-        )
+    # the quadrant of the centre each listing lies in
+    quadrant = 1 + 2 * (lat >= center[0]) + (lon >= center[1])
+    listings = {
+        "listing_id": np.array([f"SYN{i + 1:06d}" for i in range(n)]),
+        "start_date": starts,
+        "end_date": starts + durations,
+        "postcode": np.array([synthetic_postcode(i) for i in range(n)]),
+        "rent": rent,
+        "bedrooms": beds.astype(float),
+        "property_type": np.full(n, "flat"),
+        "latitude": lat,
+        "longitude": lon,
+        "area_code": np.array([f"AREA{q}" for q in quadrant.tolist()]),
+        "deprivation": deprivation,
+    }
     return SimulatedCorpus(listings=listings, truth=truth, sigma=sigma, seed=seed)
 
 
@@ -318,47 +316,10 @@ def write_corpus(out_dir: str | Path, corpus: SimulatedCorpus) -> dict[str, Path
         "truth": out / "truth.json",
     }
 
-    with open(paths["listings"], "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "listing_id", "start_date", "end_date", "postcode",
-                "rent", "bedrooms", "property_type",
-            ]
-        )
-        for l in corpus.listings:
-            writer.writerow(
-                [
-                    l.listing_id,
-                    l.start_date.isoformat(),
-                    l.end_date.isoformat(),
-                    l.postcode,
-                    repr(l.rent),
-                    l.bedrooms,
-                    l.property_type,
-                ]
-            )
-
-    with open(paths["postcodes"], "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["postcode", "latitude", "longitude", "area_code", "deprivation"])
-        for l in corpus.listings:
-            writer.writerow(
-                [
-                    l.postcode,
-                    repr(l.latitude),
-                    repr(l.longitude),
-                    l.area_code,
-                    repr(l.deprivation),
-                ]
-            )
-
-    area_counts: dict[str, int] = {}
-    year_counts: dict[int, int] = {}
-    for l in corpus.listings:
-        area_counts[l.area_code] = area_counts.get(l.area_code, 0) + 1
-        y = l.start_date.year
-        year_counts[y] = year_counts.get(y, 0) + 1
+    write_clean_listings(paths["listings"], corpus.listings, REQUIRED_COLUMNS)
+    write_clean_listings(paths["postcodes"], corpus.listings, INDEX_COLUMNS)
+    area_counts = count_by_area(corpus.listings)
+    years, year_counts = np.unique(start_years(corpus.listings), return_counts=True)
 
     with open(paths["area_reference"], "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -370,8 +331,8 @@ def write_corpus(out_dir: str | Path, corpus: SimulatedCorpus) -> dict[str, Path
     with open(paths["national_reference"], "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["year", "stock_thousands", "flow_thousands"])
-        for y in sorted(year_counts):
-            flow = year_counts[y] / 0.95 / 1000.0
+        for y, count in zip(years.tolist(), year_counts.tolist()):
+            flow = count / 0.95 / 1000.0
             writer.writerow([y, repr(4.0 * flow), repr(flow)])
 
     with open(paths["truth"], "w", encoding="utf-8") as fh:

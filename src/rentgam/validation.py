@@ -10,12 +10,12 @@ import math
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .listings import GeocodedListing, read_table
+from .listings import read_reference
 
 
 @dataclass(frozen=True)
@@ -33,15 +33,13 @@ class YearCounts:
 def load_area_reference(path: str | Path) -> dict[str, AreaCounts]:
     """Read `area_code,stock,flow` rows."""
     out: dict[str, AreaCounts] = {}
-    for row_number, row in read_table(
+    for row_number, row in read_reference(
         path, ("area_code", "stock", "flow"), "area reference"
     ):
-        if None in row.values():
-            raise DataError(f"{path}:{row_number}: missing fields")
         code = row["area_code"].strip()
         try:
             counts = AreaCounts(float(row["stock"]), float(row["flow"]))
-        except (TypeError, ValueError):
+        except ValueError:
             raise DataError(f"{path}:{row_number}: non-numeric count")
         if counts.stock < 0 or counts.flow < 0:
             raise DataError(f"{path}:{row_number}: negative count")
@@ -54,7 +52,7 @@ def load_area_reference(path: str | Path) -> dict[str, AreaCounts]:
 def load_national_reference(path: str | Path) -> dict[int, YearCounts]:
     """Read `year,stock_thousands,flow_thousands` rows."""
     out: dict[int, YearCounts] = {}
-    for row_number, row in read_table(
+    for row_number, row in read_reference(
         path, ("year", "stock_thousands", "flow_thousands"), "national reference"
     ):
         try:
@@ -62,7 +60,7 @@ def load_national_reference(path: str | Path) -> dict[int, YearCounts]:
             counts = YearCounts(
                 float(row["stock_thousands"]), float(row["flow_thousands"])
             )
-        except (TypeError, ValueError):
+        except ValueError:
             raise DataError(f"{path}:{row_number}: non-numeric field")
         if counts.stock_thousands < 0 or counts.flow_thousands < 0:
             raise DataError(f"{path}:{row_number}: negative count")
@@ -196,22 +194,24 @@ def turnover_rate(flow: float, stock: float) -> int:
 
 
 def median_rent_by_area(
-    records: Iterable[GeocodedListing],
+    columns: Mapping[str, np.ndarray],
     bedrooms: int | None = None,
     year: int | None = None,
 ) -> dict[str, float]:
-    """Median monthly rent per area, the even-count midpoint convention.
+    """Median monthly rent per area of listing columns (``area_code``,
+    ``rent``, ``bedrooms`` and ``start_date``), the even-count midpoint
+    convention.
 
     Optionally restricted to an exact bedroom count and a start-date
     calendar year.
     """
-    rents: dict[str, list[float]] = {}
-    for record in records:
-        if bedrooms is not None and record.bedrooms != bedrooms:
-            continue
-        if year is not None and (
-            record.start_date is None or record.start_date.year != year
-        ):
-            continue
-        rents.setdefault(record.area_code, []).append(record.rent)
-    return {area: float(statistics.median(v)) for area, v in sorted(rents.items())}
+    keep = np.ones(columns["rent"].size, dtype=bool)
+    if bedrooms is not None:
+        keep &= columns["bedrooms"] == bedrooms
+    if year is not None:
+        keep &= start_years(columns) == year
+    codes, rents = columns["area_code"][keep], columns["rent"][keep]
+    return {
+        area: float(statistics.median(rents[codes == area].tolist()))
+        for area in np.unique(codes).tolist()
+    }

@@ -24,7 +24,6 @@ from rentgam.gam import (
     derive_rows,
     fit_pls,
     multiplicative_effect,
-    rows_to_columns,
     select_smoothness,
 )
 from rentgam.inference import bootstrap_term_test
@@ -82,7 +81,7 @@ def check(criterion: str, ok: bool, detail: str = "") -> None:
 def recovery_experiment():
     truth = default_truth()
     corpus = simulate_listings(5000, truth, sigma=0.1, seed=11)
-    rows = derive_rows(rows_to_columns(corpus.listings))
+    rows = derive_rows(corpus.listings)
     y = rows["logprice"]
     spec = default_model_spec()
     design = build_design(rows, spec)
@@ -114,7 +113,7 @@ def bedroom_fit():
         },
     )
     corpus = simulate_listings(800, truth, sigma=0.01, seed=42)
-    rows = derive_rows(rows_to_columns(corpus.listings))
+    rows = derive_rows(corpus.listings)
     spec = ModelSpec(
         terms=(
             TermSpec("beds", ("beds",), (10,)),
@@ -397,7 +396,7 @@ def test_criterion_09_bootstrap_calibration():
     for s in range(20):
         corpus = simulate_listings(400, null_truth, sigma=0.1, seed=100 + s)
         result = bootstrap_term_test(
-            fitted(derive_rows(rows_to_columns(corpus.listings))), "deprivation:year",
+            fitted(derive_rows(corpus.listings)), "deprivation:year",
             b=99, seed=s,
         )
         p_values.append(result.p_value)
@@ -416,7 +415,7 @@ def test_criterion_09_bootstrap_calibration():
     )
     corpus = simulate_listings(400, strong_truth, sigma=0.1, seed=7)
     strong = bootstrap_term_test(
-        fitted(derive_rows(rows_to_columns(corpus.listings))), "deprivation:year",
+        fitted(derive_rows(corpus.listings)), "deprivation:year",
         b=99, seed=7,
     )
     ok_strong = strong.p_value == pytest.approx(1.0 / 100.0)

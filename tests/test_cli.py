@@ -8,7 +8,7 @@ import pytest
 from rentgam import cli, gam, inference
 from rentgam.cli import RunConfig, build_run_config, load_config_file, main
 from rentgam.errors import ConfigurationError
-from rentgam.listings import GeocodedListing, write_clean_listings
+from rentgam.listings import GEOCODED_COLUMNS, columns_of, write_clean_listings
 
 DATA = Path(__file__).parent / "data"
 
@@ -152,23 +152,12 @@ def proportional_fixture(tmp_path):
         for code, per_year in counts.items():
             for _ in range(per_year):
                 k += 1
-                listings.append(
-                    GeocodedListing(
-                        listing_id=f"P{k:03d}",
-                        start_date=date(year, 3, 1),
-                        end_date=date(year, 4, 1),
-                        postcode=f"G{k} 8QQ",
-                        rent=600.0 + k,
-                        bedrooms=2,
-                        property_type="flat",
-                        latitude=55.86,
-                        longitude=-4.25,
-                        area_code=code,
-                        deprivation=0.4,
-                    )
-                )
+                listings.append((
+                    f"P{k:03d}", date(year, 3, 1), date(year, 4, 1), f"G{k} 8QQ",
+                    600.0 + k, 2, "flat", 55.86, -4.25, code, 0.4,
+                ))
     clean = tmp_path / "clean_listings.csv"
-    write_clean_listings(clean, listings)
+    write_clean_listings(clean, columns_of(listings, GEOCODED_COLUMNS))
     area_ref = tmp_path / "area_reference.csv"
     area_ref.write_text(
         "area_code,stock,flow\n"

@@ -2,7 +2,6 @@ import calendar
 import math
 import warnings
 from contextlib import nullcontext
-from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -28,12 +27,11 @@ from rentgam.gam import (
     haversine_miles,
     multiplicative_effect,
     predict,
-    rows_to_columns,
     select_smoothness,
     spatial_filter,
     year_and_doy,
 )
-from rentgam.listings import GeocodedListing
+from rentgam.listings import GEOCODED_COLUMNS, columns_of
 from rentgam.synthetic import default_truth, oracle_smoothness, simulate_listings
 from tolerance import rounding_tolerance
 
@@ -47,19 +45,13 @@ def geocoded(
     property_type="flat",
     deprivation=0.3,
 ):
-    return GeocodedListing(
-        listing_id="x",
-        start_date=start,
-        end_date=start,
-        postcode="G12 8QQ",
-        rent=rent,
-        bedrooms=bedrooms,
-        property_type=property_type,
-        latitude=lat,
-        longitude=lon,
-        area_code="AREA1",
-        deprivation=deprivation,
-    )
+    """One geocoded listing, its fields in GEOCODED_COLUMNS order."""
+    return ("x", start, start, "G12 8QQ", rent, bedrooms, property_type,
+            lat, lon, "AREA1", deprivation)
+
+
+def listing_columns(records):
+    return columns_of(records, GEOCODED_COLUMNS)
 
 
 def model_columns(n, **given):
@@ -112,28 +104,28 @@ def two_term_spec():
 
 class TestDeriveRows:
     def test_calendar_arithmetic(self):
-        row = derive_rows(rows_to_columns([geocoded(start=date(2015, 7, 2))]))
+        row = derive_rows(listing_columns([geocoded(start=date(2015, 7, 2))]))
         # oracle: day count from January 1st
         doy = (date(2015, 7, 2) - date(2015, 1, 1)).days + 1
         assert row["doy"][0] == doy == 183
         assert row["year"][0] == pytest.approx(2015 + 182 / 365, abs=1e-12)
 
     def test_leap_year(self):
-        row = derive_rows(rows_to_columns([geocoded(start=date(2016, 7, 2))]))
+        row = derive_rows(listing_columns([geocoded(start=date(2016, 7, 2))]))
         assert row["doy"][0] == 184
         assert row["year"][0] == pytest.approx(2016 + 183 / 366, abs=1e-12)
         year, _ = year_and_doy(np.array([date(2016, 12, 31)], dtype="datetime64[D]"))
         assert year[0] == pytest.approx(2016 + 365 / 366)
 
     def test_log_rent(self):
-        row = derive_rows(rows_to_columns([geocoded(rent=650.0)]))
+        row = derive_rows(listing_columns([geocoded(rent=650.0)]))
         assert row["logprice"][0] == pytest.approx(math.log(650.0), abs=1e-14)
 
     def test_rejects_unclean(self):
         with pytest.raises(DataError, match="not clean"):
-            derive_rows(rows_to_columns([geocoded(rent=-1.0)]))
+            derive_rows(listing_columns([geocoded(rent=-1.0)]))
         with pytest.raises(DataError):
-            derive_rows(rows_to_columns([geocoded(start=None)]))
+            derive_rows(listing_columns([geocoded(start=None)]))
 
 
 class TestColumnRounding:
@@ -199,36 +191,34 @@ class TestSpatial:
         near_flat = geocoded(lat=55.8650, lon=-4.2600)
         near_house = geocoded(lat=55.8650, lon=-4.2600, property_type="detached")
         far_flat = geocoded(lat=56.1000, lon=-3.9)  # > 10 miles away
-        columns = rows_to_columns([near_flat, near_house, far_flat])
+        columns = listing_columns([near_flat, near_house, far_flat])
         kept = spatial_filter(columns, center, 10.0, "flat")
-        assert same_columns(kept, rows_to_columns([near_flat]))
+        assert same_columns(kept, listing_columns([near_flat]))
         no_type = spatial_filter(columns, center, 10.0, property_type=None)
-        assert same_columns(no_type, rows_to_columns([near_flat, near_house]))
+        assert same_columns(no_type, listing_columns([near_flat, near_house]))
 
     def test_filter_validates_radius(self):
         with pytest.raises(ValueError, match="radius"):
-            spatial_filter(rows_to_columns([]), (55.86, -4.25), 0.0)
+            spatial_filter(listing_columns([]), (55.86, -4.25), 0.0)
 
     def test_filter_keeps_the_rows_of_a_per_listing_loop(self):
         # scalar and array haversine can differ in the last bit, so only a
         # point within an ulp of the radius could be kept by one alone
-        corpus = simulate_listings(3000, default_truth(), seed=4)
-        listings = [
-            replace(l, property_type="flat" if i % 3 else "detached")
-            for i, l in enumerate(corpus.listings)
-        ]
+        columns = simulate_listings(3000, default_truth(), seed=4).listings
+        kinds = ["flat" if i % 3 else "detached" for i in range(3000)]
+        columns["property_type"] = np.array(kinds)
+        points = list(zip(kinds, columns["latitude"].tolist(), columns["longitude"].tolist()))
         center = (55.88, -4.22)
-        columns = rows_to_columns(listings)
         for radius in (2.0, 5.0, 10.0):
             for kind in ("flat", None):
-                want = [
-                    l for l in listings
-                    if (kind is None or l.property_type == kind)
-                    and haversine_miles(center[0], center[1], l.latitude, l.longitude)
-                    <= radius
-                ]
+                want = np.array([
+                    (kind is None or k == kind)
+                    and haversine_miles(center[0], center[1], lat, lon) <= radius
+                    for k, lat, lon in points
+                ])
                 kept = spatial_filter(columns, center, radius, kind)
-                assert 0 < len(want) and same_columns(kept, rows_to_columns(want))
+                expected = {name: values[want] for name, values in columns.items()}
+                assert 0 < want.sum() and same_columns(kept, expected)
 
 
 class TestModelSpec:
@@ -342,7 +332,7 @@ class TestBuildDesign:
 @pytest.fixture(scope="module")
 def default_design():
     corpus = simulate_listings(400, default_truth(), sigma=0.1, seed=3)
-    rows = derive_rows(rows_to_columns(corpus.listings))
+    rows = derive_rows(corpus.listings)
     return rows, build_design(rows, default_model_spec())
 
 
@@ -748,7 +738,7 @@ def counting_fit_pls(monkeypatch):
 def simulated(n, seed, spec):
     truth = default_truth()
     corpus = simulate_listings(n, truth, sigma=0.1, seed=seed)
-    rows = derive_rows(rows_to_columns(corpus.listings))
+    rows = derive_rows(corpus.listings)
     return build_design(rows, spec), rows["logprice"], truth.signal(rows)
 
 

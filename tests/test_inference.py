@@ -8,7 +8,6 @@ from rentgam.gam import (
     build_design,
     derive_rows,
     fit_pls,
-    rows_to_columns,
     select_smoothness,
 )
 from rentgam.inference import bootstrap_term_test, empirical_p, wald_statistic
@@ -59,7 +58,7 @@ def strong_truth():
 
 def rows_for(truth, n=300, sigma=0.1, seed=0):
     corpus = simulate_listings(n, truth, sigma=sigma, seed=seed)
-    return derive_rows(rows_to_columns(corpus.listings))
+    return derive_rows(corpus.listings)
 
 
 def fit_for(rows, spec=None, lambdas=None):

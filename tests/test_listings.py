@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -12,47 +11,50 @@ from rentgam.errors import ConfigurationError, DataError
 from rentgam.gam import rows_to_columns
 from rentgam.listings import (
     GEOCODED_COLUMNS,
+    INDEX_COLUMNS,
     REQUIRED_COLUMNS,
     CleanReport,
-    Listing,
-    PostcodeEntry,
     PostcodeIndex,
     clean_pipeline,
-    dedup_key,
-    deduplicate,
-    geocode,
+    columns_of,
     normalize_postcode,
     parse_listings,
     read_clean_listings,
     valid_postcode_shape,
-    validate_record,
     write_clean_listings,
 )
 from rentgam.synthetic import default_truth, simulate_listings
 from rentgam.validation import load_area_reference, load_national_reference
+from records import (
+    clean_records,
+    dedup_key,
+    deduplicate,
+    postcode_index,
+    validate_record,
+    years_of,
+)
+from records import listing as make_listing
 
-
-def make_listing(
-    listing_id="x",
-    start=date(2014, 1, 5),
-    end=date(2014, 2, 1),
-    postcode="G12 8QQ",
-    rent=650.0,
-    bedrooms=2,
-    property_type="flat",
-):
-    return Listing(listing_id, start, end, postcode, rent, bedrooms, property_type)
+CATEGORIES = ("duplicated", "missing_dates", "invalid", "included")
 
 
 @pytest.fixture
 def index():
-    return PostcodeIndex(
+    return postcode_index(
         {
-            "G12 8QQ": PostcodeEntry(55.87, -4.29, "AREA1", 0.30),
-            "G3 8AG": PostcodeEntry(55.86, -4.27, "AREA1", 0.50),
-            "G41 2AA": PostcodeEntry(55.84, -4.28, "AREA2", 0.70),
+            "G12 8QQ": (55.87, -4.29, "AREA1", 0.30),
+            "G3 8AG": (55.86, -4.27, "AREA1", 0.50),
+            "G41 2AA": (55.84, -4.28, "AREA2", 0.70),
         }
     )
+
+
+def pipeline_status(row, index):
+    """The category clean_pipeline gives one record on its own, named as
+    validate_record names it."""
+    _, report = clean_pipeline(rows_to_columns([row]), index)
+    (category,) = [name for name in CATEGORIES if getattr(report, name)]
+    return "valid" if category == "included" else category
 
 
 class TestPostcodes:
@@ -74,16 +76,20 @@ class TestPostcodes:
 
 
 class TestValidateRecord:
-    def test_valid(self):
-        assert validate_record(make_listing()) == "valid"
+    """The per-record oracle, and clean_pipeline on the record alone."""
 
-    def test_missing_dates(self):
-        assert validate_record(make_listing(start=None)) == "missing_dates"
-        assert validate_record(make_listing(end=None)) == "missing_dates"
+    def test_valid(self, index):
+        row = make_listing()
+        assert validate_record(row) == pipeline_status(row, index) == "valid"
 
-    def test_equal_dates_are_valid(self):
+    def test_missing_dates(self, index):
+        for row in (make_listing(start=None), make_listing(end=None)):
+            assert validate_record(row) == pipeline_status(row, index) == "missing_dates"
+
+    def test_equal_dates_are_valid(self, index):
         d = date(2014, 3, 1)
-        assert validate_record(make_listing(start=d, end=d)) == "valid"
+        row = make_listing(start=d, end=d)
+        assert validate_record(row) == pipeline_status(row, index) == "valid"
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -96,8 +102,15 @@ class TestValidateRecord:
             {"postcode": "NOT A PC"},
         ],
     )
-    def test_invalid(self, kwargs):
-        assert validate_record(make_listing(**kwargs)) == "invalid"
+    def test_invalid(self, index, kwargs):
+        row = make_listing(**kwargs)
+        assert validate_record(row) == pipeline_status(row, index) == "invalid"
+
+
+def duplicated_ids(rows):
+    """The ids clean_pipeline's dedup marks as duplicates."""
+    mask = listings._duplicated(rows_to_columns(rows))
+    return [row[0] for row, dup in zip(rows, mask.tolist()) if dup]
 
 
 class TestDeduplicate:
@@ -107,47 +120,33 @@ class TestDeduplicate:
         c = make_listing("c", rent=650.0)  # same key as a
         d = make_listing("d", rent=650.0)  # same key as a
         kept, dups = deduplicate([a, b, c, d])
-        assert [l.listing_id for l in kept] == ["a", "b"]
-        assert [l.listing_id for l in dups] == ["c", "d"]
+        assert [l[0] for l in kept] == ["a", "b"]
+        assert [l[0] for l in dups] == ["c", "d"] == duplicated_ids([a, b, c, d])
 
     def test_missing_dates_participate_in_key(self):
         a = make_listing("a", start=None)
         b = make_listing("b", start=None)
         kept, dups = deduplicate([a, b])
-        assert [l.listing_id for l in kept] == ["a"]
-        assert [l.listing_id for l in dups] == ["b"]
+        assert [l[0] for l in kept] == ["a"]
+        assert [l[0] for l in dups] == ["b"] == duplicated_ids([a, b])
 
     def test_key_fields(self):
         # differing bedrooms or id do not break a duplicate tie
         a = make_listing("a", bedrooms=2)
         b = make_listing("b", bedrooms=3)
         assert dedup_key(a) == dedup_key(b)
+        assert duplicated_ids([a, b]) == ["b"]
 
-
-def brute_force_classification(listings, index):
-    """Independent re-derivation of the category per record."""
-    seen = set()
-    outcome = {}
-    for i, l in enumerate(listings):
-        key = (l.start_date, l.end_date, l.postcode, l.rent)
-        if key in seen:
-            outcome[i] = "duplicated"
-            continue
-        seen.add(key)
-        if l.start_date is None or l.end_date is None:
-            outcome[i] = "missing_dates"
-        elif (
-            l.start_date > l.end_date
-            or l.rent is None
-            or l.rent <= 0
-            or l.bedrooms is None
-            or not valid_postcode_shape(l.postcode)
-            or index.lookup(l.postcode) is None
-        ):
-            outcome[i] = "invalid"
-        else:
-            outcome[i] = "included"
-    return outcome
+    def test_signed_zero_and_missing_rents_are_equal_keys(self):
+        rows = [
+            make_listing("a", rent=0.0),
+            make_listing("b", rent=-0.0),
+            make_listing("c", rent=None),
+            make_listing("d", rent=None),
+            make_listing("e", rent=None, end=None),
+        ]
+        assert [l[0] for l in deduplicate(rows)[1]] == ["b", "d"]
+        assert duplicated_ids(rows) == ["b", "d"]
 
 
 class TestCleanPipeline:
@@ -168,66 +167,65 @@ class TestCleanPipeline:
         ]
 
     def test_ten_record_fixture_against_oracle(self, corpus, index):
-        included, report = clean_pipeline(corpus, index)
-        oracle = brute_force_classification(corpus, index)
-        counts = {k: sum(1 for v in oracle.values() if v == k)
-                  for k in ("duplicated", "missing_dates", "invalid", "included")}
-        assert report.duplicated == counts["duplicated"] == 2
-        assert report.missing_dates == counts["missing_dates"] == 2
-        assert report.invalid == counts["invalid"] == 4
-        assert report.included == counts["included"] == 2
-        assert {l.listing_id for l in included} == {
-            corpus[i].listing_id for i, v in oracle.items() if v == "included"
-        }
+        included, report = clean_pipeline(rows_to_columns(corpus), index)
+        oracle = clean_records(corpus, set(index.columns["postcode"].tolist()))
+        assert report.duplicated == len(oracle["duplicated"]) == 2
+        assert report.missing_dates == len(oracle["missing_dates"]) == 2
+        assert report.invalid == len(oracle["invalid"]) == 4
+        assert report.included == len(oracle["included"]) == 2
+        assert included["listing_id"].tolist() == [row[0] for row in oracle["included"]]
 
     def test_duplicate_beats_missing_dates(self, index):
         a = make_listing("a", start=None)
         b = make_listing("b", start=None)
-        _, report = clean_pipeline([a, b], index)
+        _, report = clean_pipeline(rows_to_columns([a, b]), index)
         assert report.duplicated == 1
         assert report.missing_dates == 1
 
     def test_by_year_buckets(self, corpus, index):
-        _, report = clean_pipeline(corpus, index)
+        _, report = clean_pipeline(rows_to_columns(corpus), index)
         assert report.by_year["duplicated"] == {date(2014, 1, 5).year: 1, None: 1}
         assert report.by_year["invalid"] == {2014: 1, 2013: 2, 2015: 1}
         assert report.by_year["missing_dates"] == {None: 1, 2014: 1}
 
     def test_geocode_attaches_fields(self, index):
-        included, _ = clean_pipeline([make_listing()], index)
-        (g,) = included
-        assert (g.latitude, g.longitude) == (55.87, -4.29)
-        assert g.area_code == "AREA1"
-        assert g.deprivation == 0.30
+        included, _ = clean_pipeline(rows_to_columns([make_listing()]), index)
+        assert list(included) == list(GEOCODED_COLUMNS)
+        assert included["latitude"].tolist() == [55.87]
+        assert included["longitude"].tolist() == [-4.29]
+        assert included["area_code"].tolist() == ["AREA1"]
+        assert included["deprivation"].tolist() == [0.30]
 
     def test_idempotent_on_own_output(self, corpus, index, tmp_path):
-        included, _ = clean_pipeline(corpus, index)
+        included, _ = clean_pipeline(rows_to_columns(corpus), index)
         out = tmp_path / "clean.csv"
         write_clean_listings(out, included)
         reparsed = parse_listings(out)
         assert not reparsed.malformed
-        included2, report2 = clean_pipeline(reparsed.listings, index)
+        included2, report2 = clean_pipeline(rows_to_columns(reparsed.listings), index)
         assert report2.excluded == 0
-        assert report2.included == len(included)
-        assert [l.rent for l in included2] == [l.rent for l in included]
+        assert report2.included == included["rent"].size
+        for name, values in included.items():
+            assert np.array_equal(included2[name], values), name
 
     def test_clean_file_reader_round_trips(self, corpus, index, tmp_path):
-        included, _ = clean_pipeline(corpus, index)
+        expected, _ = clean_pipeline(rows_to_columns(corpus), index)
         out = tmp_path / "clean.csv"
-        write_clean_listings(out, included)
-        columns, expected = read_clean_listings(out), rows_to_columns(included)
+        write_clean_listings(out, expected)
+        columns = read_clean_listings(out)
         assert list(columns) == list(expected) == list(GEOCODED_COLUMNS)
         for name, values in expected.items():
-            assert columns[name].dtype == values.dtype, name
+            # string widths follow the longest value held, so only kinds compare
+            assert columns[name].dtype.kind == values.dtype.kind, name
             assert np.array_equal(columns[name], values), name
 
     @pytest.mark.parametrize("chunk", [1, 3, 12])
     def test_clean_file_reader_chunks_give_the_same_columns(
         self, tmp_path, monkeypatch, chunk
     ):
-        corpus = simulate_listings(24, default_truth(), sigma=0.1, seed=5).listings
+        included = simulate_listings(24, default_truth(), sigma=0.1, seed=5).listings
         # ids of one to two characters: later chunks hold wider strings
-        included = [replace(l, listing_id=str(i)) for i, l in enumerate(corpus)]
+        included["listing_id"] = np.array([str(i) for i in range(24)])
         out = tmp_path / "clean.csv"
         write_clean_listings(out, included)
         whole = read_clean_listings(out)
@@ -245,8 +243,9 @@ class TestCleanPipeline:
 
     def test_clean_file_reader_of_a_header_only_file(self, tmp_path):
         out = tmp_path / "clean.csv"
-        write_clean_listings(out, [])
-        columns, expected = read_clean_listings(out), rows_to_columns([])
+        expected = columns_of([], GEOCODED_COLUMNS)
+        write_clean_listings(out, expected)
+        columns = read_clean_listings(out)
         assert all(columns[n].dtype == v.dtype and v.size == columns[n].size == 0
                    for n, v in expected.items())
 
@@ -307,17 +306,16 @@ class TestCleanPipeline:
         )
     )
     def test_partition_property(self, data):
-        shared_index = PostcodeIndex(
+        shared_index = postcode_index(
             {
-                "G12 8QQ": PostcodeEntry(55.87, -4.29, "AREA1", 0.30),
-                "G3 8AG": PostcodeEntry(55.86, -4.27, "AREA1", 0.50),
+                "G12 8QQ": (55.87, -4.29, "AREA1", 0.30),
+                "G3 8AG": (55.86, -4.27, "AREA1", 0.50),
             }
         )
         listings = [
-            Listing(str(i), s, e, pc, r, b, "flat")
-            for i, (s, e, pc, r, b) in enumerate(data)
+            (str(i), s, e, pc, r, b, "flat") for i, (s, e, pc, r, b) in enumerate(data)
         ]
-        _, report = clean_pipeline(listings, shared_index)
+        _, report = clean_pipeline(rows_to_columns(listings), shared_index)
         assert (
             report.duplicated + report.missing_dates + report.invalid + report.included
             == report.total
@@ -327,6 +325,48 @@ class TestCleanPipeline:
         assert by_reason["duplicated"] == report.duplicated
         assert by_reason["missing_dates"] == report.missing_dates
         assert by_reason["invalid"] == report.invalid
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # rows drawn from a pool of a few (start, end, postcode) triples and
+        # rents, so that keys repeat, fields go missing and 0.0 meets -0.0
+        data=st.lists(
+            st.tuples(
+                st.sampled_from([None, date(2014, 1, 5), date(2015, 2, 7)]),
+                st.sampled_from([None, date(2014, 6, 1), date(2015, 2, 7)]),
+                st.sampled_from(["G12 8QQ", "G3 8AG", "G41 2AA", "BAD", "ZZ9 9ZZ"]),
+            ),
+            min_size=1,
+            max_size=4,
+        ).flatmap(lambda triples: st.lists(
+            st.tuples(
+                st.sampled_from(triples),
+                st.sampled_from([650.0, 700.5, 0.0, -0.0, -1.0, None]),
+                st.sampled_from([2, 0, None]),
+            ),
+            max_size=40,
+        ))
+    )
+    def test_pipeline_matches_the_per_record_oracles(self, data):
+        shared_index = postcode_index(
+            {
+                "G12 8QQ": (55.87, -4.29, "AREA1", 0.30),
+                "G3 8AG": (55.86, -4.27, "AREA2", 0.50),
+            }
+        )
+        rows = [
+            (str(i), s, e, pc, r, b, "flat") for i, ((s, e, pc), r, b) in enumerate(data)
+        ]
+        included, report = clean_pipeline(rows_to_columns(rows), shared_index)
+        oracle = clean_records(rows, {"G12 8QQ", "G3 8AG"})
+        for name in CATEGORIES:
+            assert getattr(report, name) == len(oracle[name]), name
+            if name != "included":
+                assert report.by_year[name] == years_of(oracle[name]), name
+        assert included["listing_id"].tolist() == [row[0] for row in oracle["included"]]
+        assert included["rent"].tolist() == [row[4] for row in oracle["included"]]
+        area = {"G12 8QQ": "AREA1", "G3 8AG": "AREA2"}
+        assert included["area_code"].tolist() == [area[row[3]] for row in oracle["included"]]
 
 
 class TestCleanReport:
@@ -361,6 +401,11 @@ class TestCleanReport:
         assert "Total excluded" in table and "35.0%" in table
 
 
+def parsed(path):
+    """The parsed rows of a feed as dicts by column name."""
+    return [dict(zip(REQUIRED_COLUMNS, row)) for row in parse_listings(path).listings]
+
+
 class TestParsing:
     def test_delimited_roundtrip(self, tmp_path):
         p = tmp_path / "feed.csv"
@@ -372,11 +417,11 @@ class TestParsing:
             "d,2014-99-05,2014-02-01,G12 8QQ,650,2,flat\n"
             "e,2014-01-05,2014-02-01,G12 8QQ,650,2\n"
         )
-        result = parse_listings(p)
-        assert [l.listing_id for l in result.listings] == ["a", "b"]
-        assert result.listings[0].postcode == "G12 8QQ"
-        assert result.listings[1].start_date is None
-        assert result.listings[1].property_type == "terraced"
+        result, rows = parse_listings(p), parsed(p)
+        assert [row["listing_id"] for row in rows] == ["a", "b"]
+        assert rows[0]["postcode"] == "G12 8QQ"
+        assert rows[1]["start_date"] is None
+        assert rows[1]["property_type"] == "terraced"
         assert [m.row_number for m in result.malformed] == [4, 5, 6]
         assert "rent" in result.malformed[0].reason
 
@@ -388,9 +433,9 @@ class TestParsing:
             "b,2014-01-05,2014-02-01,G12 8QQ,650,2,flat,month\n"
             "c,2014-01-05,2014-02-01,G12 8QQ,650,2,flat,fortnight\n"
         )
-        result = parse_listings(p)
-        assert result.listings[0].rent == pytest.approx(150 * 52 / 12)
-        assert result.listings[1].rent == 650.0
+        result, rows = parse_listings(p), parsed(p)
+        assert rows[0]["rent"] == pytest.approx(150 * 52 / 12)
+        assert rows[1]["rent"] == 650.0
         assert [m.row_number for m in result.malformed] == [4]
 
     def test_jsonl_matches_delimited(self, tmp_path):
@@ -417,9 +462,45 @@ class TestParsing:
             "a,2014-01-05,2014-02-01,G12 8QQ,650,2,bungalow\n"
             "b,2014-01-05,2014-02-02,G12 8QQ,650,2,Semi-Detached\n"
         )
+        rows = parsed(p)
+        assert rows[0]["property_type"] == "other"
+        assert rows[1]["property_type"] == "semi_detached"
+
+    NON_FINITE = ["nan", "NaN", "inf", "-inf", "Infinity", "1e400"]
+
+    @pytest.mark.parametrize("text", NON_FINITE)
+    def test_non_finite_rent_is_malformed_in_csv(self, tmp_path, text):
+        p = tmp_path / "feed.csv"
+        p.write_text(
+            "listing_id,start_date,end_date,postcode,rent,bedrooms,property_type\n"
+            "a,2014-01-05,2014-02-01,G12 8QQ,650,2,flat\n"
+            f"b,2014-01-05,2014-02-01,G12 8QQ, {text} ,2,flat\n"
+        )
         result = parse_listings(p)
-        assert result.listings[0].property_type == "other"
-        assert result.listings[1].property_type == "semi_detached"
+        assert [row[0] for row in result.listings] == ["a"]
+        assert [(m.row_number, m.reason) for m in result.malformed] == [
+            (3, f"non-finite rent {text!r}")
+        ]
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", '"inf"', "1e400"])
+    def test_non_finite_rent_is_malformed_in_jsonl(self, tmp_path, value):
+        p = tmp_path / "feed.jsonl"
+        row = ('{"listing_id": "a", "start_date": "2014-01-05", "end_date": "2014-02-01",'
+               ' "postcode": "G12 8QQ", "rent": %s, "bedrooms": 2}\n')
+        p.write_text(row % "650" + row % value)
+        result = parse_listings(p)
+        assert len(result.listings) == 1
+        (bad,) = result.malformed
+        assert bad.row_number == 2 and bad.reason.startswith("non-finite rent '")
+
+    def test_weekly_rent_that_overflows_is_malformed(self, tmp_path):
+        p = tmp_path / "feed.csv"
+        p.write_text(
+            "listing_id,start_date,end_date,postcode,rent,bedrooms,property_type,rent_period\n"
+            "a,2014-01-05,2014-02-01,G12 8QQ,1e308,2,flat,week\n"
+        )
+        (bad,) = parse_listings(p).malformed
+        assert bad.reason == "non-finite rent '1e308'"
 
     def test_missing_file(self):
         with pytest.raises(ConfigurationError, match="not found"):
@@ -437,12 +518,23 @@ class TestPostcodeIndex:
         p = tmp_path / "pc.csv"
         p.write_text(
             "postcode,latitude,longitude,area_code,deprivation\n"
+            "g3  8ag,55.86,-4.27, AREA2 ,1\n"
             "G12 8QQ,55.87,-4.29,AREA1,0.3\n"
         )
         idx = PostcodeIndex.load(p)
-        assert len(idx) == 1
-        assert idx.lookup("g12  8qq").area_code == "AREA1"
-        assert idx.area_codes == {"AREA1"}
+        assert len(idx) == 2
+        # normalized, stripped and sorted by postcode
+        assert {name: values.tolist() for name, values in idx.columns.items()} == {
+            "postcode": ["G12 8QQ", "G3 8AG"],
+            "latitude": [55.87, 55.86],
+            "longitude": [-4.29, -4.27],
+            "area_code": ["AREA1", "AREA2"],
+            "deprivation": [0.3, 1.0],
+        }
+        included, _ = clean_pipeline(
+            rows_to_columns([make_listing(postcode="G3 8AG")]), idx
+        )
+        assert included["area_code"].tolist() == ["AREA2"]
 
     @pytest.mark.parametrize(
         "row,match",
@@ -481,8 +573,9 @@ class TestPostcodeIndex:
             PostcodeIndex.load(p)
 
     def test_geocode_empty_index_is_config_error(self):
+        empty = PostcodeIndex(columns_of([], INDEX_COLUMNS))
         with pytest.raises(ConfigurationError, match="empty"):
-            geocode([make_listing()], PostcodeIndex({}))
+            clean_pipeline(rows_to_columns([make_listing()]), empty)
 
 
 class TestTableReaders:
@@ -523,3 +616,43 @@ class TestTableReaders:
             path.write_text(",".join(c for c in columns if c != dropped) + "\n")
             with pytest.raises(DataError, match=rf"missing columns \['{dropped}'\]"):
                 reader(path)
+
+    @pytest.mark.parametrize(
+        "reader, header, row",
+        [
+            pytest.param(
+                PostcodeIndex.load,
+                "postcode,latitude,longitude,area_code,deprivation",
+                "G12 8QQ,55.87,-4.29,AREA1,0.3",
+                id="postcodes",
+            ),
+            pytest.param(
+                load_area_reference, "area_code,stock,flow", "AREA1,400,100",
+                id="area-reference",
+            ),
+            pytest.param(
+                load_national_reference, "year,stock_thousands,flow_thousands",
+                "2014,4.0,1.0", id="national-reference",
+            ),
+        ],
+    )
+    def test_reference_rows_of_the_wrong_length(self, tmp_path, reader, header, row):
+        path = tmp_path / "reference.csv"
+        for bad, problem in ((row.rsplit(",", 1)[0], "missing"), (row + ",EXTRA", "extra")):
+            path.write_text(f"{header}\n{row}\n{bad}\n")
+            with pytest.raises(DataError, match=rf"{re.escape(str(path))}:3: {problem} fields"):
+                reader(path)
+
+    def test_listing_rows_of_the_wrong_length_are_malformed(self, tmp_path):
+        path = tmp_path / "feed.csv"
+        path.write_text(
+            ",".join(REQUIRED_COLUMNS) + "\n"
+            "a,2014-01-05,2014-02-01,G12 8QQ,650,2,flat\n"
+            "b,2014-01-05,2014-02-01,G12 8QQ,650,2\n"
+            "c,2014-01-05,2014-02-01,G12 8QQ,650,2,flat,EXTRA\n"
+        )
+        result = parse_listings(path)
+        assert [row[0] for row in result.listings] == ["a"]
+        assert [(m.row_number, m.reason) for m in result.malformed] == [
+            (3, "wrong column count"), (4, "wrong column count")
+        ]

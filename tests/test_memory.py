@@ -4,7 +4,7 @@ arrays at a time, and the reduced fit makes no copy of the design."""
 
 import tracemalloc
 
-from rentgam.gam import build_design, default_model_spec, derive_rows, fit_pls, rows_to_columns
+from rentgam.gam import build_design, default_model_spec, derive_rows, fit_pls
 from rentgam.inference import bootstrap_term_test
 from rentgam.synthetic import default_truth, simulate_listings
 
@@ -25,7 +25,7 @@ def traced_peak(fn):
 
 def default_rows(n):
     corpus = simulate_listings(n, default_truth(), sigma=0.1, seed=3)
-    return derive_rows(rows_to_columns(corpus.listings))
+    return derive_rows(corpus.listings)
 
 
 def test_build_design_holds_one_matrix():

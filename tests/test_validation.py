@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rentgam.errors import DataError, NumericalError
-from rentgam.gam import rows_to_columns
-from rentgam.listings import GeocodedListing
+from rentgam.listings import GEOCODED_COLUMNS, columns_of
 from rentgam.validation import (
     CoverageResult,
     IndexSeries,
@@ -25,19 +24,12 @@ from rentgam.validation import (
 
 
 def record(area="AREA1", rent=650.0, bedrooms=2, start=date(2014, 2, 1)):
-    return GeocodedListing(
-        listing_id="x",
-        start_date=start,
-        end_date=start,
-        postcode="G12 8QQ",
-        rent=rent,
-        bedrooms=bedrooms,
-        property_type="flat",
-        latitude=55.87,
-        longitude=-4.29,
-        area_code=area,
-        deprivation=0.3,
-    )
+    """One geocoded listing, its fields in GEOCODED_COLUMNS order."""
+    return ("x", start, start, "G12 8QQ", rent, bedrooms, "flat", 55.87, -4.29, area, 0.3)
+
+
+def listing_columns(records):
+    return columns_of(records, GEOCODED_COLUMNS)
 
 
 class TestCorrelate:
@@ -93,12 +85,12 @@ class TestCounts:
     def test_count_by_area_with_zero_fill(self):
         records = [record("AREA1"), record("AREA1"), record("AREA2")]
         counts = count_by_area(
-            rows_to_columns(records), areas=["AREA1", "AREA2", "AREA3"]
+            listing_columns(records), areas=["AREA1", "AREA2", "AREA3"]
         )
         assert counts == {"AREA1": 2, "AREA2": 1, "AREA3": 0}
 
     def test_count_by_area_year_filter(self):
-        columns = rows_to_columns([
+        columns = listing_columns([
             record("AREA1", start=date(2014, 2, 1)),
             record("AREA1", start=date(2015, 2, 1)),
         ])
@@ -106,12 +98,12 @@ class TestCounts:
         assert count_by_area(columns, year=2013, areas=["AREA1"]) == {"AREA1": 0}
 
     def test_excluding_filter_gives_all_zero_map(self):
-        columns = rows_to_columns([record("AREA1")])
+        columns = listing_columns([record("AREA1")])
         counts = count_by_area(columns, year=1999, areas=["AREA1", "AREA2"])
         assert counts == {"AREA1": 0, "AREA2": 0}
 
     def test_missing_start_date_counts_in_no_year(self):
-        columns = rows_to_columns([record("AREA1", start=None), record("AREA1")])
+        columns = listing_columns([record("AREA1", start=None), record("AREA1")])
         assert count_by_area(columns) == {"AREA1": 2}
         assert count_by_area(columns, year=2014) == {"AREA1": 1}
 
@@ -129,10 +121,10 @@ class TestCounts:
     def test_counts_equal_a_per_record_loop(self, pairs, year):
         records = [record(area, start=start) for area, start in pairs]
         expected = {"AREA1": 0}
-        for r in records:
-            if year is None or (r.start_date is not None and r.start_date.year == year):
-                expected[r.area_code] = expected.get(r.area_code, 0) + 1
-        counts = count_by_area(rows_to_columns(records), year=year, areas=["AREA1"])
+        for area, start in pairs:
+            if year is None or (start is not None and start.year == year):
+                expected[area] = expected.get(area, 0) + 1
+        counts = count_by_area(listing_columns(records), year=year, areas=["AREA1"])
         assert counts == expected
         assert all(type(c) is int for c in counts.values())
 
@@ -210,11 +202,11 @@ class TestTurnover:
 class TestMedians:
     def test_even_count_midpoint(self):
         records = [record(rent=500.0), record(rent=700.0)]
-        assert median_rent_by_area(records) == {"AREA1": 600.0}
+        assert median_rent_by_area(listing_columns(records)) == {"AREA1": 600.0}
 
     def test_odd_count(self):
         records = [record(rent=r) for r in (500.0, 900.0, 700.0)]
-        assert median_rent_by_area(records) == {"AREA1": 700.0}
+        assert median_rent_by_area(listing_columns(records)) == {"AREA1": 700.0}
 
     def test_bedroom_and_year_filters(self):
         records = [
@@ -222,14 +214,15 @@ class TestMedians:
             record(rent=900.0, bedrooms=3, start=date(2014, 3, 1)),
             record(rent=700.0, bedrooms=2, start=date(2015, 3, 1)),
         ]
-        assert median_rent_by_area(records, bedrooms=2, year=2014) == {"AREA1": 500.0}
-        assert median_rent_by_area(records, bedrooms=2) == {"AREA1": 600.0}
+        columns = listing_columns(records)
+        assert median_rent_by_area(columns, bedrooms=2, year=2014) == {"AREA1": 500.0}
+        assert median_rent_by_area(columns, bedrooms=2) == {"AREA1": 600.0}
 
     def test_sort_oracle(self):
         rng = np.random.default_rng(7)
         rents = rng.uniform(300, 1500, size=40)
         records = [record(rent=float(r)) for r in rents]
-        got = median_rent_by_area(records)["AREA1"]
+        got = median_rent_by_area(listing_columns(records))["AREA1"]
         s = np.sort(rents)
         assert got == pytest.approx((s[19] + s[20]) / 2, abs=1e-12)
 
@@ -254,6 +247,12 @@ class TestLoaders:
         p.write_text("stock,flow,area_code\n4426,1265,AREA1\n10,5\n")
         with pytest.raises(DataError, match=rf"{re.escape(str(p))}:3: missing fields"):
             load_area_reference(p)
+
+    def test_national_reference_rejects_a_short_row(self, tmp_path):
+        p = tmp_path / "national.csv"
+        p.write_text("year,stock_thousands,flow_thousands\n2014,4818,1241\n2015,4900\n")
+        with pytest.raises(DataError, match=rf"{re.escape(str(p))}:3: missing fields"):
+            load_national_reference(p)
 
     def test_national_reference(self, tmp_path):
         p = tmp_path / "national.csv"
