@@ -17,7 +17,6 @@ import argparse
 import hashlib
 import json
 import sys
-from collections import Counter
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -42,6 +41,7 @@ from .inference import bootstrap_term_test, check_bootstrap_request
 from .listings import (
     PostcodeIndex,
     clean_pipeline,
+    counts_by_year,
     parse_listings,
     read_clean_listings,
     write_clean_listings,
@@ -61,7 +61,6 @@ from .validation import (
     listings_index,
     load_area_reference,
     load_national_reference,
-    start_years,
     turnover_rate,
 )
 
@@ -230,7 +229,7 @@ def cmd_validate(config: RunConfig) -> int:
 
     stocks = {code: ref.stock for code, ref in areas.items()}
     flows = {code: ref.flow for code, ref in areas.items()}
-    totals_by_year = Counter(start_years(listings).tolist())
+    totals_by_year = counts_by_year(listings)
     years = sorted(totals_by_year)
 
     correlations: dict[str, dict[str, float]] = {}

@@ -129,8 +129,11 @@ def _listing_from_mapping(row: dict, row_number: int) -> tuple | MalformedRow:
     if beds_raw:
         try:
             bedrooms = int(beds_raw)
+            float(bedrooms)  # the column holds floats
         except ValueError:
             return MalformedRow(row_number, f"non-integer bedrooms {beds_raw!r}")
+        except OverflowError:
+            return MalformedRow(row_number, f"too many bedrooms {beds_raw!r}")
         if bedrooms < 0:
             return MalformedRow(row_number, f"negative bedrooms {bedrooms}")
 
@@ -382,14 +385,15 @@ class CleanReport:
         return "\n".join(lines) + "\n"
 
 
-def _duplicated(columns: Mapping[str, np.ndarray]) -> np.ndarray:
+def _duplicated(columns: Mapping[str, np.ndarray], postcode: np.ndarray) -> np.ndarray:
     """True for each row whose (start_date, end_date, postcode, rent) key
     an earlier row has, so that the first occurrence in input order is
-    kept. Keys compare as values: a missing date equals a missing date, a
-    missing rent a missing rent, and a rent of -0.0 equals 0.0."""
+    kept; ``postcode`` gives each row's postcode as a code, one per
+    distinct postcode. Keys compare as values: a missing date equals a
+    missing date, a missing rent a missing rent, and a rent of -0.0
+    equals 0.0."""
     rent = columns["rent"]
     rent = np.where(np.isnan(rent), np.nan, rent + 0.0)  # one NaN, no -0.0
-    _, postcode = np.unique(columns["postcode"], return_inverse=True)
     key = np.stack([
         columns["start_date"].view(np.int64),  # NaT is one value, int64 min
         columns["end_date"].view(np.int64),
@@ -402,15 +406,20 @@ def _duplicated(columns: Mapping[str, np.ndarray]) -> np.ndarray:
     return duplicated
 
 
-def _counts_by_year(starts: np.ndarray) -> dict[int | None, int]:
-    """Rows per start-date calendar year, None for a missing start date."""
-    years = starts.astype("datetime64[Y]").astype(np.int64)
-    found, counts = np.unique(years, return_counts=True)
-    nat = np.iinfo(np.int64).min
-    return {
-        (None if y == nat else 1970 + y): c
-        for y, c in zip(found.tolist(), counts.tolist())
-    }
+def start_years(columns: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Calendar year of each listing's start date (a missing date gives a
+    value no real year equals)."""
+    return columns["start_date"].astype("datetime64[Y]").astype(np.int64) + 1970
+
+
+def counts_by_year(columns: Mapping[str, np.ndarray]) -> dict[int | None, int]:
+    """Listings per start-date calendar year, in year order, with None
+    (first) for a missing start date."""
+    missing = np.isnat(columns["start_date"])
+    counts: dict[int | None, int] = {None: int(missing.sum())} if missing.any() else {}
+    found, found_counts = np.unique(start_years(columns)[~missing], return_counts=True)
+    counts.update(zip(found.tolist(), found_counts.tolist()))
+    return counts
 
 
 def clean_pipeline(
@@ -431,14 +440,14 @@ def clean_pipeline(
         raise ConfigurationError("postcode index is empty")
     start, end = columns["start_date"], columns["end_date"]
     postcodes = columns["postcode"]
-    duplicated = _duplicated(columns)
+    unique, of = np.unique(postcodes, return_inverse=True)
+    duplicated = _duplicated(columns, of)
     missing_dates = ~duplicated & (np.isnat(start) | np.isnat(end))
 
     # geocoding: each postcode's row among the index's sorted postcodes;
     # one that is not there differs from the key it lands next to
     keys = index.columns["postcode"]
     at = np.minimum(np.searchsorted(keys, postcodes), keys.size - 1)
-    unique, of = np.unique(postcodes, return_inverse=True)
     well_formed = np.array([valid_postcode_shape(pc) for pc in unique.tolist()], bool)
     invalid = ~duplicated & ~missing_dates & (
         (start > end)
@@ -459,7 +468,7 @@ def clean_pipeline(
         invalid=int(invalid.sum()),
         included=int(included.sum()),
         by_year={
-            reason: _counts_by_year(start[mask])
+            reason: counts_by_year({"start_date": start[mask]})
             for reason, mask in (
                 ("duplicated", duplicated),
                 ("missing_dates", missing_dates),

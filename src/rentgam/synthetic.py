@@ -29,8 +29,13 @@ from .gam import (
     year_and_doy,
     _coordinate_descent,
 )
-from .listings import INDEX_COLUMNS, REQUIRED_COLUMNS, write_clean_listings
-from .validation import count_by_area, start_years
+from .listings import (
+    INDEX_COLUMNS,
+    REQUIRED_COLUMNS,
+    counts_by_year,
+    write_clean_listings,
+)
+from .validation import count_by_area
 
 # unused here; the benchmark's tracer wraps these names on this module
 from .gam import effect_surface, rows_to_columns  # noqa: F401
@@ -319,7 +324,7 @@ def write_corpus(out_dir: str | Path, corpus: SimulatedCorpus) -> dict[str, Path
     write_clean_listings(paths["listings"], corpus.listings, REQUIRED_COLUMNS)
     write_clean_listings(paths["postcodes"], corpus.listings, INDEX_COLUMNS)
     area_counts = count_by_area(corpus.listings)
-    years, year_counts = np.unique(start_years(corpus.listings), return_counts=True)
+    year_counts = counts_by_year(corpus.listings)  # every start date is set
 
     with open(paths["area_reference"], "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -331,7 +336,7 @@ def write_corpus(out_dir: str | Path, corpus: SimulatedCorpus) -> dict[str, Path
     with open(paths["national_reference"], "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["year", "stock_thousands", "flow_thousands"])
-        for y, count in zip(years.tolist(), year_counts.tolist()):
+        for y, count in year_counts.items():
             flow = count / 0.95 / 1000.0
             writer.writerow([y, repr(4.0 * flow), repr(flow)])
 

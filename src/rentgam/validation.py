@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .listings import read_reference
+from .listings import read_reference, start_years
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,6 @@ def load_national_reference(path: str | Path) -> dict[int, YearCounts]:
             raise DataError(f"{path}:{row_number}: duplicate year {year}")
         out[year] = counts
     return out
-
-
-def start_years(columns: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Calendar year of each listing's start date (a missing date gives a
-    value no real year equals)."""
-    return columns["start_date"].astype("datetime64[Y]").astype(np.int64) + 1970
 
 
 def count_by_area(

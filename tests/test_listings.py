@@ -10,6 +10,7 @@ from rentgam import listings
 from rentgam.errors import ConfigurationError, DataError
 from rentgam.gam import rows_to_columns
 from rentgam.listings import (
+    COLUMN_DTYPES,
     GEOCODED_COLUMNS,
     INDEX_COLUMNS,
     REQUIRED_COLUMNS,
@@ -17,6 +18,7 @@ from rentgam.listings import (
     PostcodeIndex,
     clean_pipeline,
     columns_of,
+    counts_by_year,
     normalize_postcode,
     parse_listings,
     read_clean_listings,
@@ -109,7 +111,9 @@ class TestValidateRecord:
 
 def duplicated_ids(rows):
     """The ids clean_pipeline's dedup marks as duplicates."""
-    mask = listings._duplicated(rows_to_columns(rows))
+    columns = rows_to_columns(rows)
+    _, postcode = np.unique(columns["postcode"], return_inverse=True)
+    mask = listings._duplicated(columns, postcode)
     return [row[0] for row, dup in zip(rows, mask.tolist()) if dup]
 
 
@@ -215,8 +219,11 @@ class TestCleanPipeline:
         columns = read_clean_listings(out)
         assert list(columns) == list(expected) == list(GEOCODED_COLUMNS)
         for name, values in expected.items():
-            # string widths follow the longest value held, so only kinds compare
-            assert columns[name].dtype.kind == values.dtype.kind, name
+            if values.dtype.kind == "U":
+                # a string column's width is that of its longest value held
+                assert columns[name].dtype.kind == "U", name
+            else:
+                assert columns[name].dtype == np.dtype(COLUMN_DTYPES[name]), name
             assert np.array_equal(columns[name], values), name
 
     @pytest.mark.parametrize("chunk", [1, 3, 12])
@@ -400,6 +407,14 @@ class TestCleanReport:
         assert "Missing dates" in table
         assert "Total excluded" in table and "35.0%" in table
 
+    def test_counts_by_year_puts_a_missing_start_first(self):
+        starts = np.array(
+            ["2015-03-01", "NaT", "2014-12-31", "2015-01-01", "NaT"], "datetime64[D]"
+        )
+        counts = counts_by_year({"start_date": starts})
+        assert list(counts.items()) == [(None, 2), (2014, 1), (2015, 2)]
+        assert counts_by_year({"start_date": starts[:0]}) == {}
+
 
 def parsed(path):
     """The parsed rows of a feed as dicts by column name."""
@@ -501,6 +516,31 @@ class TestParsing:
         )
         (bad,) = parse_listings(p).malformed
         assert bad.reason == "non-finite rent '1e308'"
+
+    def test_bedroom_count_beyond_a_float_is_malformed(self, tmp_path):
+        huge = "9" * 400
+        p = tmp_path / "feed.csv"
+        p.write_text(
+            "listing_id,start_date,end_date,postcode,rent,bedrooms,property_type\n"
+            "a,2014-01-05,2014-02-01,G12 8QQ,650,2,flat\n"
+            f"b,2014-01-05,2014-02-01,G12 8QQ,650,{huge},flat\n"
+        )
+        result = parse_listings(p)
+        assert [row[0] for row in result.listings] == ["a"]
+        assert [(m.row_number, m.reason) for m in result.malformed] == [
+            (3, f"too many bedrooms {huge!r}")
+        ]
+        assert rows_to_columns(result.listings)["bedrooms"].tolist() == [2.0]
+
+    def test_bedroom_count_beyond_a_float_is_malformed_in_jsonl(self, tmp_path):
+        huge = "9" * 400
+        p = tmp_path / "feed.jsonl"
+        p.write_text(
+            '{"listing_id": "a", "start_date": "2014-01-05", "end_date": "2014-02-01",'
+            f' "postcode": "G12 8QQ", "rent": 650, "bedrooms": {huge}}}\n'
+        )
+        (bad,) = parse_listings(p).malformed
+        assert bad.reason == f"too many bedrooms {huge!r}"
 
     def test_missing_file(self):
         with pytest.raises(ConfigurationError, match="not found"):
