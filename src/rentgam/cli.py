@@ -17,7 +17,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
@@ -210,6 +210,10 @@ def cmd_clean(config: RunConfig) -> int:
     write_clean_listings(out / "clean_listings.csv", cleaned)
     table = report.render_table()
     (out / "clean_report.txt").write_text(table + "\n", encoding="utf-8")
+    (out / "malformed.txt").write_text(
+        "".join(f"{m.row_number}: {m.reason}\n" for m in parsed.malformed),
+        encoding="utf-8",
+    )
     payload = {"config_sha256": config.sha256(), **report.to_dict()}
     _write_json(out / "clean_report.json", payload)
     _emit(config, payload, [table, f"clean listings -> {out / 'clean_listings.csv'}"])
@@ -320,22 +324,16 @@ def _spec_from_config(config: RunConfig) -> ModelSpec:
 
 
 def _model_payload(config: RunConfig, model, design) -> dict:
-    terms = []
-    for block in design.blocks:
-        t = block.term
-        terms.append(
-            {
-                "name": t.name,
-                "variables": list(t.variables),
-                "segments": list(t.segments),
-                "degree": t.degree,
-                "penalty_order": t.penalty_order,
-                "interaction": t.interaction,
-                "lam": t.lam,
-                "domain": [[kv.lo, kv.hi] for kv in block.knots],
-                "coefficients": model.coefficients(t.name).tolist(),
-            }
-        )
+    """The ``model.json`` payload: each term is its :class:`TermSpec`
+    fields plus its knot domain and coefficients."""
+    terms = [
+        {
+            **asdict(block.term),
+            "domain": [[kv.lo, kv.hi] for kv in block.knots],
+            "coefficients": model.coefficients(block.term.name).tolist(),
+        }
+        for block in design.blocks
+    ]
     return {
         "config_sha256": config.sha256(),
         "n": model.n,
@@ -392,20 +390,19 @@ def cmd_fit(config: RunConfig) -> int:
 
 
 def _read_stored(config: RunConfig) -> tuple[dict, ModelSpec]:
-    """Read a fitted model file and the model spec it records."""
+    """Read a fitted model file and the model spec it records: each
+    stored term gives every :class:`TermSpec` field, its lists as tuples."""
     with open(config.model, encoding="utf-8") as fh:
         stored = json.load(fh)
+    for key in ("terms", "lambdas", "n", "config_sha256"):
+        if key not in stored:
+            raise DataError(f"{config.model}: bad model file: missing {key!r}")
     try:
         terms = tuple(
-            TermSpec(
-                name=t["name"],
-                variables=tuple(t["variables"]),
-                segments=tuple(t["segments"]),
-                degree=t["degree"],
-                penalty_order=t["penalty_order"],
-                interaction=t["interaction"],
-                lam=t["lam"],
-            )
+            TermSpec(**{
+                f.name: tuple(t[f.name]) if isinstance(t[f.name], list) else t[f.name]
+                for f in fields(TermSpec)
+            })
             for t in stored["terms"]
         )
         spec = ModelSpec(terms=terms)

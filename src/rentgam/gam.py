@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from numbers import Real
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -127,8 +128,10 @@ def spatial_filter(
 @dataclass(frozen=True)
 class TermSpec:
     """One smooth term: a variable tuple, segment counts per margin and
-    the penalty setup. ``lam=None`` means the smoothing parameter is
-    chosen by BIC (main effects) or inherited (interactions)."""
+    the penalty setup. A main effect's ``lam`` pins its smoothing
+    parameter; ``None`` leaves it to BIC. An interaction takes no
+    ``lam``: each of its penalty directions inherits the value of the
+    main effect that covers that variable."""
 
     name: str
     variables: tuple[str, ...]
@@ -144,6 +147,10 @@ class TermSpec:
         unknown = [v for v in self.variables if v not in MODEL_VARIABLES]
         if unknown:
             raise ValueError(f"term {self.name}: unknown variables {unknown}")
+        if self.interaction and self.lam is not None:
+            raise ValueError(
+                f"interaction {self.name}: lam is inherited from its main effects"
+            )
 
 
 @dataclass(frozen=True)
@@ -308,7 +315,6 @@ class TermBlock:
     knots: tuple[KnotVector, ...]
     transform: ConstraintTransform
     penalties: list[np.ndarray]
-    penalty_roots: list[np.ndarray]
     penalty_owners: list[str]
 
     @property
@@ -410,35 +416,29 @@ class Design:
 
     def resolve_lambdas(self, lambdas: Mapping[str, float]) -> dict[str, float]:
         """Fill in fixed values and check every selectable main effect
-        has a smoothing parameter."""
+        has a smoothing parameter, a finite number >= 0."""
         resolved: dict[str, float] = {}
         for t in self.spec.main_terms:
-            if t.lam is not None:
-                resolved[t.name] = float(t.lam)
-            elif t.name in lambdas:
-                resolved[t.name] = float(lambdas[t.name])
-            else:
+            if t.lam is None and t.name not in lambdas:
                 raise ValueError(f"no smoothing parameter for term {t.name}")
+            lam = lambdas[t.name] if t.lam is None else t.lam
+            if not (isinstance(lam, Real) and math.isfinite(lam) and lam >= 0):
+                raise ValueError(
+                    f"term {t.name}: smoothing parameter {lam!r} is not "
+                    "a finite number >= 0"
+                )
+            resolved[t.name] = float(lam)
         return resolved
-
-    def _penalty_directions(self):
-        """``(block, penalty, owner)`` for every penalty direction. The
-        owner is the main effect whose smoothing parameter scales it, or
-        None where an interaction pins its own value."""
-        for block in self.blocks:
-            pinned = block.term.interaction and block.term.lam is not None
-            for pen, owner in zip(block.penalties, block.penalty_owners):
-                yield block, pen, None if pinned else owner
 
     def penalty(self, lambdas: Mapping[str, float]) -> np.ndarray:
         """Total penalty matrix S at the given main-effect smoothing
         parameters; interaction directions inherit the matching main
-        effect's value unless the interaction pins its own."""
+        effect's value."""
         resolved = self.resolve_lambdas(lambdas)
         s = np.zeros((self.p, self.p))
-        for block, pen, owner in self._penalty_directions():
-            lam = block.term.lam if owner is None else resolved[owner]
-            s[block.columns, block.columns] += lam * pen
+        for block in self.blocks:
+            for pen, owner in zip(block.penalties, block.penalty_owners):
+                s[block.columns, block.columns] += resolved[owner] * pen
         return s
 
     def _owned_root(self, name: str) -> np.ndarray:
@@ -453,10 +453,11 @@ class Design:
         if root is None:
             s = np.zeros((self.p, self.p))
             owned = np.zeros(self.p, dtype=bool)
-            for block, pen, owner in self._penalty_directions():
-                if owner == name:
-                    s[block.columns, block.columns] += pen
-                    owned[block.columns] = True
+            for block in self.blocks:
+                for pen, owner in zip(block.penalties, block.penalty_owners):
+                    if owner == name:
+                        s[block.columns, block.columns] += pen
+                        owned[block.columns] = True
             cols = np.flatnonzero(owned)
             e, u = linalg.eigh(s[np.ix_(cols, cols)], driver="evd")
             keep = e > 0
@@ -476,12 +477,12 @@ def _width(term: TermSpec, dims: Sequence[int]) -> int:
 
 def _constrained_penalties(
     term: TermSpec, dims: Sequence[int], z: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The term's penalties ``z' P z`` and their roots ``R z``, one per
-    margin (the lifted p_raw x p_raw penalties die on return)."""
+) -> list[np.ndarray]:
+    """The term's penalties ``z' P z``, one per margin (the lifted
+    p_raw x p_raw penalties die on return)."""
     marginal = [difference_penalty(d, order=term.penalty_order) for d in dims]
     lifted = marginal if len(dims) == 1 else tensor_penalty(marginal, dims)
-    return [z.T @ p.matrix @ z for p in lifted], [p.root @ z for p in lifted]
+    return [z.T @ p.matrix @ z for p in lifted]
 
 
 def build_design(columns: Mapping[str, np.ndarray], spec: ModelSpec) -> Design:
@@ -517,8 +518,8 @@ def build_design(columns: Mapping[str, np.ndarray], spec: ModelSpec) -> Design:
     for term, dims in zip(spec.terms, term_dims):
         if term.interaction:
             transform = interaction_constraint_transform(dims)
-            penalties, roots = _constrained_penalties(term, dims, transform.z)
-            fixed[term.name] = transform, penalties, roots
+            penalties = _constrained_penalties(term, dims, transform.z)
+            fixed[term.name] = transform, penalties
     widths = [_width(term, dims) for term, dims in zip(spec.terms, term_dims)]
     x = np.empty((n, 1 + sum(widths)))
     x[:, 0] = 1.0
@@ -527,11 +528,11 @@ def build_design(columns: Mapping[str, np.ndarray], spec: ModelSpec) -> Design:
     for term, knots, dims, width in zip(spec.terms, term_knots, term_dims, widths):
         out = x[:, start : start + width]
         if term.interaction:
-            transform, penalties, roots = fixed[term.name]
+            transform, penalties = fixed[term.name]
             _interaction_basis(term, knots, transform, columns, out)
         else:
             transform = _main_effect_basis(term, knots, columns, out)
-            penalties, roots = _constrained_penalties(term, dims, transform.z)
+            penalties = _constrained_penalties(term, dims, transform.z)
         blocks.append(
             TermBlock(
                 term=term,
@@ -539,7 +540,6 @@ def build_design(columns: Mapping[str, np.ndarray], spec: ModelSpec) -> Design:
                 knots=knots,
                 transform=transform,
                 penalties=penalties,
-                penalty_roots=roots,
                 penalty_owners=[spec.owner_of(v) for v in term.variables],
             )
         )
@@ -548,7 +548,7 @@ def build_design(columns: Mapping[str, np.ndarray], spec: ModelSpec) -> Design:
     gram = design.gram
     for block in blocks:
         sl = block.columns
-        penalized = gram[sl, sl] + sum(r.T @ r for r in block.penalty_roots)
+        penalized = gram[sl, sl] + sum(block.penalties)
         # cut-off ~ sqrt(width*eps) in singular values, below which Cholesky is unusable
         if np.linalg.matrix_rank(penalized, hermitian=True) < block.width:
             raise NumericalError(

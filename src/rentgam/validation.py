@@ -31,7 +31,7 @@ class YearCounts:
 
 
 def load_area_reference(path: str | Path) -> dict[str, AreaCounts]:
-    """Read `area_code,stock,flow` rows."""
+    """Read `area_code,stock,flow` rows; counts must be finite and >= 0."""
     out: dict[str, AreaCounts] = {}
     for row_number, row in read_reference(
         path, ("area_code", "stock", "flow"), "area reference"
@@ -41,6 +41,8 @@ def load_area_reference(path: str | Path) -> dict[str, AreaCounts]:
             counts = AreaCounts(float(row["stock"]), float(row["flow"]))
         except ValueError:
             raise DataError(f"{path}:{row_number}: non-numeric count")
+        if not (math.isfinite(counts.stock) and math.isfinite(counts.flow)):
+            raise DataError(f"{path}:{row_number}: non-finite count")
         if counts.stock < 0 or counts.flow < 0:
             raise DataError(f"{path}:{row_number}: negative count")
         if code in out:
@@ -50,7 +52,8 @@ def load_area_reference(path: str | Path) -> dict[str, AreaCounts]:
 
 
 def load_national_reference(path: str | Path) -> dict[int, YearCounts]:
-    """Read `year,stock_thousands,flow_thousands` rows."""
+    """Read `year,stock_thousands,flow_thousands` rows; counts must be
+    finite and >= 0."""
     out: dict[int, YearCounts] = {}
     for row_number, row in read_reference(
         path, ("year", "stock_thousands", "flow_thousands"), "national reference"
@@ -62,6 +65,10 @@ def load_national_reference(path: str | Path) -> dict[int, YearCounts]:
             )
         except ValueError:
             raise DataError(f"{path}:{row_number}: non-numeric field")
+        if not (
+            math.isfinite(counts.stock_thousands) and math.isfinite(counts.flow_thousands)
+        ):
+            raise DataError(f"{path}:{row_number}: non-finite count")
         if counts.stock_thousands < 0 or counts.flow_thousands < 0:
             raise DataError(f"{path}:{row_number}: negative count")
         if year in out:

@@ -42,6 +42,7 @@ from rentgam.synthetic import (
     simulate_listings,
 )
 from rentgam.validation import IndexSeries, turnover_rate
+from oracles import augmented_ls_beta
 
 
 _TERMINAL = None
@@ -256,28 +257,13 @@ def _random_instance(rng):
     return design, y, lams
 
 
-def _augmented_beta(design, y, lambdas):
-    resolved = design.resolve_lambdas(lambdas)
-    parts = [design.matrix]
-    for block in design.blocks:
-        for root, owner in zip(block.penalty_roots, block.penalty_owners):
-            lam = resolved[owner]
-            wide = np.zeros((root.shape[0], design.p))
-            wide[:, block.columns] = math.sqrt(lam) * root
-            parts.append(wide)
-    stacked = np.vstack(parts)
-    target = np.concatenate([y, np.zeros(stacked.shape[0] - len(y))])
-    beta, *_ = np.linalg.lstsq(stacked, target, rcond=None)
-    return beta
-
-
 def test_criterion_05_solver_equivalence():
     rng = np.random.default_rng(17)
     worst = 0.0
     for _ in range(25):
         design, y, lams = _random_instance(rng)
         model = fit_pls(design, y, lams)
-        brute = _augmented_beta(design, y, lams)
+        brute = augmented_ls_beta(design, y, lams)
         worst = max(worst, float(np.max(np.abs(model.beta - brute))))
     check(
         "solver equals augmented-least-squares oracle on 25 instances (1e-8)",

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import fields
 from datetime import date
 from pathlib import Path
@@ -228,6 +229,29 @@ class TestValidate:
         assert code == 2
         assert "gone.csv" in err
 
+    @pytest.mark.parametrize(
+        "reference, row",
+        [("area", "AREA1,inf,5"), ("national", "2014,nan,1")],
+    )
+    def test_non_finite_reference_count_exits_2(self, tmp_path, capsys, reference, row):
+        clean, area_ref, national = proportional_fixture(tmp_path)
+        edited = area_ref if reference == "area" else national
+        lines = edited.read_text().splitlines()
+        edited.write_text("\n".join([lines[0], row, *lines[2:]]) + "\n")
+        out = tmp_path / "out"
+        code, _, err = run(
+            [
+                "validate", "--clean-listings", clean,
+                "--area-reference", area_ref,
+                "--national-reference", national,
+                "--out", out,
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert f"{edited}:2: non-finite count" in err
+        assert not out.exists()
+
 
 class TestFit:
     def test_model_json_contents(self, pipeline):
@@ -240,7 +264,9 @@ class TestFit:
         assert "location:year" in names
         assert "config_sha256" in model
         assert model["k"] > 1.0
+        spec_fields = {f.name for f in fields(gam.TermSpec)}
         for t in model["terms"]:
+            assert set(t) == spec_fields | {"domain", "coefficients"}
             assert len(t["coefficients"]) > 0
             assert len(t["domain"]) == len(t["variables"])
 
@@ -526,6 +552,55 @@ class TestFingerprint:
     def test_fit_records_the_fingerprint(self, pipeline):
         stored = json.loads((pipeline["out"] / "model.json").read_text())
         assert len(stored["rows_sha256"]) == 64
+
+
+class TestStoredModel:
+    """surfaces and bootstrap refuse a model file that fit could not
+    have written, exiting 2 before any output."""
+
+    def refused(self, pipeline, tmp_path, capsys, command, edit):
+        """Run ``command`` on the pipeline's model.json after ``edit``."""
+        stored = json.loads((pipeline["out"] / "model.json").read_text())
+        edit(stored)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(stored))
+        out = tmp_path / "out"
+        extra = ["--term", "deprivation:year", "--b", "19"] if command == "bootstrap" else []
+        code, _, err = run(
+            [
+                command, "--clean-listings", pipeline["out"] / "clean_listings.csv",
+                "--model", model, "--out", out, *extra,
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert not out.exists()
+        return err
+
+    @pytest.mark.parametrize("command", ["surfaces", "bootstrap"])
+    def test_pinned_interaction_refused(self, pipeline, tmp_path, capsys, command):
+        def edit(stored):
+            next(t for t in stored["terms"] if t["name"] == "beds:year")["lam"] = 3.0
+
+        err = self.refused(pipeline, tmp_path, capsys, command, edit)
+        assert "bad model file" in err and "beds:year" in err
+
+    @pytest.mark.parametrize("value", [None, -5.0, math.nan], ids=["null", "negative", "nan"])
+    def test_bad_smoothing_parameter_refused(self, pipeline, tmp_path, capsys, value):
+        def edit(stored):
+            stored["lambdas"]["beds"] = value
+
+        err = self.refused(pipeline, tmp_path, capsys, "surfaces", edit)
+        assert "term beds: smoothing parameter" in err
+        assert "finite number >= 0" in err
+
+    @pytest.mark.parametrize("key", ["terms", "lambdas", "n", "config_sha256"])
+    def test_missing_key_refused(self, pipeline, tmp_path, capsys, key):
+        def edit(stored):
+            del stored[key]
+
+        err = self.refused(pipeline, tmp_path, capsys, "surfaces", edit)
+        assert f"bad model file: missing '{key}'" in err
 
 
 class TestSimulate:

@@ -33,6 +33,7 @@ from rentgam.gam import (
 )
 from rentgam.listings import GEOCODED_COLUMNS, columns_of
 from rentgam.synthetic import default_truth, oracle_smoothness, simulate_listings
+from oracles import augmented_ls_beta
 from tolerance import rounding_tolerance
 
 
@@ -266,6 +267,19 @@ class TestModelSpec:
                 )
             )
 
+    def test_rejects_a_pinned_interaction(self):
+        # every penalty direction has one owner, a main effect
+        with pytest.raises(ValueError, match="beds:year: lam is inherited"):
+            ModelSpec(
+                terms=(
+                    TermSpec("beds", ("beds",), (5,)),
+                    TermSpec("year", ("year",), (5,)),
+                    TermSpec(
+                        "beds:year", ("beds", "year"), (3, 3), interaction=True, lam=3.0
+                    ),
+                )
+            )
+
     def test_drop_interaction_alone(self):
         spec = default_model_spec()
         reduced = spec.drop("beds:year")
@@ -380,25 +394,6 @@ class TestInteractionMargins:
         assert np.max(np.abs(got - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
 
-def augmented_ls_oracle(design, y, lambdas):
-    """Stack sqrt(lambda) * penalty roots under X and solve by least squares."""
-    resolved = design.resolve_lambdas(lambdas)
-    parts = [design.matrix]
-    for block in design.blocks:
-        for root, owner in zip(block.penalty_roots, block.penalty_owners):
-            if block.term.interaction and block.term.lam is not None:
-                lam = block.term.lam
-            else:
-                lam = resolved[owner]
-            wide = np.zeros((root.shape[0], design.p))
-            wide[:, block.columns] = math.sqrt(lam) * root
-            parts.append(wide)
-    xa = np.vstack(parts)
-    ya = np.concatenate([y, np.zeros(xa.shape[0] - len(y))])
-    beta, *_ = np.linalg.lstsq(xa, ya, rcond=None)
-    return beta
-
-
 class TestFitPls:
     def test_matches_augmented_least_squares(self):
         # several random instances, solved along an independent route
@@ -413,8 +408,19 @@ class TestFitPls:
                 "year": float(rng.choice(DEFAULT_LAMBDA_GRID)),
             }
             model = fit_pls(design, y, lams)
-            beta = augmented_ls_oracle(design, y, lams)
+            beta = augmented_ls_beta(design, y, lams)
             assert np.max(np.abs(model.beta - beta)) < 1e-8
+
+    @pytest.mark.parametrize("bad", [None, -5.0, math.nan, math.inf, "1.0"])
+    def test_refuses_a_smoothing_parameter_that_is_not_finite_and_non_negative(
+        self, bad
+    ):
+        rows, y = synthetic_rows(60)
+        design = build_design(rows, one_term_spec(segments=6))
+        with pytest.raises(ValueError, match="term deprivation: smoothing parameter"):
+            fit_pls(design, y, {"deprivation": bad})
+        with pytest.raises(ValueError, match="no smoothing parameter for term deprivation"):
+            fit_pls(design, y, {})
 
     def test_zero_lambda_is_ols(self):
         rows, y = synthetic_rows(120, noise=0.5)

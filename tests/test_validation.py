@@ -241,6 +241,13 @@ class TestLoaders:
         with pytest.raises(DataError, match="negative"):
             load_area_reference(p)
 
+    @pytest.mark.parametrize("row", ["AREA1,inf,5", "AREA1,4426,nan"])
+    def test_area_reference_rejects_a_non_finite_count(self, tmp_path, row):
+        p = tmp_path / "areas.csv"
+        p.write_text(f"area_code,stock,flow\nAREA2,100,10\n{row}\n")
+        with pytest.raises(DataError, match=rf"{re.escape(str(p))}:3: non-finite count"):
+            load_area_reference(p)
+
     def test_area_reference_rejects_a_short_row(self, tmp_path):
         # the text column last, so the short row lacks it
         p = tmp_path / "areas.csv"
@@ -259,6 +266,13 @@ class TestLoaders:
         p.write_text("year,stock_thousands,flow_thousands\n2014,4818,1241\n")
         ref = load_national_reference(p)
         assert ref[2014].stock_thousands == 4818
+
+    @pytest.mark.parametrize("row", ["2014,nan,1", "2014,4818,inf"])
+    def test_national_reference_rejects_a_non_finite_count(self, tmp_path, row):
+        p = tmp_path / "national.csv"
+        p.write_text(f"year,stock_thousands,flow_thousands\n{row}\n")
+        with pytest.raises(DataError, match=rf"{re.escape(str(p))}:2: non-finite count"):
+            load_national_reference(p)
 
     def test_national_reference_rejects_duplicate_year(self, tmp_path):
         p = tmp_path / "national.csv"
