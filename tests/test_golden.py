@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from rentgam.cli import main
+from rentgam.listings import parse_listings
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -38,3 +39,11 @@ def test_clean_outputs_are_byte_equal_to_the_committed_ones(
     assert out == (expected / "stdout.txt").read_text(encoding="utf-8")
     for name in OUTPUTS:
         assert (tmp_path / "out" / name).read_bytes() == (expected / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("feed", ["feed.csv", "feed.jsonl"])
+def test_malformed_rows_keep_their_numbers_and_reasons(feed):
+    malformed = parse_listings(GOLDEN / feed).malformed
+    text = "".join(f"{m.row_number}: {m.reason}\n" for m in malformed)
+    expected = GOLDEN / feed.split(".")[1] / "malformed.txt"
+    assert text == expected.read_text(encoding="utf-8")
