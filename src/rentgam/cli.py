@@ -394,9 +394,13 @@ def _read_stored(config: RunConfig) -> tuple[dict, ModelSpec]:
     stored term gives every :class:`TermSpec` field, its lists as tuples."""
     with open(config.model, encoding="utf-8") as fh:
         stored = json.load(fh)
+    if not isinstance(stored, dict):
+        raise DataError(f"{config.model}: bad model file: not a JSON object")
     for key in ("terms", "lambdas", "n", "config_sha256"):
         if key not in stored:
             raise DataError(f"{config.model}: bad model file: missing {key!r}")
+    if not isinstance(stored["lambdas"], dict):
+        raise DataError(f"{config.model}: bad model file: lambdas must be an object")
     try:
         terms = tuple(
             TermSpec(**{

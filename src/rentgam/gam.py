@@ -85,8 +85,12 @@ def derive_rows(columns: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
     if unclean.any():
         raise DataError(f"listing at row {int(np.argmax(unclean))} is not clean")
     year, doy = year_and_doy(starts)
+    # math.log per element: numpy's vectorized log can differ from it in
+    # the last bit, and which one a rent gets would depend on the CPU.
+    # Iterating the array, not a list of it, leaves no float objects behind.
+    logprice = np.fromiter(map(math.log, rent), dtype=float, count=rent.size)
     return {
-        "logprice": np.log(rent),
+        "logprice": logprice,
         "beds": columns["bedrooms"],
         "deprivation": columns["deprivation"],
         "year": year,
@@ -142,6 +146,27 @@ class TermSpec:
     lam: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"term name must be a string, got {self.name!r}")
+        if not isinstance(self.variables, tuple) or not all(
+            isinstance(v, str) for v in self.variables
+        ):
+            raise ValueError(f"term {self.name}: variables must be strings")
+        counts = {
+            "segments": self.segments,
+            "degree": (self.degree,),
+            "penalty_order": (self.penalty_order,),
+        }
+        for key, values in counts.items():
+            if not isinstance(values, tuple) or not all(
+                type(v) is int and v >= 1 for v in values
+            ):
+                raise ValueError(
+                    f"term {self.name}: {key} takes whole numbers >= 1, "
+                    f"got {getattr(self, key)!r}"
+                )
+        if not isinstance(self.interaction, bool):
+            raise ValueError(f"term {self.name}: interaction must be true or false")
         if len(self.variables) != len(self.segments):
             raise ValueError(f"term {self.name}: one segment count per variable")
         unknown = [v for v in self.variables if v not in MODEL_VARIABLES]
@@ -287,10 +312,10 @@ def _interaction_basis(
     knots: Sequence[KnotVector],
     transform: ConstraintTransform,
     columns: Mapping[str, np.ndarray],
-    out: np.ndarray,
-) -> None:
-    """Write an interaction's constrained basis into ``out`` (rows x
-    width) as the row-wise tensor product of its constrained margins
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """An interaction's constrained basis, written into ``out`` when one
+    is given: the row-wise tensor product of its constrained margins
     ``bspline_basis(x_k) @ z_k``. Since ``z = z_1 (x) ... (x) z_K``, this
     equals ``transform.apply(raw_basis)`` without forming the raw tensor
     (Currie, Durban & Eilers 2006)."""
@@ -298,11 +323,7 @@ def _interaction_basis(
         m.apply(bspline_basis(columns[v], kv))
         for m, v, kv in zip(transform.margins, term.variables, knots)
     ]
-    left = margins[0] if len(margins) == 2 else tensor_basis(margins[:-1])
-    last = margins[-1]
-    # splitting the last axis of a column slice is a view, never a copy
-    cube = out.reshape(out.shape[0], left.shape[1], last.shape[1])
-    np.multiply(left[:, :, None], last[:, None, :], out=cube)
+    return tensor_basis(margins, out=out)
 
 
 @dataclass
@@ -327,10 +348,7 @@ class TermBlock:
     def evaluate(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
         if not self.term.interaction:
             return self.transform.apply(self.raw_basis(columns))
-        rows = len(columns[self.term.variables[0]])
-        out = np.empty((rows, self.width))
-        _interaction_basis(self.term, self.knots, self.transform, columns, out)
-        return out
+        return _interaction_basis(self.term, self.knots, self.transform, columns)
 
 
 class Design:
@@ -422,7 +440,8 @@ class Design:
             if t.lam is None and t.name not in lambdas:
                 raise ValueError(f"no smoothing parameter for term {t.name}")
             lam = lambdas[t.name] if t.lam is None else t.lam
-            if not (isinstance(lam, Real) and math.isfinite(lam) and lam >= 0):
+            number = isinstance(lam, Real) and not isinstance(lam, bool)
+            if not (number and math.isfinite(lam) and lam >= 0):
                 raise ValueError(
                     f"term {t.name}: smoothing parameter {lam!r} is not "
                     "a finite number >= 0"
@@ -482,7 +501,7 @@ def _constrained_penalties(
     p_raw x p_raw penalties die on return)."""
     marginal = [difference_penalty(d, order=term.penalty_order) for d in dims]
     lifted = marginal if len(dims) == 1 else tensor_penalty(marginal, dims)
-    return [z.T @ p.matrix @ z for p in lifted]
+    return [z.T @ p @ z for p in lifted]
 
 
 def build_design(columns: Mapping[str, np.ndarray], spec: ModelSpec) -> Design:

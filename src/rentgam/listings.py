@@ -177,11 +177,12 @@ def read_table(
     path: str | Path, columns: Iterable[str], what: str
 ) -> Iterator[tuple[int, dict]]:
     """Yield ``(row_number, row)`` for each data row of a CSV file,
-    numbered as file lines from 2 (the header is line 1). A missing file
-    raises ConfigurationError naming ``what``; a header lacking any of
-    ``columns`` raises DataError. A row shorter than the header has None
-    for each field it lacks; the fields of a longer row beyond the header
-    are listed under the key None."""
+    numbered from 2 (the header is row 1). Blank lines are no rows and are
+    not counted, so a row after one has a number below its file line. A
+    missing file raises ConfigurationError naming ``what``; a header
+    lacking any of ``columns`` raises DataError. A row shorter than the
+    header has None for each field it lacks; the fields of a longer row
+    beyond the header are listed under the key None."""
     path = Path(path)
     with _open_table(path, what) as fh:
         reader = csv.DictReader(fh)

@@ -21,7 +21,6 @@ from .errors import OutOfDomainError
 
 __all__ = [
     "KnotVector",
-    "PenaltyMatrix",
     "ConstraintTransform",
     "make_knots",
     "bspline_basis",
@@ -54,32 +53,19 @@ class KnotVector:
 
 
 @dataclass(frozen=True)
-class PenaltyMatrix:
-    """Coefficient penalty ``matrix`` with a factor ``root`` such that
-    ``root.T @ root == matrix`` exactly."""
-
-    matrix: np.ndarray
-    root: np.ndarray
-
-
-@dataclass(frozen=True)
 class ConstraintTransform:
     """Reparameterization absorbing linear constraints ``C @ beta = 0``.
 
     ``z`` has orthonormal columns spanning the null space of the
-    constraint rows; a constrained basis is ``B @ z`` and constrained
-    penalties are ``z.T @ P @ z``. A tensor-product interaction's ``z``
-    is the Kronecker product of its ``margins``' factors, one sum-to-zero
-    transform per margin (empty for other transforms).
+    constraint rows ``C``; a constrained basis is ``B @ z`` and
+    constrained penalties are ``z.T @ P @ z``. A tensor-product
+    interaction's ``z`` is the Kronecker product of its ``margins``'
+    factors, one sum-to-zero transform per margin (empty for other
+    transforms).
     """
 
     z: np.ndarray
-    constraint: np.ndarray
     margins: tuple["ConstraintTransform", ...] = ()
-
-    @property
-    def free_dimension(self) -> int:
-        return self.z.shape[1]
 
     def apply(self, matrix: np.ndarray) -> np.ndarray:
         return matrix @ self.z
@@ -143,7 +129,7 @@ def bspline_basis(x: np.ndarray, kv: KnotVector) -> np.ndarray:
     return out
 
 
-def difference_penalty(dimension: int, order: int = 2) -> PenaltyMatrix:
+def difference_penalty(dimension: int, order: int = 2) -> np.ndarray:
     """Difference penalty ``D.T @ D`` of the given order on coefficient
     vectors of length ``dimension``.
 
@@ -156,16 +142,22 @@ def difference_penalty(dimension: int, order: int = 2) -> PenaltyMatrix:
         raise ValueError(
             f"dimension {dimension} must exceed difference order {order}"
         )
-    root = np.diff(np.eye(dimension), n=order, axis=0)
-    return PenaltyMatrix(matrix=root.T @ root, root=root)
+    d = np.diff(np.eye(dimension), n=order, axis=0)
+    return d.T @ d
 
 
-def tensor_basis(margins: Sequence[np.ndarray]) -> np.ndarray:
-    """Row-wise tensor product of marginal basis matrices.
+def tensor_basis(
+    margins: Sequence[np.ndarray], out: np.ndarray | None = None
+) -> np.ndarray:
+    """Row-wise tensor product of marginal basis matrices, formed left
+    to right: ``(M_1 (.) M_2) (.) M_3``.
 
     Column order is C-style over the marginal indices: the first
     margin's index varies slowest. Row sums are products of the
     marginal row sums, so partitions of unity stay partitions of unity.
+    The last product is written into ``out`` (rows x total width) when
+    one is given: splitting the last axis of a 2-D array is always a
+    view, so a column slice of a larger array is filled in place.
     """
     if len(margins) < 2:
         raise ValueError("tensor product needs at least two margins")
@@ -173,15 +165,21 @@ def tensor_basis(margins: Sequence[np.ndarray]) -> np.ndarray:
     if len(rows) != 1:
         raise ValueError(f"margins disagree on row count: {sorted(rows)}")
     n = rows.pop()
-    out = np.asarray(margins[0], dtype=float)
-    for m in margins[1:]:
-        out = (out[:, :, None] * np.asarray(m, dtype=float)[:, None, :]).reshape(n, -1)
+    margins = [np.asarray(m, dtype=float) for m in margins]
+    left = margins[0]
+    for m in margins[1:-1]:
+        left = (left[:, :, None] * m[:, None, :]).reshape(n, -1)
+    last = margins[-1]
+    if out is None:
+        out = np.empty((n, left.shape[1] * last.shape[1]))
+    cube = out.reshape(n, left.shape[1], last.shape[1])
+    np.multiply(left[:, :, None], last[:, None, :], out=cube)
     return out
 
 
 def tensor_penalty(
-    penalties: Sequence[PenaltyMatrix], dims: Sequence[int]
-) -> list[PenaltyMatrix]:
+    penalties: Sequence[np.ndarray], dims: Sequence[int]
+) -> list[np.ndarray]:
     """Lift marginal penalties onto tensor-product coefficients.
 
     Direction ``k`` becomes ``I (x) ... (x) P_k (x) ... (x) I`` in the
@@ -190,18 +188,14 @@ def tensor_penalty(
     if len(penalties) != len(dims):
         raise ValueError("one penalty per tensor dimension required")
     for k, (p, d) in enumerate(zip(penalties, dims)):
-        if p.matrix.shape[0] != d:
-            raise ValueError(
-                f"penalty {k} has dimension {p.matrix.shape[0]}, expected {d}"
-            )
+        if p.shape[0] != d:
+            raise ValueError(f"penalty {k} has dimension {p.shape[0]}, expected {d}")
     lifted = []
     for k, pen in enumerate(penalties):
         matrix = np.ones((1, 1))
-        root = np.ones((1, 1))
         for j, d in enumerate(dims):
-            matrix = np.kron(matrix, pen.matrix if j == k else np.eye(d))
-            root = np.kron(root, pen.root if j == k else np.eye(d))
-        lifted.append(PenaltyMatrix(matrix=matrix, root=root))
+            matrix = np.kron(matrix, pen if j == k else np.eye(d))
+        lifted.append(matrix)
     return lifted
 
 
@@ -218,8 +212,7 @@ def sum_to_zero_transform(basis: np.ndarray) -> ConstraintTransform:
     c = b.sum(axis=0, keepdims=True)
     if not np.any(c):
         raise ValueError("constraint row is identically zero")
-    z = linalg.null_space(c)
-    return ConstraintTransform(z=z, constraint=c)
+    return ConstraintTransform(z=linalg.null_space(c))
 
 
 def interaction_constraint_transform(dims: Sequence[int]) -> ConstraintTransform:
@@ -241,17 +234,10 @@ def interaction_constraint_transform(dims: Sequence[int]) -> ConstraintTransform
         raise ValueError(
             f"marginal dimension 1 in {dims} leaves no free coefficients"
         )
-    rows = []
-    for k in range(len(dims)):
-        block = np.ones((1, 1))
-        for j, d in enumerate(dims):
-            block = np.kron(block, np.ones((1, d)) if j == k else np.eye(d))
-        rows.append(block)
-    c = np.vstack(rows)
-    margins = []
+    margins = tuple(
+        ConstraintTransform(z=linalg.null_space(np.ones((1, d)))) for d in dims
+    )
     z = np.ones((1, 1))
-    for d in dims:
-        ones = np.ones((1, d))
-        margins.append(ConstraintTransform(z=linalg.null_space(ones), constraint=ones))
-        z = np.kron(z, margins[-1].z)
-    return ConstraintTransform(z=z, constraint=c, margins=tuple(margins))
+    for m in margins:
+        z = np.kron(z, m.z)
+    return ConstraintTransform(z=z, margins=margins)

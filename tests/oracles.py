@@ -3,25 +3,30 @@
 ``augmented_ls_beta`` stacks ``sqrt(lambda) R`` under X for every penalty
 direction's root R and solves the stacked system by least squares, so no
 normal equations, penalty matrix S or Cholesky factor is involved. The
-roots are rebuilt from the raw difference penalties and each block's
-constraint basis.
+roots are the difference matrices themselves, lifted onto the tensor
+coefficients in :func:`~rentgam.splines.tensor_penalty`'s Kronecker
+order, times each block's constraint basis.
 """
 
 import math
 
 import numpy as np
 
-from rentgam.splines import difference_penalty, tensor_penalty
-
 
 def penalty_roots(block):
-    """``R z`` for every penalty direction of a term block: the root R of
-    the margin's (lifted) difference penalty times the block's
-    constraint basis z, so that ``(R z)'(R z) = z' P z``."""
+    """``R z`` for every penalty direction of a term block: the margin's
+    difference matrix D, lifted to ``I (x) ... (x) D (x) ... (x) I``,
+    times the block's constraint basis z, so that ``(R z)'(R z) = z' P z``
+    for the lifted ``P = D'D``."""
     dims = [kv.dimension for kv in block.knots]
-    marginal = [difference_penalty(d, order=block.term.penalty_order) for d in dims]
-    lifted = marginal if len(dims) == 1 else tensor_penalty(marginal, dims)
-    return [p.root @ block.transform.z for p in lifted]
+    diffs = [np.diff(np.eye(d), n=block.term.penalty_order, axis=0) for d in dims]
+    roots = []
+    for k in range(len(dims)):
+        root = np.ones((1, 1))
+        for j, d in enumerate(dims):
+            root = np.kron(root, diffs[j] if j == k else np.eye(d))
+        roots.append(root @ block.transform.z)
+    return roots
 
 
 def augmented_ls_beta(design, y, lambdas):

@@ -192,7 +192,7 @@ def test_criterion_04_spline_algebra():
         partition_dev = max(partition_dev, float(np.max(np.abs(basis.sum(axis=1) - 1.0))))
     ok_partition = partition_dev < 1e-10
 
-    pen = difference_penalty(12, order=2).matrix
+    pen = difference_penalty(12, order=2)
     constant = np.ones(12)
     linear = np.arange(12.0)
     quadratic = linear**2

@@ -559,11 +559,12 @@ class TestStoredModel:
     have written, exiting 2 before any output."""
 
     def refused(self, pipeline, tmp_path, capsys, command, edit):
-        """Run ``command`` on the pipeline's model.json after ``edit``."""
+        """Run ``command`` on the pipeline's model.json after ``edit``,
+        which changes it in place or returns what replaces it."""
         stored = json.loads((pipeline["out"] / "model.json").read_text())
-        edit(stored)
+        replaced = edit(stored)
         model = tmp_path / "model.json"
-        model.write_text(json.dumps(stored))
+        model.write_text(json.dumps(stored if replaced is None else replaced))
         out = tmp_path / "out"
         extra = ["--term", "deprivation:year", "--b", "19"] if command == "bootstrap" else []
         code, _, err = run(
@@ -585,7 +586,9 @@ class TestStoredModel:
         err = self.refused(pipeline, tmp_path, capsys, command, edit)
         assert "bad model file" in err and "beds:year" in err
 
-    @pytest.mark.parametrize("value", [None, -5.0, math.nan], ids=["null", "negative", "nan"])
+    @pytest.mark.parametrize(
+        "value", [None, -5.0, math.nan, True], ids=["null", "negative", "nan", "bool"]
+    )
     def test_bad_smoothing_parameter_refused(self, pipeline, tmp_path, capsys, value):
         def edit(stored):
             stored["lambdas"]["beds"] = value
@@ -593,6 +596,29 @@ class TestStoredModel:
         err = self.refused(pipeline, tmp_path, capsys, "surfaces", edit)
         assert "term beds: smoothing parameter" in err
         assert "finite number >= 0" in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("degree", "3"), ("segments", [10.5]), ("penalty_order", True)],
+        ids=["string-degree", "fractional-segments", "bool-order"],
+    )
+    def test_ill_typed_term_field_refused(self, pipeline, tmp_path, capsys, field, value):
+        def edit(stored):
+            next(t for t in stored["terms"] if t["name"] == "beds")[field] = value
+
+        err = self.refused(pipeline, tmp_path, capsys, "surfaces", edit)
+        assert "bad model file" in err and f"term beds: {field}" in err
+
+    def test_model_file_not_an_object_refused(self, pipeline, tmp_path, capsys):
+        err = self.refused(pipeline, tmp_path, capsys, "surfaces", lambda stored: 5)
+        assert "bad model file: not a JSON object" in err
+
+    def test_lambdas_not_an_object_refused(self, pipeline, tmp_path, capsys):
+        def edit(stored):
+            stored["lambdas"] = "beds"
+
+        err = self.refused(pipeline, tmp_path, capsys, "surfaces", edit)
+        assert "bad model file: lambdas must be an object" in err
 
     @pytest.mark.parametrize("key", ["terms", "lambdas", "n", "config_sha256"])
     def test_missing_key_refused(self, pipeline, tmp_path, capsys, key):

@@ -1,8 +1,9 @@
-"""The package's public names: every name in ``rentgam.__all__`` must
-resolve, so a deleted function cannot linger as a stale export."""
+"""The package's public names: every name in ``rentgam.__all__`` and
+``rentgam.splines.__all__`` must resolve, so a deleted function cannot
+linger as a stale export."""
 
 import rentgam
-from rentgam import listings
+from rentgam import listings, splines
 
 REMOVED = ("Listing", "GeocodedListing", "PostcodeEntry", "geocode", "dedup_key")
 
@@ -20,3 +21,15 @@ def test_listing_record_names_are_gone():
         assert name not in rentgam.__all__, name
         assert not hasattr(rentgam, name), name
         assert not hasattr(listings, name), name
+
+
+def test_every_spline_export_resolves():
+    assert [name for name in splines.__all__ if not hasattr(splines, name)] == []
+    assert len(set(splines.__all__)) == len(splines.__all__)
+
+
+def test_penalty_matrix_is_gone():
+    # penalties are plain D'D arrays; nothing reads a penalty root
+    assert "PenaltyMatrix" not in splines.__all__
+    assert not hasattr(splines, "PenaltyMatrix")
+    assert not hasattr(rentgam, "PenaltyMatrix")
