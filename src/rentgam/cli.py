@@ -162,6 +162,8 @@ def load_config_file(path: str | Path) -> dict:
         key = key.strip()
         if key not in known:
             raise ConfigurationError(f"{path}:{line_number}: unknown key {key!r}")
+        if key in out:
+            raise ConfigurationError(f"{path}:{line_number}: duplicate key {key!r}")
         out[key] = _coerce(key, raw.strip())
     return out
 
@@ -410,6 +412,9 @@ def _read_stored(config: RunConfig) -> tuple[dict, ModelSpec]:
             for t in stored["terms"]
         )
         spec = ModelSpec(terms=terms)
+        extra = set(stored["lambdas"]) - {t.name for t in spec.main_terms}
+        if extra:
+            raise ValueError(f"lambdas key {min(extra)!r} is not a main effect")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{config.model}: bad model file: {exc}") from exc
     return stored, spec

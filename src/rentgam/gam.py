@@ -132,10 +132,10 @@ def spatial_filter(
 @dataclass(frozen=True)
 class TermSpec:
     """One smooth term: a variable tuple, segment counts per margin and
-    the penalty setup. A main effect's ``lam`` pins its smoothing
-    parameter; ``None`` leaves it to BIC. An interaction takes no
-    ``lam``: each of its penalty directions inherits the value of the
-    main effect that covers that variable."""
+    the penalty setup. ``lam`` is always ``None`` (``"lam": null`` in
+    model.json): a main effect's smoothing parameter lives only in a
+    fit's ``lambdas``, and each penalty direction of an interaction
+    inherits the value of the main effect that covers that variable."""
 
     name: str
     variables: tuple[str, ...]
@@ -143,7 +143,7 @@ class TermSpec:
     degree: int = 3
     penalty_order: int = 2
     interaction: bool = False
-    lam: float | None = None
+    lam: None = None
 
     def __post_init__(self):
         if not isinstance(self.name, str):
@@ -172,10 +172,8 @@ class TermSpec:
         unknown = [v for v in self.variables if v not in MODEL_VARIABLES]
         if unknown:
             raise ValueError(f"term {self.name}: unknown variables {unknown}")
-        if self.interaction and self.lam is not None:
-            raise ValueError(
-                f"interaction {self.name}: lam is inherited from its main effects"
-            )
+        if self.lam is not None:
+            raise ValueError(f"term {self.name}: lam must be null, set lambdas instead")
 
 
 @dataclass(frozen=True)
@@ -433,13 +431,13 @@ class Design:
         return out
 
     def resolve_lambdas(self, lambdas: Mapping[str, float]) -> dict[str, float]:
-        """Fill in fixed values and check every selectable main effect
-        has a smoothing parameter, a finite number >= 0."""
+        """The smoothing parameter of each main effect of this design,
+        checked to be a finite number >= 0; other names are ignored."""
         resolved: dict[str, float] = {}
         for t in self.spec.main_terms:
-            if t.lam is None and t.name not in lambdas:
+            if t.name not in lambdas:
                 raise ValueError(f"no smoothing parameter for term {t.name}")
-            lam = lambdas[t.name] if t.lam is None else t.lam
+            lam = lambdas[t.name]
             number = isinstance(lam, Real) and not isinstance(lam, bool)
             if not (number and math.isfinite(lam) and lam >= 0):
                 raise ValueError(
@@ -875,7 +873,7 @@ def _coordinate_descent(
     coordinate descent on one finite ladder shared by every term
     (``DEFAULT_LAMBDA_GRID`` when ``grid`` is None).
 
-    Every selectable term starts at the middle of the ladder. Terms are
+    Every main effect starts at the middle of the ladder. Terms are
     swept in spec order, each set to its best-scoring ladder value with
     the others held fixed, until a sweep changes nothing or
     ``max_sweeps`` is reached; stopping at the cap while the last sweep
@@ -888,12 +886,11 @@ def _coordinate_descent(
         raise ValueError(f"invalid smoothing grid {ladder.tolist()}")
     y = _response(design, y)
 
-    selectable = [t.name for t in design.spec.main_terms if t.lam is None]
-    current = {name: float(ladder[len(ladder) // 2]) for name in selectable}
+    current = {t.name: float(ladder[len(ladder) // 2]) for t in design.spec.main_terms}
     changed = False
     for _ in range(max_sweeps):
         changed = False
-        for name in selectable:
+        for name in current:
             best_lam = current[name]
             best = None
             fits = _ladder_fits(design, y, current, name, ladder)
@@ -927,8 +924,8 @@ def select_smoothness(
     grid: Sequence[float] | None = None,
     max_sweeps: int = 10,
 ) -> dict[str, float]:
-    """Choose main-effect smoothing parameters by coordinate descent on
-    BIC over a finite ladder (see :func:`_coordinate_descent`).
+    """Choose every main effect's smoothing parameter by coordinate
+    descent on BIC over a finite ladder (see :func:`_coordinate_descent`).
     Interactions are never swept: their penalties inherit the
     main-effect values as they move.
     """

@@ -76,6 +76,16 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="unknown key"):
             load_config_file(cfg)
 
+    def test_repeated_key_exits_2(self, tmp_path, capsys):
+        # a later line never silently overrides an earlier one
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 1\nn = 20\nseed = 2\n")
+        out = tmp_path / "sim"
+        code, _, err = run(["simulate", "--config", cfg, "--out", out], capsys)
+        assert code == 2
+        assert f"{cfg}:3: duplicate key 'seed'" in err
+        assert not out.exists()
+
     def test_bad_value_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed = lots\n")
@@ -585,6 +595,28 @@ class TestStoredModel:
 
         err = self.refused(pipeline, tmp_path, capsys, command, edit)
         assert "bad model file" in err and "beds:year" in err
+
+    @pytest.mark.parametrize("command", ["surfaces", "bootstrap"])
+    def test_pinned_main_effect_refused(self, pipeline, tmp_path, capsys, command):
+        # a term's own lam would be a second value beside lambdas
+        def edit(stored):
+            next(t for t in stored["terms"] if t["name"] == "beds")["lam"] = 5.0
+            stored["lambdas"]["beds"] = 1e6
+
+        err = self.refused(pipeline, tmp_path, capsys, command, edit)
+        assert "bad model file" in err and "term beds: lam must be null" in err
+
+    @pytest.mark.parametrize("command", ["surfaces", "bootstrap"])
+    @pytest.mark.parametrize("name", ["location:year", "bed"])
+    def test_extra_lambdas_name_refused(
+        self, pipeline, tmp_path, capsys, command, name
+    ):
+        # an interaction's value is inherited, and a typo names no term
+        def edit(stored):
+            stored["lambdas"][name] = 3.0
+
+        err = self.refused(pipeline, tmp_path, capsys, command, edit)
+        assert f"bad model file: lambdas key {name!r} is not a main effect" in err
 
     @pytest.mark.parametrize(
         "value", [None, -5.0, math.nan, True], ids=["null", "negative", "nan", "bool"]

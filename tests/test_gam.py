@@ -278,16 +278,20 @@ class TestModelSpec:
                 )
             )
 
-    def test_rejects_a_pinned_interaction(self):
-        # every penalty direction has one owner, a main effect
-        with pytest.raises(ValueError, match="beds:year: lam is inherited"):
+    @pytest.mark.parametrize("pinned", ["beds", "beds:year"])
+    def test_rejects_a_pinned_term(self, pinned):
+        # smoothing parameters live only in lambdas: a main effect's is
+        # selected, and every interaction direction inherits one
+        def term(name, variables, segments, **kw):
+            lam = 3.0 if name == pinned else None
+            return TermSpec(name, variables, segments, lam=lam, **kw)
+
+        with pytest.raises(ValueError, match=f"term {pinned}: lam must be null"):
             ModelSpec(
                 terms=(
-                    TermSpec("beds", ("beds",), (5,)),
-                    TermSpec("year", ("year",), (5,)),
-                    TermSpec(
-                        "beds:year", ("beds", "year"), (3, 3), interaction=True, lam=3.0
-                    ),
+                    term("beds", ("beds",), (5,)),
+                    term("year", ("year",), (5,)),
+                    term("beds:year", ("beds", "year"), (3, 3), interaction=True),
                 )
             )
 
@@ -723,19 +727,31 @@ class TestSelectSmoothness:
             warnings.simplefilter("error")  # converged: no warning
             select_smoothness(design, y)
 
-    def test_fixed_lambda_respected(self):
-        spec = ModelSpec(
-            terms=(
-                TermSpec("deprivation", ("deprivation",), (8,), lam=42.0),
-                TermSpec("year", ("year",), (8,)),
-            )
-        )
+    @pytest.mark.parametrize("best", [-500.0, 0.0], ids=["relative", "absolute"])
+    @pytest.mark.parametrize(
+        "gap, chosen", [(0.5, 10.0), (2.0, 1.0)], ids=["tie", "beyond"]
+    )
+    @pytest.mark.parametrize("order", [1, -1], ids=["rising", "falling"])
+    def test_tie_rule(self, monkeypatch, best, gap, chosen, order):
+        """A score within 1e-9*|best| + 1e-12 of the best ties, and a tie
+        goes to the larger value, whichever way the ladder runs."""
         rows, y = synthetic_rows(150, noise=0.3)
-        design = build_design(rows, spec)
-        sel = select_smoothness(design, y, grid=[0.1, 10.0])
-        assert "deprivation" not in sel
-        model = fit_pls(design, y, sel)
-        assert model.lambdas["deprivation"] == 42.0
+        design = build_design(rows, one_term_spec())
+        n = design.n
+        tol = 1e-9 * abs(best) + 1e-12
+        # each point's BIC above the best, scripted through k at one rss
+        above = {1.0: 0.0, 10.0: gap * tol, 100.0: 1.0}
+        rss = n * math.exp(best / n)
+        points = {lam: (rss, a / math.log(n)) for lam, a in above.items()}
+        scores = {lam: bic(r, n, k) for lam, (r, k) in points.items()}
+        assert (scores[10.0] - scores[1.0]) / tol == pytest.approx(gap, rel=0.01)
+
+        def scripted(design, y, current, name, ladder):
+            return [gam.LadderFit(None, *points[lam]) for lam in ladder]
+
+        monkeypatch.setattr(gam, "_ladder_fits", scripted)
+        sel = select_smoothness(design, y, grid=[1.0, 10.0, 100.0][::order])
+        assert sel == {"deprivation": chosen}
 
     def test_interaction_inherits_main_lambda(self):
         rows, _ = synthetic_rows(150)
