@@ -14,6 +14,7 @@ configuration. Exit codes: 0 success, 2 input or configuration error,
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import sys
@@ -47,6 +48,7 @@ from .listings import (
     write_clean_listings,
 )
 from .synthetic import (
+    GLASGOW_CENTER,
     default_truth,
     linear_truth,
     load_truth,
@@ -78,8 +80,8 @@ class RunConfig:
     model: str | None = None
     truth: str | None = None
     out_dir: str = "out"
-    center_lat: float = 55.8609
-    center_lon: float = -4.2514
+    center_lat: float = GLASGOW_CENTER[0]
+    center_lon: float = GLASGOW_CENTER[1]
     radius_miles: float = 10.0
     property_type: str = "flat"
     univariate_segments: int = 10
@@ -185,6 +187,15 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_table(path: Path, header, rows) -> None:
+    """Write rows of plain Python values as CSV with LF line ends: a float
+    by repr, an int by str, None as an empty field."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _emit(config: RunConfig, payload: dict, table_lines: list[str]) -> None:
     if config.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -239,39 +250,30 @@ def cmd_validate(config: RunConfig) -> int:
     years = sorted(totals_by_year)
 
     correlations: dict[str, dict[str, float]] = {}
-    out = _out_dir(config)
-    with open(out / "scatter.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("year,area_code,listings,stock,flow\n")
-        for year in years:
-            counts = count_by_area(listings, year=year, areas=areas)
-            r, r_squared = correlate(counts, stocks)
-            correlations[str(year)] = {"r": r, "r_squared": r_squared}
-            for code in sorted(counts):
-                fh.write(
-                    f"{year},{code},{counts[code]},{areas[code].stock},"
-                    f"{areas[code].flow}\n"
-                )
+    scatter = []
+    for year in years:
+        counts = count_by_area(listings, year=year, areas=areas)
+        r, r_squared = correlate(counts, stocks)
+        correlations[str(year)] = {"r": r, "r_squared": r_squared}
+        scatter += [(year, c, counts[c], stocks.get(c), flows.get(c)) for c in sorted(counts)]
 
     totals = count_by_area(listings, areas=areas)
     coverage = coverage_ratio(totals, flows)
-    with open(out / "ratios.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("area_code,listings,flow,ratio,flagged\n")
-        for code in sorted(totals):
-            ratio = coverage.per_area.get(code)
-            flagged = int(code in coverage.flagged)
-            shown = "" if ratio is None else repr(ratio)
-            fh.write(f"{code},{totals[code]},{areas[code].flow},{shown},{flagged}\n")
-
+    ratios = [(c, totals[c], flows.get(c), coverage.per_area.get(c),
+               int(c in coverage.flagged)) for c in sorted(totals)]
     series = listings_index(totals_by_year, base_year=min(totals_by_year))
     turnover = {
         year: turnover_rate(ref.flow_thousands, ref.stock_thousands)
         for year, ref in national.items()
     }
-    with open(out / "index.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("year,listings,index,turnover_pct\n")
-        for year in series.periods:
-            t = turnover.get(year, "")
-            fh.write(f"{year},{series.raw[year]},{series.index[year]!r},{t}\n")
+    index = [(y, series.raw[y], series.index[y], turnover.get(y)) for y in series.periods]
+
+    out = _out_dir(config)
+    _write_table(out / "scatter.csv", ("year", "area_code", "listings", "stock", "flow"),
+                 scatter)
+    _write_table(out / "ratios.csv", ("area_code", "listings", "flow", "ratio", "flagged"),
+                 ratios)
+    _write_table(out / "index.csv", ("year", "listings", "index", "turnover_pct"), index)
 
     payload = {
         "config_sha256": config.sha256(),
@@ -412,9 +414,13 @@ def _read_stored(config: RunConfig) -> tuple[dict, ModelSpec]:
             for t in stored["terms"]
         )
         spec = ModelSpec(terms=terms)
-        extra = set(stored["lambdas"]) - {t.name for t in spec.main_terms}
+        mains = {t.name for t in spec.main_terms}
+        extra = set(stored["lambdas"]) - mains
         if extra:
             raise ValueError(f"lambdas key {min(extra)!r} is not a main effect")
+        missing = mains - set(stored["lambdas"])
+        if missing:
+            raise ValueError(f"lambdas lacks main effect {min(missing)!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{config.model}: bad model file: {exc}") from exc
     return stored, spec
@@ -445,14 +451,10 @@ def cmd_surfaces(config: RunConfig) -> int:
         surface = effect_surface(model, term.name)
         name = term.name.replace(":", "_by_")
         path = out / f"surface_{name}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(term.variables) + ",effect,se,significant\n")
-            for i in range(surface.effect.size):
-                coords = ",".join(repr(float(p[i])) for p in surface.points)
-                fh.write(
-                    f"{coords},{float(surface.effect[i])!r},"
-                    f"{float(surface.se[i])!r},{int(surface.significant[i])}\n"
-                )
+        _write_table(path, (*term.variables, "effect", "se", "significant"), zip(
+            *(p.tolist() for p in surface.points), surface.effect.tolist(),
+            surface.se.tolist(), surface.significant.astype(int).tolist(),
+        ))
         written.append(path.name)
     manifest = {
         "config_sha256": config.sha256(),

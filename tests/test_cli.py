@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from dataclasses import fields
@@ -153,11 +154,12 @@ class TestClean:
         assert "nowhere.csv" in err
 
 
-def proportional_fixture(tmp_path):
+def proportional_fixture(tmp_path, unmatched=0):
     """Three areas with per-year listing counts exactly proportional to
-    reference stocks."""
+    reference stocks, and ``unmatched`` listings a year in AREA4, which
+    the area reference lacks."""
     listings = []
-    counts = {"AREA1": 1, "AREA2": 2, "AREA3": 4}
+    counts = {"AREA1": 1, "AREA2": 2, "AREA3": 4, "AREA4": unmatched}
     k = 0
     for year in (2014, 2015):
         for code, per_year in counts.items():
@@ -208,6 +210,85 @@ class TestValidate:
         assert len(scatter) == 1 + 6
         assert (tmp_path / "ratios.csv").exists()
         assert (tmp_path / "index.csv").exists()
+
+    def test_unmatched_area_is_flagged(self, tmp_path, capsys):
+        # AREA4 has listings but no reference counts: empty cells, flagged
+        clean, area_ref, national = proportional_fixture(tmp_path, unmatched=3)
+        out = tmp_path / "out"
+        code, stdout, err = run(
+            [
+                "validate", "--clean-listings", clean,
+                "--area-reference", area_ref,
+                "--national-reference", national,
+                "--out", out, "--format", "json",
+            ],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        payload = json.loads(stdout)
+        assert payload["flagged_areas"] == ["AREA4"]
+        assert payload["coverage_national"] == pytest.approx(1.0)
+        for year in ("2014", "2015"):
+            assert payload["correlations"][year]["r_squared"] == pytest.approx(
+                1.0, abs=1e-12
+            )
+        scatter = (out / "scatter.csv").read_text().splitlines()
+        assert [row for row in scatter if "AREA4" in row] == [
+            "2014,AREA4,3,,", "2015,AREA4,3,,"
+        ]
+        ratios = (out / "ratios.csv").read_text().splitlines()
+        assert ratios[1:] == [
+            "AREA1,2,2.0,1.0,0", "AREA2,4,4.0,1.0,0", "AREA3,8,8.0,1.0,0",
+            "AREA4,6,,,1",
+        ]
+
+    def test_field_with_a_comma_is_quoted(self, tmp_path):
+        clean, area_ref, national = proportional_fixture(tmp_path)
+        for path in (clean, area_ref):
+            path.write_text(path.read_text().replace("AREA3", '"AREA,3"'))
+        out = tmp_path / "out"
+        assert main([
+            "validate", "--clean-listings", str(clean),
+            "--area-reference", str(area_ref),
+            "--national-reference", str(national), "--out", str(out),
+        ]) == 0
+        for name in ("scatter.csv", "ratios.csv"):
+            with open(out / name, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert {len(row) for row in rows} == {len(rows[0])}, name
+            codes = {row[rows[0].index("area_code")] for row in rows[1:]}
+            assert codes == {"AREA1", "AREA2", "AREA,3"}, name
+
+    @pytest.mark.parametrize(
+        "reference, kept, code, message",
+        [
+            ("area", "AREA1,100,2\nAREA2,200,4\n", 2,
+             "correlation needs at least 3 paired areas, got 2"),
+            ("national", "2014,0,1265\n2015,5041,1284\n", 3,
+             "turnover undefined for stock 0.0"),
+        ],
+        ids=["two-areas", "zero-stock"],
+    )
+    def test_refused_run_leaves_no_out_directory(
+        self, tmp_path, capsys, reference, kept, code, message
+    ):
+        clean, area_ref, national = proportional_fixture(tmp_path)
+        edited = area_ref if reference == "area" else national
+        header = edited.read_text().splitlines()[0]
+        edited.write_text(f"{header}\n{kept}")
+        out = tmp_path / "out"
+        got, _, err = run(
+            [
+                "validate", "--clean-listings", clean,
+                "--area-reference", area_ref,
+                "--national-reference", national,
+                "--out", out,
+            ],
+            capsys,
+        )
+        assert got == code
+        assert message in err
+        assert not out.exists()
 
     def test_disjoint_areas_exit_2(self, tmp_path, capsys):
         clean, _, national = proportional_fixture(tmp_path)
@@ -617,6 +698,24 @@ class TestStoredModel:
 
         err = self.refused(pipeline, tmp_path, capsys, command, edit)
         assert f"bad model file: lambdas key {name!r} is not a main effect" in err
+
+    @pytest.mark.parametrize("command", ["surfaces", "bootstrap"])
+    def test_missing_lambdas_name_refused(
+        self, pipeline, tmp_path, capsys, monkeypatch, command
+    ):
+        # every main effect needs its one smoothing parameter; the model
+        # file is refused before the clean listings are read
+        def edit(stored):
+            del stored["lambdas"]["beds"]
+
+        monkeypatch.setattr(
+            cli, "read_clean_listings", lambda path: pytest.fail("clean listings read")
+        )
+        err = self.refused(pipeline, tmp_path, capsys, command, edit)
+        assert err == (
+            f"error: {tmp_path / 'model.json'}: bad model file: "
+            "lambdas lacks main effect 'beds'\n"
+        )
 
     @pytest.mark.parametrize(
         "value", [None, -5.0, math.nan, True], ids=["null", "negative", "nan", "bool"]
