@@ -17,6 +17,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -98,6 +99,10 @@ class RunConfig:
     format: str = "table"
 
     def __post_init__(self):
+        for key in _FLOAT_KEYS:
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{key} must be finite, got {value}")
         if self.radius_miles <= 0:
             raise ConfigurationError(
                 f"radius_miles must be positive, got {self.radius_miles}"
@@ -132,7 +137,7 @@ class RunConfig:
 
 _FIELD_TYPES = get_type_hints(RunConfig)
 _INT_KEYS = {name for name, hint in _FIELD_TYPES.items() if hint is int}
-_FLOAT_KEYS = {name for name, hint in _FIELD_TYPES.items() if hint is float}
+_FLOAT_KEYS = tuple(name for name, hint in _FIELD_TYPES.items() if hint is float)
 
 
 def _coerce(key: str, raw: str):

@@ -596,6 +596,7 @@ class FittedModel:
     lambdas: dict[str, float]
     beta: np.ndarray
     y: np.ndarray
+    fitted: np.ndarray = field(repr=False)
     rss: float
     n: int
     k: float
@@ -612,10 +613,6 @@ class FittedModel:
     @property
     def intercept(self) -> float:
         return float(self.beta[0])
-
-    @property
-    def fitted(self) -> np.ndarray:
-        return self.design.matvec(self.beta)
 
     @property
     def r_squared(self) -> float:
@@ -765,6 +762,7 @@ def fit_pls(
         lambdas=resolved,
         beta=beta,
         y=y,
+        fitted=fitted,
         rss=rss,
         n=n,
         k=k,
@@ -777,7 +775,7 @@ def fit_pls(
 
 class LadderFit(NamedTuple):
     """What selection scores at one ladder point; a :class:`FittedModel`
-    carries the same three fields (its ``fitted`` computed on demand)."""
+    carries the same three fields."""
 
     fitted: np.ndarray
     rss: float

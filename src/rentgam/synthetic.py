@@ -256,8 +256,8 @@ def simulate_listings(
     """
     if n < 1:
         raise ConfigurationError(f"need n >= 1 listings, got {n}")
-    if sigma < 0:
-        raise ConfigurationError(f"sigma must be non-negative, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ConfigurationError(f"sigma must be finite and non-negative, got {sigma}")
     rng = np.random.default_rng(seed)
     day_span = (last_day - first_day).days
     starts = np.datetime64(first_day, "D") + rng.integers(0, day_span + 1, n)

@@ -1,16 +1,15 @@
 """Checks of listings coverage against reference counts, plus the
 summary statistics used to compare the feed with external sources:
-area-level correlations, coverage ratios, index series, turnover rates
-and median rents.
+area-level correlations, coverage ratios, index series and turnover
+rates.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -30,51 +29,46 @@ class YearCounts:
     flow_thousands: float
 
 
+def _load_counts(
+    path: str | Path,
+    columns: tuple[str, str, str],
+    what: str,
+    parse_key: Callable[[str], object],
+    kind: str,
+    record: type,
+) -> dict:
+    """Read rows of a key and two counts into ``{key: record(*counts)}``.
+    Counts must be finite and >= 0, and a key may appear once; each
+    refusal raises DataError naming ``path:row``."""
+    key_column, *count_columns = columns
+    out: dict = {}
+    for row_number, row in read_reference(path, columns, what):
+        try:
+            key = parse_key(row[key_column])
+            counts = [float(row[c]) for c in count_columns]
+        except ValueError:
+            raise DataError(f"{path}:{row_number}: non-numeric field")
+        if not all(math.isfinite(c) for c in counts):
+            raise DataError(f"{path}:{row_number}: non-finite count")
+        if min(counts) < 0:
+            raise DataError(f"{path}:{row_number}: negative count")
+        if key in out:
+            raise DataError(f"{path}:{row_number}: duplicate {kind} {key}")
+        out[key] = record(*counts)
+    return out
+
+
 def load_area_reference(path: str | Path) -> dict[str, AreaCounts]:
     """Read `area_code,stock,flow` rows; counts must be finite and >= 0."""
-    out: dict[str, AreaCounts] = {}
-    for row_number, row in read_reference(
-        path, ("area_code", "stock", "flow"), "area reference"
-    ):
-        code = row["area_code"].strip()
-        try:
-            counts = AreaCounts(float(row["stock"]), float(row["flow"]))
-        except ValueError:
-            raise DataError(f"{path}:{row_number}: non-numeric count")
-        if not (math.isfinite(counts.stock) and math.isfinite(counts.flow)):
-            raise DataError(f"{path}:{row_number}: non-finite count")
-        if counts.stock < 0 or counts.flow < 0:
-            raise DataError(f"{path}:{row_number}: negative count")
-        if code in out:
-            raise DataError(f"{path}:{row_number}: duplicate area {code}")
-        out[code] = counts
-    return out
+    columns = ("area_code", "stock", "flow")
+    return _load_counts(path, columns, "area reference", str.strip, "area", AreaCounts)
 
 
 def load_national_reference(path: str | Path) -> dict[int, YearCounts]:
     """Read `year,stock_thousands,flow_thousands` rows; counts must be
     finite and >= 0."""
-    out: dict[int, YearCounts] = {}
-    for row_number, row in read_reference(
-        path, ("year", "stock_thousands", "flow_thousands"), "national reference"
-    ):
-        try:
-            year = int(row["year"])
-            counts = YearCounts(
-                float(row["stock_thousands"]), float(row["flow_thousands"])
-            )
-        except ValueError:
-            raise DataError(f"{path}:{row_number}: non-numeric field")
-        if not (
-            math.isfinite(counts.stock_thousands) and math.isfinite(counts.flow_thousands)
-        ):
-            raise DataError(f"{path}:{row_number}: non-finite count")
-        if counts.stock_thousands < 0 or counts.flow_thousands < 0:
-            raise DataError(f"{path}:{row_number}: negative count")
-        if year in out:
-            raise DataError(f"{path}:{row_number}: duplicate year {year}")
-        out[year] = counts
-    return out
+    columns = ("year", "stock_thousands", "flow_thousands")
+    return _load_counts(path, columns, "national reference", int, "year", YearCounts)
 
 
 def count_by_area(
@@ -192,27 +186,3 @@ def turnover_rate(flow: float, stock: float) -> int:
     if flow < 0:
         raise ValueError(f"negative flow {flow}")
     return round(100.0 * flow / stock)
-
-
-def median_rent_by_area(
-    columns: Mapping[str, np.ndarray],
-    bedrooms: int | None = None,
-    year: int | None = None,
-) -> dict[str, float]:
-    """Median monthly rent per area of listing columns (``area_code``,
-    ``rent``, ``bedrooms`` and ``start_date``), the even-count midpoint
-    convention.
-
-    Optionally restricted to an exact bedroom count and a start-date
-    calendar year.
-    """
-    keep = np.ones(columns["rent"].size, dtype=bool)
-    if bedrooms is not None:
-        keep &= columns["bedrooms"] == bedrooms
-    if year is not None:
-        keep &= start_years(columns) == year
-    codes, rents = columns["area_code"][keep], columns["rent"][keep]
-    return {
-        area: float(statistics.median(rents[codes == area].tolist()))
-        for area in np.unique(codes).tolist()
-    }

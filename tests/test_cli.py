@@ -761,6 +761,26 @@ class TestStoredModel:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize(
+        "key, flags, line",
+        [
+            ("sigma", ["--sigma", "nan"], ""),
+            ("sigma", ["--sigma", "inf"], ""),
+            ("radius_miles", [], "radius_miles = nan"),
+            ("center_lat", [], "center_lat = inf"),
+            ("center_lon", [], "center_lon = -inf"),
+        ],
+        ids=["sigma-nan", "sigma-inf", "radius-nan", "lat-inf", "lon-minus-inf"],
+    )
+    def test_non_finite_setting_exits_2(self, tmp_path, capsys, key, flags, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n = 20\n{line}\n")
+        out = tmp_path / "sim"
+        code, _, err = run(["simulate", "--config", cfg, *flags, "--out", out], capsys)
+        assert code == 2
+        assert f"error: {key} must be finite" in err
+        assert not out.exists()
+
     def test_schema_and_row_count(self, tmp_path):
         out = tmp_path / "sim"
         assert main(["simulate", "--n", "50", "--seed", "1", "--out", str(out)]) == 0

@@ -532,6 +532,13 @@ class TestFitPls:
         m2 = fit_pls(build_design(doubled(rows), spec), y2, {"deprivation": 0.0})
         assert np.max(np.abs(predict(m2, rows) - predict(m1, rows))) < 1e-8
 
+    def test_fitted_values_are_stored_once(self):
+        rows, y = synthetic_rows(150, noise=0.3)
+        design = build_design(rows, two_term_spec())
+        model = fit_pls(design, y, {"deprivation": 1.0, "year": 1.0})
+        assert model.fitted is model.fitted
+        assert np.array_equal(model.fitted, design.matvec(model.beta))
+
     def test_ridge_retry_warns(self):
         # two identical unpenalized columns: X'X is exactly singular
         design = Design(spec=ModelSpec(terms=()), matrix=np.ones((4, 2)), blocks=[])

@@ -149,8 +149,9 @@ class TestSimulate:
     def test_validates_arguments(self):
         with pytest.raises(ConfigurationError, match="n >= 1"):
             simulate_listings(0, linear_truth())
-        with pytest.raises(ConfigurationError, match="sigma"):
-            simulate_listings(10, linear_truth(), sigma=-0.1)
+        for sigma in (-0.1, math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="sigma"):
+                simulate_listings(10, linear_truth(), sigma=sigma)
 
     def test_locations_inside_disc(self):
         corpus = simulate_listings(500, linear_truth(), seed=4, radius_miles=8.0)

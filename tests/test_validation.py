@@ -18,7 +18,6 @@ from rentgam.validation import (
     listings_index,
     load_area_reference,
     load_national_reference,
-    median_rent_by_area,
     turnover_rate,
 )
 
@@ -199,34 +198,6 @@ class TestTurnover:
             turnover_rate(5, 0)
 
 
-class TestMedians:
-    def test_even_count_midpoint(self):
-        records = [record(rent=500.0), record(rent=700.0)]
-        assert median_rent_by_area(listing_columns(records)) == {"AREA1": 600.0}
-
-    def test_odd_count(self):
-        records = [record(rent=r) for r in (500.0, 900.0, 700.0)]
-        assert median_rent_by_area(listing_columns(records)) == {"AREA1": 700.0}
-
-    def test_bedroom_and_year_filters(self):
-        records = [
-            record(rent=500.0, bedrooms=2, start=date(2014, 3, 1)),
-            record(rent=900.0, bedrooms=3, start=date(2014, 3, 1)),
-            record(rent=700.0, bedrooms=2, start=date(2015, 3, 1)),
-        ]
-        columns = listing_columns(records)
-        assert median_rent_by_area(columns, bedrooms=2, year=2014) == {"AREA1": 500.0}
-        assert median_rent_by_area(columns, bedrooms=2) == {"AREA1": 600.0}
-
-    def test_sort_oracle(self):
-        rng = np.random.default_rng(7)
-        rents = rng.uniform(300, 1500, size=40)
-        records = [record(rent=float(r)) for r in rents]
-        got = median_rent_by_area(listing_columns(records))["AREA1"]
-        s = np.sort(rents)
-        assert got == pytest.approx((s[19] + s[20]) / 2, abs=1e-12)
-
-
 class TestLoaders:
     def test_area_reference(self, tmp_path):
         p = tmp_path / "areas.csv"
@@ -273,6 +244,29 @@ class TestLoaders:
         p.write_text(f"year,stock_thousands,flow_thousands\n{row}\n")
         with pytest.raises(DataError, match=rf"{re.escape(str(p))}:2: non-finite count"):
             load_national_reference(p)
+
+    @pytest.mark.parametrize(
+        "loader, text",
+        [
+            (load_area_reference, "area_code,stock,flow\nAREA1,4426,1265\nAREA2,many,10\n"),
+            (
+                load_national_reference,
+                "year,stock_thousands,flow_thousands\n2014,4818,1241\n2015,4900,n/a\n",
+            ),
+        ],
+        ids=["area", "national"],
+    )
+    def test_non_numeric_count_is_refused(self, tmp_path, loader, text):
+        p = tmp_path / "reference.csv"
+        p.write_text(text)
+        with pytest.raises(DataError, match=rf"{re.escape(str(p))}:3: non-numeric field"):
+            loader(p)
+
+    def test_area_reference_rejects_duplicate_area(self, tmp_path):
+        p = tmp_path / "areas.csv"
+        p.write_text("area_code,stock,flow\nAREA1,4426,1265\nAREA2,100,10\n AREA1 ,5,1\n")
+        with pytest.raises(DataError, match=r"areas\.csv:4: duplicate area AREA1$"):
+            load_area_reference(p)
 
     def test_national_reference_rejects_duplicate_year(self, tmp_path):
         p = tmp_path / "national.csv"
