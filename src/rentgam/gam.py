@@ -774,12 +774,14 @@ def fit_pls(
 
 
 class LadderFit(NamedTuple):
-    """What selection scores at one ladder point; a :class:`FittedModel`
-    carries the same three fields."""
+    """What selection scores at one ladder point: the residual sum of
+    squares, the effective degrees of freedom and, when selection has a
+    signal to track, the gap ``|fitted - signal|^2`` (else None). No
+    n-vector is kept."""
 
-    fitted: np.ndarray
     rss: float
     k: float
+    gap: float | None = None
 
 
 def _eigen_ladder(
@@ -788,6 +790,7 @@ def _eigen_ladder(
     current: Mapping[str, float],
     name: str,
     ladder: np.ndarray,
+    signal: np.ndarray | None = None,
 ) -> list[LadderFit]:
     """The fit at every ladder value of term ``name``, the other terms
     held at ``current``, from one r x r eigenproblem; empty when the base
@@ -798,17 +801,21 @@ def _eigen_ladder(
     l0 R'R = U'U`` is the fit's own cached :func:`_penalized_factor`, so
     its factor ``U``, its hat diagonal and its fit are those of
     :func:`fit_pls` at ``l0``. With ``C = U^-T R'`` and
-    ``eigh(C'C) = V D V'`` (``d > 0``), the Woodbury identity gives every
-    point ``(M0 + (l - l0) R'R)^-1 = M0^-1 - W H W'``, where
-    ``W = U^-1 C V D^-1/2`` (p x r) and
+    ``eigh(C'C) = V D V'`` (``d > 0``, ``C'C`` by ``syrk``), the Woodbury
+    identity gives every point ``(M0 + (l - l0) R'R)^-1 = M0^-1 - W H W'``,
+    where ``W = U^-1 C V D^-1/2`` (p x r) and
     ``H = diag((l - l0) D / (1 + (l - l0) D))``. So the fitted values are
-    ``X beta0 - XW (h * W'X'y)`` and the EDF ``k0 - g @ h``, where
+    ``X beta0 - XW a`` with ``a = h * W'X'y``, and for a target t (y, or
+    the signal) with base residual ``t0 = t - X beta0`` the closed form
+    ``|t - fitted|^2 = t0't0 + 2 a'W'X't0 + a'Qa`` with ``Q = W'(X'X W)``
+    gives the rss and the gap; the EDF is ``k0 - g @ h``, where
     ``k0 = tr(M0^-1 X'X)`` (the factor's hat diagonal summed) and
-    ``g = diag(W'X'XW)``. The base ``l0`` is the ladder's middle value,
-    where ``h = 0`` and the point is the direct fit bit for bit. Over one
-    BIC sweep of the default spec (n 1000 and 2000) every point agrees
-    with :func:`fit_pls` to about 8e-10 relative in k, 7e-11 in rss and
-    2e-10 in BIC.
+    ``g = diag(Q)``. No n x r product is formed: the n-sized work is
+    ``X'y``, ``X beta0`` and one ``X't0`` per target. The base ``l0`` is
+    the ladder's middle value, where ``h = 0`` and the point is the direct
+    fit bit for bit. Over one BIC sweep of the default spec (n 1000,
+    seed 3) every point agrees with :func:`fit_pls` to about 8e-10
+    relative in k, 7e-11 in rss and 7e-10 in the gap.
     """
     l0 = float(np.sort(ladder)[len(ladder) // 2])
     factor = _penalized_factor(design, design.resolve_lambdas({**current, name: l0}))
@@ -816,26 +823,41 @@ def _eigen_ladder(
         return []
     upper = factor.cho[0]
     c = linalg.solve_triangular(upper, design._owned_root(name).T, trans="T")
-    d, v = linalg.eigh(c.T @ c, driver="evd")
+    d, v = linalg.eigh(linalg.blas.dsyrk(1.0, c, trans=1), lower=False, driver="evd")
     keep = d > 0
     d = d[keep]
-    cv = (c @ v[:, keep]) / np.sqrt(d)
-    w = linalg.solve_triangular(upper, cv)
-    # the fit_pls expression, so the middle point repeats it bit for bit
-    base = design.matvec(linalg.cho_solve(factor.cho, design.rmatvec(y)))
+    w = linalg.solve_triangular(upper, (c @ v[:, keep]) / np.sqrt(d))
+    q = w.T @ (design.gram @ w)
+    g = np.diag(q)
+    # the fit_pls expressions, so the middle point repeats it bit for bit
+    xty = design.rmatvec(y)
+    base = design.matvec(linalg.cho_solve(factor.cho, xty))
+    proj = w.T @ xty
+    forms = []  # (t0't0, W'X't0) per target
+    for target in (y,) if signal is None else (y, signal):
+        t0 = target - base
+        forms.append((float(np.sum(t0**2)), w.T @ design.rmatvec(t0)))
     k0 = float(factor.hat_diag.sum())
-    xw = design.matvec(w)
-    proj = xw.T @ y
-    g = np.sum(xw * xw, axis=0)  # diag(W'X'XW)
     out = []
     for lam in ladder:
         h = (lam - l0) * d
         h /= 1.0 + h
-        fitted = base - xw @ (h * proj)
+        a = h * proj
+        aqa = float(a @ (q @ a))
         k = k0 - float(g @ h)
         _check_dof(design.n, k)
-        out.append(LadderFit(fitted, float(np.sum((y - fitted) ** 2)), k))
+        rss, *gap = (s0 + 2.0 * float(a @ b) + aqa for s0, b in forms)
+        out.append(LadderFit(rss, k, *gap))
     return out
+
+
+def _direct_fit(
+    design: Design, y: np.ndarray, lambdas: Mapping[str, float], signal: np.ndarray | None
+) -> LadderFit:
+    """The :class:`LadderFit` of one :func:`fit_pls`."""
+    model = fit_pls(design, y, lambdas)
+    gap = None if signal is None else float(np.sum((model.fitted - signal) ** 2))
+    return LadderFit(model.rss, model.k, gap)
 
 
 def _ladder_fits(
@@ -844,19 +866,26 @@ def _ladder_fits(
     current: Mapping[str, float],
     name: str,
     ladder: np.ndarray,
-) -> Iterable[LadderFit | FittedModel]:
+    signal: np.ndarray | None = None,
+) -> Iterable[LadderFit]:
     """The fit at every ladder value of term ``name``, in ladder order: by
     :func:`_eigen_ladder` on a ladder of two or more positive values,
     else by one :func:`fit_pls` per point. ``fit_pls`` also takes the
     ladder when the evaluator's base matrix took the ridge retry, and
-    when some fit reproduces y to within 1e-6 of its norm: such a
-    residual is near rounding, and how each path rounds it would rank the
-    points."""
+    when some closed-form rss is at most ``1e-12 y'y`` or some gap is not
+    positive (no value is clamped): such a value is near rounding, and
+    how each path rounds it would rank the points."""
     if len(ladder) > 1 and ladder.min() > 0:
-        fits = _eigen_ladder(design, y, current, name, ladder)
-        if fits and min(fit.rss for fit in fits) > 1e-12 * float(y @ y):
+        fits = _eigen_ladder(design, y, current, name, ladder, signal)
+        if (
+            fits
+            and min(fit.rss for fit in fits) > 1e-12 * float(y @ y)
+            and (signal is None or min(fit.gap for fit in fits) > 0)
+        ):
             return fits
-    return (fit_pls(design, y, {**current, name: float(lam)}) for lam in ladder)
+    return (
+        _direct_fit(design, y, {**current, name: float(lam)}, signal) for lam in ladder
+    )
 
 
 def _coordinate_descent(
@@ -864,12 +893,13 @@ def _coordinate_descent(
     y: np.ndarray,
     grid: Sequence[float] | None,
     max_sweeps: int,
-    score: Callable[[LadderFit | FittedModel], float],
+    score: Callable[[LadderFit], float],
+    signal: np.ndarray | None = None,
 ) -> dict[str, float]:
-    """Minimize ``score`` of each ladder point's fit (its ``fitted``,
-    ``rss`` and ``k``) over the main-effect smoothing parameters by
-    coordinate descent on one finite ladder shared by every term
-    (``DEFAULT_LAMBDA_GRID`` when ``grid`` is None).
+    """Minimize ``score`` of each ladder point's :class:`LadderFit` (its
+    ``rss``, ``k`` and, with a ``signal``, ``gap``) over the main-effect
+    smoothing parameters by coordinate descent on one finite ladder shared
+    by every term (``DEFAULT_LAMBDA_GRID`` when ``grid`` is None).
 
     Every main effect starts at the middle of the ladder. Terms are
     swept in spec order, each set to its best-scoring ladder value with
@@ -877,7 +907,10 @@ def _coordinate_descent(
     ``max_sweeps`` is reached; stopping at the cap while the last sweep
     still changed a value gives a ``RuntimeWarning``. Scores within
     ``1e-9*|best| + 1e-12`` of the best tie, and ties go to the larger
-    (smoother) value.
+    (smoother) value. A term's ladder is skipped when every other term
+    still holds the value it held at that term's last ladder: the same
+    fits would pick the term's current value again, so the result is
+    the same as with every ladder run.
     """
     ladder = DEFAULT_LAMBDA_GRID if grid is None else np.asarray(grid, dtype=float)
     if ladder.size == 0 or not np.isfinite(ladder).all() or (ladder < 0).any():
@@ -885,13 +918,16 @@ def _coordinate_descent(
     y = _response(design, y)
 
     current = {t.name: float(ladder[len(ladder) // 2]) for t in design.spec.main_terms}
+    last_ladder: dict[str, dict[str, float]] = {}  # current after each term's ladder
     changed = False
     for _ in range(max_sweeps):
         changed = False
         for name in current:
+            if last_ladder.get(name) == current:
+                continue
             best_lam = current[name]
             best = None
-            fits = _ladder_fits(design, y, current, name, ladder)
+            fits = _ladder_fits(design, y, current, name, ladder, signal)
             for lam, fit in zip(ladder, fits):
                 value = score(fit)
                 tol = 0.0 if best is None else 1e-9 * abs(best) + 1e-12
@@ -904,6 +940,7 @@ def _coordinate_descent(
             if best_lam != current[name]:
                 current[name] = best_lam
                 changed = True
+            last_ladder[name] = dict(current)
         if not changed:
             break
     if changed:

@@ -387,8 +387,8 @@ def oracle_smoothness(
     selection."""
     signal = np.asarray(signal, dtype=float).ravel()
 
-    def score(fit: LadderFit | FittedModel) -> float:
-        return float(np.sqrt(np.mean((fit.fitted - signal) ** 2)))
+    def score(fit: LadderFit) -> float:
+        return math.sqrt(fit.gap / design.n)
 
-    current = _coordinate_descent(design, y, grid, max_sweeps, score)
+    current = _coordinate_descent(design, y, grid, max_sweeps, score, signal)
     return current, fit_pls(design, y, current)

@@ -1,16 +1,22 @@
-"""Penalized least squares along a route independent of ``fit_pls``.
+"""Reference computations along routes independent of the code they check.
 
-``augmented_ls_beta`` stacks ``sqrt(lambda) R`` under X for every penalty
-direction's root R and solves the stacked system by least squares, so no
-normal equations, penalty matrix S or Cholesky factor is involved. The
-roots are the difference matrices themselves, lifted onto the tensor
-coefficients in :func:`~rentgam.splines.tensor_penalty`'s Kronecker
-order, times each block's constraint basis.
+``augmented_ls_beta`` is penalized least squares without ``fit_pls``: it
+stacks ``sqrt(lambda) R`` under X for every penalty direction's root R
+and solves the stacked system by least squares, so no normal equations,
+penalty matrix S or Cholesky factor is involved. The roots are the
+difference matrices themselves, lifted onto the tensor coefficients in
+:func:`~rentgam.splines.tensor_penalty`'s Kronecker order, times each
+block's constraint basis.
+
+``unmemoized_descent`` is smoothness selection with every ladder of
+every sweep fitted.
 """
 
 import math
 
 import numpy as np
+
+from rentgam import gam
 
 
 def penalty_roots(block):
@@ -43,3 +49,31 @@ def augmented_ls_beta(design, y, lambdas):
     target = np.concatenate([y, np.zeros(stacked.shape[0] - len(y))])
     beta, *_ = np.linalg.lstsq(stacked, target, rcond=None)
     return beta
+
+
+def unmemoized_descent(design, y, score, grid=None, max_sweeps=10, signal=None):
+    """Coordinate descent as ``gam._coordinate_descent`` runs it, but with
+    every term's ladder fitted in every sweep (no memo): the selected
+    smoothing parameters, and the term and the values held at each ladder,
+    in order. Scores within ``1e-9*|best| + 1e-12`` of the best tie, and a
+    tie goes to the larger value."""
+    ladder = gam.DEFAULT_LAMBDA_GRID if grid is None else np.asarray(grid, dtype=float)
+    current = {t.name: float(ladder[len(ladder) // 2]) for t in design.spec.main_terms}
+    trace = []
+    for _ in range(max_sweeps):
+        changed = False
+        for name in current:
+            trace.append((name, dict(current)))
+            fits = gam._ladder_fits(design, y, current, name, ladder, signal)
+            best = best_lam = None
+            for lam, fit in zip(ladder, fits):
+                value = score(fit)
+                if best is None or value < best - (1e-9 * abs(best) + 1e-12):
+                    best, best_lam = value, float(lam)
+                elif value <= best + 1e-9 * abs(best) + 1e-12 and lam > best_lam:
+                    best_lam = float(lam)
+            changed |= best_lam != current[name]
+            current[name] = best_lam
+        if not changed:
+            break
+    return current, trace

@@ -33,7 +33,7 @@ from rentgam.gam import (
 )
 from rentgam.listings import GEOCODED_COLUMNS, columns_of
 from rentgam.synthetic import default_truth, oracle_smoothness, simulate_listings
-from oracles import augmented_ls_beta
+from oracles import augmented_ls_beta, unmemoized_descent
 from tolerance import rounding_tolerance
 
 
@@ -753,8 +753,8 @@ class TestSelectSmoothness:
         scores = {lam: bic(r, n, k) for lam, (r, k) in points.items()}
         assert (scores[10.0] - scores[1.0]) / tol == pytest.approx(gap, rel=0.01)
 
-        def scripted(design, y, current, name, ladder):
-            return [gam.LadderFit(None, *points[lam]) for lam in ladder]
+        def scripted(design, y, current, name, ladder, signal):
+            return [gam.LadderFit(*points[lam]) for lam in ladder]
 
         monkeypatch.setattr(gam, "_ladder_fits", scripted)
         sel = select_smoothness(design, y, grid=[1.0, 10.0, 100.0][::order])
@@ -776,9 +776,46 @@ class TestSelectSmoothness:
         ) < 1e-12
 
 
-def plain_ladder_fits(design, y, current, name, ladder):
+def plain_ladder_fits(design, y, current, name, ladder, signal=None):
     """The plain path: one fit_pls per ladder point."""
-    return [fit_pls(design, y, {**current, name: float(lam)}) for lam in ladder]
+    fits = []
+    for lam in ladder:
+        m = fit_pls(design, y, {**current, name: float(lam)})
+        gap = None if signal is None else float(np.sum((m.fitted - signal) ** 2))
+        fits.append(gam.LadderFit(m.rss, m.k, gap))
+    return fits
+
+
+def memo_ladders(trace):
+    """The ladders of an unmemoized descent's trace that the memo runs:
+    those where some other term moved since the term's last ladder."""
+    last, run = {}, []
+    for name, values in trace:
+        others = {k: v for k, v in values.items() if k != name}
+        if last.get(name) != others:
+            run.append((name, values))
+        last[name] = others
+    return run
+
+
+def recording_ladder_fits(monkeypatch):
+    calls = []
+    ladder_fits = gam._ladder_fits
+
+    def recording(design, y, current, name, *args):
+        calls.append((name, dict(current)))
+        return ladder_fits(design, y, current, name, *args)
+
+    monkeypatch.setattr(gam, "_ladder_fits", recording)
+    return calls
+
+
+def bic_score(design):
+    return lambda fit: bic(fit.rss, design.n, fit.k)
+
+
+def oracle_score(design):
+    return lambda fit: math.sqrt(fit.gap / design.n)
 
 
 def counting_fit_pls(monkeypatch):
@@ -803,17 +840,17 @@ class TestLadderEvaluator:
     def test_every_point_of_one_sweep_matches_fit_pls(self, monkeypatch):
         """The eigen evaluator against fit_pls at every ladder point of
         every selectable term over one BIC sweep of the default spec.
-        Measured worst relative errors at the mid-ladder base are about
-        8e-10 in k, 7e-11 in rss and 2e-10 in BIC (a base at the lowest
-        ladder value gives about 8e-10 in k too); an owned penalty that
-        leaves out the interaction directions a term lends fails, at
-        about 0.1 in k."""
-        design, y, _ = simulated(1000, 3, default_model_spec())
+        The rss and the gap to the signal are closed forms, with no
+        fitted values. Measured worst relative errors at the mid-ladder
+        base are about 8e-10 in k, 7e-11 in rss, 2e-10 in BIC and 7e-10 in
+        the gap; an owned penalty that leaves out the interaction
+        directions a term lends fails, at about 0.1 in k."""
+        design, y, signal = simulated(1000, 3, default_model_spec())
         ladder = DEFAULT_LAMBDA_GRID
         current = {t.name: float(ladder[len(ladder) // 2]) for t in design.spec.main_terms}
         for name in list(current):
             calls = counting_fit_pls(monkeypatch)
-            fits = list(gam._ladder_fits(design, y, current, name, ladder))
+            fits = list(gam._ladder_fits(design, y, current, name, ladder, signal))
             monkeypatch.undo()
             assert calls == []  # the evaluator, not the plain path
             bics = []
@@ -822,23 +859,25 @@ class TestLadderEvaluator:
                 assert fit.k == pytest.approx(m.k, rel=1e-8)
                 assert fit.rss == pytest.approx(m.rss, rel=1e-8)
                 assert bic(fit.rss, m.n, fit.k) == pytest.approx(m.bic, rel=1e-8)
-                assert np.max(np.abs(fit.fitted - m.fitted)) <= 1e-8 * np.max(np.abs(y))
+                gap = float(np.sum((m.fitted - signal) ** 2))
+                assert fit.gap == pytest.approx(gap, rel=1e-8)
                 bics.append(m.bic)
             current[name] = float(ladder[int(np.argmin(bics))])
 
     def test_middle_point_is_the_direct_fit(self):
         """The ladder's base is fit_pls's own cached factor, so at the
         middle value, where the Woodbury update is zero, the evaluator
-        gives the direct fit bit for bit."""
-        design, y, _ = simulated(1000, 3, default_model_spec())
+        gives the direct fit's rss, k and gap to the signal bit for bit."""
+        design, y, signal = simulated(1000, 3, default_model_spec())
         ladder = DEFAULT_LAMBDA_GRID
         mid = float(ladder[len(ladder) // 2])
         current = {t.name: mid for t in design.spec.main_terms}
         for name in current:
-            fit = gam._eigen_ladder(design, y, current, name, ladder)[len(ladder) // 2]
+            fits = gam._eigen_ladder(design, y, current, name, ladder, signal)
+            fit = fits[len(ladder) // 2]
             m = fit_pls(design, y, {**current, name: mid})
             assert fit.k == m.k and fit.rss == m.rss
-            assert np.array_equal(fit.fitted, m.fitted)
+            assert fit.gap == float(np.sum((m.fitted - signal) ** 2))
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_selection_identical_to_plain_path(self, monkeypatch, seed):
@@ -905,11 +944,58 @@ class TestLadderEvaluator:
         # the ridge retry; every fit on a ridged factor warns
         ridged = not factors or 0.0 in grid
         with pytest.warns(RuntimeWarning, match="ridge") if ridged else nullcontext():
-            select_smoothness(design, y, grid=grid)
-        per_sweep = len(grid) * 5
-        assert len(calls) > 0 and len(calls) % per_sweep == 0
+            want, trace = unmemoized_descent(design, y, bic_score(design), grid=grid)
+            del calls[:]
+            ladders = recording_ladder_fits(monkeypatch)
+            assert select_smoothness(design, y, grid=grid) == want
+        # every point of every ladder the memo runs, and no other fit
+        assert ladders == memo_ladders(trace)
+        assert len(calls) == len(grid) * len(ladders)
         if len(grid) == 1:
             assert len(calls) == 5  # one sweep, which changes nothing
+
+    @pytest.mark.parametrize("field", ["rss", "gap"])
+    def test_non_positive_closed_form_falls_back_to_fit_pls(self, monkeypatch, field):
+        """A closed-form rss or gap that is not positive is rounding, not a
+        fit: the whole ladder goes to fit_pls, with no value clamped."""
+        design, y, signal = simulated(1000, 3, default_model_spec(6, 5, 4, 3))
+        ladder = DEFAULT_LAMBDA_GRID
+        current = {t.name: float(ladder[6]) for t in design.spec.main_terms}
+        eigen_ladder = gam._eigen_ladder
+
+        def spoiled(*args):
+            fits = eigen_ladder(*args)
+            fits[0] = fits[0]._replace(**{field: 0.0})
+            return fits
+
+        monkeypatch.setattr(gam, "_eigen_ladder", spoiled)
+        calls = counting_fit_pls(monkeypatch)
+        fits = list(gam._ladder_fits(design, y, current, "year", ladder, signal))
+        assert len(calls) == len(ladder)
+        assert fits == plain_ladder_fits(design, y, current, "year", ladder, signal)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind", ["bic", "oracle"])
+    def test_memo_skips_only_ladders_whose_other_terms_held(
+        self, monkeypatch, kind, seed
+    ):
+        """Selection picks the lambdas of the unmemoized descent, and fits
+        a ladder for exactly the (term, sweep) pairs where some other term
+        moved since that term's last ladder."""
+        design, y, signal = simulated(1000, seed, default_model_spec())
+        if kind == "bic":
+            want, trace = unmemoized_descent(design, y, bic_score(design))
+            ladders = recording_ladder_fits(monkeypatch)
+            got = select_smoothness(design, y)
+        else:
+            want, trace = unmemoized_descent(
+                design, y, oracle_score(design), signal=signal
+            )
+            ladders = recording_ladder_fits(monkeypatch)
+            got = oracle_smoothness(design, y, signal)[0]
+        assert got == want
+        assert ladders == memo_ladders(trace)
+        assert len(ladders) < len(trace)  # the memo skipped a ladder
 
 
 class TestPredictAndSurfaces:
