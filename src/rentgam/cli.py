@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import hashlib
 import json
 import math
@@ -22,6 +23,8 @@ import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
+
+from scipy.linalg import cython_blas
 
 from .errors import ConfigurationError, DataError, NumericalError
 from .gam import (
@@ -586,8 +589,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_scipy_blas_thread() -> None:
+    """Run scipy's OpenBLAS on one thread for the rest of the process.
+
+    numpy and scipy each load their own OpenBLAS, each with its own
+    thread pool. The n-sized products (the Gram, ``X @ b``, ``X' v``) run
+    on numpy's; scipy's calls here (``cho_factor``, ``dpotri``, triangular
+    solves, ``eigh``, ``dsyrk``, ``pinvh``) are p-sized, where a second
+    thread saves 10-20%. While one pool works, the other pool's idle
+    threads spin and take cores from it: on 2 cores with 2 threads in
+    each, BIC selection ran in twice the time. One scipy thread leaves
+    no idle pool with a spare worker, and costs at most that 10-20% of
+    scipy's share on any core count. numpy's count is left as it is.
+    The setting is not restored: the command owns its process. A scipy
+    built on another BLAS has no such setter, which is said on stderr.
+    """
+    library = ctypes.CDLL(cython_blas.__file__)
+    try:
+        set_threads = library.scipy_openblas_set_num_threads
+    except AttributeError:
+        print(
+            "warning: scipy's BLAS has no scipy_openblas_set_num_threads; "
+            "it keeps its default thread count",
+            file=sys.stderr,
+        )
+        return
+    set_threads(1)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    _one_scipy_blas_thread()
     try:
         config = build_run_config(args)
         return _COMMANDS[args.command](config)

@@ -791,10 +791,12 @@ def _eigen_ladder(
     name: str,
     ladder: np.ndarray,
     signal: np.ndarray | None = None,
+    xty: np.ndarray | None = None,
 ) -> list[LadderFit]:
     """The fit at every ladder value of term ``name``, the other terms
     held at ``current``, from one r x r eigenproblem; empty when the base
-    matrix took the ridge retry.
+    matrix took the ridge retry. ``xty`` is ``X'y`` when the caller has
+    formed it (selection forms it once for all its ladders).
 
     Only the penalty ``R'R`` owned by ``name`` (``Design._owned_root``,
     r rows) moves along the ladder. The base ``M0 = X'X + S(others) +
@@ -811,9 +813,9 @@ def _eigen_ladder(
     gives the rss and the gap; the EDF is ``k0 - g @ h``, where
     ``k0 = tr(M0^-1 X'X)`` (the factor's hat diagonal summed) and
     ``g = diag(Q)``. No n x r product is formed: the n-sized work is
-    ``X'y``, ``X beta0`` and one ``X't0`` per target. The base ``l0`` is
-    the ladder's middle value, where ``h = 0`` and the point is the direct
-    fit bit for bit. Over one BIC sweep of the default spec (n 1000,
+    ``X beta0``, one ``X't0`` per target and ``X'y`` when not given. The
+    base ``l0`` is the ladder's middle value, where ``h = 0`` and the
+    point is the direct fit bit for bit. Over one BIC sweep of the default spec (n 1000,
     seed 3) every point agrees with :func:`fit_pls` to about 8e-10
     relative in k, 7e-11 in rss and 7e-10 in the gap.
     """
@@ -830,7 +832,8 @@ def _eigen_ladder(
     q = w.T @ (design.gram @ w)
     g = np.diag(q)
     # the fit_pls expressions, so the middle point repeats it bit for bit
-    xty = design.rmatvec(y)
+    if xty is None:
+        xty = design.rmatvec(y)
     base = design.matvec(linalg.cho_solve(factor.cho, xty))
     proj = w.T @ xty
     forms = []  # (t0't0, W'X't0) per target
@@ -867,16 +870,17 @@ def _ladder_fits(
     name: str,
     ladder: np.ndarray,
     signal: np.ndarray | None = None,
+    xty: np.ndarray | None = None,
 ) -> Iterable[LadderFit]:
     """The fit at every ladder value of term ``name``, in ladder order: by
-    :func:`_eigen_ladder` on a ladder of two or more positive values,
-    else by one :func:`fit_pls` per point. ``fit_pls`` also takes the
-    ladder when the evaluator's base matrix took the ridge retry, and
-    when some closed-form rss is at most ``1e-12 y'y`` or some gap is not
-    positive (no value is clamped): such a value is near rounding, and
-    how each path rounds it would rank the points."""
+    :func:`_eigen_ladder` (handed ``xty``) on a ladder of two or more
+    positive values, else by one :func:`fit_pls` per point. ``fit_pls``
+    also takes the ladder when the evaluator's base matrix took the ridge
+    retry, and when some closed-form rss is at most ``1e-12 y'y`` or some
+    gap is not positive (no value is clamped): such a value is near
+    rounding, and how each path rounds it would rank the points."""
     if len(ladder) > 1 and ladder.min() > 0:
-        fits = _eigen_ladder(design, y, current, name, ladder, signal)
+        fits = _eigen_ladder(design, y, current, name, ladder, signal, xty)
         if (
             fits
             and min(fit.rss for fit in fits) > 1e-12 * float(y @ y)
@@ -916,6 +920,7 @@ def _coordinate_descent(
     if ladder.size == 0 or not np.isfinite(ladder).all() or (ladder < 0).any():
         raise ValueError(f"invalid smoothing grid {ladder.tolist()}")
     y = _response(design, y)
+    xty = design.rmatvec(y)
 
     current = {t.name: float(ladder[len(ladder) // 2]) for t in design.spec.main_terms}
     last_ladder: dict[str, dict[str, float]] = {}  # current after each term's ladder
@@ -927,7 +932,7 @@ def _coordinate_descent(
                 continue
             best_lam = current[name]
             best = None
-            fits = _ladder_fits(design, y, current, name, ladder, signal)
+            fits = _ladder_fits(design, y, current, name, ladder, signal, xty)
             for lam, fit in zip(ladder, fits):
                 value = score(fit)
                 tol = 0.0 if best is None else 1e-9 * abs(best) + 1e-12

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from datetime import date
 from pathlib import Path
@@ -814,3 +817,82 @@ class TestSimulate:
             ]) == 0
         assert (a / "listings.csv").read_bytes() == (b / "listings.csv").read_bytes()
         assert (a / "truth.json").read_bytes() == (b / "truth.json").read_bytes()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# reads the thread count of each OpenBLAS pool, numpy's and scipy's, through
+# the getters their libraries export
+BLAS_COUNTS = """
+import ctypes, json
+from numpy._core import _multiarray_umath
+from scipy.linalg import cython_blas
+numpy_blas = ctypes.CDLL(_multiarray_umath.__file__)
+scipy_blas = ctypes.CDLL(cython_blas.__file__)
+def counts():
+    return {
+        "numpy": numpy_blas.scipy_openblas_get_num_threads64_(),
+        "scipy": scipy_blas.scipy_openblas_get_num_threads(),
+    }
+"""
+
+
+def run_python(code):
+    """Run ``code`` in a fresh interpreter on this checkout's sources (the
+    thread counts are per process, and tests in this one call ``main``);
+    return its last stdout line read as JSON, and its stderr."""
+    done = subprocess.run(
+        [sys.executable, "-c", BLAS_COUNTS + code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1]), done.stderr
+
+
+class TestBlasThreads:
+    def test_import_leaves_both_pools(self):
+        (before, after), _ = run_python(
+            "before = counts()\n"
+            "import rentgam.cli\n"
+            "print(json.dumps([before, counts()]))\n"
+        )
+        assert after == before
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["simulate", "--n", "50", "--seed", "1"], 0),
+            (["fit", "--clean-listings", "missing.csv"], 2),
+        ],
+        ids=["simulate", "refused-fit"],
+    )
+    def test_main_runs_scipy_on_one_thread(self, tmp_path, argv, code):
+        argv = [*argv, "--out", str(tmp_path / "out")]
+        (got, before, after), _ = run_python(
+            "before = counts()\n"
+            "from rentgam.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(json.dumps([code, before, counts()]))\n"
+        )
+        assert got == code
+        assert after == {"numpy": before["numpy"], "scipy": 1}
+
+    def test_missing_setter_warns_once_and_runs(self, tmp_path):
+        out = tmp_path / "sim"
+        (code, before, after), err = run_python(
+            "import types\n"
+            "from rentgam import cli\n"
+            "cli.ctypes = types.SimpleNamespace(CDLL=lambda path: types.SimpleNamespace())\n"
+            "before = counts()\n"
+            f"code = cli.main(['simulate', '--n', '50', '--seed', '1', '--out', {str(out)!r}])\n"
+            "print(json.dumps([code, before, counts()]))\n"
+        )
+        assert code == 0
+        assert after == before
+        warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+        assert warnings == [
+            "warning: scipy's BLAS has no scipy_openblas_set_num_threads; "
+            "it keeps its default thread count"
+        ]
+        assert len((out / "listings.csv").read_text().splitlines()) == 51

@@ -1,4 +1,5 @@
 import calendar
+import ctypes
 import math
 import warnings
 from contextlib import nullcontext
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg
+from scipy.linalg import cython_blas
 
 from rentgam import gam
 from rentgam.errors import DataError, NumericalError, OutOfDomainError
@@ -753,7 +755,7 @@ class TestSelectSmoothness:
         scores = {lam: bic(r, n, k) for lam, (r, k) in points.items()}
         assert (scores[10.0] - scores[1.0]) / tol == pytest.approx(gap, rel=0.01)
 
-        def scripted(design, y, current, name, ladder, signal):
+        def scripted(design, y, current, name, ladder, signal, xty):
             return [gam.LadderFit(*points[lam]) for lam in ladder]
 
         monkeypatch.setattr(gam, "_ladder_fits", scripted)
@@ -776,8 +778,9 @@ class TestSelectSmoothness:
         ) < 1e-12
 
 
-def plain_ladder_fits(design, y, current, name, ladder, signal=None):
-    """The plain path: one fit_pls per ladder point."""
+def plain_ladder_fits(design, y, current, name, ladder, signal=None, xty=None):
+    """The plain path: one fit_pls per ladder point (fit_pls forms its
+    own X'y, so ``xty`` is not read)."""
     fits = []
     for lam in ladder:
         m = fit_pls(design, y, {**current, name: float(lam)})
@@ -996,6 +999,30 @@ class TestLadderEvaluator:
         assert got == want
         assert ladders == memo_ladders(trace)
         assert len(ladders) < len(trace)  # the memo skipped a ladder
+
+    def test_selection_independent_of_scipy_blas_threads(self):
+        """The CLI runs scipy's OpenBLAS on one thread. Selection picks the
+        same BIC and oracle lambdas at 2 threads and at 1, and the final
+        fit's k, rss and bic move at rounding level only (measured 4.4e-12
+        in k at n 5000 seed 11, 6.7e-12 at n 20000 seed 3)."""
+        blas = ctypes.CDLL(cython_blas.__file__)
+        if not hasattr(blas, "scipy_openblas_set_num_threads"):
+            pytest.skip("scipy is not built on scipy-openblas")
+        threads = blas.scipy_openblas_get_num_threads()
+        picks = []
+        try:
+            for count in (2, 1):
+                blas.scipy_openblas_set_num_threads(count)
+                design, y, signal = simulated(1000, 3, default_model_spec())
+                lambdas = select_smoothness(design, y)
+                oracle = oracle_smoothness(design, y, signal)[0]
+                picks.append((lambdas, oracle, fit_pls(design, y, lambdas)))
+        finally:
+            blas.scipy_openblas_set_num_threads(threads)
+        (bic_two, oracle_two, two), (bic_one, oracle_one, one) = picks
+        assert bic_one == bic_two and oracle_one == oracle_two
+        for field in ("k", "rss", "bic"):
+            assert getattr(one, field) == pytest.approx(getattr(two, field), rel=1e-8)
 
 
 class TestPredictAndSurfaces:
