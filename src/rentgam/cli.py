@@ -47,6 +47,7 @@ from .listings import (
     PostcodeIndex,
     clean_pipeline,
     counts_by_year,
+    open_input,
     parse_listings,
     read_clean_listings,
     write_clean_listings,
@@ -129,13 +130,12 @@ class RunConfig:
         return hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
 
     def require(self, *keys: str) -> None:
-        """Check the named input paths are set and exist before running."""
+        """Check the named input paths are set and open before running."""
         for key in keys:
             value = getattr(self, key)
             if value is None:
                 raise ConfigurationError(f"config key {key!r} is required")
-            if not Path(value).exists():
-                raise ConfigurationError(f"{key} path not found: {value}")
+            open_input(value, f"{key} path").close()
 
 
 _FIELD_TYPES = get_type_hints(RunConfig)
@@ -158,11 +158,11 @@ def _coerce(key: str, raw: str):
 
 def load_config_file(path: str | Path) -> dict:
     path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"config file not found: {path}")
+    with open_input(path, "config file") as fh:
+        lines = fh.read().splitlines()
     known = {f.name for f in fields(RunConfig)}
     out: dict = {}
-    for line_number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for line_number, line in enumerate(lines, 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -213,10 +213,14 @@ def _emit(config: RunConfig, payload: dict, table_lines: list[str]) -> None:
 
 
 def _out_dir(config: RunConfig) -> Path:
-    """The output directory, created. Commands call this only once their
-    inputs are checked, so a refused run leaves no directory behind."""
+    """The output directory, created (ConfigurationError if it cannot be).
+    Commands call this once their inputs are checked: a refused run leaves none."""
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"output directory cannot be created: {out}: "
+                                 f"{exc.strerror}") from None
     return out
 
 
@@ -363,6 +367,7 @@ def _model_payload(config: RunConfig, model, design) -> dict:
 
 def cmd_fit(config: RunConfig) -> int:
     config.require("clean_listings")
+    truth = None if config.truth is None else load_truth(config.truth)
     rows = _fit_rows(config)
     spec = _spec_from_config(config)
     design = build_design(rows, spec)
@@ -386,8 +391,7 @@ def cmd_fit(config: RunConfig) -> int:
     for name, edf in model.edf_by_term.items():
         lines.append(f"  {name:<18} {edf:7.2f}  {model.lambdas.get(name, '')}")
 
-    if config.truth is not None:
-        truth = load_truth(config.truth)
+    if truth is not None:
         rmse = recovery_rmse(model, rows, truth)
         payload["recovery_rmse"] = rmse
         lines.append("recovery RMSE against truth:")
@@ -404,7 +408,7 @@ def cmd_fit(config: RunConfig) -> int:
 def _read_stored(config: RunConfig) -> tuple[dict, ModelSpec]:
     """Read a fitted model file and the model spec it records: each
     stored term gives every :class:`TermSpec` field, its lists as tuples."""
-    with open(config.model, encoding="utf-8") as fh:
+    with open_input(config.model, "model file") as fh:
         stored = json.load(fh)
     if not isinstance(stored, dict):
         raise DataError(f"{config.model}: bad model file: not a JSON object")
@@ -623,7 +627,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = build_run_config(args)
         return _COMMANDS[args.command](config)
-    except (ConfigurationError, DataError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (ConfigurationError, DataError, KeyError, ValueError) as exc:
         # KeyError str() wraps its message in quotes
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)

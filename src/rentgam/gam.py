@@ -468,13 +468,12 @@ class Design:
         :func:`fit_pls`, which uses ``S`` itself, still sees."""
         root = self._roots.get(name)
         if root is None:
-            s = np.zeros((self.p, self.p))
+            weights = {t.name: float(t.name == name) for t in self.spec.main_terms}
+            s = self.penalty(weights)
             owned = np.zeros(self.p, dtype=bool)
             for block in self.blocks:
-                for pen, owner in zip(block.penalties, block.penalty_owners):
-                    if owner == name:
-                        s[block.columns, block.columns] += pen
-                        owned[block.columns] = True
+                if name in block.penalty_owners:
+                    owned[block.columns] = True
             cols = np.flatnonzero(owned)
             e, u = linalg.eigh(s[np.ix_(cols, cols)], driver="evd")
             keep = e > 0
@@ -641,15 +640,15 @@ class FittedModel:
         return self.sigma2 * self.covariance_unscaled[sl, sl]
 
 
-def _response(design: Design, y: np.ndarray) -> np.ndarray:
-    """The response as a flat float array, checked against the design."""
+def _response(design: Design, y: np.ndarray, what: str = "y") -> np.ndarray:
+    """The response (or n-vector ``what``) as a flat float array, checked."""
     y = np.asarray(y, dtype=float).ravel()
     if len(y) != design.n:
-        raise ValueError(f"y has {len(y)} rows, design has {design.n}")
+        raise ValueError(f"{what} has {len(y)} rows, design has {design.n}")
     if design.n < 2:
         raise DataError("need at least 2 observations")
     if not np.isfinite(y).all():
-        raise DataError("y contains non-finite values")
+        raise DataError(f"{what} contains non-finite values")
     return y
 
 
@@ -920,6 +919,8 @@ def _coordinate_descent(
     if ladder.size == 0 or not np.isfinite(ladder).all() or (ladder < 0).any():
         raise ValueError(f"invalid smoothing grid {ladder.tolist()}")
     y = _response(design, y)
+    if signal is not None:
+        signal = _response(design, signal, "signal")
     xty = design.rmatvec(y)
 
     current = {t.name: float(ladder[len(ladder) // 2]) for t in design.spec.main_terms}
@@ -1021,8 +1022,7 @@ def effect_surface(
         points = tuple(np.asarray(a, dtype=float).ravel() for a in at)
         if len(points) != nvars:
             raise ValueError(f"term {term} needs {nvars} coordinate arrays")
-        sizes = {p.size for p in points}
-        if len(sizes) != 1:
+        if len({p.size for p in points}) != 1:
             raise ValueError("coordinate arrays must share a length")
     else:
         if grid is None:
@@ -1031,14 +1031,8 @@ def effect_surface(
             per_axis = [int(grid)] * nvars
         else:
             per_axis = [int(g) for g in grid]
-        axes = [
-            np.linspace(kv.lo, kv.hi, m) for kv, m in zip(block.knots, per_axis)
-        ]
-        if nvars == 1:
-            points = (axes[0],)
-        else:
-            mesh = np.meshgrid(*axes, indexing="ij")
-            points = tuple(m.ravel() for m in mesh)
+        axes = [np.linspace(kv.lo, kv.hi, m) for kv, m in zip(block.knots, per_axis)]
+        points = tuple(m.ravel() for m in np.meshgrid(*axes, indexing="ij"))
 
     columns = dict(zip(block.term.variables, points))
     g = block.evaluate(columns)

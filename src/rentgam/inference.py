@@ -104,12 +104,16 @@ def bootstrap_term_test(
     mu = reduced.fitted
     scale = float(np.sqrt(reduced.sigma2))
 
-    # one X'X + S for every replicate: its factor, and k, are the model's
+    # one X'X + S for every replicate: its factor, and k, are the model's;
+    # two n x B arrays, the fitted values and the responses, which become
+    # the squared residuals in place
     n = model.n
-    draws = [np.random.default_rng([seed, i]).standard_normal(n) for i in range(b)]
-    simulated = mu[:, None] + scale * np.column_stack(draws)
+    simulated = np.empty((n, b))
+    for i in range(b):
+        simulated[:, i] = mu + scale * np.random.default_rng([seed, i]).standard_normal(n)
     betas = linalg.cho_solve(model._cho, design.rmatvec(simulated))
-    sigma2 = ((simulated - design.matvec(betas)) ** 2).sum(axis=0) / (n - model.k)
+    residuals = np.subtract(simulated, design.matvec(betas), out=simulated)
+    sigma2 = np.square(residuals, out=residuals).sum(axis=0) / (n - model.k)
     sl = design.block(term).columns
     v_inv, wald_rank = _pseudo_inverse(model.covariance_unscaled[sl, sl])
     stats = ((v_inv @ betas[sl]) * betas[sl]).sum(axis=0) / sigma2

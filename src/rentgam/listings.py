@@ -159,12 +159,16 @@ def columns_of(rows: Iterable[Sequence], names: Sequence[str]) -> dict[str, np.n
     }
 
 
-def _open_table(path: Path, what: str):
-    """The CSV file at ``path``, opened for reading; ConfigurationError
-    naming ``what`` when it is missing."""
-    if not path.exists():
-        raise ConfigurationError(f"{what} not found: {path}")
-    return open(path, newline="", encoding="utf-8")
+def open_input(path: str | Path, what: str):
+    """Open the input file ``path`` (UTF-8, line ends untranslated, as csv
+    needs): the one opener of every file a command reads. ConfigurationError
+    names ``what`` and ``path`` when it is missing or cannot be opened."""
+    try:
+        return open(path, newline="", encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigurationError(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise ConfigurationError(f"{what} cannot be opened: {path}: {exc.strerror}") from None
 
 
 def _check_header(path: Path, header: list[str] | None, columns: Iterable[str]) -> None:
@@ -178,13 +182,13 @@ def read_table(
 ) -> Iterator[tuple[int, dict]]:
     """Yield ``(row_number, row)`` for each data row of a CSV file,
     numbered from 2 (the header is row 1). Blank lines are no rows and are
-    not counted, so a row after one has a number below its file line. A
-    missing file raises ConfigurationError naming ``what``; a header
+    not counted, so a row after one has a number below its file line. The
+    file is opened by :func:`open_input`, naming ``what``; a header
     lacking any of ``columns`` raises DataError. A row shorter than the
     header has None for each field it lacks; the fields of a longer row
     beyond the header are listed under the key None."""
     path = Path(path)
-    with _open_table(path, what) as fh:
+    with open_input(path, what) as fh:
         reader = csv.DictReader(fh)
         _check_header(path, reader.fieldnames, columns)
         yield from enumerate(reader, start=2)
@@ -213,9 +217,7 @@ def _delimited_rows(path: Path) -> Iterator[tuple[int, dict | MalformedRow]]:
 
 
 def _jsonl_rows(path: Path) -> Iterator[tuple[int, dict | MalformedRow]]:
-    if not path.exists():
-        raise ConfigurationError(f"listings file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, "listings file") as fh:
         for row_number, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -375,14 +377,13 @@ class CleanReport:
             )
             lines.append("")
             lines.append(header)
-            label = {"duplicated": "Duplicated", "missing_dates": "Missing dates",
-                     "invalid": "Invalid"}
-            for reason in ("duplicated", "missing_dates", "invalid"):
+            reasons = ("duplicated", "missing_dates", "invalid")
+            for reason, (label, _, _) in zip(reasons, rows):
                 buckets = self.by_year.get(reason, {})
                 cells = f"{buckets.get(None, 0):>9,}" + "".join(
                     f"{buckets.get(y, 0):>9,}" for y in years
                 )
-                lines.append(f"{label[reason]:<16}" + cells)
+                lines.append(f"{label:<16}" + cells)
         return "\n".join(lines) + "\n"
 
 
@@ -517,7 +518,7 @@ def read_clean_listings(path: str | Path) -> dict[str, np.ndarray]:
     ``path:row`` for the first such row."""
     path = Path(path)
     chunks = []
-    with _open_table(path, "clean listings file") as fh:
+    with open_input(path, "clean listings file") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         _check_header(path, header, GEOCODED_COLUMNS)

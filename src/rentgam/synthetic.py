@@ -33,6 +33,7 @@ from .listings import (
     INDEX_COLUMNS,
     REQUIRED_COLUMNS,
     counts_by_year,
+    open_input,
     write_clean_listings,
 )
 from .validation import count_by_area
@@ -128,10 +129,7 @@ class TruthSpec:
 
 
 def load_truth(path: str | Path) -> TruthSpec:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"truth file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
+    with open_input(Path(path), "truth file") as fh:
         return TruthSpec.from_dict(json.load(fh))
 
 
@@ -385,7 +383,6 @@ def oracle_smoothness(
     the RMSE of the fitted values against the noiseless signal. The
     returned model's k is the truth-complexity yardstick for BIC
     selection."""
-    signal = np.asarray(signal, dtype=float).ravel()
 
     def score(fit: LadderFit) -> float:
         return math.sqrt(fit.gap / design.n)

@@ -85,8 +85,7 @@ def count_by_area(
         codes = codes[start_years(columns) == year]
     counts: dict[str, int] = {a: 0 for a in areas} if areas is not None else {}
     found, found_counts = np.unique(codes, return_counts=True)
-    for code, count in zip(found.tolist(), found_counts.tolist()):
-        counts[code] = counts.get(code, 0) + count
+    counts.update(zip(found.tolist(), found_counts.tolist()))
     return counts
 
 

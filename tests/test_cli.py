@@ -601,6 +601,93 @@ class TestRefusedRuns:
         assert not out.exists()
 
 
+def _inputs(pipeline):
+    """A valid path for every input key of the command tests."""
+    data, out = pipeline["data"], pipeline["out"]
+    return {
+        "listings": data / "listings.csv",
+        "postcodes": data / "postcodes.csv",
+        "area_reference": data / "area_reference.csv",
+        "national_reference": data / "national_reference.csv",
+        "clean_listings": out / "clean_listings.csv",
+        "model": out / "model.json",
+        "truth": data / "truth.json",
+    }
+
+
+REQUIRED_INPUTS = {
+    "clean": ("listings", "postcodes"),
+    "validate": ("clean_listings", "area_reference", "national_reference"),
+    "fit": ("clean_listings",),
+    "surfaces": ("clean_listings", "model"),
+    "bootstrap": ("clean_listings", "model"),
+}
+
+
+class TestUnopenableInputs:
+    """A path that cannot be opened as an input, or an --out that cannot
+    be a directory, exits 2 with one error line and writes nothing."""
+
+    def refused(self, capsys, argv, out, reason):
+        code, _, err = run([*argv, "--out", out], capsys)
+        assert code == 2
+        assert err.splitlines() == [err.rstrip("\n")]
+        assert err.startswith("error: ") and reason in err
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command, keys in REQUIRED_INPUTS.items() for key in keys
+    ])
+    def test_directory_for_a_required_path(self, pipeline, tmp_path, capsys, command, key):
+        paths = {k: _inputs(pipeline)[k] for k in REQUIRED_INPUTS[command]}
+        paths[key] = tmp_path
+        argv = [command]
+        for k, path in paths.items():
+            argv += [f"--{k.replace('_', '-')}", path]
+        out = tmp_path / "out"
+        err = self.refused(capsys, argv, out, "Is a directory")
+        assert f"{key} path cannot be opened: {tmp_path}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("simulate", "--config"), ("fit", "--config"),
+        ("fit", "--truth"), ("simulate", "--truth"),
+    ])
+    def test_directory_for_an_optional_path(self, pipeline, tmp_path, capsys, command, flag):
+        argv = [command, flag, tmp_path]
+        if command == "fit":
+            argv += ["--clean-listings", _inputs(pipeline)["clean_listings"]]
+        out = tmp_path / "out"
+        err = self.refused(capsys, argv, out, "Is a directory")
+        assert f"cannot be opened: {tmp_path}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-a-file"])
+    def test_out_that_cannot_be_a_directory(self, tmp_path, capsys, under):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        out = blocker / under if under else blocker
+        self.refused(capsys, ["simulate", "--n", "20"], out, "output directory")
+        assert blocker.read_text() == "kept\n"
+
+    def test_fit_refuses_missing_truth_before_selection(
+        self, pipeline, tmp_path, capsys, monkeypatch
+    ):
+        def no_selection(*args, **kwargs):
+            raise AssertionError("selection ran before --truth was checked")
+
+        monkeypatch.setattr(cli, "select_smoothness", no_selection)
+        out = tmp_path / "out"
+        argv = [
+            "fit", "--clean-listings", _inputs(pipeline)["clean_listings"],
+            "--truth", tmp_path / "nope.json",
+        ]
+        err = self.refused(capsys, argv, out, "truth file not found")
+        assert "nope.json" in err
+        assert not out.exists()
+
+
 def _edit_rent(lines):
     header = lines[0].split(",")
     fields_ = lines[5].split(",")

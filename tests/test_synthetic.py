@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from rentgam.errors import ConfigurationError
+from rentgam import gam, synthetic
+from rentgam.errors import ConfigurationError, DataError
 from rentgam.gam import (
     build_design,
     default_model_spec,
@@ -279,6 +280,24 @@ class TestRecovery:
 
 
 class TestOracle:
+    @pytest.mark.parametrize("signal, error, message", [
+        (np.array([6.3]), ValueError, "signal has 1 rows, design has 400"),
+        (np.full(400, np.nan), DataError, "signal contains non-finite values"),
+    ], ids=["one-value", "all-nan"])
+    def test_signal_checked_as_y_is(self, monkeypatch, signal, error, message):
+        # a one-value signal broadcast and read every lambda as the
+        # ladder's top; an all-NaN one read every lambda as its bottom
+        columns = derive_rows(simulate_listings(400, default_truth(), seed=3).listings)
+        design = build_design(columns, default_model_spec())
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the signal was checked")
+
+        monkeypatch.setattr(gam, "_ladder_fits", no_fit)
+        monkeypatch.setattr(synthetic, "fit_pls", no_fit)
+        with pytest.raises(error, match=message):
+            oracle_smoothness(design, columns["logprice"], signal)
+
     def test_noiseless_oracle_prefers_smoothest_tie(self):
         truth = linear_truth()
         corpus = simulate_listings(300, truth, sigma=0.0, seed=15)
