@@ -20,7 +20,10 @@ import hashlib
 import json
 import math
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields
+from itertools import takewhile
 from pathlib import Path
 from typing import get_type_hints
 
@@ -28,7 +31,6 @@ from scipy.linalg import cython_blas
 
 from .errors import ConfigurationError, DataError, NumericalError
 from .gam import (
-    DEFAULT_LAMBDA_GRID,
     build_design,
     default_model_spec,
     derive_rows,
@@ -39,6 +41,7 @@ from .gam import (
     ModelSpec,
     rows_to_columns,
     select_smoothness,
+    smoothing_ladder,
     spatial_filter,
     TermSpec,
 )
@@ -212,26 +215,35 @@ def _emit(config: RunConfig, payload: dict, table_lines: list[str]) -> None:
             print(line)
 
 
-def _out_dir(config: RunConfig) -> Path:
-    """The output directory, created (ConfigurationError if it cannot be).
-    Commands call this once their inputs are checked: a refused run leaves none."""
-    out = Path(config.out_dir)
+@contextmanager
+def _output_directory(path: str) -> Iterator[Path]:
+    """The output directory, made for the block (ConfigurationError if it
+    cannot be). If the block raises, the levels this run made are removed,
+    deepest first and by ``rmdir`` only, so none that holds a file goes:
+    a refused run leaves nothing behind, and nothing that was there goes."""
+    out = Path(path)
+    new: list[Path] = []
     try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigurationError(f"output directory cannot be created: {out}: "
-                                 f"{exc.strerror}") from None
-    return out
+        try:
+            new = list(takewhile(lambda level: not level.exists(), (out, *out.parents)))
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(f"output directory cannot be created: {out}: "
+                                     f"{exc.strerror}") from None
+        yield out
+    except BaseException:
+        for level in new:
+            with suppress(OSError):  # not empty, or never made
+                level.rmdir()
+        raise
 
 
-def cmd_clean(config: RunConfig) -> int:
-    config.require("listings", "postcodes")
+def cmd_clean(config: RunConfig, out: Path) -> tuple[dict, list[str]]:
     parsed = parse_listings(config.listings)
     index = PostcodeIndex.load(config.postcodes)
     cleaned, report = clean_pipeline(
         rows_to_columns(parsed.listings), index, malformed=len(parsed.malformed)
     )
-    out = _out_dir(config)
     write_clean_listings(out / "clean_listings.csv", cleaned)
     table = report.render_table()
     (out / "clean_report.txt").write_text(table + "\n", encoding="utf-8")
@@ -239,14 +251,10 @@ def cmd_clean(config: RunConfig) -> int:
         "".join(f"{m.row_number}: {m.reason}\n" for m in parsed.malformed),
         encoding="utf-8",
     )
-    payload = {"config_sha256": config.sha256(), **report.to_dict()}
-    _write_json(out / "clean_report.json", payload)
-    _emit(config, payload, [table, f"clean listings -> {out / 'clean_listings.csv'}"])
-    return 0
+    return report.to_dict(), [table, f"clean listings -> {out / 'clean_listings.csv'}"]
 
 
-def cmd_validate(config: RunConfig) -> int:
-    config.require("clean_listings", "area_reference", "national_reference")
+def cmd_validate(config: RunConfig, out: Path) -> tuple[dict, list[str]]:
     listings = read_clean_listings(config.clean_listings)
     areas = load_area_reference(config.area_reference)
     national = load_national_reference(config.national_reference)
@@ -280,7 +288,6 @@ def cmd_validate(config: RunConfig) -> int:
     }
     index = [(y, series.raw[y], series.index[y], turnover.get(y)) for y in series.periods]
 
-    out = _out_dir(config)
     _write_table(out / "scatter.csv", ("year", "area_code", "listings", "stock", "flow"),
                  scatter)
     _write_table(out / "ratios.csv", ("area_code", "listings", "flow", "ratio", "flagged"),
@@ -288,7 +295,6 @@ def cmd_validate(config: RunConfig) -> int:
     _write_table(out / "index.csv", ("year", "listings", "index", "turnover_pct"), index)
 
     payload = {
-        "config_sha256": config.sha256(),
         "correlations": correlations,
         "coverage_national": coverage.national,
         "flagged_areas": coverage.flagged,
@@ -296,7 +302,6 @@ def cmd_validate(config: RunConfig) -> int:
         "index_rounded": {str(y): v for y, v in series.rounded().items()},
         "turnover_pct": {str(y): turnover[y] for y in sorted(turnover)},
     }
-    _write_json(out / "validation.json", payload)
     lines = [
         f"coverage (national): {coverage.national:.3f}",
         "year  r^2     index  turnover",
@@ -305,8 +310,7 @@ def cmd_validate(config: RunConfig) -> int:
         r2 = correlations[str(year)]["r_squared"]
         idx = series.rounded().get(year, "")
         lines.append(f"{year}  {r2:.4f} {idx:>7} {turnover.get(year, ''):>6}")
-    _emit(config, payload, lines)
-    return 0
+    return payload, lines
 
 
 def _fit_rows(config: RunConfig) -> dict:
@@ -339,7 +343,7 @@ def _spec_from_config(config: RunConfig) -> ModelSpec:
     )
 
 
-def _model_payload(config: RunConfig, model, design) -> dict:
+def _model_payload(model, design) -> dict:
     """The ``model.json`` payload: each term is its :class:`TermSpec`
     fields plus its knot domain and coefficients."""
     terms = [
@@ -351,7 +355,6 @@ def _model_payload(config: RunConfig, model, design) -> dict:
         for block in design.blocks
     ]
     return {
-        "config_sha256": config.sha256(),
         "n": model.n,
         "k": model.k,
         "rss": model.rss,
@@ -365,22 +368,21 @@ def _model_payload(config: RunConfig, model, design) -> dict:
     }
 
 
-def cmd_fit(config: RunConfig) -> int:
-    config.require("clean_listings")
+def cmd_fit(config: RunConfig, out: Path) -> tuple[dict, list[str]]:
     truth = None if config.truth is None else load_truth(config.truth)
-    rows = _fit_rows(config)
     spec = _spec_from_config(config)
+    ladder = smoothing_ladder(config.lambda_grid)
+    rows = _fit_rows(config)
     design = build_design(rows, spec)
     y = rows["logprice"]
-    lams = select_smoothness(design, y, config.lambda_grid)
-    ladder = DEFAULT_LAMBDA_GRID if config.lambda_grid is None else config.lambda_grid
+    lams = select_smoothness(design, y, ladder)
     ends = {min(ladder): "lowest", max(ladder): "highest"}
     for name, lam in lams.items():
         if len(ends) > 1 and lam in ends:
             print(f"note: {name} selected lambda {lam!r}, the {ends[lam]} value "
                   "of its ladder; BIC may improve beyond it", file=sys.stderr)
     model = fit_pls(design, y, lams)
-    payload = _model_payload(config, model, design)
+    payload = _model_payload(model, design)
     payload["rows_sha256"] = _rows_sha256(rows)
 
     lines = [
@@ -398,11 +400,8 @@ def cmd_fit(config: RunConfig) -> int:
         for name, value in rmse.items():
             lines.append(f"  {name:<18} {value:.6f}")
 
-    out = _out_dir(config)
-    _write_json(out / "model.json", payload)
     lines.append(f"model -> {out / 'model.json'}")
-    _emit(config, payload, lines)
-    return 0
+    return payload, lines
 
 
 def _read_stored(config: RunConfig) -> tuple[dict, ModelSpec]:
@@ -433,6 +432,7 @@ def _read_stored(config: RunConfig) -> tuple[dict, ModelSpec]:
         missing = mains - set(stored["lambdas"])
         if missing:
             raise ValueError(f"lambdas lacks main effect {min(missing)!r}")
+        spec.resolve_lambdas(stored["lambdas"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{config.model}: bad model file: {exc}") from exc
     return stored, spec
@@ -452,11 +452,9 @@ def _refit_stored(config: RunConfig, stored: dict, spec: ModelSpec) -> FittedMod
     return fit_pls(design, rows["logprice"], stored["lambdas"])
 
 
-def cmd_surfaces(config: RunConfig) -> int:
-    config.require("clean_listings", "model")
+def cmd_surfaces(config: RunConfig, out: Path) -> tuple[dict, list[str]]:
     stored, spec = _read_stored(config)
     model = _refit_stored(config, stored, spec)
-    out = _out_dir(config)
     written = []
     for block in model.design.blocks:
         term = block.term
@@ -468,41 +466,22 @@ def cmd_surfaces(config: RunConfig) -> int:
             surface.se.tolist(), surface.significant.astype(int).tolist(),
         ))
         written.append(path.name)
-    manifest = {
-        "config_sha256": config.sha256(),
-        "model_config_sha256": stored["config_sha256"],
-        "files": written,
-    }
-    _write_json(out / "surfaces.json", manifest)
-    _emit(config, manifest, [f"wrote {name}" for name in written])
-    return 0
+    manifest = {"model_config_sha256": stored["config_sha256"], "files": written}
+    return manifest, [f"wrote {name}" for name in written]
 
 
-def cmd_bootstrap(config: RunConfig) -> int:
-    config.require("clean_listings", "model")
+def cmd_bootstrap(config: RunConfig, out: Path) -> tuple[dict, list[str]]:
     stored, spec = _read_stored(config)
     check_bootstrap_request(spec, config.term, config.bootstrap_b)
     model = _refit_stored(config, stored, spec)
-    result = bootstrap_term_test(
-        model, config.term, b=config.bootstrap_b, seed=config.seed
-    )
-    payload = {
-        "config_sha256": config.sha256(),
-        **result.to_dict(),
-        "replicates": result.replicates.tolist(),
-    }
-    out = _out_dir(config)
-    _write_json(out / "bootstrap.json", payload)
-    lines = [
-        f"term {result.term}: W_obs = {result.statistic:.3f}, "
-        f"p = {result.p_value:.4f} ({result.replicates.size} replicates, "
-        f"{result.discarded} discarded)",
-    ]
-    _emit(config, payload, lines)
-    return 0
+    result = bootstrap_term_test(model, config.term, b=config.bootstrap_b, seed=config.seed)
+    summary = (f"term {result.term}: W_obs = {result.statistic:.3f}, "
+               f"p = {result.p_value:.4f} ({result.replicates.size} replicates, "
+               f"{result.discarded} discarded)")
+    return {**result.to_dict(), "replicates": result.replicates.tolist()}, [summary]
 
 
-def cmd_simulate(config: RunConfig) -> int:
+def cmd_simulate(config: RunConfig, out: Path) -> tuple[dict, list[str]]:
     if config.truth is not None:
         truth = load_truth(config.truth)
     elif config.truth_kind == "linear":
@@ -517,27 +496,26 @@ def cmd_simulate(config: RunConfig) -> int:
         center=(config.center_lat, config.center_lon),
         radius_miles=config.radius_miles,
     )
-    out = _out_dir(config)
     paths = write_corpus(out, corpus)
     payload = {
-        "config_sha256": config.sha256(),
         "n": config.n,
         "sigma": config.sigma,
         "seed": config.seed,
         "files": {key: str(path) for key, path in paths.items()},
     }
-    _write_json(out / "simulate.json", payload)
-    _emit(config, payload, [f"{key} -> {path}" for key, path in paths.items()])
-    return 0
+    return payload, [f"{key} -> {path}" for key, path in paths.items()]
 
 
+# each command: its function, the input path keys it requires, and the
+# file in --out its result JSON goes to
 _COMMANDS = {
-    "clean": cmd_clean,
-    "validate": cmd_validate,
-    "fit": cmd_fit,
-    "surfaces": cmd_surfaces,
-    "bootstrap": cmd_bootstrap,
-    "simulate": cmd_simulate,
+    "clean": (cmd_clean, ("listings", "postcodes"), "clean_report.json"),
+    "validate": (cmd_validate, ("clean_listings", "area_reference", "national_reference"),
+                 "validation.json"),
+    "fit": (cmd_fit, ("clean_listings",), "model.json"),
+    "surfaces": (cmd_surfaces, ("clean_listings", "model"), "surfaces.json"),
+    "bootstrap": (cmd_bootstrap, ("clean_listings", "model"), "bootstrap.json"),
+    "simulate": (cmd_simulate, (), "simulate.json"),
 }
 
 
@@ -622,11 +600,18 @@ def _one_scipy_blas_thread() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command: check its inputs, make ``--out``, run it, write
+    its result JSON (with ``config_sha256``) and print its summary."""
     args = build_parser().parse_args(argv)
     _one_scipy_blas_thread()
+    command, inputs, result = _COMMANDS[args.command]
     try:
         config = build_run_config(args)
-        return _COMMANDS[args.command](config)
+        config.require(*inputs)
+        with _output_directory(config.out_dir) as out:
+            payload, lines = command(config, out)
+            payload["config_sha256"] = config.sha256()
+            _write_json(out / result, payload)
     except (ConfigurationError, DataError, KeyError, ValueError) as exc:
         # KeyError str() wraps its message in quotes
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
@@ -635,6 +620,8 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    _emit(config, payload, lines)
+    return 0
 
 
 if __name__ == "__main__":

@@ -224,6 +224,23 @@ class ModelSpec:
                 return t.name
         raise KeyError(f"no main effect covers variable {variable!r}")
 
+    def resolve_lambdas(self, lambdas: Mapping[str, float]) -> dict[str, float]:
+        """The smoothing parameter of each main effect of this spec,
+        checked to be a finite number >= 0; other names are ignored."""
+        resolved: dict[str, float] = {}
+        for t in self.main_terms:
+            if t.name not in lambdas:
+                raise ValueError(f"no smoothing parameter for term {t.name}")
+            lam = lambdas[t.name]
+            number = isinstance(lam, Real) and not isinstance(lam, bool)
+            if not (number and math.isfinite(lam) and lam >= 0):
+                raise ValueError(
+                    f"term {t.name}: smoothing parameter {lam!r} is not "
+                    "a finite number >= 0"
+                )
+            resolved[t.name] = float(lam)
+        return resolved
+
     def drop(self, name: str) -> "ModelSpec":
         """Spec without the named term. Dropping a main effect also
         drops every interaction that uses one of its variables."""
@@ -430,28 +447,11 @@ class Design:
         out._gram = self.gram[np.ix_(pos, pos)]
         return out
 
-    def resolve_lambdas(self, lambdas: Mapping[str, float]) -> dict[str, float]:
-        """The smoothing parameter of each main effect of this design,
-        checked to be a finite number >= 0; other names are ignored."""
-        resolved: dict[str, float] = {}
-        for t in self.spec.main_terms:
-            if t.name not in lambdas:
-                raise ValueError(f"no smoothing parameter for term {t.name}")
-            lam = lambdas[t.name]
-            number = isinstance(lam, Real) and not isinstance(lam, bool)
-            if not (number and math.isfinite(lam) and lam >= 0):
-                raise ValueError(
-                    f"term {t.name}: smoothing parameter {lam!r} is not "
-                    "a finite number >= 0"
-                )
-            resolved[t.name] = float(lam)
-        return resolved
-
     def penalty(self, lambdas: Mapping[str, float]) -> np.ndarray:
         """Total penalty matrix S at the given main-effect smoothing
         parameters; interaction directions inherit the matching main
         effect's value."""
-        resolved = self.resolve_lambdas(lambdas)
+        resolved = self.spec.resolve_lambdas(lambdas)
         s = np.zeros((self.p, self.p))
         for block in self.blocks:
             for pen, owner in zip(block.penalties, block.penalty_owners):
@@ -735,7 +735,7 @@ def fit_pls(
     """
     y = _response(design, y)
     n = design.n
-    resolved = design.resolve_lambdas(lambdas)
+    resolved = design.spec.resolve_lambdas(lambdas)
     factor = _penalized_factor(design, resolved)
     if factor.ridged:
         warnings.warn(
@@ -819,7 +819,7 @@ def _eigen_ladder(
     relative in k, 7e-11 in rss and 7e-10 in the gap.
     """
     l0 = float(np.sort(ladder)[len(ladder) // 2])
-    factor = _penalized_factor(design, design.resolve_lambdas({**current, name: l0}))
+    factor = _penalized_factor(design, design.spec.resolve_lambdas({**current, name: l0}))
     if factor.ridged:
         return []
     upper = factor.cho[0]
@@ -891,6 +891,16 @@ def _ladder_fits(
     )
 
 
+def smoothing_ladder(grid: Sequence[float] | None) -> np.ndarray:
+    """The ladder that selection sweeps: ``grid`` as floats, or
+    ``DEFAULT_LAMBDA_GRID`` when it is None. ValueError unless it is
+    non-empty, finite and >= 0."""
+    ladder = DEFAULT_LAMBDA_GRID if grid is None else np.asarray(grid, dtype=float)
+    if ladder.size == 0 or not np.isfinite(ladder).all() or (ladder < 0).any():
+        raise ValueError(f"invalid smoothing grid {ladder.tolist()}")
+    return ladder
+
+
 def _coordinate_descent(
     design: Design,
     y: np.ndarray,
@@ -901,8 +911,8 @@ def _coordinate_descent(
 ) -> dict[str, float]:
     """Minimize ``score`` of each ladder point's :class:`LadderFit` (its
     ``rss``, ``k`` and, with a ``signal``, ``gap``) over the main-effect
-    smoothing parameters by coordinate descent on one finite ladder shared
-    by every term (``DEFAULT_LAMBDA_GRID`` when ``grid`` is None).
+    smoothing parameters by coordinate descent on one ladder shared by
+    every term (:func:`smoothing_ladder` of ``grid``).
 
     Every main effect starts at the middle of the ladder. Terms are
     swept in spec order, each set to its best-scoring ladder value with
@@ -915,9 +925,7 @@ def _coordinate_descent(
     fits would pick the term's current value again, so the result is
     the same as with every ladder run.
     """
-    ladder = DEFAULT_LAMBDA_GRID if grid is None else np.asarray(grid, dtype=float)
-    if ladder.size == 0 or not np.isfinite(ladder).all() or (ladder < 0).any():
-        raise ValueError(f"invalid smoothing grid {ladder.tolist()}")
+    ladder = smoothing_ladder(grid)
     y = _response(design, y)
     if signal is not None:
         signal = _response(design, signal, "signal")

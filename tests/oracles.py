@@ -38,7 +38,7 @@ def penalty_roots(block):
 def augmented_ls_beta(design, y, lambdas):
     """Coefficients minimizing ``|y - X b|^2 + sum lambda |R b|^2``, each
     direction scaled by its owning main effect's smoothing parameter."""
-    resolved = design.resolve_lambdas(lambdas)
+    resolved = design.spec.resolve_lambdas(lambdas)
     parts = [design.matrix]
     for block in design.blocks:
         for root, owner in zip(penalty_roots(block), block.penalty_owners):

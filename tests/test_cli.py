@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 
 from rentgam import cli, gam, inference
 from rentgam.cli import RunConfig, build_run_config, load_config_file, main
-from rentgam.errors import ConfigurationError
+from rentgam.errors import ConfigurationError, DataError
 from rentgam.listings import GEOCODED_COLUMNS, columns_of, write_clean_listings
 
 DATA = Path(__file__).parent / "data"
@@ -446,19 +447,39 @@ class TestFit:
             pytest.param("1, inf", id="inf"),
         ],
     )
-    def test_invalid_ladder_exits_2(self, pipeline, tmp_path, capsys, ladder):
-        cfg = tmp_path / "ladder.cfg"
-        cfg.write_text(f"lambda_grid = {ladder}\n")
+    def test_invalid_ladder_exits_2(self, pipeline, tmp_path, capsys, monkeypatch, ladder):
+        err = self.refused_before_rows(
+            pipeline, tmp_path, capsys, monkeypatch, f"lambda_grid = {ladder}"
+        )
+        assert "invalid smoothing grid" in err
+
+    def test_invalid_spec_exits_2(self, pipeline, tmp_path, capsys, monkeypatch):
+        err = self.refused_before_rows(
+            pipeline, tmp_path, capsys, monkeypatch, "univariate_segments = 0"
+        )
+        assert "segments takes whole numbers >= 1" in err
+
+    def refused_before_rows(self, pipeline, tmp_path, capsys, monkeypatch, line):
+        """Run fit with one config ``line``, which must exit 2 with one
+        error line before any row is read and leave no --out."""
+        monkeypatch.setattr(
+            cli, "read_clean_listings", lambda path: pytest.fail("clean listings read")
+        )
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text(f"{line}\n")
+        out = tmp_path / "out"
         code, _, err = run(
             [
                 "fit", "--config", cfg,
                 "--clean-listings", pipeline["out"] / "clean_listings.csv",
-                "--out", tmp_path,
+                "--out", out,
             ],
             capsys,
         )
         assert code == 2
-        assert "invalid smoothing grid" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+        return err
 
 
 class TestSurfaces:
@@ -579,26 +600,69 @@ class TestBootstrap:
 
 
 class TestRefusedRuns:
-    @pytest.mark.parametrize("command", ["bootstrap", "surfaces"])
-    def test_leave_no_out_directory(self, pipeline, tmp_path, command):
-        """bootstrap with --b 5 and surfaces against a stale model both
-        exit 2 without creating their --out directory."""
+    """bootstrap with --b 5 and surfaces against a stale model both exit 2
+    and remove every --out level the run made, and nothing else."""
+
+    def refuse(self, pipeline, tmp_path, command, out):
         clean = pipeline["out"] / "clean_listings.csv"
         extra = ["--term", "deprivation:year", "--b", "5"]
         if command == "surfaces":
             data2, out2 = tmp_path / "data2", tmp_path / "out2"
-            assert main(["simulate", "--n", "80", "--seed", "99", "--out", str(data2)]) == 0
-            assert main([
-                "clean", "--listings", str(data2 / "listings.csv"),
-                "--postcodes", str(data2 / "postcodes.csv"), "--out", str(out2),
-            ]) == 0
+            if not out2.exists():
+                assert main(["simulate", "--n", "80", "--seed", "99",
+                             "--out", str(data2)]) == 0
+                assert main([
+                    "clean", "--listings", str(data2 / "listings.csv"),
+                    "--postcodes", str(data2 / "postcodes.csv"), "--out", str(out2),
+                ]) == 0
             clean, extra = out2 / "clean_listings.csv", []
-        out = tmp_path / "runbad"
         assert main([
             command, "--clean-listings", str(clean),
             "--model", str(pipeline["out"] / "model.json"), "--out", str(out), *extra,
         ]) == 2
+
+    @pytest.mark.parametrize("command", ["bootstrap", "surfaces"])
+    def test_leave_no_out_directory(self, pipeline, tmp_path, command):
+        out = tmp_path / "runbad"
+        self.refuse(pipeline, tmp_path, command, out)
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["bootstrap", "surfaces"])
+    def test_leave_no_nested_out_directory(self, pipeline, tmp_path, command):
+        self.refuse(pipeline, tmp_path, command, tmp_path / "new" / "a" / "b")
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("command", ["bootstrap", "surfaces"])
+    def test_keep_an_existing_out_directory(self, pipeline, tmp_path, command):
+        out = tmp_path / "kept"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        self.refuse(pipeline, tmp_path, command, out)
+        self.refuse(pipeline, tmp_path, command, out / "new" / "a")
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+        assert (out / "notes.txt").read_text() == "kept\n"
+
+    def test_removal_stops_at_a_level_that_is_not_empty(self, tmp_path):
+        out = tmp_path / "new" / "a" / "b"
+        with pytest.raises(DataError):
+            with cli._output_directory(str(out)):
+                (tmp_path / "new" / "a" / "made.txt").write_text("x\n")
+                raise DataError("refused")
+        assert not out.exists()
+        assert [p.name for p in (tmp_path / "new" / "a").iterdir()] == ["made.txt"]
+
+    def test_levels_made_before_a_failed_mkdir_are_removed(self, tmp_path, monkeypatch):
+        # mkdir can fail below a level it made: a full disk, or a umask
+        # that leaves the new level unwritable
+        def mkdir_then_fail(self, parents=False, exist_ok=False):
+            os.mkdir(tmp_path / "new")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(Path, "mkdir", mkdir_then_fail)
+        with pytest.raises(ConfigurationError, match="No space left on device"):
+            with cli._output_directory(str(tmp_path / "new" / "a" / "b")):
+                pass
+        assert not (tmp_path / "new").exists()
 
 
 def _inputs(pipeline):
@@ -613,6 +677,12 @@ def _inputs(pipeline):
         "model": out / "model.json",
         "truth": data / "truth.json",
     }
+
+
+def _input_flags(paths):
+    """The ``--key path`` flags of each input key in ``paths``."""
+    return [arg for key, path in paths.items()
+            for arg in (f"--{key.replace('_', '-')}", path)]
 
 
 REQUIRED_INPUTS = {
@@ -642,9 +712,7 @@ class TestUnopenableInputs:
     def test_directory_for_a_required_path(self, pipeline, tmp_path, capsys, command, key):
         paths = {k: _inputs(pipeline)[k] for k in REQUIRED_INPUTS[command]}
         paths[key] = tmp_path
-        argv = [command]
-        for k, path in paths.items():
-            argv += [f"--{k.replace('_', '-')}", path]
+        argv = [command, *_input_flags(paths)]
         out = tmp_path / "out"
         err = self.refused(capsys, argv, out, "Is a directory")
         assert f"{key} path cannot be opened: {tmp_path}" in err
@@ -671,6 +739,25 @@ class TestUnopenableInputs:
         self.refused(capsys, ["simulate", "--n", "20"], out, "output directory")
         assert blocker.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("command", sorted(REQUIRED_INPUTS))
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-a-file"])
+    def test_out_refused_before_any_row_is_read(
+        self, pipeline, tmp_path, capsys, monkeypatch, command, under
+    ):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("rows read before --out was made")
+
+        monkeypatch.setattr(cli, "parse_listings", no_rows)
+        monkeypatch.setattr(cli, "read_clean_listings", no_rows)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        argv = [command, *_input_flags(
+            {k: _inputs(pipeline)[k] for k in REQUIRED_INPUTS[command]}
+        )]
+        out = blocker / under if under else blocker
+        self.refused(capsys, argv, out, f"output directory cannot be created: {out}")
+        assert blocker.read_text() == "kept\n"
+
     def test_fit_refuses_missing_truth_before_selection(
         self, pipeline, tmp_path, capsys, monkeypatch
     ):
@@ -686,6 +773,33 @@ class TestUnopenableInputs:
         err = self.refused(capsys, argv, out, "truth file not found")
         assert "nope.json" in err
         assert not out.exists()
+
+
+RESULTS = {
+    "clean": "clean_report.json",
+    "validate": "validation.json",
+    "fit": "model.json",
+    "surfaces": "surfaces.json",
+    "bootstrap": "bootstrap.json",
+    "simulate": "simulate.json",
+}
+
+
+@pytest.mark.parametrize("command", sorted(RESULTS))
+def test_result_json_is_the_json_summary(pipeline, tmp_path, capsys, command):
+    """Each command's result file holds what --format json prints, with
+    the hash of its settings."""
+    argv = [command, "--format", "json", "--out", tmp_path / "out", *_input_flags(
+        {k: _inputs(pipeline)[k] for k in REQUIRED_INPUTS.get(command, ())}
+    )]
+    argv += {"bootstrap": ["--b", "19"], "simulate": ["--n", "80"]}.get(command, [])
+    code, text, _ = run(argv, capsys)
+    assert code == 0
+    written = (tmp_path / "out" / RESULTS[command]).read_text(encoding="utf-8")
+    assert written == text
+    assert json.loads(written)["config_sha256"] == build_run_config(
+        cli.build_parser().parse_args([str(a) for a in argv])
+    ).sha256()
 
 
 def _edit_rent(lines):
@@ -810,13 +924,23 @@ class TestStoredModel:
     @pytest.mark.parametrize(
         "value", [None, -5.0, math.nan, True], ids=["null", "negative", "nan", "bool"]
     )
-    def test_bad_smoothing_parameter_refused(self, pipeline, tmp_path, capsys, value):
+    def test_bad_smoothing_parameter_refused(
+        self, pipeline, tmp_path, capsys, monkeypatch, value
+    ):
+        # a model file fault, refused before the clean listings are read
         def edit(stored):
             stored["lambdas"]["beds"] = value
 
-        err = self.refused(pipeline, tmp_path, capsys, "surfaces", edit)
-        assert "term beds: smoothing parameter" in err
-        assert "finite number >= 0" in err
+        monkeypatch.setattr(
+            cli, "read_clean_listings", lambda path: pytest.fail("clean listings read")
+        )
+        for command in ("surfaces", "bootstrap"):
+            err = self.refused(pipeline, tmp_path, capsys, command, edit)
+            assert err.startswith(
+                f"error: {tmp_path / 'model.json'}: bad model file: "
+                "term beds: smoothing parameter "
+            )
+            assert err.endswith("is not a finite number >= 0\n")
 
     @pytest.mark.parametrize(
         "field, value",
