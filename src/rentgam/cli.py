@@ -4,8 +4,9 @@ Subcommands chain the stages together: ``clean`` produces the geocoded
 listings file, ``validate`` checks it against reference counts, ``fit``
 estimates the model, ``surfaces`` exports effect grids, ``bootstrap``
 tests a term and ``simulate`` writes a synthetic corpus with known
-truth. Settings come from a flat key=value config file; command-line
-flags override it. Every run is reproducible: all randomness flows from
+truth. Settings come from a flat key=value config file; a command-line
+flag overrides its key, and its value is read and checked as the key's
+line would be. Every run is reproducible: all randomness flows from
 the single ``seed`` key and result files carry a hash of the effective
 configuration. Exit codes: 0 success, 2 input or configuration error,
 3 numerical or domain error.
@@ -133,12 +134,15 @@ class RunConfig:
         return hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
 
     def require(self, *keys: str) -> None:
-        """Check the named input paths are set and open before running."""
+        """Check the named input paths are set and open before running. A
+        FIFO is left unopened: a trial open would take the data its writer
+        sends, and the command's own open would then wait for a writer."""
         for key in keys:
             value = getattr(self, key)
             if value is None:
                 raise ConfigurationError(f"config key {key!r} is required")
-            open_input(value, f"{key} path").close()
+            if not Path(value).is_fifo():
+                open_input(value, f"{key} path").close()
 
 
 _FIELD_TYPES = get_type_hints(RunConfig)
@@ -182,13 +186,13 @@ def load_config_file(path: str | Path) -> dict:
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
+    """The config file's settings with each given flag winning over its
+    key's line; a flag's value is read as that line's is, by :func:`_coerce`."""
     settings = load_config_file(args.config) if args.config else {}
-    overrides = {
-        name: getattr(args, name)
-        for name in (f.name for f in fields(RunConfig))
-        if getattr(args, name, None) is not None
-    }
-    settings.update(overrides)  # flags win
+    for f in fields(RunConfig):
+        raw = getattr(args, f.name, None)
+        if raw is not None:
+            settings[f.name] = _coerce(f.name, raw)
     return RunConfig(**settings)
 
 
@@ -376,7 +380,7 @@ def cmd_fit(config: RunConfig, out: Path) -> tuple[dict, list[str]]:
     design = build_design(rows, spec)
     y = rows["logprice"]
     lams = select_smoothness(design, y, ladder)
-    ends = {min(ladder): "lowest", max(ladder): "highest"}
+    ends = {ladder[0]: "lowest", ladder[-1]: "highest"}
     for name, lam in lams.items():
         if len(ends) > 1 and lam in ends:
             print(f"note: {name} selected lambda {lam!r}, the {ends[lam]} value "
@@ -506,68 +510,60 @@ def cmd_simulate(config: RunConfig, out: Path) -> tuple[dict, list[str]]:
     return payload, [f"{key} -> {path}" for key, path in paths.items()]
 
 
-# each command: its function, the input path keys it requires, and the
-# file in --out its result JSON goes to
+# each command: its function, the input path keys it requires, the other
+# settings it takes as flags, the file in --out its result JSON goes to,
+# and its help line
 _COMMANDS = {
-    "clean": (cmd_clean, ("listings", "postcodes"), "clean_report.json"),
+    "clean": (cmd_clean, ("listings", "postcodes"), (), "clean_report.json",
+              "parse, deduplicate, validate and geocode"),
     "validate": (cmd_validate, ("clean_listings", "area_reference", "national_reference"),
-                 "validation.json"),
-    "fit": (cmd_fit, ("clean_listings",), "model.json"),
-    "surfaces": (cmd_surfaces, ("clean_listings", "model"), "surfaces.json"),
-    "bootstrap": (cmd_bootstrap, ("clean_listings", "model"), "bootstrap.json"),
-    "simulate": (cmd_simulate, (), "simulate.json"),
+                 (), "validation.json", "compare clean listings to reference counts"),
+    "fit": (cmd_fit, ("clean_listings",), ("truth",), "model.json",
+            "fit the additive model with BIC smoothing"),
+    "surfaces": (cmd_surfaces, ("clean_listings", "model"), (), "surfaces.json",
+                 "export effect grids from a fitted model"),
+    "bootstrap": (cmd_bootstrap, ("clean_listings", "model"), ("term", "bootstrap_b"),
+                  "bootstrap.json", "parametric bootstrap test for one term"),
+    "simulate": (cmd_simulate, (), ("n", "sigma", "truth", "truth_kind"), "simulate.json",
+                 "write a synthetic corpus with known truth"),
 }
 
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value settings file")
-    parser.add_argument("--out", dest="out_dir", help="output directory")
-    parser.add_argument("--seed", type=int, help="random seed")
-    parser.add_argument("--format", choices=["table", "json"], help="stdout format")
+# the help of each flag; a flag is spelled --<key with dashes>, but for the
+# two in _FLAG_SPELLING
+_FLAG_HELP = {
+    "config": "flat key = value settings file",
+    "out_dir": "output directory",
+    "seed": "random seed",
+    "format": "stdout format: table or json",
+    "listings": "raw listings csv or jsonl",
+    "postcodes": "postcode index csv",
+    "clean_listings": "clean listings csv from clean",
+    "area_reference": "area stock and flow csv",
+    "national_reference": "national stock and flow csv",
+    "model": "model json from fit",
+    "truth": "truth json: fit scores recovery against it, simulate draws from it",
+    "term": "term to test",
+    "bootstrap_b": "replicates",
+    "n": "number of listings",
+    "sigma": "log-scale noise level",
+    "truth_kind": "smooth or linear: the truth simulate draws from without --truth",
+}
+_FLAG_SPELLING = {"out_dir": "--out", "bootstrap_b": "--b"}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command of ``_COMMANDS``: the common flags, then
+    its input keys, then its own settings. No flag has a type or choices:
+    :func:`build_run_config` reads and checks each as its config key."""
     parser = argparse.ArgumentParser(
         prog="rentgam", description="rental listings model pipeline"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("clean", help="parse, deduplicate, validate and geocode")
-    _add_common(p)
-    p.add_argument("--listings", help="raw listings csv or jsonl")
-    p.add_argument("--postcodes", help="postcode index csv")
-
-    p = sub.add_parser("validate", help="compare clean listings to reference counts")
-    _add_common(p)
-    p.add_argument("--clean-listings", dest="clean_listings")
-    p.add_argument("--area-reference", dest="area_reference")
-    p.add_argument("--national-reference", dest="national_reference")
-
-    p = sub.add_parser("fit", help="fit the additive model with BIC smoothing")
-    _add_common(p)
-    p.add_argument("--clean-listings", dest="clean_listings")
-    p.add_argument("--truth", help="truth json for recovery scoring")
-
-    p = sub.add_parser("surfaces", help="export effect grids from a fitted model")
-    _add_common(p)
-    p.add_argument("--clean-listings", dest="clean_listings")
-    p.add_argument("--model", help="model json from fit")
-
-    p = sub.add_parser("bootstrap", help="parametric bootstrap test for one term")
-    _add_common(p)
-    p.add_argument("--clean-listings", dest="clean_listings")
-    p.add_argument("--model", help="model json from fit")
-    p.add_argument("--term", help="term to test")
-    p.add_argument("--b", dest="bootstrap_b", type=int, help="replicates")
-
-    p = sub.add_parser("simulate", help="write a synthetic corpus with known truth")
-    _add_common(p)
-    p.add_argument("--n", type=int, help="number of listings")
-    p.add_argument("--sigma", type=float, help="log-scale noise level")
-    p.add_argument("--truth", help="truth json to simulate from")
-    p.add_argument(
-        "--truth-kind", dest="truth_kind", choices=["smooth", "linear"]
-    )
+    for name, (_, inputs, flags, _, help_line) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for key in ("config", "out_dir", "seed", "format", *inputs, *flags):
+            spelling = _FLAG_SPELLING.get(key, "--" + key.replace("_", "-"))
+            p.add_argument(spelling, dest=key, help=_FLAG_HELP[key])
     return parser
 
 
@@ -604,7 +600,7 @@ def main(argv: list[str] | None = None) -> int:
     its result JSON (with ``config_sha256``) and print its summary."""
     args = build_parser().parse_args(argv)
     _one_scipy_blas_thread()
-    command, inputs, result = _COMMANDS[args.command]
+    command, inputs, _, result, _ = _COMMANDS[args.command]
     try:
         config = build_run_config(args)
         config.require(*inputs)

@@ -57,7 +57,7 @@ def unmemoized_descent(design, y, score, grid=None, max_sweeps=10, signal=None):
     smoothing parameters, and the term and the values held at each ladder,
     in order. Scores within ``1e-9*|best| + 1e-12`` of the best tie, and a
     tie goes to the larger value."""
-    ladder = gam.DEFAULT_LAMBDA_GRID if grid is None else np.asarray(grid, dtype=float)
+    ladder = gam.smoothing_ladder(grid)
     current = {t.name: float(ladder[len(ladder) // 2]) for t in design.spec.main_terms}
     trace = []
     for _ in range(max_sweeps):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import errno
 import json
@@ -5,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from contextlib import suppress
 from dataclasses import fields
 from datetime import date
 from pathlib import Path
@@ -12,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from rentgam import cli, gam, inference
-from rentgam.cli import RunConfig, build_run_config, load_config_file, main
+from rentgam.cli import RunConfig, build_parser, build_run_config, load_config_file, main
 from rentgam.errors import ConfigurationError, DataError
 from rentgam.listings import GEOCODED_COLUMNS, columns_of, write_clean_listings
 
@@ -50,6 +53,39 @@ def pipeline(tmp_path_factory):
 
 
 NUMERIC_KEYS = {f.name: f.type for f in fields(RunConfig) if f.type in ("int", "float")}
+# a command that takes the numeric key as a flag, and the flag
+FLAGS = {"seed": ("fit", "--seed"), "bootstrap_b": ("bootstrap", "--b"),
+         "n": ("simulate", "--n"), "sigma": ("simulate", "--sigma")}
+
+# each command's (option string, config key) pairs: the common ones, then
+# its own
+COMMON_OPTIONS = {("-h", "help"), ("--help", "help"), ("--config", "config"),
+                  ("--out", "out_dir"), ("--seed", "seed"), ("--format", "format")}
+OPTIONS = {
+    "clean": {("--listings", "listings"), ("--postcodes", "postcodes")},
+    "validate": {("--clean-listings", "clean_listings"),
+                 ("--area-reference", "area_reference"),
+                 ("--national-reference", "national_reference")},
+    "fit": {("--clean-listings", "clean_listings"), ("--truth", "truth")},
+    "surfaces": {("--clean-listings", "clean_listings"), ("--model", "model")},
+    "bootstrap": {("--clean-listings", "clean_listings"), ("--model", "model"),
+                  ("--term", "term"), ("--b", "bootstrap_b")},
+    "simulate": {("--n", "n"), ("--sigma", "sigma"), ("--truth", "truth"),
+                 ("--truth-kind", "truth_kind")},
+}
+
+# (command, key, flag, bad value, the error line's message)
+BAD_VALUES = [
+    ("simulate", "n", "--n", "abc",
+     "config key n: invalid literal for int() with base 10: 'abc'"),
+    ("bootstrap", "bootstrap_b", "--b", "x",
+     "config key bootstrap_b: invalid literal for int() with base 10: 'x'"),
+    ("clean", "format", "--format", "xml", "format must be table or json, got xml"),
+    ("simulate", "truth_kind", "--truth-kind", "cubic",
+     "truth_kind must be smooth or linear, got cubic"),
+    ("fit", "seed", "--seed", "1.5",
+     "config key seed: invalid literal for int() with base 10: '1.5'"),
+]
 
 
 class TestConfig:
@@ -63,8 +99,6 @@ class TestConfig:
             text += f"{key} = {sample}\n"
         cfg.write_text(text)
         parser_args = ["simulate", "--config", str(cfg), "--seed", "9"]
-        from rentgam.cli import build_parser
-
         args = build_parser().parse_args(parser_args)
         config = build_run_config(args)
         assert config.seed == 9  # flag wins
@@ -74,6 +108,15 @@ class TestConfig:
         assert type(value).__name__ == NUMERIC_KEYS[key]
         if key not in ("seed", "radius_miles", "n"):
             assert value == sample
+        if key in FLAGS:
+            # a flag is read as the same line in a config file
+            command, flag = FLAGS[key]
+            cfg.write_text(f"{key} = {sample}\n")
+            parse = build_parser().parse_args
+            from_file = build_run_config(parse([command, "--config", str(cfg)]))
+            from_flag = build_run_config(parse([command, flag, str(sample)]))
+            assert from_flag == from_file
+            assert from_flag.sha256() == from_file.sha256()
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -102,6 +145,35 @@ class TestConfig:
             from rentgam.cli import RunConfig
 
             RunConfig(radius_miles=0.0)
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_flags_of_each_command(self, command):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        actions = sub.choices[command]._actions
+        got = {(option, a.dest) for a in actions for option in a.option_strings}
+        assert got == COMMON_OPTIONS | OPTIONS[command]
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize(
+        "command, key, flag, value, message", BAD_VALUES, ids=[v[1] for v in BAD_VALUES]
+    )
+    def test_bad_value_exits_2(
+        self, tmp_path, capsys, source, command, key, flag, value, message
+    ):
+        """A bad value exits 2 with one error line naming its key, as a
+        flag or as a config-file line alike, before --out is made."""
+        if source == "flag":
+            argv = [command, flag, value]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            argv = [command, "--config", cfg]
+        out = tmp_path / "out"
+        code, _, err = run([*argv, "--out", out], capsys)
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_hash_changes_with_settings(self):
         from rentgam.cli import RunConfig
@@ -1107,3 +1179,40 @@ class TestBlasThreads:
             "it keeps its default thread count"
         ]
         assert len((out / "listings.csv").read_text().splitlines()) == 51
+
+
+def test_fifo_input_is_opened_once(tmp_path):
+    """A FIFO input is opened only by the command that reads it. A trial
+    open would take the data its writer sends, and the command's own open
+    would then wait for a writer forever. The command runs in its own
+    process, so a hang ends at the timeout."""
+    data = tmp_path / "data"
+    assert main(["simulate", "--n", "80", "--seed", "5", "--out", str(data)]) == 0
+    fifo = tmp_path / "feed.csv"
+    os.mkfifo(fifo)
+
+    def write():
+        with suppress(BrokenPipeError), open(fifo, "wb") as fh:
+            fh.write((data / "listings.csv").read_bytes())
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    argv = ["clean", "--postcodes", str(data / "postcodes.csv")]
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "rentgam.cli", *argv, "--listings", str(fifo),
+             "--out", str(tmp_path / "from_fifo")],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=60,
+        )
+    finally:
+        if writer.is_alive():  # the FIFO was never opened: let the writer go
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert done.returncode == 0, done.stderr
+    assert main([*argv, "--listings", str(data / "listings.csv"),
+                 "--out", str(tmp_path / "from_file")]) == 0
+    for name in ("clean_listings.csv", "clean_report.txt", "malformed.txt"):
+        got = (tmp_path / "from_fifo" / name).read_bytes()
+        assert got == (tmp_path / "from_file" / name).read_bytes(), name

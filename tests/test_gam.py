@@ -706,6 +706,20 @@ class TestSelectSmoothness:
             with pytest.raises(ValueError, match="invalid smoothing grid"):
                 select_smoothness(design, y, grid=grid)
 
+    def test_permuted_grid_starts_at_its_sorted_middle(self, monkeypatch):
+        """The ladder is the grid sorted: every term starts at its middle
+        value, the ladder evaluator's base, whatever order the grid has."""
+        rows, y = synthetic_rows(
+            250, noise=0.2, seed=3, fn=lambda x, t: np.sin(5 * x) + 0.05 * t
+        )
+        design = build_design(rows, two_term_spec())
+        grid = [10.0, 1e6, 1e-3, 1e3, 0.1]
+        ladders = recording_ladder_fits(monkeypatch)
+        sel = select_smoothness(design, y, grid=grid)
+        assert ladders[0][1] == {"deprivation": 10.0, "year": 10.0}
+        monkeypatch.undo()
+        assert sel == select_smoothness(design, y, grid=sorted(grid))
+
     def test_deterministic(self):
         rows, y = synthetic_rows(200, noise=0.3)
         design = build_design(rows, two_term_spec())

@@ -5,7 +5,7 @@ import re
 import shlex
 from pathlib import Path
 
-from rentgam.cli import main
+from rentgam.cli import RunConfig, load_config_file, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -27,6 +27,18 @@ def test_library_example_runs(tmp_path, monkeypatch, capsys):
     exec(compile(library_block(), str(README), "exec"), {})
     p_value = float(capsys.readouterr().out)
     assert 0.0 < p_value <= 1.0
+
+
+def test_example_config_loads(tmp_path):
+    """The example config file holds only keys the CLI knows, each with a
+    value it accepts."""
+    section = README.read_text(encoding="utf-8").split("Example config file", 1)[1]
+    block = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+    path = tmp_path / "run.cfg"
+    path.write_text(block, encoding="utf-8")
+    settings = load_config_file(path)
+    assert settings
+    RunConfig(**settings)
 
 
 def round_trip_commands() -> list[list[str]]:
