@@ -18,6 +18,7 @@ import argparse
 import csv
 import ctypes
 import hashlib
+import io
 import json
 import math
 import sys
@@ -28,6 +29,7 @@ from itertools import takewhile
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
 from scipy.linalg import cython_blas
 
 from .errors import ConfigurationError, DataError, NumericalError
@@ -35,7 +37,9 @@ from .gam import (
     build_design,
     default_model_spec,
     derive_rows,
+    Design,
     effect_surface,
+    fit_from_gram,
     fit_pls,
     FittedModel,
     MODEL_VARIABLES,
@@ -44,6 +48,7 @@ from .gam import (
     select_smoothness,
     smoothing_ladder,
     spatial_filter,
+    term_blocks,
     TermSpec,
 )
 from .inference import bootstrap_term_test, check_bootstrap_request
@@ -129,7 +134,8 @@ class RunConfig:
             if value is None:
                 continue
             if f.name == "lambda_grid":
-                value = ",".join(repr(v) for v in value)
+                # the ladder's order: a permuted grid is the same ladder
+                value = ",".join(repr(v) for v in sorted(value))
             lines.append(f"{f.name}={value}")
         return hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
 
@@ -372,6 +378,20 @@ def _model_payload(model, design) -> dict:
     }
 
 
+# fit's X'X, beside model.json, which records its sha256
+GRAM_FILE = "gram.npy"
+
+
+def _save_gram(path: Path, gram) -> str:
+    """Write ``gram`` by ``np.save`` (whose bytes, unlike an ``.npz``'s,
+    carry no time stamp) and return the file's sha256."""
+    buffer = io.BytesIO()
+    np.save(buffer, gram, allow_pickle=False)
+    raw = buffer.getvalue()
+    path.write_bytes(raw)
+    return hashlib.sha256(raw).hexdigest()
+
+
 def cmd_fit(config: RunConfig, out: Path) -> tuple[dict, list[str]]:
     truth = None if config.truth is None else load_truth(config.truth)
     spec = _spec_from_config(config)
@@ -404,6 +424,7 @@ def cmd_fit(config: RunConfig, out: Path) -> tuple[dict, list[str]]:
         for name, value in rmse.items():
             lines.append(f"  {name:<18} {value:.6f}")
 
+    payload["gram_sha256"] = _save_gram(out / GRAM_FILE, design.gram)
     lines.append(f"model -> {out / 'model.json'}")
     return payload, lines
 
@@ -442,9 +463,9 @@ def _read_stored(config: RunConfig) -> tuple[dict, ModelSpec]:
     return stored, spec
 
 
-def _refit_stored(config: RunConfig, stored: dict, spec: ModelSpec) -> FittedModel:
-    """Refit a stored model at its smoothing parameters on the rows it
-    applies to, refusing rows whose fingerprint differs from the fit's."""
+def _stored_rows(config: RunConfig, stored: dict) -> dict:
+    """The model columns of the rows a stored model applies to, refusing
+    rows whose fingerprint differs from the fit's."""
     rows = _fit_rows(config)
     if stored.get("rows_sha256") != _rows_sha256(rows):
         raise DataError(
@@ -452,13 +473,70 @@ def _refit_stored(config: RunConfig, stored: dict, spec: ModelSpec) -> FittedMod
             f"the {stored['n']} the model was fitted on (rows_sha256 differs "
             "or is missing); re-run fit"
         )
+    return rows
+
+
+def _refit_stored(config: RunConfig, stored: dict, spec: ModelSpec) -> FittedModel:
+    """Refit a stored model at its smoothing parameters on the rows it
+    applies to (see :func:`_stored_rows`)."""
+    rows = _stored_rows(config, stored)
     design = build_design(rows, spec)
     return fit_pls(design, rows["logprice"], stored["lambdas"])
 
 
+def _load_gram(config: RunConfig, stored: dict, p: int):
+    """The p x p ``X'X`` that fit wrote beside the model file, checked
+    against the model file's ``gram_sha256``."""
+    path = Path(config.model).parent / GRAM_FILE
+    if "gram_sha256" not in stored:
+        raise DataError(f"{config.model}: model file records no gram_sha256; re-run fit")
+    try:
+        fh = open_input(path, "gram file", binary=True)
+    except ConfigurationError as exc:
+        raise DataError(f"{exc}; re-run fit") from None
+    with fh:
+        raw = fh.read()
+    if hashlib.sha256(raw).hexdigest() != stored["gram_sha256"]:
+        raise DataError(f"{path}: sha256 is not the model file's gram_sha256; re-run fit")
+    try:
+        gram = np.lib.format.read_array(io.BytesIO(raw), allow_pickle=False)
+    except ValueError as exc:
+        raise DataError(f"{path}: not a gram file: {exc}; re-run fit") from None
+    if gram.dtype != np.float64 or gram.shape != (p, p):
+        raise DataError(
+            f"{path}: holds a {gram.dtype} array of shape {gram.shape}, not the "
+            f"model's {p} x {p} X'X; re-run fit"
+        )
+    return gram
+
+
+def _stored_model(config: RunConfig, stored: dict, spec: ModelSpec) -> FittedModel:
+    """The stored model, read back without a design matrix or a refit:
+    its blocks rebuilt on the rows it applies to (see :func:`_stored_rows`),
+    its ``X'X`` from fit's gram file (checked after the rows), and its
+    coefficients (the intercept, then each term's) and ``sigma2`` from the
+    model file."""
+    rows = _stored_rows(config, stored)
+    n = rows["logprice"].size
+    blocks, _ = term_blocks(rows, spec)
+    del rows
+    p = 1 + sum(block.width for block in blocks)
+    design = Design(spec=spec, matrix=None, blocks=blocks,
+                    gram=_load_gram(config, stored, p))
+    try:
+        beta = [stored["intercept"]]
+        for term in stored["terms"]:
+            beta += term["coefficients"]
+        return fit_from_gram(design, stored["lambdas"], beta, stored["sigma2"], n)
+    except KeyError as exc:
+        raise DataError(f"{config.model}: bad model file: missing {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{config.model}: bad model file: {exc}") from None
+
+
 def cmd_surfaces(config: RunConfig, out: Path) -> tuple[dict, list[str]]:
     stored, spec = _read_stored(config)
-    model = _refit_stored(config, stored, spec)
+    model = _stored_model(config, stored, spec)
     written = []
     for block in model.design.blocks:
         term = block.term

@@ -308,20 +308,6 @@ def _raw_basis(
     return margins[0] if len(margins) == 1 else tensor_basis(margins)
 
 
-def _main_effect_basis(
-    term: TermSpec,
-    knots: Sequence[KnotVector],
-    columns: Mapping[str, np.ndarray],
-    out: np.ndarray,
-) -> ConstraintTransform:
-    """Write a main effect's basis, constrained to sum to zero over
-    ``columns``, into ``out`` and return the constraint transform."""
-    raw = _raw_basis(term, knots, columns)
-    transform = sum_to_zero_transform(raw)
-    np.matmul(raw, transform.z, out=out)  # transform.apply, without a copy
-    return transform
-
-
 def _interaction_basis(
     term: TermSpec,
     knots: Sequence[KnotVector],
@@ -374,14 +360,27 @@ class Design:
     its parent's array and keeps the index of its own columns in it, so
     its products ``X @ b`` (:meth:`matvec`) and ``X' v`` (:meth:`rmatvec`)
     run through the parent's columns and no n x p copy is made.
+
+    ``X'X`` is formed once, on first use, unless it is given. A design
+    given :func:`term_blocks`'s blocks and the ``X'X`` that
+    :func:`build_design` formed on the same rows (``fit`` stores it) needs
+    no matrix (``matrix`` is None): its penalty and factor are the built
+    design's bit for bit, but ``n``, :meth:`matvec` and :meth:`rmatvec`
+    need the rows.
     """
 
-    def __init__(self, spec: ModelSpec, matrix: np.ndarray, blocks: list[TermBlock]):
+    def __init__(
+        self,
+        spec: ModelSpec,
+        matrix: np.ndarray | None,
+        blocks: list[TermBlock],
+        gram: np.ndarray | None = None,
+    ):
         self.spec = spec
         self.blocks = blocks
         self._x = matrix
         self._kept: np.ndarray | None = None  # this design's columns of _x
-        self._gram: np.ndarray | None = None
+        self._gram = gram
         self._roots: dict[str, np.ndarray] = {}
         # (lambdas, factor) of the last fit_pls: refits at known smoothness
         # repeat the same lambdas, often many times
@@ -401,7 +400,9 @@ class Design:
 
     @property
     def p(self) -> int:
-        return self._x.shape[1] if self._kept is None else self._kept.size
+        if self._kept is not None:
+            return self._kept.size
+        return (self._gram if self._x is None else self._x).shape[1]
 
     @property
     def gram(self) -> np.ndarray:
@@ -501,15 +502,23 @@ def _constrained_penalties(
     return [z.T @ p @ z for p in lifted]
 
 
-def build_design(columns: Mapping[str, np.ndarray], spec: ModelSpec) -> Design:
-    """Evaluate and constrain every term's basis at the observed rows,
-    given as model columns (see :func:`derive_rows`).
+def term_blocks(
+    columns: Mapping[str, np.ndarray], spec: ModelSpec, with_matrix: bool = False
+) -> tuple[list[TermBlock], np.ndarray | None]:
+    """Every term's :class:`TermBlock` at the observed rows, given as model
+    columns (see :func:`derive_rows`), and with ``with_matrix`` the n x p
+    design matrix (else None): the one builder of knots, constraint
+    transforms and penalties, for :func:`build_design` and for a model
+    read back by :func:`fit_from_gram` alike.
 
-    Domains come from the observed minima and maxima. The knots fix each
-    term's width, so the n x p matrix is allocated once and every block
-    is written into its own columns; ``X'X`` is formed once on the
-    result. Raises when a term's constrained block is not identifiable
-    even under its penalty.
+    Domains come from the observed minima and maxima. An interaction's
+    transform and penalties depend on its knots alone. A main effect's
+    sum-to-zero transform needs its raw basis at the rows, which is
+    evaluated once: with the matrix, it is then written through the
+    transform into the main effect's columns. The knots fix each term's
+    width, so the matrix is allocated once and every block is written into
+    its own columns; without it nothing n x p is allocated, the largest
+    n-sized array being one raw basis (n x 121 for ``location``).
     """
     n = len(next(iter(columns.values())))
     if n < 2:
@@ -527,9 +536,9 @@ def build_design(columns: Mapping[str, np.ndarray], spec: ModelSpec) -> Design:
             raise DataError(f"term {term.name}: {exc}") from exc
         term_knots.append(knots)
     term_dims = [tuple(kv.dimension for kv in knots) for knots in term_knots]
-    # An interaction's transform and penalties depend on its knots alone.
-    # Forming them before the n x p buffer keeps their raw-size lifted
-    # penalties (3 x 2 MB for location:year) out of the buffer's lifetime.
+    # Forming the interactions' transforms and penalties before the n x p
+    # buffer keeps their raw-size lifted penalties (3 x 2 MB for
+    # location:year) out of the buffer's lifetime.
     fixed = {}
     for term, dims in zip(spec.terms, term_dims):
         if term.interaction:
@@ -537,17 +546,24 @@ def build_design(columns: Mapping[str, np.ndarray], spec: ModelSpec) -> Design:
             penalties = _constrained_penalties(term, dims, transform.z)
             fixed[term.name] = transform, penalties
     widths = [_width(term, dims) for term, dims in zip(spec.terms, term_dims)]
-    x = np.empty((n, 1 + sum(widths)))
-    x[:, 0] = 1.0
+    x = None
+    if with_matrix:
+        x = np.empty((n, 1 + sum(widths)))
+        x[:, 0] = 1.0
     blocks: list[TermBlock] = []
     start = 1
     for term, knots, dims, width in zip(spec.terms, term_knots, term_dims, widths):
-        out = x[:, start : start + width]
+        out = None if x is None else x[:, start : start + width]
         if term.interaction:
             transform, penalties = fixed[term.name]
-            _interaction_basis(term, knots, transform, columns, out)
+            if out is not None:
+                _interaction_basis(term, knots, transform, columns, out)
         else:
-            transform = _main_effect_basis(term, knots, columns, out)
+            raw = _raw_basis(term, knots, columns)
+            transform = sum_to_zero_transform(raw)
+            if out is not None:
+                np.matmul(raw, transform.z, out=out)  # transform.apply, without a copy
+            del raw
             penalties = _constrained_penalties(term, dims, transform.z)
         blocks.append(
             TermBlock(
@@ -560,6 +576,16 @@ def build_design(columns: Mapping[str, np.ndarray], spec: ModelSpec) -> Design:
             )
         )
         start += width
+    return blocks, x
+
+
+def build_design(columns: Mapping[str, np.ndarray], spec: ModelSpec) -> Design:
+    """The design of ``spec`` at the observed rows, given as model columns
+    (see :func:`derive_rows`): :func:`term_blocks` with the n x p matrix,
+    and ``X'X`` formed once on it. Raises when a term's constrained block
+    is not identifiable even under its penalty.
+    """
+    blocks, x = term_blocks(columns, spec, with_matrix=True)
     design = Design(spec=spec, matrix=x, blocks=blocks)
     gram = design.gram
     for block in blocks:
@@ -589,19 +615,21 @@ def bic(rss: float, n: int, k: float) -> float:
 
 @dataclass
 class FittedModel:
-    """A penalized least-squares fit at fixed smoothing parameters."""
+    """A penalized least-squares fit at fixed smoothing parameters. A
+    model of :func:`fit_from_gram` has no response: its ``y``, ``fitted``,
+    ``rss`` and ``bic`` are None."""
 
     design: Design
     lambdas: dict[str, float]
     beta: np.ndarray
-    y: np.ndarray
-    fitted: np.ndarray = field(repr=False)
-    rss: float
+    y: np.ndarray | None
+    fitted: np.ndarray | None = field(repr=False)
+    rss: float | None
     n: int
     k: float
     sigma2: float
     edf_by_term: dict[str, float]
-    bic: float
+    bic: float | None
     _cho: tuple = field(repr=False, default=None)
     _cov_unscaled: np.ndarray | None = field(repr=False, default=None)
 
@@ -625,11 +653,9 @@ class FittedModel:
         """Inverse of (X'X + S); multiply by sigma2 for the coefficient
         covariance. Taken once per model from the fit's factor by
         :func:`_upper_inverse`, its lower triangle mirrored from the
-        upper."""
+        upper by :func:`_mirror_upper`."""
         if self._cov_unscaled is None:
-            inv = _upper_inverse(self._cho)
-            inv += np.triu(inv, 1).T
-            self._cov_unscaled = inv
+            self._cov_unscaled = _mirror_upper(_upper_inverse(self._cho))
         return self._cov_unscaled
 
     def coefficients(self, term: str) -> np.ndarray:
@@ -678,6 +704,19 @@ def _upper_inverse(cho: tuple) -> np.ndarray:
         raise NumericalError(f"inverse from the Cholesky factor failed (info {info})")
     np.copyto(inv, 0.0, where=np.tri(len(inv), k=-1, dtype=bool))
     return inv
+
+
+def _mirror_upper(a: np.ndarray, rows: int = 64) -> np.ndarray:
+    """``a``, square with a zero strict lower triangle, made symmetric in
+    place: the values of ``a += np.triu(a, 1).T`` (which adds 0.0 to every
+    entry, turning -0.0 into 0.0), with no p x p temporary. Copied in
+    bands of ``rows`` rows."""
+    a += 0.0
+    for i in range(0, len(a), rows):
+        a[i : i + rows, :i] = a[:i, i : i + rows].T
+        band = a[i : i + rows, i : i + rows]
+        band += np.triu(band, 1).T
+    return a
 
 
 def _penalized_factor(design: Design, lambdas: dict[str, float]) -> _Factor:
@@ -736,25 +775,14 @@ def fit_pls(
     y = _response(design, y)
     n = design.n
     resolved = design.spec.resolve_lambdas(lambdas)
-    factor = _penalized_factor(design, resolved)
-    if factor.ridged:
-        warnings.warn(
-            "penalized normal equations are not positive definite; "
-            "retrying with a 1e-10 relative ridge on the diagonal",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    factor = _checked_factor(design, resolved)
     beta = linalg.cho_solve(factor.cho, design.rmatvec(y))
     fitted = design.matvec(beta)
     rss = float(np.sum((y - fitted) ** 2))
 
-    diag = factor.hat_diag
-    k = float(diag.sum())
+    k, edf = _degrees_of_freedom(design, factor)
     _check_dof(n, k)
     sigma2 = rss / (n - k)
-    edf = {"intercept": float(diag[0])}
-    for block in design.blocks:
-        edf[block.term.name] = float(diag[block.columns].sum())
 
     return FittedModel(
         design=design,
@@ -770,6 +798,71 @@ def fit_pls(
         bic=bic(rss, n, k),
         _cho=factor.cho,
     )
+
+
+def fit_from_gram(
+    design: Design,
+    lambdas: Mapping[str, float],
+    beta: np.ndarray,
+    sigma2: float,
+    n: int,
+) -> FittedModel:
+    """The model of a fit already made on ``n`` rows, from a design that
+    holds its ``X'X`` and no matrix (see :class:`Design`), its smoothing
+    parameters, its coefficients ``beta`` and its ``sigma2``, as ``fit``
+    stores them: ``X'X + S`` is factored by :func:`_penalized_factor`, as
+    :func:`fit_pls` factors it (with its ridge warning), so the covariance
+    and every effect surface are the fit's bit for bit, and so are ``k``
+    and the EDFs. There is no response: ``y``, ``fitted``, ``rss`` and
+    ``bic`` are None.
+    """
+    resolved = design.spec.resolve_lambdas(lambdas)
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (design.p,) or not np.isfinite(beta).all():
+        raise ValueError(f"need {design.p} finite coefficients, got {beta.size}")
+    sigma2 = float(sigma2)
+    if not (math.isfinite(sigma2) and sigma2 >= 0):
+        raise ValueError(f"sigma2 {sigma2!r} is not a finite number >= 0")
+    factor = _checked_factor(design, resolved)
+    k, edf = _degrees_of_freedom(design, factor)
+    return FittedModel(
+        design=design,
+        lambdas=resolved,
+        beta=beta,
+        y=None,
+        fitted=None,
+        rss=None,
+        n=n,
+        k=k,
+        sigma2=sigma2,
+        edf_by_term=edf,
+        bic=None,
+        _cho=factor.cho,
+    )
+
+
+def _checked_factor(design: Design, lambdas: dict[str, float]) -> _Factor:
+    """:func:`_penalized_factor`, warning (``RuntimeWarning``, at the
+    caller of the fit) when it took the ridge retry."""
+    factor = _penalized_factor(design, lambdas)
+    if factor.ridged:
+        warnings.warn(
+            "penalized normal equations are not positive definite; "
+            "retrying with a 1e-10 relative ridge on the diagonal",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return factor
+
+
+def _degrees_of_freedom(design: Design, factor: _Factor) -> tuple[float, dict[str, float]]:
+    """k, the hat diagonal's sum, and the EDF of the intercept and of
+    each term, its sums over their columns."""
+    diag = factor.hat_diag
+    edf = {"intercept": float(diag[0])}
+    for block in design.blocks:
+        edf[block.term.name] = float(diag[block.columns].sum())
+    return float(diag.sum()), edf
 
 
 class LadderFit(NamedTuple):
@@ -921,8 +1014,9 @@ def _coordinate_descent(
     the others held fixed, until a sweep changes nothing or
     ``max_sweeps`` is reached; stopping at the cap while the last sweep
     still changed a value gives a ``RuntimeWarning``. Scores within
-    ``1e-9*|best| + 1e-12`` of the best tie, and ties go to the larger
-    (smoother) value. A term's ladder is skipped when every other term
+    ``1e-9*|best| + 1e-12`` of the best tie, and ties go to the later
+    point, which on the ascending ladder is the larger (smoother) value.
+    A term's ladder is skipped when every other term
     still holds the value it held at that term's last ladder: the same
     fits would pick the term's current value again, so the result is
     the same as with every ladder run.
@@ -950,8 +1044,9 @@ def _coordinate_descent(
                 if best is None or value < best - tol:
                     best = value
                     best_lam = float(lam)
-                elif value <= best + tol and lam > best_lam:
-                    # tie at numerical precision: prefer the smoother fit
+                elif value <= best + tol:
+                    # tie at numerical precision: the ladder ascends, so the
+                    # later point is the smoother fit
                     best_lam = float(lam)
             if best_lam != current[name]:
                 current[name] = best_lam

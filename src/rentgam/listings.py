@@ -159,11 +159,14 @@ def columns_of(rows: Iterable[Sequence], names: Sequence[str]) -> dict[str, np.n
     }
 
 
-def open_input(path: str | Path, what: str):
+def open_input(path: str | Path, what: str, binary: bool = False):
     """Open the input file ``path`` (UTF-8, line ends untranslated, as csv
-    needs): the one opener of every file a command reads. ConfigurationError
-    names ``what`` and ``path`` when it is missing or cannot be opened."""
+    needs; bytes when ``binary``): the one opener of every file a command
+    reads. ConfigurationError names ``what`` and ``path`` when it is missing
+    or cannot be opened."""
     try:
+        if binary:
+            return open(path, "rb")
         return open(path, newline="", encoding="utf-8")
     except FileNotFoundError:
         raise ConfigurationError(f"{what} not found: {path}") from None

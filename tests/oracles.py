@@ -10,6 +10,9 @@ block's constraint basis.
 
 ``unmemoized_descent`` is smoothness selection with every ladder of
 every sweep fitted.
+
+``refit_model`` is a stored model as ``surfaces`` once read it back: its
+design built again from the rows and fitted at its smoothing parameters.
 """
 
 import math
@@ -56,7 +59,7 @@ def unmemoized_descent(design, y, score, grid=None, max_sweeps=10, signal=None):
     every term's ladder fitted in every sweep (no memo): the selected
     smoothing parameters, and the term and the values held at each ladder,
     in order. Scores within ``1e-9*|best| + 1e-12`` of the best tie, and a
-    tie goes to the larger value."""
+    tie goes to the later point of the ascending ladder, the larger value."""
     ladder = gam.smoothing_ladder(grid)
     current = {t.name: float(ladder[len(ladder) // 2]) for t in design.spec.main_terms}
     trace = []
@@ -70,10 +73,16 @@ def unmemoized_descent(design, y, score, grid=None, max_sweeps=10, signal=None):
                 value = score(fit)
                 if best is None or value < best - (1e-9 * abs(best) + 1e-12):
                     best, best_lam = value, float(lam)
-                elif value <= best + 1e-9 * abs(best) + 1e-12 and lam > best_lam:
+                elif value <= best + 1e-9 * abs(best) + 1e-12:
                     best_lam = float(lam)
             changed |= best_lam != current[name]
             current[name] = best_lam
         if not changed:
             break
     return current, trace
+
+
+def refit_model(rows, spec, lambdas):
+    """The fit of ``spec`` at ``lambdas`` on model columns ``rows``, through
+    ``build_design`` and ``fit_pls``."""
+    return gam.fit_pls(gam.build_design(rows, spec), rows["logprice"], lambdas)

@@ -1,6 +1,8 @@
 import argparse
 import csv
 import errno
+import hashlib
+import io
 import json
 import math
 import os
@@ -12,7 +14,9 @@ from dataclasses import fields
 from datetime import date
 from pathlib import Path
 
+import numpy as np
 import pytest
+from oracles import refit_model
 
 from rentgam import cli, gam, inference
 from rentgam.cli import RunConfig, build_parser, build_run_config, load_config_file, main
@@ -182,6 +186,18 @@ class TestConfig:
         b = RunConfig(seed=2)
         assert a.sha256() != b.sha256()
         assert a.sha256() == RunConfig(seed=1).sha256()
+
+    def test_permuted_lambda_grid_hashes_as_its_ladder(self, tmp_path):
+        # the grid is hashed in the ladder's (sorted) order, and a sorted
+        # grid keeps the hash it had when the grid was hashed as given
+        hashes = []
+        for grid in ("10,1e6,1e-3,1e3,0.1", "1e-3,0.1,10,1e3,1e6"):
+            path = tmp_path / "run.cfg"
+            path.write_text(f"lambda_grid = {grid}\n")
+            hashes.append(RunConfig(**load_config_file(path)).sha256())
+        assert hashes == [
+            "4ac8d95c825ff046dfc81ac6d7b1c9fc19fcb591f9bbd5eaa28b6a66f85e23ea"
+        ] * 2
 
 
 class TestClean:
@@ -919,6 +935,151 @@ class TestFingerprint:
     def test_fit_records_the_fingerprint(self, pipeline):
         stored = json.loads((pipeline["out"] / "model.json").read_text())
         assert len(stored["rows_sha256"]) == 64
+
+
+def _saved(save, array) -> bytes:
+    """The bytes ``save`` (``np.save`` or ``np.savez``) writes for ``array``."""
+    buffer = io.BytesIO()
+    save(buffer, array)
+    return buffer.getvalue()
+
+
+class TestGramFile:
+    """fit writes X'X to gram.npy beside model.json, which records its
+    sha256; surfaces reads the model back from the two files and refuses a
+    gram file that fit did not write, after it has checked the rows."""
+
+    def test_fit_writes_the_gram(self, pipeline):
+        stored = json.loads((pipeline["out"] / "model.json").read_text())
+        raw = (pipeline["out"] / "gram.npy").read_bytes()
+        assert stored["gram_sha256"] == hashlib.sha256(raw).hexdigest()
+        gram = np.load(io.BytesIO(raw))
+        p = 1 + sum(len(t["coefficients"]) for t in stored["terms"])
+        assert gram.shape == (p, p)
+        assert np.array_equal(gram, gram.T)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["missing", "truncated", "truncated-resealed", "edited-byte", "wrong-shape",
+         "npz-resealed", "no-gram-sha256"],
+    )
+    def test_refused(self, pipeline, tmp_path, capsys, case):
+        # "resealed": model.json records the sha256 of the bad file
+        stored = json.loads((pipeline["out"] / "model.json").read_text())
+        raw = (pipeline["out"] / "gram.npy").read_bytes()
+        if case.startswith("truncated"):
+            raw = raw[: len(raw) // 2]
+        elif case == "edited-byte":
+            raw = raw[:-8] + bytes([raw[-8] ^ 1]) + raw[-7:]
+        elif case == "wrong-shape":
+            raw = _saved(np.save, np.load(io.BytesIO(raw))[:-1, :-1])
+        elif case == "npz-resealed":
+            raw = _saved(np.savez, np.load(io.BytesIO(raw)))
+        if case in ("truncated-resealed", "wrong-shape", "npz-resealed"):
+            stored["gram_sha256"] = hashlib.sha256(raw).hexdigest()
+        elif case == "no-gram-sha256":
+            del stored["gram_sha256"]
+        model = tmp_path / "model" / "model.json"
+        model.parent.mkdir()
+        model.write_text(json.dumps(stored))
+        if case != "missing":
+            (model.parent / "gram.npy").write_bytes(raw)
+        out = tmp_path / "out"
+        code, _, err = run([
+            "surfaces", "--clean-listings", pipeline["out"] / "clean_listings.csv",
+            "--model", model, "--out", out,
+        ], capsys)
+        assert code == 2
+        named = model if case == "no-gram-sha256" else model.parent / "gram.npy"
+        assert err.startswith(f"error: {named}: ") or err.startswith(
+            f"error: gram file not found: {named};"
+        )
+        assert err.count("\n") == 1 and "re-run fit" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [("no-intercept", "missing 'intercept'"), ("no-sigma2", "missing 'sigma2'"),
+         ("short-term", "need "), ("string-coefficient", "could not convert"),
+         ("nan-sigma2", "sigma2 nan is not a finite number")],
+    )
+    def test_bad_coefficients_refused(self, pipeline, tmp_path, capsys, case, message):
+        # surfaces reads the coefficients and sigma2 that fit stored
+        stored = json.loads((pipeline["out"] / "model.json").read_text())
+        beds = next(t for t in stored["terms"] if t["name"] == "beds")
+        if case == "no-intercept":
+            del stored["intercept"]
+        elif case == "no-sigma2":
+            del stored["sigma2"]
+        elif case == "short-term":
+            beds["coefficients"].pop()
+        elif case == "string-coefficient":
+            beds["coefficients"][0] = "x"
+        else:
+            stored["sigma2"] = math.nan
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(stored))
+        (tmp_path / "gram.npy").write_bytes((pipeline["out"] / "gram.npy").read_bytes())
+        out = tmp_path / "out"
+        code, _, err = run([
+            "surfaces", "--clean-listings", pipeline["out"] / "clean_listings.csv",
+            "--model", model, "--out", out,
+        ], capsys)
+        assert code == 2
+        assert err.startswith(f"error: {model}: bad model file: ") and message in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_ridge_retry_warns(self, pipeline, tmp_path, monkeypatch):
+        factor = gam._penalized_factor
+        monkeypatch.setattr(
+            gam, "_penalized_factor", lambda *args: factor(*args)._replace(ridged=True)
+        )
+        with pytest.warns(RuntimeWarning, match="1e-10 relative ridge"):
+            assert main([
+                "surfaces", "--clean-listings", str(pipeline["out"] / "clean_listings.csv"),
+                "--model", str(pipeline["out"] / "model.json"), "--out", str(tmp_path),
+            ]) == 0
+
+
+@pytest.fixture(scope="module")
+def readme_fits(tmp_path_factory):
+    """The README round trip's corpus (n 2000, seed 7) fitted twice: with
+    BIC selection (``bic``) and with ``lambda_grid = 10`` (``pinned``)."""
+    root = tmp_path_factory.mktemp("readme")
+    assert main(["simulate", "--n", "2000", "--sigma", "0.1", "--seed", "7",
+                 "--out", str(root / "sim")]) == 0
+    assert main(["clean", "--listings", str(root / "sim" / "listings.csv"),
+                 "--postcodes", str(root / "sim" / "postcodes.csv"),
+                 "--out", str(root / "run")]) == 0
+    (root / "pin.cfg").write_text("lambda_grid = 10\n")
+    clean = str(root / "run" / "clean_listings.csv")
+    assert main(["fit", "--clean-listings", clean, "--out", str(root / "bic")]) == 0
+    assert main(["fit", "--config", str(root / "pin.cfg"), "--clean-listings", clean,
+                 "--out", str(root / "pinned")]) == 0
+    return root
+
+
+@pytest.mark.parametrize("fit", ["bic", "pinned"])
+def test_stored_model_surfaces_equal_the_refit(readme_fits, fit):
+    """The model surfaces reads back from model.json and gram.npy has the
+    refit's coefficients, and every term's effect, SE and significance
+    equal the refit's bit for bit."""
+    config = RunConfig(clean_listings=str(readme_fits / "run" / "clean_listings.csv"),
+                       model=str(readme_fits / fit / "model.json"))
+    stored, spec = cli._read_stored(config)
+    model = cli._stored_model(config, stored, spec)
+    refit = refit_model(cli._stored_rows(config, stored), spec, stored["lambdas"])
+    assert model.y is None and model.fitted is None
+    assert np.array_equal(model.beta, refit.beta)
+    assert (model.sigma2, model.k, model.edf_by_term) == (
+        refit.sigma2, refit.k, refit.edf_by_term
+    )
+    for term in spec.terms:
+        got = gam.effect_surface(model, term.name)
+        want = gam.effect_surface(refit, term.name)
+        for key in ("effect", "se", "significant"):
+            assert np.array_equal(getattr(got, key), getattr(want, key)), (term.name, key)
 
 
 class TestStoredModel:

@@ -638,6 +638,17 @@ class TestFactorCache:
         assert np.max(np.abs(got - hat)) <= tol * np.max(np.abs(hat))
         assert model.k == float(got.sum())
 
+    @pytest.mark.parametrize("size", [1, 64, 150])
+    def test_mirror_upper_matches_adding_the_transpose(self, size):
+        # the banded in-place mirror gives the bytes of the one-line form,
+        # -0.0 turned into 0.0 included
+        rng = np.random.default_rng(size)
+        upper = np.triu(rng.standard_normal((size, size)))
+        upper[np.triu(rng.random((size, size)) < 0.1)] = -0.0
+        want = upper + np.triu(upper, 1).T
+        got = gam._mirror_upper(np.asfortranarray(upper))
+        assert got.tobytes(order="C") == want.tobytes(order="C")
+
     def test_a_changed_lambda_record_does_not_move_the_cache(self):
         rows, y = synthetic_rows(150, noise=0.3)
         design = build_design(rows, two_term_spec())
@@ -719,6 +730,26 @@ class TestSelectSmoothness:
         assert ladders[0][1] == {"deprivation": 10.0, "year": 10.0}
         monkeypatch.undo()
         assert sel == select_smoothness(design, y, grid=sorted(grid))
+
+    def test_descending_grid_is_swept_ascending(self, monkeypatch):
+        """Every ladder runs ascending whatever order the grid has, so the
+        tie rule needs no comparison of values: a later tie is larger."""
+        rows, y = synthetic_rows(
+            250, noise=0.2, seed=3, fn=lambda x, t: np.sin(5 * x) + 0.05 * t
+        )
+        design = build_design(rows, two_term_spec())
+        seen = []
+        ladder_fits = gam._ladder_fits
+
+        def recording(design, y, current, name, ladder, *args):
+            seen.append(ladder.tolist())
+            return ladder_fits(design, y, current, name, ladder, *args)
+
+        monkeypatch.setattr(gam, "_ladder_fits", recording)
+        sel = select_smoothness(design, y, grid=[100.0, 10.0, 1.0])
+        assert seen and all(ladder == [1.0, 10.0, 100.0] for ladder in seen)
+        monkeypatch.undo()
+        assert sel == select_smoothness(design, y, grid=[1.0, 10.0, 100.0])
 
     def test_deterministic(self):
         rows, y = synthetic_rows(200, noise=0.3)

@@ -1,12 +1,16 @@
 """Traced memory of design assembly, of a penalized fit, of smoothness
-selection and of the bootstrap: the n x p design matrix exists once, a
-fit holds few p x p arrays at a time, selection holds no n x r array, the
-reduced fit makes no copy of the design and the replicates take two n x B
-arrays."""
+selection, of the bootstrap and of reading a stored model back: the n x p
+design matrix exists once, a fit holds few p x p arrays at a time,
+selection holds no n x r array, the reduced fit makes no copy of the
+design, the replicates take two n x B arrays and a stored model is read
+back with no design matrix."""
 
 import tracemalloc
 
+from rentgam import cli
+from rentgam.cli import RunConfig, main
 from rentgam.gam import (
+    effect_surface,
     build_design,
     default_model_spec,
     derive_rows,
@@ -111,3 +115,35 @@ def test_selection_peak_does_not_grow_with_n():
         peaks.append(peak)
         del rows, design
     assert peaks[1] - peaks[0] < 2e6
+
+
+def test_stored_model_builds_no_design_matrix(tmp_path):
+    # n 5000, p 640: X is 25.6 MB, and the refit that surfaces used to run
+    # held it. The stored model keeps its blocks (4.8 MB, mostly the
+    # location:year penalties) and three p x p arrays (X'X, the factor and
+    # the covariance, 3.3 MB each); building the blocks passes through
+    # 9.7 MB more (location:year's lifted penalties, the location basis),
+    # and the rest less than half a p x p array beyond what is kept.
+    # Measured: peak 15.1 MB (0.59 X), 0.45 MB above what is kept.
+    assert main(["simulate", "--n", "5000", "--sigma", "0.1", "--seed", "3",
+                 "--out", str(tmp_path / "sim")]) == 0
+    assert main(["clean", "--listings", str(tmp_path / "sim" / "listings.csv"),
+                 "--postcodes", str(tmp_path / "sim" / "postcodes.csv"),
+                 "--out", str(tmp_path)]) == 0
+    (tmp_path / "pin.cfg").write_text("lambda_grid = 10\n")
+    assert main(["fit", "--config", str(tmp_path / "pin.cfg"), "--clean-listings",
+                 str(tmp_path / "clean_listings.csv"), "--out", str(tmp_path)]) == 0
+    config = RunConfig(clean_listings=str(tmp_path / "clean_listings.csv"),
+                       model=str(tmp_path / "model.json"))
+    stored, spec = cli._read_stored(config)
+
+    def load_and_surface():
+        model = cli._stored_model(config, stored, spec)
+        effect_surface(model, "deprivation")
+        return model
+
+    model, peak, held = traced_peak(load_and_surface)
+    p2 = model.design.p ** 2 * 8
+    assert model.y is None and model.fitted is None
+    assert peak < 0.75 * model.n * model.design.p * 8
+    assert peak <= held + 0.5 * p2

@@ -58,7 +58,7 @@ def output_files() -> dict[str, list[str]]:
     name pattern such as ``surface_<term>.csv`` is left out."""
     section = README.read_text(encoding="utf-8").split("### Outputs", 1)[1]
     rows = re.findall(r"^\| (\w+) +\| (.*) \|$", section, re.M)
-    return {command: re.findall(r"`([\w.]+\.(?:csv|json|txt))`", files)
+    return {command: re.findall(r"`([\w.]+\.(?:csv|json|txt|npy))`", files)
             for command, files in rows if command != "command"}
 
 
