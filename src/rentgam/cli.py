@@ -476,14 +476,6 @@ def _stored_rows(config: RunConfig, stored: dict) -> dict:
     return rows
 
 
-def _refit_stored(config: RunConfig, stored: dict, spec: ModelSpec) -> FittedModel:
-    """Refit a stored model at its smoothing parameters on the rows it
-    applies to (see :func:`_stored_rows`)."""
-    rows = _stored_rows(config, stored)
-    design = build_design(rows, spec)
-    return fit_pls(design, rows["logprice"], stored["lambdas"])
-
-
 def _load_gram(config: RunConfig, stored: dict, p: int):
     """The p x p ``X'X`` that fit wrote beside the model file, checked
     against the model file's ``gram_sha256``."""
@@ -510,24 +502,28 @@ def _load_gram(config: RunConfig, stored: dict, p: int):
     return gram
 
 
-def _stored_model(config: RunConfig, stored: dict, spec: ModelSpec) -> FittedModel:
-    """The stored model, read back without a design matrix or a refit:
-    its blocks rebuilt on the rows it applies to (see :func:`_stored_rows`),
-    its ``X'X`` from fit's gram file (checked after the rows), and its
-    coefficients (the intercept, then each term's) and ``sigma2`` from the
-    model file."""
+def _stored_model(
+    config: RunConfig, stored: dict, spec: ModelSpec, with_matrix: bool = False
+) -> FittedModel:
+    """The stored model, read back without a refit, for ``surfaces`` and
+    ``bootstrap`` alike: its response and its blocks (and with
+    ``with_matrix`` its n x p design matrix, which ``bootstrap``'s draws
+    and reduced fit need) rebuilt on the rows it applies to (see
+    :func:`_stored_rows`), its ``X'X`` from fit's gram file (checked after
+    the rows), and its coefficients (the intercept, then each term's) and
+    ``sigma2`` from the model file."""
     rows = _stored_rows(config, stored)
-    n = rows["logprice"].size
-    blocks, _ = term_blocks(rows, spec)
+    y = rows["logprice"]
+    blocks, x = term_blocks(rows, spec, with_matrix)
     del rows
     p = 1 + sum(block.width for block in blocks)
-    design = Design(spec=spec, matrix=None, blocks=blocks,
+    design = Design(spec=spec, matrix=x, blocks=blocks,
                     gram=_load_gram(config, stored, p))
     try:
         beta = [stored["intercept"]]
         for term in stored["terms"]:
             beta += term["coefficients"]
-        return fit_from_gram(design, stored["lambdas"], beta, stored["sigma2"], n)
+        return fit_from_gram(design, stored["lambdas"], beta, stored["sigma2"], y)
     except KeyError as exc:
         raise DataError(f"{config.model}: bad model file: missing {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -555,7 +551,7 @@ def cmd_surfaces(config: RunConfig, out: Path) -> tuple[dict, list[str]]:
 def cmd_bootstrap(config: RunConfig, out: Path) -> tuple[dict, list[str]]:
     stored, spec = _read_stored(config)
     check_bootstrap_request(spec, config.term, config.bootstrap_b)
-    model = _refit_stored(config, stored, spec)
+    model = _stored_model(config, stored, spec, with_matrix=True)
     result = bootstrap_term_test(model, config.term, b=config.bootstrap_b, seed=config.seed)
     summary = (f"term {result.term}: W_obs = {result.statistic:.3f}, "
                f"p = {result.p_value:.4f} ({result.replicates.size} replicates, "

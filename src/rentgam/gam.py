@@ -363,10 +363,10 @@ class Design:
 
     ``X'X`` is formed once, on first use, unless it is given. A design
     given :func:`term_blocks`'s blocks and the ``X'X`` that
-    :func:`build_design` formed on the same rows (``fit`` stores it) needs
-    no matrix (``matrix`` is None): its penalty and factor are the built
-    design's bit for bit, but ``n``, :meth:`matvec` and :meth:`rmatvec`
-    need the rows.
+    :func:`build_design` formed on the same rows (``fit`` stores it) has
+    the built design's penalty and factor bit for bit. It may hold no
+    matrix (``matrix`` is None), but then ``n``, :meth:`matvec` and
+    :meth:`rmatvec` need the rows.
     """
 
     def __init__(
@@ -616,13 +616,13 @@ def bic(rss: float, n: int, k: float) -> float:
 @dataclass
 class FittedModel:
     """A penalized least-squares fit at fixed smoothing parameters. A
-    model of :func:`fit_from_gram` has no response: its ``y``, ``fitted``,
-    ``rss`` and ``bic`` are None."""
+    model of :func:`fit_from_gram` has no fitted values, rss or bic: its
+    ``fitted``, ``rss`` and ``bic`` are None."""
 
     design: Design
     lambdas: dict[str, float]
     beta: np.ndarray
-    y: np.ndarray | None
+    y: np.ndarray
     fitted: np.ndarray | None = field(repr=False)
     rss: float | None
     n: int
@@ -805,17 +805,18 @@ def fit_from_gram(
     lambdas: Mapping[str, float],
     beta: np.ndarray,
     sigma2: float,
-    n: int,
+    y: np.ndarray,
 ) -> FittedModel:
-    """The model of a fit already made on ``n`` rows, from a design that
-    holds its ``X'X`` and no matrix (see :class:`Design`), its smoothing
-    parameters, its coefficients ``beta`` and its ``sigma2``, as ``fit``
-    stores them: ``X'X + S`` is factored by :func:`_penalized_factor`, as
-    :func:`fit_pls` factors it (with its ridge warning), so the covariance
-    and every effect surface are the fit's bit for bit, and so are ``k``
-    and the EDFs. There is no response: ``y``, ``fitted``, ``rss`` and
-    ``bic`` are None.
+    """The model of a fit already made on the response ``y``, from a
+    design given its ``X'X`` (see :class:`Design`; its matrix, if any, is
+    not read here), its smoothing parameters, its coefficients ``beta``
+    and its ``sigma2``, as ``fit`` stores them: ``X'X + S`` is factored
+    by :func:`_penalized_factor`, as :func:`fit_pls` factors it (with its
+    ridge warning), so the covariance and every effect surface are the
+    fit's bit for bit, and so are ``k`` and the EDFs. Nothing is solved:
+    ``fitted``, ``rss`` and ``bic`` are None.
     """
+    y = np.asarray(y, dtype=float)
     resolved = design.spec.resolve_lambdas(lambdas)
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (design.p,) or not np.isfinite(beta).all():
@@ -829,10 +830,10 @@ def fit_from_gram(
         design=design,
         lambdas=resolved,
         beta=beta,
-        y=None,
+        y=y,
         fitted=None,
         rss=None,
-        n=n,
+        n=len(y),
         k=k,
         sigma2=sigma2,
         edf_by_term=edf,

@@ -11,8 +11,9 @@ block's constraint basis.
 ``unmemoized_descent`` is smoothness selection with every ladder of
 every sweep fitted.
 
-``refit_model`` is a stored model as ``surfaces`` once read it back: its
-design built again from the rows and fitted at its smoothing parameters.
+``refit_model`` is a stored model as ``surfaces`` and ``bootstrap`` once
+read it back: its design built again from the rows and fitted at its
+smoothing parameters.
 """
 
 import math

@@ -658,9 +658,10 @@ class TestBootstrap:
         assert "nope" in err
 
     @pytest.mark.parametrize(
-        "term, b, code, designs",
+        "term, b, code, matrices",
         [
-            # the stored model's design; the reduced fit reuses its columns
+            # the stored model's n x p matrix, for the draws; the reduced
+            # fit reuses its columns
             pytest.param("deprivation:year", "19", 0, 1, id="good-input"),
             # bad requests are refused before any rows are derived
             pytest.param("deprivation:year", "5", 2, 0, id="b-below-19"),
@@ -668,23 +669,31 @@ class TestBootstrap:
         ],
     )
     def test_builds_one_design(
-        self, pipeline, tmp_path, monkeypatch, term, b, code, designs
+        self, pipeline, tmp_path, monkeypatch, term, b, code, matrices
     ):
-        built = []
+        built, designs = [], []
+        term_blocks, build_design = gam.term_blocks, gam.build_design
 
-        def counting(*args, **kwargs):
-            built.append(args)
-            return gam.build_design(*args, **kwargs)
+        def counting_blocks(columns, spec, with_matrix=False):
+            if with_matrix:
+                built.append(spec)
+            return term_blocks(columns, spec, with_matrix)
 
-        monkeypatch.setattr(cli, "build_design", counting)
-        monkeypatch.setattr(inference, "build_design", counting)
+        def counting_design(*args, **kwargs):
+            designs.append(args)
+            return build_design(*args, **kwargs)
+
+        for module in (cli, gam):
+            monkeypatch.setattr(module, "term_blocks", counting_blocks)
+        for module in (cli, inference):
+            monkeypatch.setattr(module, "build_design", counting_design)
         assert main([
             "bootstrap",
             "--clean-listings", str(pipeline["out"] / "clean_listings.csv"),
             "--model", str(pipeline["out"] / "model.json"),
             "--term", term, "--b", b, "--out", str(tmp_path),
         ]) == code
-        assert len(built) == designs
+        assert (len(built), len(designs)) == (matrices, 0)
 
 
 class TestRefusedRuns:
@@ -903,8 +912,8 @@ def _swap_rows(lines):
 
 
 class TestFingerprint:
-    """surfaces and bootstrap refit only on the rows the model was fitted
-    on: a clean file with the same row count but other rows, or a model
+    """surfaces and bootstrap read a model back only on the rows it was
+    fitted on: a clean file with the same row count but other rows, or a model
     file without the fingerprint, exits 2 before any output."""
 
     @pytest.mark.parametrize("command", ["surfaces", "bootstrap"])
@@ -944,10 +953,18 @@ def _saved(save, array) -> bytes:
     return buffer.getvalue()
 
 
+# the arguments of each command that reads a stored model, beyond its inputs
+STORED_MODEL_COMMANDS = {
+    "surfaces": [],
+    "bootstrap": ["--term", "deprivation:year", "--b", "19"],
+}
+
+
 class TestGramFile:
     """fit writes X'X to gram.npy beside model.json, which records its
-    sha256; surfaces reads the model back from the two files and refuses a
-    gram file that fit did not write, after it has checked the rows."""
+    sha256; surfaces and bootstrap read the model back from the two files
+    and refuse a gram file that fit did not write, after they have checked
+    the rows. Each refusal is tried with both commands."""
 
     def test_fit_writes_the_gram(self, pipeline):
         stored = json.loads((pipeline["out"] / "model.json").read_text())
@@ -985,17 +1002,18 @@ class TestGramFile:
         if case != "missing":
             (model.parent / "gram.npy").write_bytes(raw)
         out = tmp_path / "out"
-        code, _, err = run([
-            "surfaces", "--clean-listings", pipeline["out"] / "clean_listings.csv",
-            "--model", model, "--out", out,
-        ], capsys)
-        assert code == 2
         named = model if case == "no-gram-sha256" else model.parent / "gram.npy"
-        assert err.startswith(f"error: {named}: ") or err.startswith(
-            f"error: gram file not found: {named};"
-        )
-        assert err.count("\n") == 1 and "re-run fit" in err
-        assert not out.exists()
+        for command, extra in STORED_MODEL_COMMANDS.items():
+            code, _, err = run([
+                command, "--clean-listings", pipeline["out"] / "clean_listings.csv",
+                "--model", model, "--out", out, *extra,
+            ], capsys)
+            assert code == 2, command
+            assert err.startswith(f"error: {named}: ") or err.startswith(
+                f"error: gram file not found: {named};"
+            )
+            assert err.count("\n") == 1 and "re-run fit" in err
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "case, message",
@@ -1004,7 +1022,7 @@ class TestGramFile:
          ("nan-sigma2", "sigma2 nan is not a finite number")],
     )
     def test_bad_coefficients_refused(self, pipeline, tmp_path, capsys, case, message):
-        # surfaces reads the coefficients and sigma2 that fit stored
+        # surfaces and bootstrap read the coefficients and sigma2 that fit stored
         stored = json.loads((pipeline["out"] / "model.json").read_text())
         beds = next(t for t in stored["terms"] if t["name"] == "beds")
         if case == "no-intercept":
@@ -1021,25 +1039,28 @@ class TestGramFile:
         model.write_text(json.dumps(stored))
         (tmp_path / "gram.npy").write_bytes((pipeline["out"] / "gram.npy").read_bytes())
         out = tmp_path / "out"
-        code, _, err = run([
-            "surfaces", "--clean-listings", pipeline["out"] / "clean_listings.csv",
-            "--model", model, "--out", out,
-        ], capsys)
-        assert code == 2
-        assert err.startswith(f"error: {model}: bad model file: ") and message in err
-        assert err.count("\n") == 1
-        assert not out.exists()
+        for command, extra in STORED_MODEL_COMMANDS.items():
+            code, _, err = run([
+                command, "--clean-listings", pipeline["out"] / "clean_listings.csv",
+                "--model", model, "--out", out, *extra,
+            ], capsys)
+            assert code == 2, command
+            assert err.startswith(f"error: {model}: bad model file: ") and message in err
+            assert err.count("\n") == 1
+            assert not out.exists()
 
     def test_ridge_retry_warns(self, pipeline, tmp_path, monkeypatch):
         factor = gam._penalized_factor
         monkeypatch.setattr(
             gam, "_penalized_factor", lambda *args: factor(*args)._replace(ridged=True)
         )
-        with pytest.warns(RuntimeWarning, match="1e-10 relative ridge"):
-            assert main([
-                "surfaces", "--clean-listings", str(pipeline["out"] / "clean_listings.csv"),
-                "--model", str(pipeline["out"] / "model.json"), "--out", str(tmp_path),
-            ]) == 0
+        for command, extra in STORED_MODEL_COMMANDS.items():
+            with pytest.warns(RuntimeWarning, match="1e-10 relative ridge"):
+                assert main([
+                    command, "--clean-listings", str(pipeline["out"] / "clean_listings.csv"),
+                    "--model", str(pipeline["out"] / "model.json"),
+                    "--out", str(tmp_path / command), *extra,
+                ]) == 0
 
 
 @pytest.fixture(scope="module")
@@ -1070,7 +1091,7 @@ def test_stored_model_surfaces_equal_the_refit(readme_fits, fit):
     stored, spec = cli._read_stored(config)
     model = cli._stored_model(config, stored, spec)
     refit = refit_model(cli._stored_rows(config, stored), spec, stored["lambdas"])
-    assert model.y is None and model.fitted is None
+    assert model.fitted is None and np.array_equal(model.y, refit.y)
     assert np.array_equal(model.beta, refit.beta)
     assert (model.sigma2, model.k, model.edf_by_term) == (
         refit.sigma2, refit.k, refit.edf_by_term
@@ -1080,6 +1101,25 @@ def test_stored_model_surfaces_equal_the_refit(readme_fits, fit):
         want = gam.effect_surface(refit, term.name)
         for key in ("effect", "se", "significant"):
             assert np.array_equal(getattr(got, key), getattr(want, key)), (term.name, key)
+
+
+@pytest.mark.parametrize("fit", ["bic", "pinned"])
+def test_stored_model_bootstrap_equals_the_refit(readme_fits, fit):
+    """bootstrap on the model read back with its design matrix gives the
+    refit's statistic, Wald rank, discard count and replicates bit for bit.
+    Dropping ``year``, a main effect, drops its interactions too."""
+    config = RunConfig(clean_listings=str(readme_fits / "run" / "clean_listings.csv"),
+                       model=str(readme_fits / fit / "model.json"))
+    stored, spec = cli._read_stored(config)
+    model = cli._stored_model(config, stored, spec, with_matrix=True)
+    refit = refit_model(cli._stored_rows(config, stored), spec, stored["lambdas"])
+    for term in ("deprivation:year", "location:year", "year"):
+        got = inference.bootstrap_term_test(model, term, b=19, seed=7)
+        want = inference.bootstrap_term_test(refit, term, b=19, seed=7)
+        assert (got.statistic, got.wald_rank, got.discarded) == (
+            want.statistic, want.wald_rank, want.discarded
+        ), term
+        assert np.array_equal(got.replicates, want.replicates), term
 
 
 class TestStoredModel:

@@ -7,6 +7,8 @@ back with no design matrix."""
 
 import tracemalloc
 
+import numpy as np
+
 from rentgam import cli
 from rentgam.cli import RunConfig, main
 from rentgam.gam import (
@@ -120,9 +122,9 @@ def test_selection_peak_does_not_grow_with_n():
 def test_stored_model_builds_no_design_matrix(tmp_path):
     # n 5000, p 640: X is 25.6 MB, and the refit that surfaces used to run
     # held it. The stored model keeps its blocks (4.8 MB, mostly the
-    # location:year penalties) and three p x p arrays (X'X, the factor and
-    # the covariance, 3.3 MB each); building the blocks passes through
-    # 9.7 MB more (location:year's lifted penalties, the location basis),
+    # location:year penalties), y (40 KB) and three p x p arrays (X'X, the
+    # factor and the covariance, 3.3 MB each); building the blocks passes
+    # through 9.7 MB more (location:year's lifted penalties, the location basis),
     # and the rest less than half a p x p array beyond what is kept.
     # Measured: peak 15.1 MB (0.59 X), 0.45 MB above what is kept.
     assert main(["simulate", "--n", "5000", "--sigma", "0.1", "--seed", "3",
@@ -144,6 +146,7 @@ def test_stored_model_builds_no_design_matrix(tmp_path):
 
     model, peak, held = traced_peak(load_and_surface)
     p2 = model.design.p ** 2 * 8
-    assert model.y is None and model.fitted is None
+    assert model.fitted is None
+    assert np.array_equal(model.y, cli._stored_rows(config, stored)["logprice"])
     assert peak < 0.75 * model.n * model.design.p * 8
     assert peak <= held + 0.5 * p2
