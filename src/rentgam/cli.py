@@ -34,10 +34,12 @@ from scipy.linalg import cython_blas
 
 from .errors import ConfigurationError, DataError, NumericalError
 from .gam import (
+    blocks_from_records,
     build_design,
     default_model_spec,
     derive_rows,
     Design,
+    design_matrix,
     effect_surface,
     fit_from_gram,
     fit_pls,
@@ -48,7 +50,7 @@ from .gam import (
     select_smoothness,
     smoothing_ladder,
     spatial_filter,
-    term_blocks,
+    TermRecord,
     TermSpec,
 )
 from .inference import bootstrap_term_test, check_bootstrap_request
@@ -355,15 +357,19 @@ def _spec_from_config(config: RunConfig) -> ModelSpec:
 
 def _model_payload(model, design) -> dict:
     """The ``model.json`` payload: each term is its :class:`TermSpec`
-    fields plus its knot domain and coefficients."""
-    terms = [
-        {
+    fields plus its knot domain and coefficients, and for a main effect
+    its raw basis's column sums: with the domain, its
+    :class:`~rentgam.gam.TermRecord`."""
+    terms = []
+    for block in design.blocks:
+        term = {
             **asdict(block.term),
             "domain": [[kv.lo, kv.hi] for kv in block.knots],
             "coefficients": model.coefficients(block.term.name).tolist(),
         }
-        for block in design.blocks
-    ]
+        if block.column_sums is not None:
+            term["column_sums"] = block.column_sums.tolist()
+        terms.append(term)
     return {
         "n": model.n,
         "k": model.k,
@@ -502,20 +508,34 @@ def _load_gram(config: RunConfig, stored: dict, p: int):
     return gram
 
 
+def _stored_blocks(config: RunConfig, stored: dict, spec: ModelSpec) -> list:
+    """The stored model's term blocks, rebuilt with no rows from each term's
+    ``domain`` and, for a main effect, ``column_sums`` in the model file
+    (see :func:`~rentgam.gam.blocks_from_records`)."""
+    try:
+        records = [TermRecord(t["domain"], t.get("column_sums")) for t in stored["terms"]]
+        return blocks_from_records(spec, records)
+    except KeyError as exc:
+        raise DataError(f"{config.model}: bad model file: missing {exc}; re-run fit") from None
+    except (DataError, TypeError, ValueError) as exc:
+        raise DataError(f"{config.model}: bad model file: {exc}; re-run fit") from None
+
+
 def _stored_model(
     config: RunConfig, stored: dict, spec: ModelSpec, with_matrix: bool = False
 ) -> FittedModel:
     """The stored model, read back without a refit, for ``surfaces`` and
-    ``bootstrap`` alike: its response and its blocks (and with
-    ``with_matrix`` its n x p design matrix, which ``bootstrap``'s draws
-    and reduced fit need) rebuilt on the rows it applies to (see
-    :func:`_stored_rows`), its ``X'X`` from fit's gram file (checked after
-    the rows), and its coefficients (the intercept, then each term's) and
-    ``sigma2`` from the model file."""
-    rows = _stored_rows(config, stored)
-    y = rows["logprice"]
-    blocks, x = term_blocks(rows, spec, with_matrix)
-    del rows
+    ``bootstrap`` alike: its blocks from the model file (see
+    :func:`_stored_blocks`), its ``X'X`` from fit's gram file, its
+    coefficients (the intercept, then each term's), ``sigma2`` and ``n``
+    from the model file. Only ``with_matrix`` reads rows, the ones the
+    model applies to (see :func:`_stored_rows`), for the response and the
+    n x p design matrix that ``bootstrap``'s draws and reduced fit need."""
+    blocks = _stored_blocks(config, stored, spec)
+    y = x = None
+    if with_matrix:
+        rows = _stored_rows(config, stored)
+        y, x = rows["logprice"], design_matrix(blocks, rows)
     p = 1 + sum(block.width for block in blocks)
     design = Design(spec=spec, matrix=x, blocks=blocks,
                     gram=_load_gram(config, stored, p))
@@ -523,11 +543,39 @@ def _stored_model(
         beta = [stored["intercept"]]
         for term in stored["terms"]:
             beta += term["coefficients"]
-        return fit_from_gram(design, stored["lambdas"], beta, stored["sigma2"], y)
+        return fit_from_gram(design, stored["lambdas"], beta, stored["sigma2"],
+                             stored["n"], y)
     except KeyError as exc:
         raise DataError(f"{config.model}: bad model file: missing {exc}") from None
     except (TypeError, ValueError) as exc:
         raise DataError(f"{config.model}: bad model file: {exc}") from None
+
+
+def _rendered(values: np.ndarray) -> list[str]:
+    """``repr`` of each float of ``values``, as the csv module writes it,
+    formatted once per distinct value: a surface's coordinates take only
+    the few values of each grid axis."""
+    bits, index = np.unique(values.view(np.uint64), return_inverse=True)
+    text = [repr(v) for v in bits.view(np.float64).tolist()]
+    return [text[i] for i in index.tolist()]
+
+
+def _write_surface(path: Path, surface) -> None:
+    """A surface's table: its coordinates, effect, SE and 0/1 mask, byte
+    for byte as :func:`_write_table` writes them (no field of it needs
+    quoting), with each grid coordinate rendered once (see
+    :func:`_rendered`)."""
+    header = (*surface.variables, "effect", "se", "significant")
+    flags = ("0", "1")
+    columns = [
+        *(_rendered(p) for p in surface.points),
+        map(repr, surface.effect.tolist()),
+        map(repr, surface.se.tolist()),
+        (flags[s] for s in surface.significant.tolist()),
+    ]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def cmd_surfaces(config: RunConfig, out: Path) -> tuple[dict, list[str]]:
@@ -539,10 +587,7 @@ def cmd_surfaces(config: RunConfig, out: Path) -> tuple[dict, list[str]]:
         surface = effect_surface(model, term.name)
         name = term.name.replace(":", "_by_")
         path = out / f"surface_{name}.csv"
-        _write_table(path, (*term.variables, "effect", "se", "significant"), zip(
-            *(p.tolist() for p in surface.points), surface.effect.tolist(),
-            surface.se.tolist(), surface.significant.astype(int).tolist(),
-        ))
+        _write_surface(path, surface)
         written.append(path.name)
     manifest = {"model_config_sha256": stored["config_sha256"], "files": written}
     return manifest, [f"wrote {name}" for name in written]
@@ -594,7 +639,7 @@ _COMMANDS = {
                  (), "validation.json", "compare clean listings to reference counts"),
     "fit": (cmd_fit, ("clean_listings",), ("truth",), "model.json",
             "fit the additive model with BIC smoothing"),
-    "surfaces": (cmd_surfaces, ("clean_listings", "model"), (), "surfaces.json",
+    "surfaces": (cmd_surfaces, ("model",), ("clean_listings",), "surfaces.json",
                  "export effect grids from a fitted model"),
     "bootstrap": (cmd_bootstrap, ("clean_listings", "model"), ("term", "bootstrap_b"),
                   "bootstrap.json", "parametric bootstrap test for one term"),
@@ -611,7 +656,8 @@ _FLAG_HELP = {
     "format": "stdout format: table or json",
     "listings": "raw listings csv or jsonl",
     "postcodes": "postcode index csv",
-    "clean_listings": "clean listings csv from clean",
+    "clean_listings": "clean listings csv from clean (surfaces takes it and reads "
+                      "no rows)",
     "area_reference": "area stock and flow csv",
     "national_reference": "national stock and flow csv",
     "model": "model json from fit",

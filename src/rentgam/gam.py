@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from numbers import Real
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -330,7 +331,10 @@ def _interaction_basis(
 @dataclass
 class TermBlock:
     """A term's columns in the design matrix plus everything needed to
-    re-evaluate it at new covariate values."""
+    re-evaluate it at new covariate values. A main effect's
+    ``column_sums`` are its raw basis's column sums at the rows it was
+    built on (None for an interaction): the row of the constraint its
+    ``transform`` absorbs."""
 
     term: TermSpec
     columns: slice
@@ -338,6 +342,7 @@ class TermBlock:
     transform: ConstraintTransform
     penalties: list[np.ndarray]
     penalty_owners: list[str]
+    column_sums: np.ndarray | None = None
 
     @property
     def width(self) -> int:
@@ -346,10 +351,14 @@ class TermBlock:
     def raw_basis(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
         return _raw_basis(self.term, self.knots, columns)
 
-    def evaluate(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
+    def evaluate(
+        self, columns: Mapping[str, np.ndarray], out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The constrained basis at the rows, written into ``out`` when one
+        is given."""
         if not self.term.interaction:
-            return self.transform.apply(self.raw_basis(columns))
-        return _interaction_basis(self.term, self.knots, self.transform, columns)
+            return np.matmul(self.raw_basis(columns), self.transform.z, out=out)
+        return _interaction_basis(self.term, self.knots, self.transform, columns, out)
 
 
 class Design:
@@ -362,11 +371,11 @@ class Design:
     run through the parent's columns and no n x p copy is made.
 
     ``X'X`` is formed once, on first use, unless it is given. A design
-    given :func:`term_blocks`'s blocks and the ``X'X`` that
-    :func:`build_design` formed on the same rows (``fit`` stores it) has
-    the built design's penalty and factor bit for bit. It may hold no
-    matrix (``matrix`` is None), but then ``n``, :meth:`matvec` and
-    :meth:`rmatvec` need the rows.
+    given the blocks of :func:`blocks_from_records` on the records that
+    :func:`build_design` took from the rows, and the ``X'X`` it formed
+    there (``fit`` stores both), has the built design's penalty and factor
+    bit for bit. It may hold no matrix (``matrix`` is None), but then
+    ``n``, :meth:`matvec` and :meth:`rmatvec` need the rows.
     """
 
     def __init__(
@@ -502,90 +511,145 @@ def _constrained_penalties(
     return [z.T @ p @ z for p in lifted]
 
 
-def term_blocks(
-    columns: Mapping[str, np.ndarray], spec: ModelSpec, with_matrix: bool = False
-) -> tuple[list[TermBlock], np.ndarray | None]:
-    """Every term's :class:`TermBlock` at the observed rows, given as model
-    columns (see :func:`derive_rows`), and with ``with_matrix`` the n x p
-    design matrix (else None): the one builder of knots, constraint
-    transforms and penalties, for :func:`build_design` and for a model
-    read back by :func:`fit_from_gram` alike.
+class TermRecord(NamedTuple):
+    """What a term's block is built from (see :func:`blocks_from_records`):
+    its domain, one ``(lo, hi)`` per variable, and for a main effect the
+    column sums of its raw basis at the rows, the row of its sum-to-zero
+    constraint (None for an interaction). :func:`build_design` takes both
+    from the rows, and ``fit`` stores them in ``model.json`` as each term's
+    ``domain`` and ``column_sums``."""
 
-    Domains come from the observed minima and maxima. An interaction's
-    transform and penalties depend on its knots alone. A main effect's
-    sum-to-zero transform needs its raw basis at the rows, which is
-    evaluated once: with the matrix, it is then written through the
-    transform into the main effect's columns. The knots fix each term's
-    width, so the matrix is allocated once and every block is written into
-    its own columns; without it nothing n x p is allocated, the largest
-    n-sized array being one raw basis (n x 121 for ``location``).
-    """
-    n = len(next(iter(columns.values())))
-    if n < 2:
-        raise DataError(f"need at least 2 rows, got {n}")
-    term_knots = []
-    for term in spec.terms:
-        try:
-            knots = tuple(
-                make_knots(
-                    columns[v].min(), columns[v].max(), s, degree=term.degree
-                )
-                for v, s in zip(term.variables, term.segments)
-            )
-        except ValueError as exc:
-            raise DataError(f"term {term.name}: {exc}") from exc
-        term_knots.append(knots)
-    term_dims = [tuple(kv.dimension for kv in knots) for knots in term_knots]
-    # Forming the interactions' transforms and penalties before the n x p
-    # buffer keeps their raw-size lifted penalties (3 x 2 MB for
-    # location:year) out of the buffer's lifetime.
-    fixed = {}
-    for term, dims in zip(spec.terms, term_dims):
-        if term.interaction:
-            transform = interaction_constraint_transform(dims)
-            penalties = _constrained_penalties(term, dims, transform.z)
-            fixed[term.name] = transform, penalties
-    widths = [_width(term, dims) for term, dims in zip(spec.terms, term_dims)]
-    x = None
-    if with_matrix:
-        x = np.empty((n, 1 + sum(widths)))
-        x[:, 0] = 1.0
-    blocks: list[TermBlock] = []
-    start = 1
-    for term, knots, dims, width in zip(spec.terms, term_knots, term_dims, widths):
-        out = None if x is None else x[:, start : start + width]
-        if term.interaction:
-            transform, penalties = fixed[term.name]
-            if out is not None:
-                _interaction_basis(term, knots, transform, columns, out)
-        else:
-            raw = _raw_basis(term, knots, columns)
-            transform = sum_to_zero_transform(raw)
-            if out is not None:
-                np.matmul(raw, transform.z, out=out)  # transform.apply, without a copy
-            del raw
-            penalties = _constrained_penalties(term, dims, transform.z)
-        blocks.append(
-            TermBlock(
-                term=term,
-                columns=slice(start, start + width),
-                knots=knots,
-                transform=transform,
-                penalties=penalties,
-                penalty_owners=[spec.owner_of(v) for v in term.variables],
-            )
+    domain: Sequence[Sequence[float]]
+    column_sums: Sequence[float] | None = None
+
+
+def _term_knots(term: TermSpec, domain: Sequence[Sequence[float]]) -> tuple[KnotVector, ...]:
+    """The term's knots, one vector per variable, on its domain."""
+    if len(domain) != len(term.variables):
+        raise DataError(f"term {term.name}: {len(domain)} domains for "
+                        f"{len(term.variables)} variables")
+    try:
+        return tuple(
+            make_knots(lo, hi, s, degree=term.degree)
+            for (lo, hi), s in zip(domain, term.segments)
         )
-        start += width
-    return blocks, x
+    except ValueError as exc:
+        raise DataError(f"term {term.name}: {exc}") from exc
+
+
+def _term_block(
+    spec: ModelSpec,
+    term: TermSpec,
+    knots: tuple[KnotVector, ...],
+    column_sums: Sequence[float] | None,
+    start: int,
+) -> TermBlock:
+    """The one builder of a term's block, from its knots and, for a main
+    effect, its raw basis's column sums: a main effect's ``z`` spans the
+    null space of those sums, an interaction's transform and every
+    penalty depend on the knots alone. ValueError for a main effect whose
+    sums are missing, of the wrong length, not finite or all zero."""
+    dims = tuple(kv.dimension for kv in knots)
+    sums = None
+    if term.interaction:
+        transform = interaction_constraint_transform(dims)
+    else:
+        if column_sums is None:
+            raise ValueError(f"term {term.name}: no column sums")
+        sums = np.asarray(column_sums, dtype=float)
+        if sums.shape != (math.prod(dims),):
+            raise ValueError(f"term {term.name}: {sums.size} column sums for a "
+                             f"basis of {math.prod(dims)} columns")
+        if not np.isfinite(sums).all():
+            raise ValueError(f"term {term.name}: column sums are not finite")
+        try:
+            transform = sum_to_zero_transform(sums)
+        except ValueError as exc:
+            raise ValueError(f"term {term.name}: {exc}") from None
+    width = transform.z.shape[1]
+    return TermBlock(
+        term=term,
+        columns=slice(start, start + width),
+        knots=knots,
+        transform=transform,
+        penalties=_constrained_penalties(term, dims, transform.z),
+        penalty_owners=[spec.owner_of(v) for v in term.variables],
+        column_sums=sums,
+    )
+
+
+def blocks_from_records(spec: ModelSpec, records: Sequence[TermRecord]) -> list[TermBlock]:
+    """Every term's :class:`TermBlock` from its :class:`TermRecord`, in
+    spec order, with no rows: knots from the domains, each main effect's
+    ``z`` from its column sums (see :func:`_term_block`). On the records
+    :func:`build_design` took, the blocks are its blocks bit for bit."""
+    if len(records) != len(spec.terms):
+        raise ValueError(f"{len(records)} term records for {len(spec.terms)} terms")
+    blocks, start = [], 1
+    for term, record in zip(spec.terms, records):
+        block = _term_block(spec, term, _term_knots(term, record.domain),
+                            record.column_sums, start)
+        blocks.append(block)
+        start += block.width
+    return blocks
+
+
+def design_matrix(blocks: Sequence[TermBlock], columns: Mapping[str, np.ndarray]) -> np.ndarray:
+    """The n x p design matrix of ``blocks`` at the rows, given as model
+    columns (see :func:`derive_rows`): one array, allocated once, with an
+    intercept column and each block written into its own columns."""
+    n = len(next(iter(columns.values())))
+    x = np.empty((n, blocks[-1].columns.stop if blocks else 1))
+    x[:, 0] = 1.0
+    for block in blocks:
+        block.evaluate(columns, out=x[:, block.columns])
+    return x
 
 
 def build_design(columns: Mapping[str, np.ndarray], spec: ModelSpec) -> Design:
     """The design of ``spec`` at the observed rows, given as model columns
-    (see :func:`derive_rows`): :func:`term_blocks` with the n x p matrix,
-    and ``X'X`` formed once on it. Raises when a term's constrained block
-    is not identifiable even under its penalty.
+    (see :func:`derive_rows`), in one pass over the rows, and ``X'X``
+    formed once on it. Raises when a term's constrained block is not
+    identifiable even under its penalty.
+
+    Each term's :class:`TermRecord` is taken from the rows on the way:
+    domains from the observed minima and maxima, and each main effect's
+    column sums from its raw basis, which is evaluated once and then
+    written through its block's ``z`` into its columns. The blocks are
+    :func:`blocks_from_records`' on those records. The knots fix each
+    term's width, so the matrix is allocated once, and the largest other
+    n-sized array is one raw basis (n x 121 for ``location``).
     """
-    blocks, x = term_blocks(columns, spec, with_matrix=True)
+    n = len(next(iter(columns.values())))
+    if n < 2:
+        raise DataError(f"need at least 2 rows, got {n}")
+    term_knots = [
+        _term_knots(term, [(columns[v].min(), columns[v].max()) for v in term.variables])
+        for term in spec.terms
+    ]
+    widths = [
+        _width(term, [kv.dimension for kv in knots])
+        for term, knots in zip(spec.terms, term_knots)
+    ]
+    starts = list(accumulate(widths, initial=1))
+    # Building the interactions' blocks before the n x p buffer keeps their
+    # raw-size lifted penalties (3 x 2 MB for location:year) out of the
+    # buffer's lifetime.
+    blocks: list[TermBlock | None] = [
+        _term_block(spec, term, knots, None, start) if term.interaction else None
+        for term, knots, start in zip(spec.terms, term_knots, starts)
+    ]
+    x = np.empty((n, starts[-1]))
+    x[:, 0] = 1.0
+    for i, (term, knots, start) in enumerate(zip(spec.terms, term_knots, starts)):
+        out = x[:, start : start + widths[i]]
+        if term.interaction:
+            blocks[i].evaluate(columns, out=out)
+        else:
+            raw = _raw_basis(term, knots, columns)
+            blocks[i] = _term_block(spec, term, knots, raw.sum(axis=0), start)
+            np.matmul(raw, blocks[i].transform.z, out=out)
+            del raw
     design = Design(spec=spec, matrix=x, blocks=blocks)
     gram = design.gram
     for block in blocks:
@@ -617,12 +681,13 @@ def bic(rss: float, n: int, k: float) -> float:
 class FittedModel:
     """A penalized least-squares fit at fixed smoothing parameters. A
     model of :func:`fit_from_gram` has no fitted values, rss or bic: its
-    ``fitted``, ``rss`` and ``bic`` are None."""
+    ``fitted``, ``rss`` and ``bic`` are None, and so is its ``y`` when it
+    was read back without the response."""
 
     design: Design
     lambdas: dict[str, float]
     beta: np.ndarray
-    y: np.ndarray
+    y: np.ndarray | None
     fitted: np.ndarray | None = field(repr=False)
     rss: float | None
     n: int
@@ -652,8 +717,9 @@ class FittedModel:
     def covariance_unscaled(self) -> np.ndarray:
         """Inverse of (X'X + S); multiply by sigma2 for the coefficient
         covariance. Taken once per model from the fit's factor by
-        :func:`_upper_inverse`, its lower triangle mirrored from the
-        upper by :func:`_mirror_upper`."""
+        :func:`_upper_inverse` (a model of :func:`fit_from_gram` is given
+        the one its hat diagonal was read from), its lower triangle
+        mirrored from the upper by :func:`_mirror_upper`."""
         if self._cov_unscaled is None:
             self._cov_unscaled = _mirror_upper(_upper_inverse(self._cho))
         return self._cov_unscaled
@@ -687,12 +753,14 @@ class _Factor(NamedTuple):
     """What a fit needs of ``A = X'X + S`` at given smoothing parameters
     apart from ``y``: the Cholesky factor ``U`` of ``A = U'U`` (upper
     triangular, as ``cho_factor`` returns it), the diagonal of the hat
-    matrix ``A^-1 X'X`` (k and the per-term EDFs), and whether the
-    factorization took the ridge retry."""
+    matrix ``A^-1 X'X`` (k and the per-term EDFs), whether the
+    factorization took the ridge retry, and, only when asked for, the
+    upper triangle of ``A^-1`` that the hat diagonal was read from."""
 
     cho: tuple
     hat_diag: np.ndarray
     ridged: bool
+    upper_inverse: np.ndarray | None = None
 
 
 def _upper_inverse(cho: tuple) -> np.ndarray:
@@ -719,17 +787,21 @@ def _mirror_upper(a: np.ndarray, rows: int = 64) -> np.ndarray:
     return a
 
 
-def _penalized_factor(design: Design, lambdas: dict[str, float]) -> _Factor:
+def _penalized_factor(
+    design: Design, lambdas: dict[str, float], keep_inverse: bool = False
+) -> _Factor:
     """The :class:`_Factor` at resolved ``lambdas``, from the design's
     one-entry cache when they repeat its last ones: the one place
-    ``A = X'X + S`` is built and factored, for :func:`fit_pls` and the
-    base of :func:`_eigen_ladder` alike. ``A`` is built in Fortran order,
-    with S freed at once, and factored in place; a failed factorization
-    leaves it overwritten, so the ridge retry rebuilds it. The EDFs are
-    ``rowsum(A^-1 o X'X)``, read from the upper triangle ``T`` of ``A^-1``
-    (``A^-1 = T + T' - diag(T)``, and ``X'X`` is symmetric) with no
-    symmetric copy; ``T`` is not kept."""
-    if design._factor is not None and design._factor[0] == lambdas:
+    ``A = X'X + S`` is built and factored, for :func:`fit_pls`,
+    :func:`fit_from_gram` and the base of :func:`_eigen_ladder` alike.
+    ``A`` is built in Fortran order, with S freed at once, and factored in
+    place; a failed factorization leaves it overwritten, so the ridge retry
+    rebuilds it. The EDFs are ``rowsum(A^-1 o X'X)``, read from the upper
+    triangle ``T`` of ``A^-1`` (``A^-1 = T + T' - diag(T)``, and ``X'X`` is
+    symmetric) with no symmetric copy. ``T`` is returned with the factor
+    only with ``keep_inverse``, and is never cached: a fit or a ladder
+    holds no p x p array beyond the factor."""
+    if design._factor is not None and design._factor[0] == lambdas and not keep_inverse:
         return design._factor[1]
     gram = design.gram
     a = np.add(gram, design.penalty(lambdas), order="F")
@@ -756,7 +828,7 @@ def _penalized_factor(design: Design, lambdas: dict[str, float]) -> _Factor:
     )
     factor = _Factor(cho, hat_diag, ridged)
     design._factor = (dict(lambdas), factor)
-    return factor
+    return factor._replace(upper_inverse=t) if keep_inverse else factor
 
 
 def fit_pls(
@@ -805,18 +877,26 @@ def fit_from_gram(
     lambdas: Mapping[str, float],
     beta: np.ndarray,
     sigma2: float,
-    y: np.ndarray,
+    n: int,
+    y: np.ndarray | None = None,
 ) -> FittedModel:
-    """The model of a fit already made on the response ``y``, from a
-    design given its ``X'X`` (see :class:`Design`; its matrix, if any, is
-    not read here), its smoothing parameters, its coefficients ``beta``
-    and its ``sigma2``, as ``fit`` stores them: ``X'X + S`` is factored
-    by :func:`_penalized_factor`, as :func:`fit_pls` factors it (with its
-    ridge warning), so the covariance and every effect surface are the
-    fit's bit for bit, and so are ``k`` and the EDFs. Nothing is solved:
-    ``fitted``, ``rss`` and ``bic`` are None.
+    """The model of a fit already made on ``n`` rows (with the response
+    ``y``, when given), from a design given its ``X'X`` (see
+    :class:`Design`; its matrix, if any, is not read here), its smoothing
+    parameters, its coefficients ``beta`` and its ``sigma2``, as ``fit``
+    stores them: ``X'X + S`` is factored by :func:`_penalized_factor`, as
+    :func:`fit_pls` factors it (with its ridge warning), so the covariance
+    and every effect surface are the fit's bit for bit, and so are ``k``
+    and the EDFs. The covariance is the inverse the hat diagonal was read
+    from, so the factor is inverted once. Nothing is solved: ``fitted``,
+    ``rss`` and ``bic`` are None.
     """
-    y = np.asarray(y, dtype=float)
+    if type(n) is not int or n < 2:
+        raise ValueError(f"n {n!r} is not a whole number >= 2")
+    if y is not None:
+        y = np.asarray(y, dtype=float)
+        if y.shape != (n,):
+            raise ValueError(f"y has {y.size} rows, not n = {n}")
     resolved = design.spec.resolve_lambdas(lambdas)
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (design.p,) or not np.isfinite(beta).all():
@@ -824,7 +904,7 @@ def fit_from_gram(
     sigma2 = float(sigma2)
     if not (math.isfinite(sigma2) and sigma2 >= 0):
         raise ValueError(f"sigma2 {sigma2!r} is not a finite number >= 0")
-    factor = _checked_factor(design, resolved)
+    factor = _checked_factor(design, resolved, keep_inverse=True)
     k, edf = _degrees_of_freedom(design, factor)
     return FittedModel(
         design=design,
@@ -833,19 +913,22 @@ def fit_from_gram(
         y=y,
         fitted=None,
         rss=None,
-        n=len(y),
+        n=n,
         k=k,
         sigma2=sigma2,
         edf_by_term=edf,
         bic=None,
         _cho=factor.cho,
+        _cov_unscaled=_mirror_upper(factor.upper_inverse),
     )
 
 
-def _checked_factor(design: Design, lambdas: dict[str, float]) -> _Factor:
+def _checked_factor(
+    design: Design, lambdas: dict[str, float], keep_inverse: bool = False
+) -> _Factor:
     """:func:`_penalized_factor`, warning (``RuntimeWarning``, at the
     caller of the fit) when it took the ridge retry."""
-    factor = _penalized_factor(design, lambdas)
+    factor = _penalized_factor(design, lambdas, keep_inverse)
     if factor.ridged:
         warnings.warn(
             "penalized normal equations are not positive definite; "

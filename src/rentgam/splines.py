@@ -199,20 +199,20 @@ def tensor_penalty(
     return lifted
 
 
-def sum_to_zero_transform(basis: np.ndarray) -> ConstraintTransform:
-    """Constraint transform forcing the fitted term to sum to zero over
-    the observations the basis was evaluated on.
+def sum_to_zero_transform(column_sums: np.ndarray) -> ConstraintTransform:
+    """Constraint transform forcing a fitted term to sum to zero over the
+    observations its basis was evaluated on, given the basis's
+    ``column_sums`` there.
 
     The single constraint row is the vector of column sums; the
     returned ``z`` drops one degree of freedom.
     """
-    b = np.asarray(basis, dtype=float)
-    if b.ndim != 2 or b.shape[1] < 2:
+    c = np.asarray(column_sums, dtype=float)
+    if c.ndim != 1 or c.size < 2:
         raise ValueError("basis must have at least two columns to constrain")
-    c = b.sum(axis=0, keepdims=True)
     if not np.any(c):
         raise ValueError("constraint row is identically zero")
-    return ConstraintTransform(z=linalg.null_space(c))
+    return ConstraintTransform(z=linalg.null_space(c[None, :]))
 
 
 def interaction_constraint_transform(dims: Sequence[int]) -> ConstraintTransform:

@@ -449,9 +449,44 @@ class TestFit:
         assert model["k"] > 1.0
         spec_fields = {f.name for f in fields(gam.TermSpec)}
         for t in model["terms"]:
-            assert set(t) == spec_fields | {"domain", "coefficients"}
+            sums = set() if t["interaction"] else {"column_sums"}
+            assert set(t) == spec_fields | {"domain", "coefficients"} | sums
             assert len(t["coefficients"]) > 0
             assert len(t["domain"]) == len(t["variables"])
+            if sums:
+                raw_width = math.prod(s + t["degree"] for s in t["segments"])
+                assert len(t["column_sums"]) == raw_width == len(t["coefficients"]) + 1
+
+    def test_one_pass_over_the_bases(self, pipeline, tmp_path, monkeypatch):
+        # build_design takes each main effect's column sums from the raw
+        # basis it writes into X: the default spec's 13 B-spline margins
+        # (6 of main effects, 7 of interactions), each evaluated once over
+        # every row, as before fit stored the sums; recovery_rmse evaluates
+        # them once more against --truth. 13 and 26 calls are the counts
+        # of the fit that stored no sums.
+        calls, building = [], []
+        basis, build_design = gam.bspline_basis, gam.build_design
+
+        def counting_basis(x, kv):
+            calls.append((len(x), bool(building)))
+            return basis(x, kv)
+
+        def marked_design(*args, **kwargs):
+            building.append(True)
+            try:
+                return build_design(*args, **kwargs)
+            finally:
+                building.pop()
+
+        monkeypatch.setattr(gam, "bspline_basis", counting_basis)
+        monkeypatch.setattr(cli, "build_design", marked_design)
+        assert main([
+            "fit", "--clean-listings", str(pipeline["out"] / "clean_listings.csv"),
+            "--truth", str(pipeline["data"] / "truth.json"), "--out", str(tmp_path),
+        ]) == 0
+        n = json.loads((tmp_path / "model.json").read_text())["n"]
+        assert [rows for rows, inside in calls if inside] == [n] * 13
+        assert [rows for rows, _ in calls] == [n] * 26
 
     def test_recovery_reported(self, pipeline):
         model = json.loads((pipeline["out"] / "model.json").read_text())
@@ -592,20 +627,54 @@ class TestSurfaces:
         assert two_way[0] == "longitude,latitude,effect,se,significant"
         assert len(two_way) == 1 + 60 * 60
 
+    def test_reads_no_rows(self, pipeline, tmp_path, monkeypatch):
+        """surfaces writes the same bytes when reading the clean listings
+        fails, and when they are gone: it needs only model.json and
+        gram.npy."""
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        for name in ("clean_listings.csv", "model.json", "gram.npy"):
+            (run_dir / name).write_bytes((pipeline["out"] / name).read_bytes())
+        out = tmp_path / "surf"
+        argv = ["surfaces", "--clean-listings", str(run_dir / "clean_listings.csv"),
+                "--model", str(run_dir / "model.json"), "--out", str(out)]
+
+        def written():
+            assert main(argv) == 0
+            return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("surfaces read the clean listings")
+
+        want = written()
+        assert len(want) == 9
+        monkeypatch.setattr(cli, "read_clean_listings", no_rows)
+        assert written() == want
+        (run_dir / "clean_listings.csv").unlink()
+        assert written() == want
+
     @pytest.mark.parametrize("command", ["surfaces", "bootstrap"])
     def test_stale_model_rejected(self, pipeline, tmp_path, command):
-        data2 = tmp_path / "data2"
-        out2 = tmp_path / "out2"
-        assert main([
-            "simulate", "--n", "80", "--seed", "99", "--out", str(data2),
-        ]) == 0
-        assert main([
-            "clean", "--listings", str(data2 / "listings.csv"),
-            "--postcodes", str(data2 / "postcodes.csv"), "--out", str(out2),
-        ]) == 0
+        # bootstrap reads rows, and refuses a model fitted on others;
+        # surfaces reads none, and refuses a model file written before fit
+        # stored its main effects' column sums
+        model = pipeline["out"] / "model.json"
+        clean = pipeline["out"] / "clean_listings.csv"
+        if command == "surfaces":
+            model = _model_without_sums(pipeline, tmp_path / "stale")
+        else:
+            data2 = tmp_path / "data2"
+            clean = tmp_path / "out2" / "clean_listings.csv"
+            assert main([
+                "simulate", "--n", "80", "--seed", "99", "--out", str(data2),
+            ]) == 0
+            assert main([
+                "clean", "--listings", str(data2 / "listings.csv"),
+                "--postcodes", str(data2 / "postcodes.csv"), "--out", str(clean.parent),
+            ]) == 0
         code = main([
-            command, "--clean-listings", str(out2 / "clean_listings.csv"),
-            "--model", str(pipeline["out"] / "model.json"), "--out", str(out2),
+            command, "--clean-listings", str(clean),
+            "--model", str(model), "--out", str(tmp_path / "out"),
         ])
         assert code == 2
 
@@ -672,19 +741,17 @@ class TestBootstrap:
         self, pipeline, tmp_path, monkeypatch, term, b, code, matrices
     ):
         built, designs = [], []
-        term_blocks, build_design = gam.term_blocks, gam.build_design
+        design_matrix, build_design = gam.design_matrix, gam.build_design
 
-        def counting_blocks(columns, spec, with_matrix=False):
-            if with_matrix:
-                built.append(spec)
-            return term_blocks(columns, spec, with_matrix)
+        def counting_matrix(blocks, columns):
+            built.append(blocks)
+            return design_matrix(blocks, columns)
 
         def counting_design(*args, **kwargs):
             designs.append(args)
             return build_design(*args, **kwargs)
 
-        for module in (cli, gam):
-            monkeypatch.setattr(module, "term_blocks", counting_blocks)
+        monkeypatch.setattr(cli, "design_matrix", counting_matrix)
         for module in (cli, inference):
             monkeypatch.setattr(module, "build_design", counting_design)
         assert main([
@@ -697,25 +764,21 @@ class TestBootstrap:
 
 
 class TestRefusedRuns:
-    """bootstrap with --b 5 and surfaces against a stale model both exit 2
-    and remove every --out level the run made, and nothing else."""
+    """bootstrap with --b 5 and surfaces on a model file without column
+    sums both exit 2 and remove every --out level the run made, and
+    nothing else."""
 
     def refuse(self, pipeline, tmp_path, command, out):
-        clean = pipeline["out"] / "clean_listings.csv"
+        model = pipeline["out"] / "model.json"
         extra = ["--term", "deprivation:year", "--b", "5"]
         if command == "surfaces":
-            data2, out2 = tmp_path / "data2", tmp_path / "out2"
-            if not out2.exists():
-                assert main(["simulate", "--n", "80", "--seed", "99",
-                             "--out", str(data2)]) == 0
-                assert main([
-                    "clean", "--listings", str(data2 / "listings.csv"),
-                    "--postcodes", str(data2 / "postcodes.csv"), "--out", str(out2),
-                ]) == 0
-            clean, extra = out2 / "clean_listings.csv", []
+            model = tmp_path / "stale" / "model.json"
+            if not model.exists():
+                _model_without_sums(pipeline, model.parent)
+            extra = []
         assert main([
-            command, "--clean-listings", str(clean),
-            "--model", str(pipeline["out"] / "model.json"), "--out", str(out), *extra,
+            command, "--clean-listings", str(pipeline["out"] / "clean_listings.csv"),
+            "--model", str(model), "--out", str(out), *extra,
         ]) == 2
 
     @pytest.mark.parametrize("command", ["bootstrap", "surfaces"])
@@ -762,6 +825,27 @@ class TestRefusedRuns:
         assert not (tmp_path / "new").exists()
 
 
+def _stored_copy(pipeline, directory, edit):
+    """The pipeline's model.json, changed by ``edit`` (which takes the
+    parsed file and changes it in place), written to ``directory`` beside
+    a copy of its gram.npy; returns the new model.json's path."""
+    stored = json.loads((pipeline["out"] / "model.json").read_text())
+    edit(stored)
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / "gram.npy").write_bytes((pipeline["out"] / "gram.npy").read_bytes())
+    model = directory / "model.json"
+    model.write_text(json.dumps(stored))
+    return model
+
+
+def _model_without_sums(pipeline, directory):
+    """A model file as fit wrote it before it stored column sums."""
+    def edit(stored):
+        for term in stored["terms"]:
+            term.pop("column_sums", None)
+    return _stored_copy(pipeline, directory, edit)
+
+
 def _inputs(pipeline):
     """A valid path for every input key of the command tests."""
     data, out = pipeline["data"], pipeline["out"]
@@ -786,7 +870,7 @@ REQUIRED_INPUTS = {
     "clean": ("listings", "postcodes"),
     "validate": ("clean_listings", "area_reference", "national_reference"),
     "fit": ("clean_listings",),
-    "surfaces": ("clean_listings", "model"),
+    "surfaces": ("model",),
     "bootstrap": ("clean_listings", "model"),
 }
 
@@ -912,11 +996,14 @@ def _swap_rows(lines):
 
 
 class TestFingerprint:
-    """surfaces and bootstrap read a model back only on the rows it was
-    fitted on: a clean file with the same row count but other rows, or a model
-    file without the fingerprint, exits 2 before any output."""
+    """bootstrap reads a model back only on the rows it was fitted on: a
+    clean file with the same row count but other rows, or a model file
+    without the fingerprint, exits 2 before any output. surfaces reads no
+    rows; it and bootstrap rebuild the term blocks from the model file's
+    domains and main-effect column sums, and refuse sums that fit could not
+    have written."""
 
-    @pytest.mark.parametrize("command", ["surfaces", "bootstrap"])
+    @pytest.mark.parametrize("command", ["bootstrap"])
     @pytest.mark.parametrize("case", ["edited-rent", "swapped-rows", "no-fingerprint"])
     def test_other_rows_rejected(self, pipeline, tmp_path, capsys, command, case):
         clean = pipeline["out"] / "clean_listings.csv"
@@ -941,6 +1028,31 @@ class TestFingerprint:
         assert "re-run fit" in err and "600 rows" in err and "the 600 " in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["missing", "short", "not-finite", "all-zero"])
+    def test_bad_column_sums_rejected(self, pipeline, tmp_path, capsys, case):
+        def edit(stored):
+            beds = next(t for t in stored["terms"] if t["name"] == "beds")
+            if case == "missing":
+                del beds["column_sums"]
+            elif case == "short":
+                beds["column_sums"].pop()
+            elif case == "not-finite":
+                beds["column_sums"][3] = math.inf
+            else:
+                beds["column_sums"] = [0.0] * len(beds["column_sums"])
+
+        model = _stored_copy(pipeline, tmp_path / "model", edit)
+        out = tmp_path / "out"
+        for command, extra in STORED_MODEL_COMMANDS.items():
+            code, _, err = run([
+                command, "--clean-listings", pipeline["out"] / "clean_listings.csv",
+                "--model", model, "--out", out, *extra,
+            ], capsys)
+            assert code == 2, command
+            assert err.startswith(f"error: {model}: ") and "term beds" in err
+            assert err.count("\n") == 1 and err.rstrip().endswith("re-run fit")
+            assert not out.exists()
+
     def test_fit_records_the_fingerprint(self, pipeline):
         stored = json.loads((pipeline["out"] / "model.json").read_text())
         assert len(stored["rows_sha256"]) == 64
@@ -963,8 +1075,8 @@ STORED_MODEL_COMMANDS = {
 class TestGramFile:
     """fit writes X'X to gram.npy beside model.json, which records its
     sha256; surfaces and bootstrap read the model back from the two files
-    and refuse a gram file that fit did not write, after they have checked
-    the rows. Each refusal is tried with both commands."""
+    and refuse a gram file that fit did not write (bootstrap after it has
+    checked the rows). Each refusal is tried with both commands."""
 
     def test_fit_writes_the_gram(self, pipeline):
         stored = json.loads((pipeline["out"] / "model.json").read_text())
@@ -1019,10 +1131,11 @@ class TestGramFile:
         "case, message",
         [("no-intercept", "missing 'intercept'"), ("no-sigma2", "missing 'sigma2'"),
          ("short-term", "need "), ("string-coefficient", "could not convert"),
-         ("nan-sigma2", "sigma2 nan is not a finite number")],
+         ("nan-sigma2", "sigma2 nan is not a finite number"),
+         ("fractional-n", "n 600.5 is not a whole number")],
     )
     def test_bad_coefficients_refused(self, pipeline, tmp_path, capsys, case, message):
-        # surfaces and bootstrap read the coefficients and sigma2 that fit stored
+        # surfaces and bootstrap read the coefficients, sigma2 and n that fit stored
         stored = json.loads((pipeline["out"] / "model.json").read_text())
         beds = next(t for t in stored["terms"] if t["name"] == "beds")
         if case == "no-intercept":
@@ -1033,6 +1146,8 @@ class TestGramFile:
             beds["coefficients"].pop()
         elif case == "string-coefficient":
             beds["coefficients"][0] = "x"
+        elif case == "fractional-n":
+            stored["n"] += 0.5
         else:
             stored["sigma2"] = math.nan
         model = tmp_path / "model.json"
@@ -1091,7 +1206,7 @@ def test_stored_model_surfaces_equal_the_refit(readme_fits, fit):
     stored, spec = cli._read_stored(config)
     model = cli._stored_model(config, stored, spec)
     refit = refit_model(cli._stored_rows(config, stored), spec, stored["lambdas"])
-    assert model.fitted is None and np.array_equal(model.y, refit.y)
+    assert model.fitted is None and model.y is None
     assert np.array_equal(model.beta, refit.beta)
     assert (model.sigma2, model.k, model.edf_by_term) == (
         refit.sigma2, refit.k, refit.edf_by_term

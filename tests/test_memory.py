@@ -3,7 +3,7 @@ selection, of the bootstrap and of reading a stored model back: the n x p
 design matrix exists once, a fit holds few p x p arrays at a time,
 selection holds no n x r array, the reduced fit makes no copy of the
 design, the replicates take two n x B arrays and a stored model is read
-back with no design matrix."""
+back with no design matrix and no rows."""
 
 import tracemalloc
 
@@ -119,15 +119,10 @@ def test_selection_peak_does_not_grow_with_n():
     assert peaks[1] - peaks[0] < 2e6
 
 
-def test_stored_model_builds_no_design_matrix(tmp_path):
-    # n 5000, p 640: X is 25.6 MB, and the refit that surfaces used to run
-    # held it. The stored model keeps its blocks (4.8 MB, mostly the
-    # location:year penalties), y (40 KB) and three p x p arrays (X'X, the
-    # factor and the covariance, 3.3 MB each); building the blocks passes
-    # through 9.7 MB more (location:year's lifted penalties, the location basis),
-    # and the rest less than half a p x p array beyond what is kept.
-    # Measured: peak 15.1 MB (0.59 X), 0.45 MB above what is kept.
-    assert main(["simulate", "--n", "5000", "--sigma", "0.1", "--seed", "3",
+def _fitted_corpus(tmp_path, n):
+    """A corpus of n listings taken through clean and a pinned fit in
+    ``tmp_path``; the config of a command that reads its model back."""
+    assert main(["simulate", "--n", str(n), "--sigma", "0.1", "--seed", "3",
                  "--out", str(tmp_path / "sim")]) == 0
     assert main(["clean", "--listings", str(tmp_path / "sim" / "listings.csv"),
                  "--postcodes", str(tmp_path / "sim" / "postcodes.csv"),
@@ -135,8 +130,13 @@ def test_stored_model_builds_no_design_matrix(tmp_path):
     (tmp_path / "pin.cfg").write_text("lambda_grid = 10\n")
     assert main(["fit", "--config", str(tmp_path / "pin.cfg"), "--clean-listings",
                  str(tmp_path / "clean_listings.csv"), "--out", str(tmp_path)]) == 0
-    config = RunConfig(clean_listings=str(tmp_path / "clean_listings.csv"),
-                       model=str(tmp_path / "model.json"))
+    return RunConfig(clean_listings=str(tmp_path / "clean_listings.csv"),
+                     model=str(tmp_path / "model.json"))
+
+
+def _surfaces_read_back(config):
+    """The traced read-back of surfaces' stored model and one surface: the
+    model, its peak and the bytes it still holds."""
     stored, spec = cli._read_stored(config)
 
     def load_and_surface():
@@ -144,9 +144,33 @@ def test_stored_model_builds_no_design_matrix(tmp_path):
         effect_surface(model, "deprivation")
         return model
 
-    model, peak, held = traced_peak(load_and_surface)
+    return traced_peak(load_and_surface)
+
+
+def test_stored_model_builds_no_design_matrix(tmp_path):
+    # n 5000, p 640: X is 25.6 MB, and the refit that surfaces used to run
+    # held it. The stored model keeps its blocks (4.8 MB, mostly the
+    # location:year penalties) and three p x p arrays (X'X, the factor and
+    # the covariance, 3.3 MB each); building the blocks passes through the
+    # location:year lifted penalties (3 x 2 MB), and the rest less than
+    # half a p x p array beyond what is kept.
+    config = _fitted_corpus(tmp_path, 5000)
+    model, peak, held = _surfaces_read_back(config)
     p2 = model.design.p ** 2 * 8
     assert model.fitted is None
-    assert np.array_equal(model.y, cli._stored_rows(config, stored)["logprice"])
+    assert model.y is None
     assert peak < 0.75 * model.n * model.design.p * 8
     assert peak <= held + 0.5 * p2
+
+
+def test_stored_model_read_back_does_not_grow_with_n(tmp_path):
+    # surfaces reads no rows: its blocks come from model.json and X'X from
+    # gram.npy, so nothing it holds has n rows. Measured: 15.12 MB at n 500
+    # and 15.11 MB at n 5000. Reading the rows back, as surfaces once did,
+    # peaked at 15.14 and 15.17 MB: at these n the rows and the 4.8 MB
+    # location basis are freed before the p-sized peak.
+    peaks = []
+    for n in (500, 5000):
+        model, peak, _ = _surfaces_read_back(_fitted_corpus(tmp_path / str(n), n))
+        peaks.append(peak)
+    assert abs(peaks[1] - peaks[0]) <= 0.5 * model.design.p ** 2 * 8
