@@ -601,7 +601,7 @@ def cmd_bootstrap(config: RunConfig, out: Path) -> tuple[dict, list[str]]:
     summary = (f"term {result.term}: W_obs = {result.statistic:.3f}, "
                f"p = {result.p_value:.4f} ({result.replicates.size} replicates, "
                f"{result.discarded} discarded)")
-    return {**result.to_dict(), "replicates": result.replicates.tolist()}, [summary]
+    return result.to_dict(), [summary]
 
 
 def cmd_simulate(config: RunConfig, out: Path) -> tuple[dict, list[str]]:

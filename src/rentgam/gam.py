@@ -1188,8 +1188,8 @@ class EffectSurface:
 
 DEFAULT_GRID_POINTS = {1: 100, 2: 60, 3: 20}
 
-# rows per pointwise-SE product: bounds its temporaries to a few MB,
-# not three grid x width arrays (8000 x 343 for location:year)
+# grid rows per pass of effect_surface's basis, effect and SE: it holds no
+# grid x width array (8000 x 343 for location:year), only a few MB
 SE_CHUNK_ROWS = 1024
 
 
@@ -1220,17 +1220,18 @@ def effect_surface(
             per_axis = [int(grid)] * nvars
         else:
             per_axis = [int(g) for g in grid]
+            if len(per_axis) != nvars:
+                raise ValueError(f"term {term} needs {nvars} grid sizes, got {len(per_axis)}")
         axes = [np.linspace(kv.lo, kv.hi, m) for kv, m in zip(block.knots, per_axis)]
         points = tuple(m.ravel() for m in np.meshgrid(*axes, indexing="ij"))
 
-    columns = dict(zip(block.term.variables, points))
-    g = block.evaluate(columns)
-    effect = g @ model.beta[block.columns]
     v = model.covariance_block(term)
-    var = np.empty(len(effect))
+    effect, var = np.empty((2, points[0].size))
     for i in range(0, len(var), SE_CHUNK_ROWS):
-        chunk = g[i : i + SE_CHUNK_ROWS]
-        var[i : i + SE_CHUNK_ROWS] = ((chunk @ v) * chunk).sum(axis=1)
+        rows = slice(i, i + SE_CHUNK_ROWS)
+        g = block.evaluate({name: p[rows] for name, p in zip(block.term.variables, points)})
+        effect[rows] = g @ model.beta[block.columns]
+        var[rows] = ((g @ v) * g).sum(axis=1)
     se = np.sqrt(np.maximum(var, 0.0))
     return EffectSurface(
         term=term,
@@ -1244,9 +1245,12 @@ def effect_surface(
 
 def multiplicative_effect(model: FittedModel, term: str, x0, x1) -> float:
     """Ratio of expected rents implied by a term between two covariate
-    points: exp(effect(x1) - effect(x0))."""
-    surface = effect_surface(
-        model, term, at=[np.array([float(a), float(b)]) for a, b in
-                         zip(np.atleast_1d(x0), np.atleast_1d(x1))]
-    )
-    return float(np.exp(surface.effect[1] - surface.effect[0]))
+    points, each one value per variable of the term: exp(effect(x1) -
+    effect(x0)), from the term's basis at the two points (no covariance)."""
+    block = model.design.block(term)
+    x0, x1 = np.atleast_1d(x0), np.atleast_1d(x1)
+    if not x0.size == x1.size == len(block.term.variables):
+        raise ValueError(f"term {term} needs one value per variable at each point")
+    pair = np.column_stack([x0, x1]).astype(float)
+    effect = block.evaluate(dict(zip(block.term.variables, pair))) @ model.beta[block.columns]
+    return float(np.exp(effect[1] - effect[0]))

@@ -23,20 +23,22 @@ from .gam import FittedModel, ModelSpec, fit_pls
 from .gam import build_design, rows_to_columns, select_smoothness  # noqa: F401
 
 
-def _pseudo_inverse(v: np.ndarray) -> tuple[np.ndarray, int]:
-    """Pseudo-inverse and rank of a symmetric covariance block, which
-    heavily penalized terms can make numerically singular: eigenvalues
-    at or below ``size * eps * max|eigenvalue|`` count as zero."""
-    rtol = v.shape[0] * np.finfo(float).eps
-    return linalg.pinvh(v, atol=0.0, rtol=rtol, return_rank=True)
+def _wald_form(model: FittedModel, term: str) -> tuple[slice, np.ndarray, int, float]:
+    """The term's columns; the pseudo-inverse V+ and rank of its block V of
+    (X'X + S)^-1, which heavily penalized terms can make numerically
+    singular (eigenvalues at or below ``size * eps * max|eigenvalue|`` count
+    as zero); and the observed Wald statistic beta' V+ beta / sigma2."""
+    sl = model.design.block(term).columns
+    v = model.covariance_unscaled[sl, sl]
+    v_inv, rank = linalg.pinvh(v, atol=0.0, rtol=v.shape[0] * np.finfo(float).eps,
+                               return_rank=True)
+    return sl, v_inv, rank, float(model.beta[sl] @ v_inv @ model.beta[sl] / model.sigma2)
 
 
 def wald_statistic(model: FittedModel, term: str) -> float:
-    """Quadratic form beta' V^-1 beta on the term's coefficient block,
-    with V inverted by :func:`_pseudo_inverse`."""
-    beta = model.coefficients(term)
-    v_inv, _ = _pseudo_inverse(model.covariance_block(term))
-    return float(beta @ v_inv @ beta)
+    """beta' V+ beta / sigma2 on the term's coefficient block (see
+    :func:`_wald_form`): the ``statistic`` of :func:`bootstrap_term_test`."""
+    return _wald_form(model, term)[3]
 
 
 def check_bootstrap_request(spec: ModelSpec, term: str, b: int) -> None:
@@ -77,6 +79,7 @@ class BootstrapResult:
             "kept": int(self.replicates.size),
             "discarded": self.discarded,
             "wald_rank": self.wald_rank,
+            "replicates": self.replicates.tolist(),
             "seed": self.seed,
             "lambdas": self.lambdas,
         }
@@ -91,15 +94,17 @@ def bootstrap_term_test(
     same smoothing parameters), then simulates B responses from it at
     its estimated noise level and recomputes the Wald statistic on
     each. With the smoothing parameters fixed, every replicate is
-    solved against ``model``'s factorization of X'X + S and shares one
-    pseudo-inverse of the term's covariance block (rank ``wald_rank``).
+    solved against ``model``'s factorization of X'X + S, and shares one
+    pseudo-inverse (rank ``wald_rank``) with the observed statistic.
     Replicate b draws from a fresh stream keyed by (seed, b), so any
     prefix of the replicates is reproducible. Replicates with a
     non-finite statistic are discarded; over 10% discarded aborts.
     """
     check_bootstrap_request(model.spec, term, b)
-    observed = wald_statistic(model, term)
     design = model.design
+    if design._x is None or model.y is None:  # .matrix would copy a dropped design
+        raise ValueError("the bootstrap needs the model's rows (X and y)")
+    sl, v_inv, wald_rank, observed = _wald_form(model, term)
     reduced = fit_pls(design.drop(term), model.y, model.lambdas)
     mu = reduced.fitted
     scale = float(np.sqrt(reduced.sigma2))
@@ -114,8 +119,6 @@ def bootstrap_term_test(
     betas = linalg.cho_solve(model._cho, design.rmatvec(simulated))
     residuals = np.subtract(simulated, design.matvec(betas), out=simulated)
     sigma2 = np.square(residuals, out=residuals).sum(axis=0) / (n - model.k)
-    sl = design.block(term).columns
-    v_inv, wald_rank = _pseudo_inverse(model.covariance_unscaled[sl, sl])
     stats = ((v_inv @ betas[sl]) * betas[sl]).sum(axis=0) / sigma2
     kept = stats[np.isfinite(stats)]
     discarded = b - kept.size

@@ -1237,6 +1237,18 @@ def test_stored_model_bootstrap_equals_the_refit(readme_fits, fit):
         assert np.array_equal(got.replicates, want.replicates), term
 
 
+def test_bootstrap_refuses_a_model_without_rows(readme_fits, monkeypatch):
+    """A model read back as surfaces reads it, with no X and no y, is
+    refused by name before the reduced fit, not with an AttributeError."""
+    config = RunConfig(clean_listings=str(readme_fits / "run" / "clean_listings.csv"),
+                       model=str(readme_fits / "bic" / "model.json"))
+    stored, spec = cli._read_stored(config)
+    model = cli._stored_model(config, stored, spec)
+    monkeypatch.setattr(inference, "fit_pls", None)
+    with pytest.raises(ValueError, match=r"needs the model's rows \(X and y\)"):
+        inference.bootstrap_term_test(model, "deprivation:year", b=19, seed=7)
+
+
 class TestStoredModel:
     """surfaces and bootstrap refuse a model file that fit could not
     have written, exiting 2 before any output."""

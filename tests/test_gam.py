@@ -86,6 +86,16 @@ def synthetic_rows(n=300, seed=0, noise=0.0, fn=None):
     return model_columns(n, logprice=y, deprivation=x, year=t), y
 
 
+def location_model(n=150):
+    """A fit of one location surface to noise."""
+    rng = np.random.default_rng(2)
+    y = rng.standard_normal(n)
+    rows = model_columns(n, logprice=y, longitude=rng.uniform(-4.4, -4.1, n),
+                         latitude=rng.uniform(55.7, 56.0, n))
+    spec = ModelSpec(terms=(TermSpec("location", ("longitude", "latitude"), (5, 5)),))
+    return fit_pls(build_design(rows, spec), y, {"location": 1.0})
+
+
 def one_term_spec(segments=10):
     return ModelSpec(terms=(TermSpec("deprivation", ("deprivation",), (segments,)),))
 
@@ -1129,8 +1139,10 @@ class TestPredictAndSurfaces:
             assert np.max(np.abs(surface.se - oracle)) < 1e-8
 
     def test_chunked_se_equals_one_product(self, monkeypatch):
-        # the SE is taken in row chunks; the reference is one product over
-        # every grid row, with a chunk size that leaves a ragged last chunk
+        # the basis, effect and SE are taken in row chunks; the reference is
+        # one product over every grid row, with a chunk size that leaves a
+        # ragged last chunk. The effect crosses zero, so its error is taken
+        # relative to its largest value.
         monkeypatch.setattr(gam, "SE_CHUNK_ROWS", 7)
         rows, y = synthetic_rows(150, noise=0.3)
         model = fit_pls(build_design(rows, two_term_spec()), y, {"deprivation": 1.0, "year": 1.0})
@@ -1140,6 +1152,33 @@ class TestPredictAndSurfaces:
         v = model.covariance_block("deprivation:year")
         oracle = np.sqrt(np.maximum(((g @ v) * g).sum(axis=1), 0.0))
         assert np.max(np.abs(surface.se - oracle) / oracle) <= 1e-12
+        effect = g @ model.coefficients("deprivation:year")
+        assert np.max(np.abs(surface.effect - effect)) <= 1e-12 * np.max(np.abs(effect))
+
+    @pytest.mark.parametrize("grid", [[5, 6, 7], [5]])
+    def test_grid_of_the_wrong_length_refused(self, grid):
+        # one size per variable of the term, or one size for every axis
+        model = location_model()
+        with pytest.raises(ValueError, match="location needs 2 grid sizes"):
+            effect_surface(model, "location", grid=grid)
+
+    def test_multiplicative_effect_forms_no_covariance(self):
+        # the ratio reads only the term's basis at its two points; it equals
+        # the ratio of the surface's effects at them bit for bit
+        rows, y = synthetic_rows(150, noise=0.3)
+        model = fit_pls(build_design(rows, two_term_spec()), y, {"deprivation": 1.0, "year": 1.0})
+        ratio = multiplicative_effect(model, "deprivation:year", [0.2, 2013.0], [0.7, 2016.0])
+        assert model._cov_unscaled is None
+        surface = effect_surface(model, "deprivation:year", at=[[0.2, 0.7], [2013.0, 2016.0]])
+        assert ratio == float(np.exp(surface.effect[1] - surface.effect[0]))
+
+    @pytest.mark.parametrize("x0, x1", [([0.2], [0.7]), ([0.2, 2013.0], [0.7]),
+                                        ([0.2, 2013.0, 1.0], [0.7, 2016.0, 1.0])])
+    def test_multiplicative_effect_needs_one_value_per_variable(self, x0, x1):
+        rows, y = synthetic_rows(150, noise=0.3)
+        model = fit_pls(build_design(rows, two_term_spec()), y, {"deprivation": 1.0, "year": 1.0})
+        with pytest.raises(ValueError, match="one value per variable"):
+            multiplicative_effect(model, "deprivation:year", x0, x1)
 
     def test_multiplicative_effect_reads_linear_truth(self):
         # slope 0.25 per unit, so a unit step multiplies rent by e^0.25

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rentgam import inference
 from rentgam.errors import NumericalError
 from rentgam.gam import (
     ModelSpec,
@@ -164,6 +165,22 @@ class TestBootstrapTermTest:
         assert d["kept"] == 19
         assert 0.0 < d["p_value"] <= 1.0
         assert set(d["lambdas"]) == {"deprivation", "year"}
+
+    def test_one_pseudo_inverse_for_both_statistics(self, monkeypatch):
+        # the observed statistic and the replicates share one pinvh of the
+        # term's block of (X'X + S)^-1, so wald_rank is the rank of both
+        model = fit_for(rows_for(strong_truth(), n=250, seed=16))
+        calls = []
+        pinvh = inference.linalg.pinvh
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return pinvh(*args, **kwargs)
+
+        monkeypatch.setattr(inference.linalg, "pinvh", counting)
+        res = bootstrap_term_test(model, "deprivation:year", b=19, seed=3)
+        assert len(calls) == 1
+        assert res.statistic == wald_statistic(model, "deprivation:year")
 
     def test_main_effect_term_testable(self):
         # dropping a main effect also drops its interactions; the test

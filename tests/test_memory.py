@@ -2,8 +2,9 @@
 selection, of the bootstrap and of reading a stored model back: the n x p
 design matrix exists once, a fit holds few p x p arrays at a time,
 selection holds no n x r array, the reduced fit makes no copy of the
-design, the replicates take two n x B arrays and a stored model is read
-back with no design matrix and no rows."""
+design, the replicates take two n x B arrays, a stored model is read
+back with no design matrix and no rows, and a surface holds no whole-grid
+basis."""
 
 import tracemalloc
 
@@ -174,3 +175,19 @@ def test_stored_model_read_back_does_not_grow_with_n(tmp_path):
         model, peak, _ = _surfaces_read_back(_fitted_corpus(tmp_path / str(n), n))
         peaks.append(peak)
     assert abs(peaks[1] - peaks[0]) <= 0.5 * model.design.p ** 2 * 8
+
+
+def test_location_surface_holds_no_grid_basis():
+    # the surface's basis, effect and SE are taken SE_CHUNK_ROWS grid rows
+    # at a time: evaluating the whole 8000 x 343 location:year basis at
+    # once (22 MB) peaked at 26.8 MB, chunked the peak is 7.6 MB
+    rows = default_rows(2000)
+    spec = default_model_spec()
+    model = fit_pls(
+        build_design(rows, spec), rows["logprice"], {t.name: 10.0 for t in spec.main_terms}
+    )
+    model.covariance_unscaled  # formed once per model, before any surface
+    surface, peak, _ = traced_peak(lambda: effect_surface(model, "location:year"))
+    grid_basis = surface.effect.size * model.design.block("location:year").width * 8
+    assert grid_basis == 8000 * 343 * 8
+    assert peak < 0.5 * grid_basis
