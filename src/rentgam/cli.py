@@ -435,27 +435,41 @@ def cmd_fit(config: RunConfig, out: Path) -> tuple[dict, list[str]]:
     return payload, lines
 
 
-def _read_stored(config: RunConfig) -> tuple[dict, ModelSpec]:
-    """Read a fitted model file and the model spec it records: each
-    stored term gives every :class:`TermSpec` field, its lists as tuples."""
+def _read_stored(config: RunConfig) -> tuple[dict, ModelSpec, list[TermRecord], list]:
+    """Read a fitted model file in one pass: the file, the model spec it
+    records, each term's :class:`~rentgam.gam.TermRecord` and the
+    coefficients (the intercept, then each term's). A term must hold the
+    keys :func:`_model_payload` writes and no other: every
+    :class:`TermSpec` field (lists read as tuples), ``domain``,
+    ``coefficients`` and, for a main effect only, ``column_sums``."""
     with open_input(config.model, "model file") as fh:
         stored = json.load(fh)
     if not isinstance(stored, dict):
         raise DataError(f"{config.model}: bad model file: not a JSON object")
-    for key in ("terms", "lambdas", "n", "config_sha256"):
+    for key in ("terms", "lambdas", "n", "config_sha256", "intercept", "sigma2", "gram_sha256"):
         if key not in stored:
-            raise DataError(f"{config.model}: bad model file: missing {key!r}")
+            raise DataError(f"{config.model}: bad model file: missing {key!r}; re-run fit")
     if not isinstance(stored["lambdas"], dict):
         raise DataError(f"{config.model}: bad model file: lambdas must be an object")
+    spec_keys = [f.name for f in fields(TermSpec)]
+    terms, records, beta = [], [], [stored["intercept"]]
     try:
-        terms = tuple(
-            TermSpec(**{
-                f.name: tuple(t[f.name]) if isinstance(t[f.name], list) else t[f.name]
-                for f in fields(TermSpec)
-            })
-            for t in stored["terms"]
-        )
-        spec = ModelSpec(terms=terms)
+        for t in stored["terms"]:
+            if not isinstance(t, dict):
+                raise ValueError("a term is not a JSON object")
+            keys = [*spec_keys, "domain", "coefficients"]
+            if t.get("interaction") is not True:
+                keys.append("column_sums")
+            faults = [f"missing {k!r}" for k in keys if k not in t]
+            faults += [f"unknown key {k!r}" for k in t if k not in keys]
+            if faults:
+                raise ValueError(f"term {t.get('name')}: {faults[0]}; re-run fit")
+            terms.append(TermSpec(**{
+                k: tuple(t[k]) if isinstance(t[k], list) else t[k] for k in spec_keys
+            }))
+            records.append(TermRecord(t["domain"], t.get("column_sums")))
+            beta += t["coefficients"]
+        spec = ModelSpec(terms=tuple(terms))
         mains = {t.name for t in spec.main_terms}
         extra = set(stored["lambdas"]) - mains
         if extra:
@@ -464,9 +478,9 @@ def _read_stored(config: RunConfig) -> tuple[dict, ModelSpec]:
         if missing:
             raise ValueError(f"lambdas lacks main effect {min(missing)!r}")
         spec.resolve_lambdas(stored["lambdas"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise DataError(f"{config.model}: bad model file: {exc}") from exc
-    return stored, spec
+    return stored, spec, records, beta
 
 
 def _stored_rows(config: RunConfig, stored: dict) -> dict:
@@ -486,8 +500,6 @@ def _load_gram(config: RunConfig, stored: dict, p: int):
     """The p x p ``X'X`` that fit wrote beside the model file, checked
     against the model file's ``gram_sha256``."""
     path = Path(config.model).parent / GRAM_FILE
-    if "gram_sha256" not in stored:
-        raise DataError(f"{config.model}: model file records no gram_sha256; re-run fit")
     try:
         fh = open_input(path, "gram file", binary=True)
     except ConfigurationError as exc:
@@ -508,30 +520,19 @@ def _load_gram(config: RunConfig, stored: dict, p: int):
     return gram
 
 
-def _stored_blocks(config: RunConfig, stored: dict, spec: ModelSpec) -> list:
-    """The stored model's term blocks, rebuilt with no rows from each term's
-    ``domain`` and, for a main effect, ``column_sums`` in the model file
-    (see :func:`~rentgam.gam.blocks_from_records`)."""
+def _stored_model(config: RunConfig, stored: dict, spec: ModelSpec, records: list,
+                  beta: list, with_matrix: bool = False) -> FittedModel:
+    """The stored model, read back without a refit, for ``surfaces`` and
+    ``bootstrap`` alike, from what :func:`_read_stored` read: its blocks
+    from the term records (see :func:`~rentgam.gam.blocks_from_records`),
+    its ``X'X`` from fit's gram file, its coefficients ``beta``, ``sigma2``
+    and ``n``. Only ``with_matrix`` reads rows, the ones the model applies
+    to (see :func:`_stored_rows`), for the response and the n x p design
+    matrix that ``bootstrap``'s draws and reduced fit need."""
     try:
-        records = [TermRecord(t["domain"], t.get("column_sums")) for t in stored["terms"]]
-        return blocks_from_records(spec, records)
-    except KeyError as exc:
-        raise DataError(f"{config.model}: bad model file: missing {exc}; re-run fit") from None
+        blocks = blocks_from_records(spec, records)
     except (DataError, TypeError, ValueError) as exc:
         raise DataError(f"{config.model}: bad model file: {exc}; re-run fit") from None
-
-
-def _stored_model(
-    config: RunConfig, stored: dict, spec: ModelSpec, with_matrix: bool = False
-) -> FittedModel:
-    """The stored model, read back without a refit, for ``surfaces`` and
-    ``bootstrap`` alike: its blocks from the model file (see
-    :func:`_stored_blocks`), its ``X'X`` from fit's gram file, its
-    coefficients (the intercept, then each term's), ``sigma2`` and ``n``
-    from the model file. Only ``with_matrix`` reads rows, the ones the
-    model applies to (see :func:`_stored_rows`), for the response and the
-    n x p design matrix that ``bootstrap``'s draws and reduced fit need."""
-    blocks = _stored_blocks(config, stored, spec)
     y = x = None
     if with_matrix:
         rows = _stored_rows(config, stored)
@@ -540,13 +541,8 @@ def _stored_model(
     design = Design(spec=spec, matrix=x, blocks=blocks,
                     gram=_load_gram(config, stored, p))
     try:
-        beta = [stored["intercept"]]
-        for term in stored["terms"]:
-            beta += term["coefficients"]
         return fit_from_gram(design, stored["lambdas"], beta, stored["sigma2"],
                              stored["n"], y)
-    except KeyError as exc:
-        raise DataError(f"{config.model}: bad model file: missing {exc}") from None
     except (TypeError, ValueError) as exc:
         raise DataError(f"{config.model}: bad model file: {exc}") from None
 
@@ -579,8 +575,8 @@ def _write_surface(path: Path, surface) -> None:
 
 
 def cmd_surfaces(config: RunConfig, out: Path) -> tuple[dict, list[str]]:
-    stored, spec = _read_stored(config)
-    model = _stored_model(config, stored, spec)
+    stored, spec, records, beta = _read_stored(config)
+    model = _stored_model(config, stored, spec, records, beta)
     written = []
     for block in model.design.blocks:
         term = block.term
@@ -594,9 +590,9 @@ def cmd_surfaces(config: RunConfig, out: Path) -> tuple[dict, list[str]]:
 
 
 def cmd_bootstrap(config: RunConfig, out: Path) -> tuple[dict, list[str]]:
-    stored, spec = _read_stored(config)
+    stored, spec, records, beta = _read_stored(config)
     check_bootstrap_request(spec, config.term, config.bootstrap_b)
-    model = _stored_model(config, stored, spec, with_matrix=True)
+    model = _stored_model(config, stored, spec, records, beta, with_matrix=True)
     result = bootstrap_term_test(model, config.term, b=config.bootstrap_b, seed=config.seed)
     summary = (f"term {result.term}: W_obs = {result.statistic:.3f}, "
                f"p = {result.p_value:.4f} ({result.replicates.size} replicates, "

@@ -17,7 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
-from numbers import Real
+from numbers import Integral, Real
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -133,10 +133,11 @@ def spatial_filter(
 @dataclass(frozen=True)
 class TermSpec:
     """One smooth term: a variable tuple, segment counts per margin and
-    the penalty setup. ``lam`` is always ``None`` (``"lam": null`` in
-    model.json): a main effect's smoothing parameter lives only in a
-    fit's ``lambdas``, and each penalty direction of an interaction
-    inherits the value of the main effect that covers that variable."""
+    the penalty setup. Each margin's ``segments + degree`` basis columns
+    must outnumber ``penalty_order``. A term holds no smoothing parameter:
+    a main effect's lives only in a fit's ``lambdas``, and each penalty
+    direction of an interaction inherits the value of the main effect
+    that covers that variable."""
 
     name: str
     variables: tuple[str, ...]
@@ -144,7 +145,9 @@ class TermSpec:
     degree: int = 3
     penalty_order: int = 2
     interaction: bool = False
-    lam: None = None
+
+    # not a field: only the benchmark tracer's _count_sweeps reads it
+    lam = None
 
     def __post_init__(self):
         if not isinstance(self.name, str):
@@ -173,8 +176,11 @@ class TermSpec:
         unknown = [v for v in self.variables if v not in MODEL_VARIABLES]
         if unknown:
             raise ValueError(f"term {self.name}: unknown variables {unknown}")
-        if self.lam is not None:
-            raise ValueError(f"term {self.name}: lam must be null, set lambdas instead")
+        if any(s + self.degree <= self.penalty_order for s in self.segments):
+            raise ValueError(
+                f"term {self.name}: segments + degree must exceed penalty_order "
+                f"{self.penalty_order}, got segments {self.segments} and degree {self.degree}"
+            )
 
 
 @dataclass(frozen=True)
@@ -708,6 +714,8 @@ class FittedModel:
 
     @property
     def r_squared(self) -> float:
+        if self.rss is None:
+            raise ValueError("r squared undefined: the model holds no fit residuals")
         tss = float(np.sum((self.y - self.y.mean()) ** 2))
         if tss == 0.0:
             raise NumericalError("r squared undefined: response is constant")
@@ -1096,15 +1104,17 @@ def _coordinate_descent(
     Every main effect starts at the middle of the ladder. Terms are
     swept in spec order, each set to its best-scoring ladder value with
     the others held fixed, until a sweep changes nothing or
-    ``max_sweeps`` is reached; stopping at the cap while the last sweep
-    still changed a value gives a ``RuntimeWarning``. Scores within
-    ``1e-9*|best| + 1e-12`` of the best tie, and ties go to the later
-    point, which on the ascending ladder is the larger (smoother) value.
-    A term's ladder is skipped when every other term
+    ``max_sweeps`` (a whole number >= 1) is reached; stopping at the cap
+    while the last sweep still changed a value gives a ``RuntimeWarning``.
+    Scores within ``1e-9*|best| + 1e-12`` of the best tie, and ties go to
+    the later point, which on the ascending ladder is the larger
+    (smoother) value. A term's ladder is skipped when every other term
     still holds the value it held at that term's last ladder: the same
     fits would pick the term's current value again, so the result is
     the same as with every ladder run.
     """
+    if type(max_sweeps) is not int or max_sweeps < 1:
+        raise ValueError(f"max_sweeps {max_sweeps!r} is not a whole number >= 1")
     ladder = smoothing_ladder(grid)
     y = _response(design, y)
     if signal is not None:
@@ -1201,9 +1211,10 @@ def effect_surface(
 ) -> EffectSurface:
     """Evaluate one term's effect with pointwise 2-SE significance.
 
-    ``grid`` gives points per axis (default 100 univariate, 60 per
-    location axis, 20 per axis for three-way terms); ``at`` evaluates
-    at explicit coordinate arrays instead, e.g. the observed locations.
+    ``grid`` gives points per axis, one whole number >= 1 or one per
+    variable (default 100 univariate, 60 per location axis, 20 per axis
+    for three-way terms); ``at`` evaluates at explicit coordinate arrays
+    instead, e.g. the observed locations.
     """
     block = model.design.block(term)
     nvars = len(block.term.variables)
@@ -1217,11 +1228,14 @@ def effect_surface(
         if grid is None:
             per_axis = [DEFAULT_GRID_POINTS[nvars]] * nvars
         elif np.isscalar(grid):
-            per_axis = [int(grid)] * nvars
+            per_axis = [grid] * nvars
         else:
-            per_axis = [int(g) for g in grid]
+            per_axis = list(grid)
             if len(per_axis) != nvars:
                 raise ValueError(f"term {term} needs {nvars} grid sizes, got {len(per_axis)}")
+        if not all(isinstance(m, Integral) and not isinstance(m, bool) and m >= 1
+                   for m in per_axis):
+            raise ValueError(f"grid sizes {per_axis} are not whole numbers >= 1")
         axes = [np.linspace(kv.lo, kv.hi, m) for kv, m in zip(block.knots, per_axis)]
         points = tuple(m.ravel() for m in np.meshgrid(*axes, indexing="ij"))
 

@@ -1203,8 +1203,8 @@ def test_stored_model_surfaces_equal_the_refit(readme_fits, fit):
     equal the refit's bit for bit."""
     config = RunConfig(clean_listings=str(readme_fits / "run" / "clean_listings.csv"),
                        model=str(readme_fits / fit / "model.json"))
-    stored, spec = cli._read_stored(config)
-    model = cli._stored_model(config, stored, spec)
+    stored, spec, records, beta = cli._read_stored(config)
+    model = cli._stored_model(config, stored, spec, records, beta)
     refit = refit_model(cli._stored_rows(config, stored), spec, stored["lambdas"])
     assert model.fitted is None and model.y is None
     assert np.array_equal(model.beta, refit.beta)
@@ -1225,8 +1225,8 @@ def test_stored_model_bootstrap_equals_the_refit(readme_fits, fit):
     Dropping ``year``, a main effect, drops its interactions too."""
     config = RunConfig(clean_listings=str(readme_fits / "run" / "clean_listings.csv"),
                        model=str(readme_fits / fit / "model.json"))
-    stored, spec = cli._read_stored(config)
-    model = cli._stored_model(config, stored, spec, with_matrix=True)
+    stored, spec, records, beta = cli._read_stored(config)
+    model = cli._stored_model(config, stored, spec, records, beta, with_matrix=True)
     refit = refit_model(cli._stored_rows(config, stored), spec, stored["lambdas"])
     for term in ("deprivation:year", "location:year", "year"):
         got = inference.bootstrap_term_test(model, term, b=19, seed=7)
@@ -1237,13 +1237,26 @@ def test_stored_model_bootstrap_equals_the_refit(readme_fits, fit):
         assert np.array_equal(got.replicates, want.replicates), term
 
 
+@pytest.mark.parametrize("with_matrix", [False, True], ids=["surfaces", "bootstrap"])
+def test_read_back_model_has_no_r_squared(readme_fits, with_matrix):
+    """A model read back holds no fit residuals, with its rows or without:
+    R^2 is refused by name, not with an AttributeError or a TypeError."""
+    config = RunConfig(clean_listings=str(readme_fits / "run" / "clean_listings.csv"),
+                       model=str(readme_fits / "pinned" / "model.json"))
+    stored, spec, records, beta = cli._read_stored(config)
+    model = cli._stored_model(config, stored, spec, records, beta, with_matrix=with_matrix)
+    assert (model.y is not None) == with_matrix
+    with pytest.raises(ValueError, match="holds no fit residuals"):
+        model.r_squared
+
+
 def test_bootstrap_refuses_a_model_without_rows(readme_fits, monkeypatch):
     """A model read back as surfaces reads it, with no X and no y, is
     refused by name before the reduced fit, not with an AttributeError."""
     config = RunConfig(clean_listings=str(readme_fits / "run" / "clean_listings.csv"),
                        model=str(readme_fits / "bic" / "model.json"))
-    stored, spec = cli._read_stored(config)
-    model = cli._stored_model(config, stored, spec)
+    stored, spec, records, beta = cli._read_stored(config)
+    model = cli._stored_model(config, stored, spec, records, beta)
     monkeypatch.setattr(inference, "fit_pls", None)
     with pytest.raises(ValueError, match=r"needs the model's rows \(X and y\)"):
         inference.bootstrap_term_test(model, "deprivation:year", b=19, seed=7)
@@ -1289,7 +1302,89 @@ class TestStoredModel:
             stored["lambdas"]["beds"] = 1e6
 
         err = self.refused(pipeline, tmp_path, capsys, command, edit)
-        assert "bad model file" in err and "term beds: lam must be null" in err
+        assert "bad model file: term beds: unknown key 'lam'; re-run fit" in err
+
+    @pytest.mark.parametrize("command", ["surfaces", "bootstrap"])
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [("beds", "lam", None), ("beds:year", "lam", None), ("location:year", "lam", 3.0),
+         ("beds", "colour", "red"), ("beds:year", "column_sums", [1.0, 2.0])],
+        ids=["null-lam", "null-lam-interaction", "interaction-lam", "colour",
+             "interaction-sums"],
+    )
+    def test_unknown_term_key_refused(
+        self, pipeline, tmp_path, capsys, monkeypatch, command, name, key, value
+    ):
+        # a term holds the keys fit writes and no other: a file written
+        # while terms still carried "lam": null is refused, as is any key
+        # fit never writes, before the clean listings are read
+        def edit(stored):
+            next(t for t in stored["terms"] if t["name"] == name)[key] = value
+
+        monkeypatch.setattr(
+            cli, "read_clean_listings", lambda path: pytest.fail("clean listings read")
+        )
+        err = self.refused(pipeline, tmp_path, capsys, command, edit)
+        assert err == (
+            f"error: {tmp_path / 'model.json'}: bad model file: "
+            f"term {name}: unknown key {key!r}; re-run fit\n"
+        )
+
+    @pytest.mark.parametrize("command", ["surfaces", "bootstrap"])
+    @pytest.mark.parametrize(
+        "name, key",
+        [*(("beds", f.name) for f in fields(gam.TermSpec) if f.name != "name"),
+         ("beds", "domain"), ("beds", "coefficients"), ("beds", "column_sums"),
+         ("location:year", "domain"), ("location:year", "coefficients")],
+    )
+    def test_missing_term_key_refused(
+        self, pipeline, tmp_path, capsys, monkeypatch, command, name, key
+    ):
+        def edit(stored):
+            del next(t for t in stored["terms"] if t["name"] == name)[key]
+
+        monkeypatch.setattr(
+            cli, "read_clean_listings", lambda path: pytest.fail("clean listings read")
+        )
+        err = self.refused(pipeline, tmp_path, capsys, command, edit)
+        assert err == (
+            f"error: {tmp_path / 'model.json'}: bad model file: "
+            f"term {name}: missing {key!r}; re-run fit\n"
+        )
+
+    @pytest.mark.parametrize("command", ["surfaces", "bootstrap"])
+    @pytest.mark.parametrize("key", ["intercept", "sigma2", "gram_sha256"])
+    def test_missing_top_level_key_refused_before_rows(
+        self, pipeline, tmp_path, capsys, monkeypatch, command, key
+    ):
+        def edit(stored):
+            del stored[key]
+
+        monkeypatch.setattr(
+            cli, "read_clean_listings", lambda path: pytest.fail("clean listings read")
+        )
+        err = self.refused(pipeline, tmp_path, capsys, command, edit)
+        assert err == (
+            f"error: {tmp_path / 'model.json'}: bad model file: missing {key!r}; re-run fit\n"
+        )
+
+    @pytest.mark.parametrize("command", ["surfaces", "bootstrap"])
+    def test_margin_too_small_for_its_penalty_refused(
+        self, pipeline, tmp_path, capsys, command
+    ):
+        # a model file whose beds margin has 1 + 1 basis columns under a
+        # second-order penalty: refused naming the term, not inside
+        # splines.difference_penalty
+        def edit(stored):
+            beds = next(t for t in stored["terms"] if t["name"] == "beds")
+            beds["segments"], beds["degree"] = [1], 1
+
+        err = self.refused(pipeline, tmp_path, capsys, command, edit)
+        assert err.startswith(
+            f"error: {tmp_path / 'model.json'}: bad model file: "
+            "term beds: segments + degree must exceed penalty_order 2"
+        )
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["surfaces", "bootstrap"])
     @pytest.mark.parametrize("name", ["location:year", "bed"])

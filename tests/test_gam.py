@@ -3,6 +3,7 @@ import ctypes
 import math
 import warnings
 from contextlib import nullcontext
+from dataclasses import fields
 from datetime import date
 
 import numpy as np
@@ -293,19 +294,33 @@ class TestModelSpec:
     @pytest.mark.parametrize("pinned", ["beds", "beds:year"])
     def test_rejects_a_pinned_term(self, pinned):
         # smoothing parameters live only in lambdas: a main effect's is
-        # selected, and every interaction direction inherits one
-        def term(name, variables, segments, **kw):
-            lam = 3.0 if name == pinned else None
-            return TermSpec(name, variables, segments, lam=lam, **kw)
+        # selected, and every interaction direction inherits one, so a
+        # term has no lam field to set
+        assert "lam" not in {f.name for f in fields(TermSpec)}
+        variables = tuple(pinned.split(":"))
+        with pytest.raises(TypeError, match="lam"):
+            TermSpec(pinned, variables, (3,) * len(variables),
+                     interaction=len(variables) > 1, lam=3.0)
 
-        with pytest.raises(ValueError, match=f"term {pinned}: lam must be null"):
-            ModelSpec(
-                terms=(
-                    term("beds", ("beds",), (5,)),
-                    term("year", ("year",), (5,)),
-                    term("beds:year", ("beds", "year"), (3, 3), interaction=True),
-                )
-            )
+    @pytest.mark.parametrize(
+        "segments, degree, order",
+        [((1,), 1, 2), ((1,), 2, 3), ((4, 1), 1, 2), ((2,), 1, 3)],
+    )
+    def test_refuses_a_margin_too_small_for_its_penalty(self, segments, degree, order):
+        # segments + degree basis columns must outnumber the difference
+        # order; build_design once died in difference_penalty without the
+        # term's name
+        variables = ("deprivation", "year")[: len(segments)]
+        with pytest.raises(ValueError, match="term t: segments \\+ degree must exceed"):
+            TermSpec("t", variables, segments, degree=degree, penalty_order=order,
+                     interaction=len(segments) > 1)
+
+    def test_smallest_margin_for_its_penalty_builds(self):
+        rows, y = synthetic_rows(60, noise=0.1)
+        spec = ModelSpec(terms=(
+            TermSpec("deprivation", ("deprivation",), (1,), degree=2, penalty_order=2),
+        ))
+        assert build_design(rows, spec).block("deprivation").width == 2
 
     @pytest.mark.parametrize(
         "fields, match",
@@ -791,6 +806,17 @@ class TestSelectSmoothness:
             warnings.simplefilter("error")  # converged: no warning
             select_smoothness(design, y)
 
+    @pytest.mark.parametrize("max_sweeps", [0, -1, 1.5])
+    def test_no_sweep_refused(self, monkeypatch, max_sweeps):
+        # max_sweeps=0 once returned every ladder middle with no fit
+        rows, y = synthetic_rows(100, noise=0.2)
+        design = build_design(rows, two_term_spec())
+        monkeypatch.setattr(gam, "_ladder_fits", None)
+        with pytest.raises(ValueError, match="max_sweeps .* is not a whole number >= 1"):
+            select_smoothness(design, y, grid=[1.0, 10.0, 100.0], max_sweeps=max_sweeps)
+        with pytest.raises(ValueError, match="max_sweeps .* is not a whole number >= 1"):
+            oracle_smoothness(design, y, y, grid=[1.0, 10.0, 100.0], max_sweeps=max_sweeps)
+
     @pytest.mark.parametrize("best", [-500.0, 0.0], ids=["relative", "absolute"])
     @pytest.mark.parametrize(
         "gap, chosen", [(0.5, 10.0), (2.0, 1.0)], ids=["tie", "beyond"]
@@ -1161,6 +1187,18 @@ class TestPredictAndSurfaces:
         model = location_model()
         with pytest.raises(ValueError, match="location needs 2 grid sizes"):
             effect_surface(model, "location", grid=grid)
+
+    @pytest.mark.parametrize("grid", [2.7, 0, -3, True, [5, 0], [5, 2.5], [5.0, 5]])
+    def test_grid_size_not_a_whole_number_refused(self, grid):
+        # 2.7 once gave 2 points per axis, and 0 an empty surface
+        model = location_model()
+        with pytest.raises(ValueError, match="grid sizes .* are not whole numbers >= 1"):
+            effect_surface(model, "location", grid=grid)
+
+    def test_numpy_grid_sizes_accepted(self):
+        model = location_model()
+        surface = effect_surface(model, "location", grid=[np.int64(3), 4])
+        assert surface.effect.shape == (12,)
 
     def test_multiplicative_effect_forms_no_covariance(self):
         # the ratio reads only the term's basis at its two points; it equals

@@ -138,10 +138,10 @@ def _fitted_corpus(tmp_path, n):
 def _surfaces_read_back(config):
     """The traced read-back of surfaces' stored model and one surface: the
     model, its peak and the bytes it still holds."""
-    stored, spec = cli._read_stored(config)
+    stored, spec, records, beta = cli._read_stored(config)
 
     def load_and_surface():
-        model = cli._stored_model(config, stored, spec)
+        model = cli._stored_model(config, stored, spec, records, beta)
         effect_surface(model, "deprivation")
         return model
 

@@ -1,0 +1,212 @@
+"""Property tests over drawn model specs and corpora: each fast or stored
+path against the plain path it replaces.
+
+A case is a spec, a corpus and smoothing parameters. The spec has a
+non-empty set of main effects and up to two interactions over 2-3 covered
+variables (never ``doy``), each with segments, degree and penalty order in
+the ranges :class:`~rentgam.gam.TermSpec` accepts. The corpus is
+``synthetic.simulate_listings`` at n from 3p to 2000, and the smoothing
+parameters lie on a log scale from 1e-3 to 1e6. A spec that
+``build_design`` refuses naming a term (a covariate range or a block it
+cannot identify) is not a counterexample. Draws are derandomized, so a
+run is the same on every machine.
+"""
+
+import json
+import math
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from rentgam import cli, gam
+from rentgam.errors import DataError, NumericalError
+from rentgam.gam import (
+    ModelSpec,
+    TermSpec,
+    blocks_from_records,
+    build_design,
+    derive_rows,
+    design_matrix,
+    fit_pls,
+)
+from rentgam.synthetic import default_truth, simulate_listings
+from tolerance import rounding_tolerance
+
+MAIN_EFFECTS = {
+    "beds": ("beds",),
+    "deprivation": ("deprivation",),
+    "year": ("year",),
+    "doy": ("doy",),
+    "location": ("longitude", "latitude"),
+}
+
+CASES = settings(
+    max_examples=50,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+
+
+def _margins(draw, variables, max_segments):
+    """Segments per variable, degree and penalty order that TermSpec
+    accepts: every margin's segments + degree exceed the order."""
+    degree = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 3))
+    low = max(1, order - degree + 1)
+    segments = tuple(draw(st.integers(low, max_segments)) for _ in variables)
+    return segments, degree, order
+
+
+@st.composite
+def model_specs(draw):
+    names = draw(st.lists(st.sampled_from(list(MAIN_EFFECTS)), min_size=1,
+                          max_size=len(MAIN_EFFECTS), unique=True))
+    terms = []
+    for name in sorted(names, key=list(MAIN_EFFECTS).index):
+        variables = MAIN_EFFECTS[name]
+        segments, degree, order = _margins(draw, variables, 12 if len(variables) == 1 else 6)
+        terms.append(TermSpec(name, variables, segments, degree, order))
+    covered = [v for t in terms if t.name != "doy" for v in t.variables]
+    if len(covered) >= 2:
+        pairs = st.lists(st.sampled_from(covered), min_size=2, max_size=3, unique=True)
+        for variables in draw(st.lists(pairs.map(tuple), max_size=2,
+                                       unique_by=lambda v: frozenset(v))):
+            segments, degree, order = _margins(draw, variables, 4)
+            terms.append(TermSpec(":".join(variables), variables, segments, degree, order,
+                                  interaction=True))
+    return ModelSpec(terms=tuple(terms))
+
+
+def _width(term):
+    """The constrained column count of a term (see ``gam._width``)."""
+    if term.interaction:
+        return math.prod(s + term.degree - 1 for s in term.segments)
+    return math.prod(s + term.degree for s in term.segments) - 1
+
+
+# 1e-3 to 1e6, ten steps a decade
+log_lambdas = st.integers(-30, 60).map(lambda i: 10.0 ** (i / 10))
+
+
+@st.composite
+def cases(draw):
+    """A spec, the model columns of a simulated corpus for it and one
+    smoothing parameter per main effect."""
+    spec = draw(model_specs())
+    p = 1 + sum(_width(t) for t in spec.terms)
+    n = draw(st.integers(min(3 * p, 2000), 2000))
+    seed = draw(st.integers(0, 2**16))
+    rows = derive_rows(simulate_listings(n, default_truth(), sigma=0.1, seed=seed).listings)
+    lambdas = {t.name: draw(log_lambdas) for t in spec.main_terms}
+    return spec, rows, lambdas
+
+
+def built(spec, rows):
+    """``build_design``, with a refusal that names a term rejected as a
+    case rather than counted as a counterexample."""
+    try:
+        return build_design(rows, spec)
+    except (DataError, NumericalError) as exc:
+        assume(not any(f"term {t.name}:" in str(exc) for t in spec.terms))
+        raise
+
+
+def quiet_fit(design, y, lambdas):
+    """``fit_pls``, its ridge-retry warning silenced: the retry is a
+    fallback of the fit, not of the paths these properties compare."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return fit_pls(design, y, lambdas)
+
+
+def same_blocks(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.term == b.term and a.columns == b.columns
+        assert len(a.knots) == len(b.knots)
+        for ka, kb in zip(a.knots, b.knots):
+            assert (ka.lo, ka.hi, ka.segments, ka.degree) == (kb.lo, kb.hi, kb.segments, kb.degree)
+            assert np.array_equal(ka.knots, kb.knots)
+        assert a.penalty_owners == b.penalty_owners
+        assert np.array_equal(a.transform.z, b.transform.z)
+        assert (a.column_sums is None) == (b.column_sums is None)
+        if a.column_sums is not None:
+            assert np.array_equal(a.column_sums, b.column_sums)
+        assert len(a.penalties) == len(b.penalties)
+        for pa, pb in zip(a.penalties, b.penalties):
+            assert np.array_equal(pa, pb)
+
+
+@CASES
+@given(cases())
+def test_stored_model_reads_back_the_fit(case):
+    """``_model_payload``, then JSON, then ``_read_stored`` gives back the
+    spec, each term's record and the coefficients, and the blocks built
+    from the records, and their design matrix, are ``build_design``'s
+    bit for bit."""
+    spec, rows, lambdas = case
+    design = built(spec, rows)
+    model = quiet_fit(design, rows["logprice"], lambdas)
+    payload = {**cli._model_payload(model, design), "config_sha256": "", "gram_sha256": ""}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        cli._write_json(path, payload)
+        stored, read_spec, records, beta = cli._read_stored(cli.RunConfig(model=str(path)))
+    assert read_spec == spec
+    assert stored["lambdas"] == model.lambdas
+    assert np.array_equal(np.asarray(beta), model.beta)
+    for record, block in zip(records, design.blocks):
+        assert record.domain == [[kv.lo, kv.hi] for kv in block.knots]
+        if block.term.interaction:
+            assert record.column_sums is None
+        else:
+            assert np.array_equal(record.column_sums, block.column_sums)
+    blocks = blocks_from_records(read_spec, records)
+    same_blocks(blocks, design.blocks)
+    assert np.array_equal(design_matrix(blocks, rows), design.matrix)
+
+
+@CASES
+@given(cases(), st.data())
+def test_drop_equals_building_the_reduced_spec(case, data):
+    spec, rows, _ = case
+    design = built(spec, rows)
+    name = data.draw(st.sampled_from([t.name for t in spec.terms]))
+    dropped = design.drop(name)
+    reduced = build_design(rows, spec.drop(name))
+    assert dropped.spec == reduced.spec
+    assert np.array_equal(dropped.matrix, reduced.matrix)
+    same_blocks(dropped.blocks, reduced.blocks)
+
+
+@CASES
+@given(cases(), st.data())
+def test_eigen_ladder_matches_fit_pls(case, data):
+    """Every point of a drawn ladder, by the eigen evaluator, against
+    ``fit_pls`` at that point: k and rss within ``p * cond(A) * eps``,
+    with ``A = X'X + S`` at the point or at the ladder's base, whichever
+    is worse conditioned. ``cond(A) * eps`` is what rounding moves one
+    solve by (``rounding_tolerance``); a Cholesky solve of order p has a
+    backward error of order ``p * eps``, and both paths make several, so
+    at p 2-4 and cond(A) near 1, ``cond(A) * eps`` alone sits below the
+    last bit of k (3.6e-15 relative against a bound of 2.7e-15)."""
+    spec, rows, lambdas = case
+    design = built(spec, rows)
+    y = rows["logprice"]
+    name = data.draw(st.sampled_from([t.name for t in spec.main_terms]))
+    ladder = np.sort(data.draw(st.lists(log_lambdas, min_size=2, max_size=5, unique=True)))
+    fits = gam._eigen_ladder(design, y, lambdas, name, ladder)
+    assume(fits)  # the base took the ridge retry: fit_pls takes the ladder
+    base = {**lambdas, name: float(ladder[len(ladder) // 2])}
+    base_tol = rounding_tolerance(design.gram + design.penalty(base))
+    for lam, fit in zip(ladder, fits):
+        point = {**lambdas, name: float(lam)}
+        tol = design.p * max(base_tol, rounding_tolerance(design.gram + design.penalty(point)))
+        direct = quiet_fit(design, y, point)
+        assert abs(fit.k - direct.k) <= tol * direct.k, (name, lam)
+        assert abs(fit.rss - direct.rss) <= tol * direct.rss, (name, lam)
