@@ -118,6 +118,8 @@ class RunConfig:
             value = getattr(self, key)
             if not math.isfinite(value):
                 raise ConfigurationError(f"{key} must be finite, got {value}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.radius_miles <= 0:
             raise ConfigurationError(
                 f"radius_miles must be positive, got {self.radius_miles}"

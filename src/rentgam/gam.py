@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from numbers import Integral, Real
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import linalg
@@ -411,6 +411,8 @@ class Design:
 
     @property
     def n(self) -> int:
+        if self._x is None:
+            raise ValueError("the design holds no rows")
         return self._x.shape[0]
 
     @property
@@ -725,8 +727,8 @@ class FittedModel:
     def covariance_unscaled(self) -> np.ndarray:
         """Inverse of (X'X + S); multiply by sigma2 for the coefficient
         covariance. Taken once per model from the fit's factor by
-        :func:`_upper_inverse` (a model of :func:`fit_from_gram` is given
-        the one its hat diagonal was read from), its lower triangle
+        :func:`_upper_inverse` (a :func:`fit_from_gram` that made the factor
+        gives the one its hat diagonal was read from), its lower triangle
         mirrored from the upper by :func:`_mirror_upper`."""
         if self._cov_unscaled is None:
             self._cov_unscaled = _mirror_upper(_upper_inverse(self._cho))
@@ -762,7 +764,7 @@ class _Factor(NamedTuple):
     apart from ``y``: the Cholesky factor ``U`` of ``A = U'U`` (upper
     triangular, as ``cho_factor`` returns it), the diagonal of the hat
     matrix ``A^-1 X'X`` (k and the per-term EDFs), whether the
-    factorization took the ridge retry, and, only when asked for, the
+    factorization took the ridge retry, and, on a factor just made, the
     upper triangle of ``A^-1`` that the hat diagonal was read from."""
 
     cho: tuple
@@ -795,9 +797,7 @@ def _mirror_upper(a: np.ndarray, rows: int = 64) -> np.ndarray:
     return a
 
 
-def _penalized_factor(
-    design: Design, lambdas: dict[str, float], keep_inverse: bool = False
-) -> _Factor:
+def _penalized_factor(design: Design, lambdas: dict[str, float]) -> _Factor:
     """The :class:`_Factor` at resolved ``lambdas``, from the design's
     one-entry cache when they repeat its last ones: the one place
     ``A = X'X + S`` is built and factored, for :func:`fit_pls`,
@@ -806,10 +806,10 @@ def _penalized_factor(
     place; a failed factorization leaves it overwritten, so the ridge retry
     rebuilds it. The EDFs are ``rowsum(A^-1 o X'X)``, read from the upper
     triangle ``T`` of ``A^-1`` (``A^-1 = T + T' - diag(T)``, and ``X'X`` is
-    symmetric) with no symmetric copy. ``T`` is returned with the factor
-    only with ``keep_inverse``, and is never cached: a fit or a ladder
-    holds no p x p array beyond the factor."""
-    if design._factor is not None and design._factor[0] == lambdas and not keep_inverse:
+    symmetric) with no symmetric copy. ``T`` comes with a factor made here
+    and is never cached: a cached factor and a ladder hold no p x p array
+    beyond ``U``."""
+    if design._factor is not None and design._factor[0] == lambdas:
         return design._factor[1]
     gram = design.gram
     a = np.add(gram, design.penalty(lambdas), order="F")
@@ -836,7 +836,7 @@ def _penalized_factor(
     )
     factor = _Factor(cho, hat_diag, ridged)
     design._factor = (dict(lambdas), factor)
-    return factor._replace(upper_inverse=t) if keep_inverse else factor
+    return factor._replace(upper_inverse=t)
 
 
 def fit_pls(
@@ -895,9 +895,9 @@ def fit_from_gram(
     stores them: ``X'X + S`` is factored by :func:`_penalized_factor`, as
     :func:`fit_pls` factors it (with its ridge warning), so the covariance
     and every effect surface are the fit's bit for bit, and so are ``k``
-    and the EDFs. The covariance is the inverse the hat diagonal was read
-    from, so the factor is inverted once. Nothing is solved: ``fitted``,
-    ``rss`` and ``bic`` are None.
+    and the EDFs. A factor made here brings the inverse its hat diagonal
+    was read from as the covariance; a cached one leaves the covariance to
+    its first read. Nothing is solved: ``fitted``, ``rss`` and ``bic`` are None.
     """
     if type(n) is not int or n < 2:
         raise ValueError(f"n {n!r} is not a whole number >= 2")
@@ -912,8 +912,9 @@ def fit_from_gram(
     sigma2 = float(sigma2)
     if not (math.isfinite(sigma2) and sigma2 >= 0):
         raise ValueError(f"sigma2 {sigma2!r} is not a finite number >= 0")
-    factor = _checked_factor(design, resolved, keep_inverse=True)
+    factor = _checked_factor(design, resolved)
     k, edf = _degrees_of_freedom(design, factor)
+    t = factor.upper_inverse
     return FittedModel(
         design=design,
         lambdas=resolved,
@@ -927,16 +928,14 @@ def fit_from_gram(
         edf_by_term=edf,
         bic=None,
         _cho=factor.cho,
-        _cov_unscaled=_mirror_upper(factor.upper_inverse),
+        _cov_unscaled=None if t is None else _mirror_upper(t),
     )
 
 
-def _checked_factor(
-    design: Design, lambdas: dict[str, float], keep_inverse: bool = False
-) -> _Factor:
+def _checked_factor(design: Design, lambdas: dict[str, float]) -> _Factor:
     """:func:`_penalized_factor`, warning (``RuntimeWarning``, at the
     caller of the fit) when it took the ridge retry."""
-    factor = _penalized_factor(design, lambdas, keep_inverse)
+    factor = _penalized_factor(design, lambdas)
     if factor.ridged:
         warnings.warn(
             "penalized normal equations are not positive definite; "
@@ -1005,10 +1004,11 @@ def _eigen_ladder(
     relative in k, 7e-11 in rss and 7e-10 in the gap.
     """
     l0 = float(ladder[len(ladder) // 2])
-    factor = _penalized_factor(design, design.spec.resolve_lambdas({**current, name: l0}))
-    if factor.ridged:
+    lambdas = design.spec.resolve_lambdas({**current, name: l0})
+    cho, hat_diag, ridged = _penalized_factor(design, lambdas)[:3]  # T not kept
+    if ridged:
         return []
-    upper = factor.cho[0]
+    upper = cho[0]
     c = linalg.solve_triangular(upper, design._owned_root(name).T, trans="T")
     d, v = linalg.eigh(linalg.blas.dsyrk(1.0, c, trans=1), lower=False, driver="evd")
     keep = d > 0
@@ -1019,13 +1019,13 @@ def _eigen_ladder(
     # the fit_pls expressions, so the middle point repeats it bit for bit
     if xty is None:
         xty = design.rmatvec(y)
-    base = design.matvec(linalg.cho_solve(factor.cho, xty))
+    base = design.matvec(linalg.cho_solve(cho, xty))
     proj = w.T @ xty
     forms = []  # (t0't0, W'X't0) per target
     for target in (y,) if signal is None else (y, signal):
         t0 = target - base
         forms.append((float(np.sum(t0**2)), w.T @ design.rmatvec(t0)))
-    k0 = float(factor.hat_diag.sum())
+    k0 = float(hat_diag.sum())
     out = []
     for lam in ladder:
         h = (lam - l0) * d
@@ -1093,11 +1093,10 @@ def _coordinate_descent(
     y: np.ndarray,
     grid: Sequence[float] | None,
     max_sweeps: int,
-    score: Callable[[LadderFit], float],
     signal: np.ndarray | None = None,
 ) -> dict[str, float]:
-    """Minimize ``score`` of each ladder point's :class:`LadderFit` (its
-    ``rss``, ``k`` and, with a ``signal``, ``gap``) over the main-effect
+    """Minimize each ladder point's BIC, or with a ``signal`` the RMSE
+    ``sqrt(gap / n)`` of its fitted values against it, over the main-effect
     smoothing parameters by coordinate descent on one ladder shared by
     every term (:func:`smoothing_ladder` of ``grid``).
 
@@ -1133,7 +1132,8 @@ def _coordinate_descent(
             best = None
             fits = _ladder_fits(design, y, current, name, ladder, signal, xty)
             for lam, fit in zip(ladder, fits):
-                value = score(fit)
+                value = (bic(fit.rss, design.n, fit.k) if signal is None
+                         else math.sqrt(fit.gap / design.n))
                 tol = 0.0 if best is None else 1e-9 * abs(best) + 1e-12
                 if best is None or value < best - tol:
                     best = value
@@ -1169,9 +1169,7 @@ def select_smoothness(
     Interactions are never swept: their penalties inherit the
     main-effect values as they move.
     """
-    return _coordinate_descent(
-        design, y, grid, max_sweeps, lambda fit: bic(fit.rss, design.n, fit.k)
-    )
+    return _coordinate_descent(design, y, grid, max_sweeps)
 
 
 def predict(model: FittedModel, columns: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -1214,16 +1212,20 @@ def effect_surface(
     ``grid`` gives points per axis, one whole number >= 1 or one per
     variable (default 100 univariate, 60 per location axis, 20 per axis
     for three-way terms); ``at`` evaluates at explicit coordinate arrays
-    instead, e.g. the observed locations.
+    instead, e.g. the observed locations, and cannot be given with ``grid``.
     """
     block = model.design.block(term)
     nvars = len(block.term.variables)
     if at is not None:
+        if grid is not None:
+            raise ValueError("give grid or at, not both")
         points = tuple(np.asarray(a, dtype=float).ravel() for a in at)
         if len(points) != nvars:
             raise ValueError(f"term {term} needs {nvars} coordinate arrays")
         if len({p.size for p in points}) != 1:
             raise ValueError("coordinate arrays must share a length")
+        if points[0].size == 0:
+            raise ValueError("coordinate arrays hold no points")
     else:
         if grid is None:
             per_axis = [DEFAULT_GRID_POINTS[nvars]] * nvars

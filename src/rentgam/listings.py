@@ -160,14 +160,14 @@ def columns_of(rows: Iterable[Sequence], names: Sequence[str]) -> dict[str, np.n
 
 
 def open_input(path: str | Path, what: str, binary: bool = False):
-    """Open the input file ``path`` (UTF-8, line ends untranslated, as csv
-    needs; bytes when ``binary``): the one opener of every file a command
-    reads. ConfigurationError names ``what`` and ``path`` when it is missing
+    """Open the input file ``path`` (UTF-8 after an optional byte-order
+    mark, line ends untranslated, as csv needs; bytes when ``binary``): the
+    one opener of every file a command reads. ConfigurationError names ``what`` and ``path`` when it is missing
     or cannot be opened."""
     try:
         if binary:
             return open(path, "rb")
-        return open(path, newline="", encoding="utf-8")
+        return open(path, newline="", encoding="utf-8-sig")
     except FileNotFoundError:
         raise ConfigurationError(f"{what} not found: {path}") from None
     except OSError as exc:

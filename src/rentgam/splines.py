@@ -106,7 +106,7 @@ def bspline_basis(x: np.ndarray, kv: KnotVector) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     bad = ~np.isfinite(x) | (x < kv.lo) | (x > kv.hi)
     if bad.any():
-        offender = x[bad][0]
+        offender = float(x[bad][0])
         raise OutOfDomainError(
             f"value {offender!r} outside basis domain [{kv.lo}, {kv.hi}]"
         )

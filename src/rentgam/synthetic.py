@@ -24,7 +24,6 @@ from .gam import (
     EARTH_RADIUS_MILES,
     Design,
     FittedModel,
-    LadderFit,
     fit_pls,
     year_and_doy,
     _coordinate_descent,
@@ -383,9 +382,5 @@ def oracle_smoothness(
     the RMSE of the fitted values against the noiseless signal. The
     returned model's k is the truth-complexity yardstick for BIC
     selection."""
-
-    def score(fit: LadderFit) -> float:
-        return math.sqrt(fit.gap / design.n)
-
-    current = _coordinate_descent(design, y, grid, max_sweeps, score, signal)
+    current = _coordinate_descent(design, y, grid, max_sweeps, signal)
     return current, fit_pls(design, y, current)

@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import csv
 import errno
 import hashlib
@@ -6,6 +7,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -1639,3 +1641,91 @@ def test_fifo_input_is_opened_once(tmp_path):
     for name in ("clean_listings.csv", "clean_report.txt", "malformed.txt"):
         got = (tmp_path / "from_fifo" / name).read_bytes()
         assert got == (tmp_path / "from_file" / name).read_bytes(), name
+
+
+
+# (command, the input given a byte-order mark): every text file a command reads
+BOM_READS = [
+    ("clean", "listings"), ("clean", "listings_jsonl"), ("clean", "postcodes"),
+    ("validate", "clean_listings"), ("validate", "area_reference"),
+    ("validate", "national_reference"),
+    ("fit", "clean_listings"), ("fit", "truth"), ("fit", "config"),
+    ("surfaces", "model"),
+    ("bootstrap", "clean_listings"), ("bootstrap", "model"),
+]
+
+
+@pytest.mark.parametrize("command, key", BOM_READS)
+def test_input_with_a_byte_order_mark_reads_as_without(
+    pipeline, tmp_path, capsys, monkeypatch, command, key
+):
+    """An input that starts with a UTF-8 byte-order mark, as Excel's "CSV
+    UTF-8" saves one, gives the run the file without it gives: the same
+    exit code, stdout, stderr and output bytes, from the same paths."""
+    paths = dict(_inputs(pipeline))
+    paths["gram"] = pipeline["out"] / "gram.npy"
+    paths["listings_jsonl"] = DATA / "golden" / "feed.jsonl"
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    for path in paths.values():
+        shutil.copy(path, inputs / path.name)
+    (inputs / "pin.cfg").write_text("lambda_grid = 10\n")
+    listings = "listings.csv"
+    if key == "listings_jsonl":
+        listings = "feed.jsonl"
+        shutil.copy(DATA / "golden" / "postcodes.csv", inputs / "postcodes.csv")
+    flags = {
+        "clean": ["--listings", listings, "--postcodes", "postcodes.csv"],
+        "validate": ["--clean-listings", "clean_listings.csv", "--area-reference",
+                     "area_reference.csv", "--national-reference", "national_reference.csv"],
+        "fit": ["--clean-listings", "clean_listings.csv", "--truth", "truth.json",
+                "--config", "pin.cfg"],
+        "surfaces": ["--model", "model.json"],
+        "bootstrap": ["--clean-listings", "clean_listings.csv", "--model", "model.json",
+                      "--term", "deprivation:year", "--b", "19"],
+    }[command]
+    monkeypatch.chdir(inputs)
+
+    def result():
+        code, out, err = run([command, *flags, "--out", "out"], capsys)
+        written = {p.name: p.read_bytes() for p in sorted(Path("out").iterdir())}
+        shutil.rmtree("out")
+        return code, out, err, written
+
+    want = result()
+    assert want[0] == 0 and want[3]
+    target = inputs / ("pin.cfg" if key == "config" else paths[key].name)
+    target.write_bytes(codecs.BOM_UTF8 + target.read_bytes())
+    assert result() == want
+
+
+class TestNegativeSeed:
+    """A negative seed is refused as a config value naming ``seed``,
+    before the model or the rows are read and before --out is made."""
+
+    def test_refused_by_the_config(self):
+        with pytest.raises(ConfigurationError, match=r"^seed must be >= 0, got -1$"):
+            RunConfig(seed=-1)
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("command", ["simulate", "bootstrap"])
+    def test_exits_2_before_the_inputs_are_read(
+        self, pipeline, tmp_path, capsys, monkeypatch, command, source
+    ):
+        def no_read(*args, **kwargs):
+            raise AssertionError("the model or the rows were read")
+
+        for name in ("read_clean_listings", "_read_stored"):
+            monkeypatch.setattr(cli, name, no_read)
+        if source == "flag":
+            argv = [command, "--seed", "-1"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("seed = -1\n")
+            argv = [command, "--config", cfg]
+        if command == "bootstrap":
+            argv += _input_flags({k: _inputs(pipeline)[k] for k in REQUIRED_INPUTS[command]})
+        out = tmp_path / "out"
+        code, _, err = run([*argv, "--out", out], capsys)
+        assert (code, err) == (2, "error: seed must be >= 0, got -1\n")
+        assert not out.exists()

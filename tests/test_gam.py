@@ -454,6 +454,16 @@ class TestInteractionMargins:
 
 
 class TestFitPls:
+    def test_design_without_rows_refused(self):
+        # a design given only X'X has no n: fit_pls and selection need rows
+        rows, y = synthetic_rows(150, noise=0.3)
+        built = build_design(rows, two_term_spec())
+        design = Design(built.spec, None, built.blocks, gram=built.gram)
+        with pytest.raises(ValueError, match="^the design holds no rows$"):
+            fit_pls(design, y, {"deprivation": 1.0, "year": 1.0})
+        with pytest.raises(ValueError, match="^the design holds no rows$"):
+            select_smoothness(design, y)
+
     def test_matches_augmented_least_squares(self):
         # several random instances, solved along an independent route
         for i in range(5):
@@ -644,6 +654,26 @@ class TestFactorCache:
         assert calls[-1] == (reduced.p, reduced.p) and len(calls) == 4
         fit_pls(design, y, {"deprivation": 3.0, "year": 30.0})  # still cached
         assert len(calls) == 4
+
+    def test_read_back_on_a_cached_factor_factors_nothing(self, monkeypatch):
+        """fit_from_gram on a design whose cache holds the factor at its
+        lambdas makes no cho_factor call and reads its covariance on first
+        use; covariance, k and EDFs are a fresh design's bit for bit."""
+        rows, y = synthetic_rows(150, noise=0.3)
+        lams = {"deprivation": 3.0, "year": 30.0}
+        design = build_design(rows, two_term_spec())
+        model = fit_pls(design, y, lams)
+        stored = (lams, model.beta, model.sigma2, model.n)
+        fresh = gam.fit_from_gram(
+            Design(design.spec, None, design.blocks, gram=design.gram), *stored
+        )
+        calls = self.counting_cho_factor(monkeypatch)
+        cached = gam.fit_from_gram(design, *stored)
+        assert calls == [] and cached._cov_unscaled is None
+        assert np.array_equal(cached.covariance_unscaled, fresh.covariance_unscaled)
+        assert np.array_equal(cached.covariance_unscaled, model.covariance_unscaled)
+        assert cached.k == fresh.k == model.k
+        assert cached.edf_by_term == fresh.edf_by_term == model.edf_by_term
 
     @pytest.mark.parametrize("lam", [1e-3, 10.0, 1e6])
     def test_inverse_and_hat_diagonal_match_a_dense_oracle(self, lam):
@@ -1199,6 +1229,15 @@ class TestPredictAndSurfaces:
         model = location_model()
         surface = effect_surface(model, "location", grid=[np.int64(3), 4])
         assert surface.effect.shape == (12,)
+
+    @pytest.mark.parametrize("grid, at, message", [
+        (None, [[], []], "coordinate arrays hold no points"),
+        (3, [[-4.3], [55.8]], "give grid or at, not both"),
+    ], ids=["no-points", "grid-and-at"])
+    def test_points_refused(self, grid, at, message):
+        # an empty surface, or one point where a grid of 9 was asked for
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            effect_surface(location_model(), "location", grid=grid, at=at)
 
     def test_multiplicative_effect_forms_no_covariance(self):
         # the ratio reads only the term's basis at its two points; it equals

@@ -17,6 +17,7 @@ import math
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
@@ -25,15 +26,21 @@ from hypothesis import strategies as st
 from rentgam import cli, gam
 from rentgam.errors import DataError, NumericalError
 from rentgam.gam import (
+    Design,
     ModelSpec,
+    TermRecord,
     TermSpec,
     blocks_from_records,
     build_design,
     derive_rows,
     design_matrix,
+    effect_surface,
+    fit_from_gram,
     fit_pls,
 )
+from rentgam.inference import bootstrap_term_test, wald_statistic
 from rentgam.synthetic import default_truth, simulate_listings
+from oracles import augmented_ls_beta
 from tolerance import rounding_tolerance
 
 MAIN_EFFECTS = {
@@ -116,12 +123,16 @@ def built(spec, rows):
         raise
 
 
-def quiet_fit(design, y, lambdas):
-    """``fit_pls``, its ridge-retry warning silenced: the retry is a
+def quiet(fit, *args):
+    """``fit(*args)`` with its ridge-retry warning silenced: the retry is a
     fallback of the fit, not of the paths these properties compare."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return fit_pls(design, y, lambdas)
+        return fit(*args)
+
+
+def quiet_fit(design, y, lambdas):
+    return quiet(fit_pls, design, y, lambdas)
 
 
 def same_blocks(got, want):
@@ -210,3 +221,117 @@ def test_eigen_ladder_matches_fit_pls(case, data):
         direct = quiet_fit(design, y, point)
         assert abs(fit.k - direct.k) <= tol * direct.k, (name, lam)
         assert abs(fit.rss - direct.rss) <= tol * direct.rss, (name, lam)
+
+
+def gram_only(design):
+    """The design as ``surfaces`` reads it back: blocks from each term's
+    record, a copy of ``X'X`` and no matrix."""
+    records = [TermRecord([[kv.lo, kv.hi] for kv in b.knots], b.column_sums)
+               for b in design.blocks]
+    return Design(design.spec, None, blocks_from_records(design.spec, records),
+                  gram=design.gram.copy())
+
+
+@CASES
+@given(cases())
+def test_fit_from_gram_reads_back_the_fit(case):
+    """``fit_from_gram`` on a design that holds only ``X'X`` gives
+    ``fit_pls``'s covariance, k and EDFs bit for bit; so does it on the
+    fitted design itself, whose cache holds the factor, with no
+    ``cho_factor`` call."""
+    spec, rows, lambdas = case
+    design = built(spec, rows)
+    model = quiet_fit(design, rows["logprice"], lambdas)
+    stored = (model.lambdas, model.beta, model.sigma2, model.n)
+    fresh = quiet(fit_from_gram, gram_only(design), *stored)
+    with mock.patch.object(gam.linalg, "cho_factor", wraps=gam.linalg.cho_factor) as factor:
+        cached = quiet(fit_from_gram, design, *stored)
+    assert factor.call_count == 0
+    for read in (fresh, cached):
+        assert np.array_equal(read.covariance_unscaled, model.covariance_unscaled)
+        assert read.k == model.k
+        assert read.edf_by_term == model.edf_by_term
+
+
+@CASES
+@given(cases(), st.data())
+def test_bootstrap_replicates_equal_per_replicate_refits(case, data):
+    """Every replicate of the one-solve bootstrap against ``fit_pls`` of
+    its response, drawn as the bootstrap draws it, and the Wald statistic
+    of that fit. The two routes round the solve for beta differently,
+    each within ``cond(A) * eps * |beta|``; the term's block can be far
+    smaller than beta (the intercept dominates it), so the statistic,
+    quadratic in that block, is held to ``p * cond(A) * eps`` times
+    ``|beta| / |beta_term|``."""
+    spec, rows, lambdas = case
+    design = built(spec, rows)
+    y = rows["logprice"]
+    model = quiet_fit(design, y, lambdas)
+    term = data.draw(st.sampled_from([t.name for t in spec.terms]))
+    result = quiet(bootstrap_term_test, model, term, 19, 5)
+    reduced = quiet_fit(design.drop(term), y, model.lambdas)
+    sl = design.block(term).columns
+    tol = design.p * rounding_tolerance(design.gram + design.penalty(model.lambdas))
+    want, bounds = [], []
+    for i in range(19):
+        noise = np.random.default_rng([5, i]).standard_normal(design.n)
+        refit = quiet_fit(design, reduced.fitted + np.sqrt(reduced.sigma2) * noise,
+                          model.lambdas)
+        want.append(wald_statistic(refit, term))
+        bounds.append(tol * np.linalg.norm(refit.beta) / np.linalg.norm(refit.beta[sl]))
+    want, bounds = np.array(want), np.array(bounds)
+    kept = np.isfinite(want)
+    assert result.discarded == int((~kept).sum())
+    err = np.abs(result.replicates - want[kept])
+    assert (err <= bounds[kept] * np.abs(want[kept])).all(), (term, err.max())
+
+
+@CASES
+@given(cases(), st.data())
+def test_chunked_surface_equals_one_product(case, data):
+    """``effect_surface`` in chunks of a drawn size against one product
+    over every grid row. Both sum the same products in possibly other
+    orders, so each value is held to the dot-product rounding bound
+    ``2 w eps`` times its sum of absolute terms (w the term's width); an
+    SE, a square root, moves by at most the root of its variance's bound."""
+    spec, rows, lambdas = case
+    design = built(spec, rows)
+    model = quiet_fit(design, rows["logprice"], lambdas)
+    term = data.draw(st.sampled_from([t.name for t in spec.terms]))
+    block = design.block(term)
+    grid = [data.draw(st.integers(1, 6)) for _ in block.term.variables]
+    chunk = data.draw(st.integers(1, 40))
+    with mock.patch.object(gam, "SE_CHUNK_ROWS", chunk):
+        surface = effect_surface(model, term, grid=grid)
+    g = block.evaluate(dict(zip(block.term.variables, surface.points)))
+    v = model.covariance_block(term)
+    beta = model.coefficients(term)
+    bound = 2 * block.width * np.finfo(float).eps
+    effect = g @ beta
+    assert (np.abs(surface.effect - effect) <= bound * (np.abs(g) @ np.abs(beta))).all()
+    var = ((g @ v) * g).sum(axis=1)
+    var_bound = bound * ((np.abs(g) @ np.abs(v)) * np.abs(g)).sum(axis=1)
+    se = np.sqrt(np.maximum(var, 0.0))
+    assert (np.abs(surface.se - se) <= np.sqrt(var_bound) + 2 * np.finfo(float).eps * se).all()
+
+
+@CASES
+@given(cases())
+def test_sigma2_is_rss_over_residual_dof(case):
+    """``sigma2`` against the rss of the stacked least-squares solve
+    (``oracles.augmented_ls_beta``, no normal equations) over ``n - k``,
+    with k the trace of a dense solve of ``A = X'X + S`` against ``X'X``,
+    within ``p * cond(A) * eps`` times ``|y| / |r|``: the residuals ``r``
+    cancel ``y`` (log rents near 7) down to the noise, so their rounding
+    is relative to ``|y|``. Residual dof off by one moves sigma2 by at
+    least ``1 / n`` relative, 5e-4 at n 2000."""
+    spec, rows, lambdas = case
+    design = built(spec, rows)
+    y = rows["logprice"]
+    model = quiet_fit(design, y, lambdas)
+    a = design.gram + design.penalty(lambdas)
+    k = float(np.trace(np.linalg.solve(a, design.gram)))
+    rss = float(np.sum((y - design.matrix @ augmented_ls_beta(design, y, lambdas)) ** 2))
+    want = rss / (design.n - k)
+    tol = design.p * rounding_tolerance(a) * math.sqrt(float(y @ y) / rss)
+    assert abs(model.sigma2 - want) <= tol * want

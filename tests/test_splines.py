@@ -100,6 +100,14 @@ class TestBasis:
         with pytest.raises(OutOfDomainError):
             bspline_basis(np.array([np.nan]), kv)
 
+    @pytest.mark.parametrize("bad, shown", [(-9.0, "-9.0"), (np.nan, "nan")])
+    def test_out_of_domain_message_shows_plain_floats(self, bad, shown):
+        # numpy 2's repr of a numpy float reads np.float64(-9.0)
+        kv = make_knots(np.float64(0.0), np.float64(1.0), segments=4)
+        with pytest.raises(OutOfDomainError) as info:
+            bspline_basis(np.array([0.5, bad]), kv)
+        assert str(info.value) == f"value {shown} outside basis domain [0.0, 1.0]"
+
     def test_linear_precision(self):
         # coefficients at the knot averages reproduce f(x) = x exactly
         kv = make_knots(0.0, 1.0, segments=5, degree=3)
