@@ -381,7 +381,7 @@ class Design:
     :func:`build_design` took from the rows, and the ``X'X`` it formed
     there (``fit`` stores both), has the built design's penalty and factor
     bit for bit. It may hold no matrix (``matrix`` is None), but then
-    ``n``, :meth:`matvec` and :meth:`rmatvec` need the rows.
+    ``n``, :meth:`matvec` and :meth:`rmatvec` refuse, with ValueError.
     """
 
     def __init__(
@@ -405,15 +405,20 @@ class Design:
     def matrix(self) -> np.ndarray:
         """The n x p design matrix; a dropped design copies its columns
         out of the shared array on every read."""
-        if self._kept is None:
+        if self._kept is None or self._x is None:
             return self._x
         return np.ascontiguousarray(self._x[:, self._kept])
 
     @property
-    def n(self) -> int:
+    def _rows(self) -> np.ndarray:
+        """The shared array of rows; ValueError when there is none."""
         if self._x is None:
             raise ValueError("the design holds no rows")
-        return self._x.shape[0]
+        return self._x
+
+    @property
+    def n(self) -> int:
+        return self._rows.shape[0]
 
     @property
     def p(self) -> int:
@@ -430,15 +435,16 @@ class Design:
     def matvec(self, b: np.ndarray) -> np.ndarray:
         """``X @ b`` for a coefficient vector or a p x m matrix; a dropped
         design pads ``b`` with zeros in the columns it lacks."""
+        x = self._rows
         if self._kept is not None:
-            full = np.zeros((self._x.shape[1],) + b.shape[1:])
+            full = np.zeros((x.shape[1],) + b.shape[1:])
             full[self._kept] = b
             b = full
-        return self._x @ b
+        return x @ b
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
         """``X' v`` for an n-vector or an n x m matrix."""
-        out = self._x.T @ v
+        out = self._rows.T @ v
         return out if self._kept is None else out[self._kept]
 
     def block(self, name: str) -> TermBlock:
@@ -784,12 +790,13 @@ def _upper_inverse(cho: tuple) -> np.ndarray:
     return inv
 
 
-def _mirror_upper(a: np.ndarray, rows: int = 64) -> np.ndarray:
+def _mirror_upper(a: np.ndarray) -> np.ndarray:
     """``a``, square with a zero strict lower triangle, made symmetric in
     place: the values of ``a += np.triu(a, 1).T`` (which adds 0.0 to every
     entry, turning -0.0 into 0.0), with no p x p temporary. Copied in
-    bands of ``rows`` rows."""
+    bands of 64 rows."""
     a += 0.0
+    rows = 64
     for i in range(0, len(a), rows):
         a[i : i + rows, :i] = a[:i, i : i + rows].T
         band = a[i : i + rows, i : i + rows]

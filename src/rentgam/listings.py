@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -197,19 +197,30 @@ def read_table(
         yield from enumerate(reader, start=2)
 
 
-def read_reference(
-    path: str | Path, columns: Iterable[str], what: str
-) -> Iterator[tuple[int, dict]]:
-    """:func:`read_table` for a reference file (postcode index, area or
-    national counts), where every row must have exactly the header's
-    fields: a shorter or a longer row raises DataError naming
-    ``path:row``."""
+def read_keyed(
+    path: str | Path, columns: Iterable[str], what: str, kind: str, parse: Callable
+) -> dict:
+    """``{key: value}`` from a reference file (postcode index, area or
+    national counts), ``parse(row)`` giving each row's ``(key, value,
+    fault)``, the fault naming a value out of range or None. A row is
+    refused (DataError naming ``path:row``) for, in order: extra or missing
+    fields, a ValueError from ``parse`` (a non-numeric field), its fault, a repeated key."""
+    out: dict = {}
     for row_number, row in read_table(path, columns, what):
         if None in row:
             raise DataError(f"{path}:{row_number}: extra fields")
         if None in row.values():
             raise DataError(f"{path}:{row_number}: missing fields")
-        yield row_number, row
+        try:
+            key, value, fault = parse(row)
+        except ValueError:
+            raise DataError(f"{path}:{row_number}: non-numeric field")
+        if fault is not None:
+            raise DataError(f"{path}:{row_number}: {fault}")
+        if key in out:
+            raise DataError(f"{path}:{row_number}: duplicate {kind} {key}")
+        out[key] = value
+    return out
 
 
 def _delimited_rows(path: Path) -> Iterator[tuple[int, dict | MalformedRow]]:
@@ -271,26 +282,20 @@ class PostcodeIndex:
 
     @classmethod
     def load(cls, path: str | Path) -> "PostcodeIndex":
-        rows: dict[str, tuple] = {}
-        for row_number, row in read_reference(path, INDEX_COLUMNS, "postcode index"):
+        def parse(row: dict) -> tuple:
+            # keyed by the normalized postcode; a centroid outside the GB
+            # bounding box or a deprivation outside [0, 1] is a fault
             postcode = normalize_postcode(row["postcode"])
-            try:
-                lat = float(row["latitude"])
-                lon = float(row["longitude"])
-                dep = float(row["deprivation"])
-            except ValueError:
-                raise DataError(f"{path}:{row_number}: non-numeric field")
+            lat = float(row["latitude"])
+            lon = float(row["longitude"])
+            dep = float(row["deprivation"])
             if not (49.0 <= lat <= 61.0 and -9.0 <= lon <= 2.0):
-                raise DataError(
-                    f"{path}:{row_number}: ({lat}, {lon}) outside GB bounding box"
-                )
+                return postcode, None, f"({lat}, {lon}) outside GB bounding box"
             if not 0.0 <= dep <= 1.0:
-                raise DataError(
-                    f"{path}:{row_number}: deprivation {dep} outside [0, 1]"
-                )
-            if postcode in rows:
-                raise DataError(f"{path}:{row_number}: duplicate postcode {postcode}")
-            rows[postcode] = (postcode, lat, lon, row["area_code"].strip(), dep)
+                return postcode, None, f"deprivation {dep} outside [0, 1]"
+            return postcode, (postcode, lat, lon, row["area_code"].strip(), dep), None
+
+        rows = read_keyed(path, INDEX_COLUMNS, "postcode index", "postcode", parse)
         return cls(columns_of(rows.values(), INDEX_COLUMNS))
 
 

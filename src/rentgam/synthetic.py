@@ -241,11 +241,10 @@ def simulate_listings(
     seed: int = 0,
     center: tuple[float, float] = GLASGOW_CENTER,
     radius_miles: float = 8.0,
-    first_day: date = date(2012, 1, 15),
-    last_day: date = date(2016, 12, 15),
 ) -> SimulatedCorpus:
-    """Draw n listings on a disc around ``center`` with log rents equal
-    to the truth signal plus N(0, sigma^2) noise.
+    """Draw n listings on a disc around ``center``, starting between
+    2012-01-15 and 2016-12-15, with log rents equal to the truth signal
+    plus N(0, sigma^2) noise.
 
     Every listing gets its own postcode, so the corpus survives
     deduplication untouched and round-trips through the cleaning
@@ -256,6 +255,7 @@ def simulate_listings(
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ConfigurationError(f"sigma must be finite and non-negative, got {sigma}")
     rng = np.random.default_rng(seed)
+    first_day, last_day = date(2012, 1, 15), date(2016, 12, 15)
     day_span = (last_day - first_day).days
     starts = np.datetime64(first_day, "D") + rng.integers(0, day_span + 1, n)
     durations = rng.integers(7, 120, n)

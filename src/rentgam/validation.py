@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .listings import read_reference, start_years
+from .listings import read_keyed, start_years
 
 
 @dataclass(frozen=True)
@@ -30,32 +30,21 @@ class YearCounts:
 
 
 def _load_counts(
-    path: str | Path,
-    columns: tuple[str, str, str],
-    what: str,
-    parse_key: Callable[[str], object],
-    kind: str,
-    record: type,
+    path: str | Path, columns: tuple[str, str, str], what: str,
+    parse_key: Callable[[str], object], kind: str, record: type,
 ) -> dict:
-    """Read rows of a key and two counts into ``{key: record(*counts)}``.
-    Counts must be finite and >= 0, and a key may appear once; each
-    refusal raises DataError naming ``path:row``."""
+    """``{key: record(*counts)}`` from rows of a key and two counts, which
+    must be finite and >= 0, read by :func:`listings.read_keyed`."""
     key_column, *count_columns = columns
-    out: dict = {}
-    for row_number, row in read_reference(path, columns, what):
-        try:
-            key = parse_key(row[key_column])
-            counts = [float(row[c]) for c in count_columns]
-        except ValueError:
-            raise DataError(f"{path}:{row_number}: non-numeric field")
-        if not all(math.isfinite(c) for c in counts):
-            raise DataError(f"{path}:{row_number}: non-finite count")
-        if min(counts) < 0:
-            raise DataError(f"{path}:{row_number}: negative count")
-        if key in out:
-            raise DataError(f"{path}:{row_number}: duplicate {kind} {key}")
-        out[key] = record(*counts)
-    return out
+
+    def parse(row: dict) -> tuple:
+        key = parse_key(row[key_column])
+        counts = [float(row[c]) for c in count_columns]
+        if not all(map(math.isfinite, counts)):
+            return key, None, "non-finite count"
+        return key, record(*counts), "negative count" if min(counts) < 0 else None
+
+    return read_keyed(path, columns, what, kind, parse)
 
 
 def load_area_reference(path: str | Path) -> dict[str, AreaCounts]:
@@ -155,8 +144,9 @@ class IndexSeries:
     raw: dict
     index: dict
 
-    def rounded(self, digits: int = 1) -> dict:
-        return {p: round(v, digits) for p, v in self.index.items()}
+    def rounded(self) -> dict:
+        """The index at one decimal place."""
+        return {p: round(v, 1) for p, v in self.index.items()}
 
     @classmethod
     def from_raw(cls, raw: Mapping, base) -> "IndexSeries":

@@ -1198,6 +1198,14 @@ def readme_fits(tmp_path_factory):
     return root
 
 
+def test_rendered_is_the_repr_of_each_value():
+    """Each value rendered as repr, repeats included; -0.0 and 0.0, one
+    value to a float np.unique, keep their own texts."""
+    values = np.array([55.861, -0.0, 0.0, 55.861, -4.25, 0.0, -0.0, 1e-300])
+    assert cli._rendered(values) == [repr(v) for v in values.tolist()]
+    assert cli._rendered(values)[1:3] == ["-0.0", "0.0"]
+
+
 @pytest.mark.parametrize("fit", ["bic", "pinned"])
 def test_stored_model_surfaces_equal_the_refit(readme_fits, fit):
     """The model surfaces reads back from model.json and gram.npy has the

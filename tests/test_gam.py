@@ -464,6 +464,19 @@ class TestFitPls:
         with pytest.raises(ValueError, match="^the design holds no rows$"):
             select_smoothness(design, y)
 
+    def test_products_without_rows_refused(self):
+        # X b and X' v need the rows; the matrix itself is None, as
+        # documented, on the design and on one dropped from it
+        rows, y = synthetic_rows(150, noise=0.3)
+        built = build_design(rows, two_term_spec())
+        full = Design(built.spec, None, built.blocks, gram=built.gram)
+        for design in (full, full.drop("deprivation:year")):
+            assert design.matrix is None
+            with pytest.raises(ValueError, match="^the design holds no rows$"):
+                design.matvec(np.zeros(design.p))
+            with pytest.raises(ValueError, match="^the design holds no rows$"):
+                design.rmatvec(y)
+
     def test_matches_augmented_least_squares(self):
         # several random instances, solved along an independent route
         for i in range(5):

@@ -696,3 +696,81 @@ class TestTableReaders:
         assert [(m.row_number, m.reason) for m in result.malformed] == [
             (3, "wrong column count"), (4, "wrong column count")
         ]
+
+
+INDEX_HEADER = ",".join(INDEX_COLUMNS)
+AREA_HEADER = "area_code,stock,flow"
+NATIONAL_HEADER = "year,stock_thousands,flow_thousands"
+
+
+@pytest.mark.parametrize(
+    "reader, text, row_number, message",
+    [
+        # postcode index
+        pytest.param(PostcodeIndex.load, "G1 1AA,55.86,-4.25,AREA1,0.5,9", 2,
+                     "extra fields", id="index-extra"),
+        pytest.param(PostcodeIndex.load, "G1 1AA,55.86,-4.25,AREA1", 2,
+                     "missing fields", id="index-missing"),
+        pytest.param(PostcodeIndex.load, "G1 1AA,north,-4.25,AREA1,0.5", 2,
+                     "non-numeric field", id="index-latitude"),
+        pytest.param(PostcodeIndex.load, "G1 1AA,55.86,west,AREA1,0.5", 2,
+                     "non-numeric field", id="index-longitude"),
+        pytest.param(PostcodeIndex.load, "G1 1AA,55.86,-4.25,AREA1,high", 2,
+                     "non-numeric field", id="index-deprivation"),
+        pytest.param(PostcodeIndex.load, "G1 1AA,48.0,-4.25,AREA1,0.5", 2,
+                     "(48.0, -4.25) outside GB bounding box", id="index-box"),
+        pytest.param(PostcodeIndex.load, "G1 1AA,nan,-4.25,AREA1,0.5", 2,
+                     "(nan, -4.25) outside GB bounding box", id="index-box-nan"),
+        pytest.param(PostcodeIndex.load, "G1 1AA,55.86,-4.25,AREA1,1.5", 2,
+                     "deprivation 1.5 outside [0, 1]", id="index-deprivation-range"),
+        pytest.param(PostcodeIndex.load,
+                     "G1 1AA,55.86,-4.25,AREA1,0.5\ng1  1aa,55.87,-4.26,AREA1,0.4", 3,
+                     "duplicate postcode G1 1AA", id="index-duplicate"),
+        # area and national counts
+        pytest.param(load_national_reference, "2014.5,4818,1241", 2,
+                     "non-numeric field", id="national-key"),
+        pytest.param(load_area_reference, "AREA1,many,10", 2,
+                     "non-numeric field", id="area-count"),
+        pytest.param(load_area_reference, "AREA1,inf,10", 2,
+                     "non-finite count", id="area-inf"),
+        pytest.param(load_national_reference, "2014,4818,nan", 2,
+                     "non-finite count", id="national-nan"),
+        pytest.param(load_area_reference, "AREA1,-1,10", 2,
+                     "negative count", id="area-negative"),
+        pytest.param(load_area_reference, "AREA1,4426,1265\n AREA1 ,5,1", 3,
+                     "duplicate area AREA1", id="area-duplicate"),
+        pytest.param(load_national_reference, "2014,4818,1241\n 2014,5000,1300", 3,
+                     "duplicate year 2014", id="national-duplicate"),
+        # order of refusal
+        pytest.param(PostcodeIndex.load,
+                     "G1 1AA,55.86,-4.25,AREA1,0.5\nG1 1AA,55.86,-4.25,AREA1,2.0", 3,
+                     "deprivation 2.0 outside [0, 1]", id="index-range-before-repeat"),
+        pytest.param(load_area_reference, "AREA1,1,1\nAREA1,-5,1", 3,
+                     "negative count", id="area-range-before-repeat"),
+        pytest.param(PostcodeIndex.load, "G1 1AA,north,-4.25,AREA1", 2,
+                     "missing fields", id="index-short-before-number"),
+        pytest.param(load_area_reference, "AREA1,many", 2,
+                     "missing fields", id="area-short-before-number"),
+        pytest.param(PostcodeIndex.load,
+                     "G1 1AA,55.86,-4.25,AREA1,0.5\n\nG2 2BB,48.0,-4.25,AREA1,0.5", 3,
+                     "(48.0, -4.25) outside GB bounding box", id="index-after-blank"),
+        pytest.param(load_national_reference, "2014,1,1\n\n2015,-1,1", 3,
+                     "negative count", id="national-after-blank"),
+    ],
+)
+def test_reference_file_refusals(tmp_path, reader, text, row_number, message):
+    """Each refusal of a reference file (postcode index, area or national
+    counts) by its exact text and row number: a wrong field count first,
+    then a field that is not a number, a value out of range, and last a
+    repeated key. Rows are numbered as read_table numbers them, blank
+    lines not counted."""
+    header = {
+        PostcodeIndex.load: INDEX_HEADER,
+        load_area_reference: AREA_HEADER,
+        load_national_reference: NATIONAL_HEADER,
+    }[reader]
+    path = tmp_path / "reference.csv"
+    path.write_text(f"{header}\n{text}\n")
+    with pytest.raises(DataError) as refused:
+        reader(path)
+    assert str(refused.value) == f"{path}:{row_number}: {message}"

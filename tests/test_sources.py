@@ -1,4 +1,6 @@
-"""One opener for every file the package reads: ``listings.open_input``.
+"""Checks on the package's source, each module parsed with ``ast``.
+
+One opener for every file the package reads: ``listings.open_input``.
 
 Every module under ``src/rentgam`` is parsed, and each call that reads a
 file is found: ``open`` (or ``io.open``, or a path's ``.open``) in a read
@@ -8,6 +10,10 @@ mode, ``write_text``, ``write_bytes``) are not reads. Only
 ``open_input`` may read, so the rules it applies to every input (a
 missing file named as a configuration error, UTF-8 after an optional
 byte-order mark) cannot be bypassed.
+
+No unused imports: every name a module imports is read in it or listed
+in its ``__all__``, apart from the few that modules import only so that
+the benchmark's tracer can wrap them there (the ``# noqa: F401`` lines).
 """
 
 import ast
@@ -102,3 +108,58 @@ def test_only_open_input_reads_files():
         for function, line in file_reads(module.read_text(encoding="utf-8")):
             reads.setdefault((module.name, function), []).append(line)
     assert set(reads) == {("listings.py", "open_input")}, reads
+
+
+# imported only for the benchmark's tracer to wrap: (module, name)
+TRACER_ONLY = {
+    ("inference.py", "build_design"),
+    ("inference.py", "rows_to_columns"),
+    ("inference.py", "select_smoothness"),
+    ("synthetic.py", "effect_surface"),
+    ("synthetic.py", "rows_to_columns"),
+}
+
+
+def unread_imports(source: str) -> set[str]:
+    """Names an import in ``source`` binds that the module never reads
+    and its ``__all__`` does not list (``__future__`` imports aside)."""
+    tree = ast.parse(source)
+    imported, exported = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return imported - read - exported
+
+
+@pytest.mark.parametrize("source, unread", [
+    ("import os\n", {"os"}),
+    ("import os.path\nos.sep\n", set()),
+    ("import numpy as np\nnumpy = 1\n", {"np"}),
+    ("from typing import Callable\ndef f(g: Callable): pass\n", set()),
+    ("from typing import Callable\ndef f(g: 'Callable'): pass\n", {"Callable"}),
+    ("from .gam import fit\n__all__ = ['fit']\n", set()),
+    ("from __future__ import annotations\n", set()),
+    ("def f():\n    from json import dumps\n", {"dumps"}),
+])
+def test_unread_imports_are_found(source, unread):
+    assert unread_imports(source) == unread
+
+
+def test_every_import_is_read_or_exported():
+    unread = {
+        (module.name, name)
+        for module in sorted(PACKAGE.glob("*.py"))
+        for name in unread_imports(module.read_text(encoding="utf-8"))
+    }
+    assert unread == TRACER_ONLY
