@@ -583,11 +583,11 @@ def _write_surface(path: Path, surface) -> None:
 def cmd_surfaces(config: RunConfig, out: Path) -> tuple[dict, list[str]]:
     stored, spec, records, beta = _read_stored(config)
     model = _stored_model(config, stored, spec, records, beta)
+    # every surface before any file: a refused term leaves no file behind
+    surfaces = [effect_surface(model, block.term.name) for block in model.design.blocks]
     written = []
-    for block in model.design.blocks:
-        term = block.term
-        surface = effect_surface(model, term.name)
-        name = term.name.replace(":", "_by_")
+    for surface in surfaces:
+        name = surface.term.replace(":", "_by_")
         path = out / f"surface_{name}.csv"
         _write_surface(path, surface)
         written.append(path.name)

@@ -50,6 +50,9 @@ MODEL_VARIABLES = (
 
 DEFAULT_LAMBDA_GRID = np.logspace(-3.0, 6.0, 13)
 
+# sweeps of smoothness selection before it stops unconverged, with a warning
+MAX_SWEEPS = 10
+
 
 def year_and_doy(starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Decimal year and day of year of ``datetime64[D]`` dates. The
@@ -315,25 +318,6 @@ def _raw_basis(
     return margins[0] if len(margins) == 1 else tensor_basis(margins)
 
 
-def _interaction_basis(
-    term: TermSpec,
-    knots: Sequence[KnotVector],
-    transform: ConstraintTransform,
-    columns: Mapping[str, np.ndarray],
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """An interaction's constrained basis, written into ``out`` when one
-    is given: the row-wise tensor product of its constrained margins
-    ``bspline_basis(x_k) @ z_k``. Since ``z = z_1 (x) ... (x) z_K``, this
-    equals ``transform.apply(raw_basis)`` without forming the raw tensor
-    (Currie, Durban & Eilers 2006)."""
-    margins = [
-        m.apply(bspline_basis(columns[v], kv))
-        for m, v, kv in zip(transform.margins, term.variables, knots)
-    ]
-    return tensor_basis(margins, out=out)
-
-
 @dataclass
 class TermBlock:
     """A term's columns in the design matrix plus everything needed to
@@ -361,10 +345,18 @@ class TermBlock:
         self, columns: Mapping[str, np.ndarray], out: np.ndarray | None = None
     ) -> np.ndarray:
         """The constrained basis at the rows, written into ``out`` when one
-        is given."""
+        is given. An interaction's is the row-wise tensor product of its
+        constrained margins ``bspline_basis(x_k) @ z_k``: since
+        ``z = z_1 (x) ... (x) z_K``, this equals ``transform.apply`` of its
+        raw basis without forming the raw tensor (Currie, Durban & Eilers
+        2006)."""
         if not self.term.interaction:
             return np.matmul(self.raw_basis(columns), self.transform.z, out=out)
-        return _interaction_basis(self.term, self.knots, self.transform, columns, out)
+        margins = [
+            m.apply(bspline_basis(columns[v], kv))
+            for m, v, kv in zip(self.transform.margins, self.term.variables, self.knots)
+        ]
+        return tensor_basis(margins, out=out)
 
 
 class Design:
@@ -1099,7 +1091,6 @@ def _coordinate_descent(
     design: Design,
     y: np.ndarray,
     grid: Sequence[float] | None,
-    max_sweeps: int,
     signal: np.ndarray | None = None,
 ) -> dict[str, float]:
     """Minimize each ladder point's BIC, or with a ``signal`` the RMSE
@@ -1110,7 +1101,7 @@ def _coordinate_descent(
     Every main effect starts at the middle of the ladder. Terms are
     swept in spec order, each set to its best-scoring ladder value with
     the others held fixed, until a sweep changes nothing or
-    ``max_sweeps`` (a whole number >= 1) is reached; stopping at the cap
+    :data:`MAX_SWEEPS` sweeps have run; stopping at the cap
     while the last sweep still changed a value gives a ``RuntimeWarning``.
     Scores within ``1e-9*|best| + 1e-12`` of the best tie, and ties go to
     the later point, which on the ascending ladder is the larger
@@ -1119,8 +1110,6 @@ def _coordinate_descent(
     fits would pick the term's current value again, so the result is
     the same as with every ladder run.
     """
-    if type(max_sweeps) is not int or max_sweeps < 1:
-        raise ValueError(f"max_sweeps {max_sweeps!r} is not a whole number >= 1")
     ladder = smoothing_ladder(grid)
     y = _response(design, y)
     if signal is not None:
@@ -1130,7 +1119,7 @@ def _coordinate_descent(
     current = {t.name: float(ladder[len(ladder) // 2]) for t in design.spec.main_terms}
     last_ladder: dict[str, dict[str, float]] = {}  # current after each term's ladder
     changed = False
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         changed = False
         for name in current:
             if last_ladder.get(name) == current:
@@ -1157,7 +1146,7 @@ def _coordinate_descent(
             break
     if changed:
         warnings.warn(
-            f"smoothness selection stopped at max_sweeps={max_sweeps} "
+            f"smoothness selection stopped at max_sweeps={MAX_SWEEPS} "
             "before converging: the last sweep still changed a value",
             RuntimeWarning,
             stacklevel=3,
@@ -1169,14 +1158,13 @@ def select_smoothness(
     design: Design,
     y: np.ndarray,
     grid: Sequence[float] | None = None,
-    max_sweeps: int = 10,
 ) -> dict[str, float]:
     """Choose every main effect's smoothing parameter by coordinate
     descent on BIC over a finite ladder (see :func:`_coordinate_descent`).
     Interactions are never swept: their penalties inherit the
     main-effect values as they move.
     """
-    return _coordinate_descent(design, y, grid, max_sweeps)
+    return _coordinate_descent(design, y, grid)
 
 
 def predict(model: FittedModel, columns: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -1218,8 +1206,9 @@ def effect_surface(
 
     ``grid`` gives points per axis, one whole number >= 1 or one per
     variable (default 100 univariate, 60 per location axis, 20 per axis
-    for three-way terms); ``at`` evaluates at explicit coordinate arrays
-    instead, e.g. the observed locations, and cannot be given with ``grid``.
+    for three-way terms; a term of more variables has no default); ``at``
+    evaluates at explicit coordinate arrays instead, e.g. the observed
+    locations, and cannot be given with ``grid``.
     """
     block = model.design.block(term)
     nvars = len(block.term.variables)
@@ -1235,6 +1224,9 @@ def effect_surface(
             raise ValueError("coordinate arrays hold no points")
     else:
         if grid is None:
+            if nvars not in DEFAULT_GRID_POINTS:
+                raise ValueError(f"term {term} has {nvars} variables, which no default "
+                                 "grid covers: give grid")
             per_axis = [DEFAULT_GRID_POINTS[nvars]] * nvars
         elif np.isscalar(grid):
             per_axis = [grid] * nvars

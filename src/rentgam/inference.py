@@ -11,6 +11,7 @@ question as the observed fit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -43,8 +44,11 @@ def wald_statistic(model: FittedModel, term: str) -> float:
 
 def check_bootstrap_request(spec: ModelSpec, term: str, b: int) -> None:
     """Refuse a bootstrap of ``b`` replicates for ``term`` before any
-    work: under 19 replicates cannot give a p-value (ValueError), and
+    work: ``b`` must be a whole number (an integer, numpy's too, but not a
+    bool) and under 19 replicates cannot give a p-value (ValueError), and
     ``term`` must be one of ``spec``'s (KeyError)."""
+    if isinstance(b, bool) or not isinstance(b, Integral):
+        raise ValueError(f"bootstrap replicates {b!r} is not a whole number")
     if b < 19:
         raise ValueError(f"need at least 19 replicates for a p-value, got {b}")
     spec.term(term)

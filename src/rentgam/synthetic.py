@@ -248,7 +248,9 @@ def simulate_listings(
 
     Every listing gets its own postcode, so the corpus survives
     deduplication untouched and round-trips through the cleaning
-    pipeline bit for bit.
+    pipeline bit for bit. A draw with a rent that is not finite and
+    positive (``exp`` overflows to inf or underflows to 0, as a huge
+    ``sigma`` or truth makes it) is refused with ConfigurationError.
     """
     if n < 1:
         raise ConfigurationError(f"need n >= 1 listings, got {n}")
@@ -278,9 +280,14 @@ def simulate_listings(
         "latitude": lat,
     }
     log_rent = truth.signal(columns)
-    if sigma > 0:
-        log_rent = log_rent + sigma * rng.standard_normal(n)
-    rent = np.exp(log_rent)
+    with np.errstate(over="ignore"):
+        if sigma > 0:
+            log_rent = log_rent + sigma * rng.standard_normal(n)
+        rent = np.exp(log_rent)
+    unusable = int(np.count_nonzero(~(np.isfinite(rent) & (rent > 0))))
+    if unusable:
+        raise ConfigurationError(f"{unusable} of {n} rents drawn from the truth with "
+                                 f"sigma {sigma} are not finite and positive")
 
     # the quadrant of the centre each listing lies in
     quadrant = 1 + 2 * (lat >= center[0]) + (lon >= center[1])
@@ -375,12 +382,11 @@ def oracle_smoothness(
     y: np.ndarray,
     signal: np.ndarray,
     grid: Sequence[float] | None = None,
-    max_sweeps: int = 10,
 ) -> tuple[dict[str, float], FittedModel]:
     """Reference smoothing parameters chosen with access to the truth:
     coordinate descent over the same ladder as BIC selection, minimizing
     the RMSE of the fitted values against the noiseless signal. The
     returned model's k is the truth-complexity yardstick for BIC
     selection."""
-    current = _coordinate_descent(design, y, grid, max_sweeps, signal)
+    current = _coordinate_descent(design, y, grid, signal)
     return current, fit_pls(design, y, current)

@@ -55,7 +55,7 @@ def augmented_ls_beta(design, y, lambdas):
     return beta
 
 
-def unmemoized_descent(design, y, score, grid=None, max_sweeps=10, signal=None):
+def unmemoized_descent(design, y, score, grid=None, signal=None):
     """Coordinate descent as ``gam._coordinate_descent`` runs it, but with
     every term's ladder fitted in every sweep (no memo): the selected
     smoothing parameters, and the term and the values held at each ladder,
@@ -64,7 +64,7 @@ def unmemoized_descent(design, y, score, grid=None, max_sweeps=10, signal=None):
     ladder = gam.smoothing_ladder(grid)
     current = {t.name: float(ladder[len(ladder) // 2]) for t in design.spec.main_terms}
     trace = []
-    for _ in range(max_sweeps):
+    for _ in range(gam.MAX_SWEEPS):
         changed = False
         for name in current:
             trace.append((name, dict(current)))

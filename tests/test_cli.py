@@ -655,6 +655,33 @@ class TestSurfaces:
         (run_dir / "clean_listings.csv").unlink()
         assert written() == want
 
+    def test_four_variable_term_exits_2(self, pipeline, tmp_path, capsys, monkeypatch):
+        """A term of 4 variables has no default grid: surfaces names it and
+        its variable count on one error line (once a bare ``error: 4``), and
+        writes no surface of the terms before it."""
+        spec = gam.ModelSpec(terms=(
+            gam.TermSpec("deprivation", ("deprivation",), (3,)),
+            gam.TermSpec("year", ("year",), (3,)),
+            gam.TermSpec("location", ("longitude", "latitude"), (2, 2)),
+            gam.TermSpec("deprivation:location:year",
+                         ("deprivation", "longitude", "latitude", "year"), (1, 1, 1, 1),
+                         interaction=True),
+        ))
+        monkeypatch.setattr(cli, "_spec_from_config", lambda config: spec)
+        cfg = tmp_path / "pin.cfg"
+        cfg.write_text("lambda_grid = 1\n")
+        clean = pipeline["out"] / "clean_listings.csv"
+        fitted = tmp_path / "fit"
+        assert run(["fit", "--config", cfg, "--clean-listings", clean, "--out", fitted]) == (
+            0, None, None)
+        out = tmp_path / "surf"
+        code, _, err = run(["surfaces", "--model", fitted / "model.json", "--out", out],
+                           capsys)
+        assert code == 2
+        assert err == ("error: term deprivation:location:year has 4 variables, which no "
+                       "default grid covers: give grid\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["surfaces", "bootstrap"])
     def test_stale_model_rejected(self, pipeline, tmp_path, command):
         # bootstrap reads rows, and refuses a model fitted on others;
@@ -1198,6 +1225,33 @@ def readme_fits(tmp_path_factory):
     return root
 
 
+def test_write_surface_is_write_table(pipeline, tmp_path):
+    """Every surface of the stored default-spec model, and one with -0.0
+    and repeated coordinates, written byte for byte as ``_write_table``
+    writes the same values through ``csv.writer``, the flags as 0/1 ints."""
+    config = RunConfig(model=str(pipeline["out"] / "model.json"))
+    model = cli._stored_model(config, *cli._read_stored(config))
+    surfaces = [gam.effect_surface(model, term.name) for term in model.spec.terms]
+    surfaces.append(gam.EffectSurface(
+        term="deprivation:year",
+        variables=("deprivation", "year"),
+        points=(np.array([-0.0, 0.0, 0.5, 0.5]), np.array([2014.0, 2014.0, -0.0, 1e-300])),
+        effect=np.array([-0.0, 0.0, 1.5, -2.25]),
+        se=np.array([0.1, 0.0, 1e300, 0.5]),
+        significant=np.array([False, False, False, True]),
+    ))
+    assert len(surfaces) == 9
+    for surface in surfaces:
+        header = (*surface.variables, "effect", "se", "significant")
+        rows = zip(*(p.tolist() for p in surface.points), surface.effect.tolist(),
+                   surface.se.tolist(), (int(s) for s in surface.significant.tolist()))
+        cli._write_surface(tmp_path / "fast.csv", surface)
+        cli._write_table(tmp_path / "table.csv", header, rows)
+        fast = (tmp_path / "fast.csv").read_bytes()
+        assert fast == (tmp_path / "table.csv").read_bytes(), surface.term
+    assert fast.splitlines()[1:3] == [b"-0.0,2014.0,-0.0,0.1,0", b"0.0,2014.0,0.0,0.0,0"]
+
+
 def test_rendered_is_the_repr_of_each_value():
     """Each value rendered as repr, repeats included; -0.0 and 0.0, one
     value to a float np.unique, keep their own texts."""
@@ -1498,6 +1552,17 @@ class TestSimulate:
         code, _, err = run(["simulate", "--config", cfg, *flags, "--out", out], capsys)
         assert code == 2
         assert f"error: {key} must be finite" in err
+        assert not out.exists()
+
+    def test_huge_sigma_exits_2(self, tmp_path, capsys):
+        # exp of the noisy log rents overflowed: 13 rents of inf and 15 of
+        # 0.0 were once written, with numpy's warning on stderr and exit 0
+        out = tmp_path / "sim"
+        code, _, err = run(["simulate", "--n", "50", "--sigma", "1000", "--out", out],
+                           capsys)
+        assert code == 2
+        assert err == ("error: 28 of 50 rents drawn from the truth with sigma 1000.0 "
+                       "are not finite and positive\n")
         assert not out.exists()
 
     def test_schema_and_row_count(self, tmp_path):

@@ -838,27 +838,17 @@ class TestSelectSmoothness:
                 trial[name] = lam
                 assert chosen <= fit_pls(design, y, trial).bic + 1e-6
 
-    def test_sweep_cap_warns(self):
+    def test_sweep_cap_warns(self, monkeypatch):
         rows, y = synthetic_rows(
             250, noise=0.2, seed=3, fn=lambda x, t: np.sin(5 * x) + 0.05 * t
         )
         design = build_design(rows, two_term_spec())
-        with pytest.warns(RuntimeWarning, match="max_sweeps=1"):
-            select_smoothness(design, y, max_sweeps=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # converged: no warning
             select_smoothness(design, y)
-
-    @pytest.mark.parametrize("max_sweeps", [0, -1, 1.5])
-    def test_no_sweep_refused(self, monkeypatch, max_sweeps):
-        # max_sweeps=0 once returned every ladder middle with no fit
-        rows, y = synthetic_rows(100, noise=0.2)
-        design = build_design(rows, two_term_spec())
-        monkeypatch.setattr(gam, "_ladder_fits", None)
-        with pytest.raises(ValueError, match="max_sweeps .* is not a whole number >= 1"):
-            select_smoothness(design, y, grid=[1.0, 10.0, 100.0], max_sweeps=max_sweeps)
-        with pytest.raises(ValueError, match="max_sweeps .* is not a whole number >= 1"):
-            oracle_smoothness(design, y, y, grid=[1.0, 10.0, 100.0], max_sweeps=max_sweeps)
+        monkeypatch.setattr(gam, "MAX_SWEEPS", 1)
+        with pytest.warns(RuntimeWarning, match="max_sweeps=1"):
+            select_smoothness(design, y)
 
     @pytest.mark.parametrize("best", [-500.0, 0.0], ids=["relative", "absolute"])
     @pytest.mark.parametrize(
@@ -1237,6 +1227,23 @@ class TestPredictAndSurfaces:
         model = location_model()
         with pytest.raises(ValueError, match="grid sizes .* are not whole numbers >= 1"):
             effect_surface(model, "location", grid=grid)
+
+    def test_four_variable_term_needs_a_grid(self):
+        # DEFAULT_GRID_POINTS covers 1 to 3 variables; a bare KeyError(4)
+        # once came out of the lookup
+        rng = np.random.default_rng(4)
+        y = rng.standard_normal(200)
+        names = ("beds", "deprivation", "year", "doy")
+        rows = model_columns(200, logprice=y, beds=rng.uniform(1.0, 5.0, 200),
+                             deprivation=rng.uniform(0.0, 1.0, 200),
+                             year=rng.uniform(2012.0, 2017.0, 200),
+                             doy=rng.uniform(1.0, 365.0, 200))
+        spec = ModelSpec(terms=(TermSpec("four", names, (1, 1, 1, 1)),))
+        model = fit_pls(build_design(rows, spec), y, {"four": 1.0})
+        with pytest.raises(ValueError, match="^term four has 4 variables, which no "
+                                             "default grid covers: give grid$"):
+            effect_surface(model, "four")
+        assert effect_surface(model, "four", grid=2).effect.shape == (16,)
 
     def test_numpy_grid_sizes_accepted(self):
         model = location_model()

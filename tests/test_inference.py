@@ -137,6 +137,22 @@ class TestBootstrapTermTest:
         with pytest.raises(KeyError):
             bootstrap_term_test(model, "nope", b=19)
 
+    @pytest.mark.parametrize("b", [19.5, 20.0, True, "20", None])
+    def test_b_not_a_whole_number_refused_before_any_fit(self, monkeypatch, b):
+        # 19.5 and 20.0 once passed the check, ran the reduced fit, then
+        # failed in np.empty with a TypeError
+        model = fit_for(rows_for(null_truth(), n=100, seed=7))
+        monkeypatch.setattr(inference, "fit_pls", None)
+        with pytest.raises(ValueError) as refused:
+            bootstrap_term_test(model, "deprivation:year", b=b)
+        assert str(refused.value) == f"bootstrap replicates {b!r} is not a whole number"
+
+    def test_numpy_integer_b_accepted(self):
+        model = fit_for(rows_for(null_truth(), n=100, seed=7))
+        got = bootstrap_term_test(model, "deprivation:year", b=np.int64(19), seed=3)
+        want = bootstrap_term_test(model, "deprivation:year", b=19, seed=3)
+        assert np.array_equal(got.replicates, want.replicates)
+
     def test_result_carries_the_models_lambdas(self):
         lams = {"deprivation": 10.0, "year": 10.0}
         model = fit_for(rows_for(null_truth(), seed=9), lambdas=lams)

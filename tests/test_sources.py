@@ -14,6 +14,10 @@ byte-order mark) cannot be bypassed.
 No unused imports: every name a module imports is read in it or listed
 in its ``__all__``, apart from the few that modules import only so that
 the benchmark's tracer can wrap them there (the ``# noqa: F401`` lines).
+
+No unset knobs: every parameter with a default is passed by some call in
+the package, apart from the few kept as library API. A default that no
+caller overrides is a constant of the body.
 """
 
 import ast
@@ -163,3 +167,101 @@ def test_every_import_is_read_or_exported():
         for name in unread_imports(module.read_text(encoding="utf-8"))
     }
     assert unread == TRACER_ONLY
+
+
+# defaulted parameters that no call in the package passes, kept as library
+# API: (module.function, parameter)
+UNSET_API = {
+    "cli.main:argv",
+    "gam.effect_surface:grid",
+    "gam.effect_surface:at",
+    "synthetic.oracle_smoothness:grid",
+}
+
+
+def _defaulted(function: ast.FunctionDef, skip: int) -> list[tuple[int | None, str]]:
+    """``(position, name)`` of each parameter of ``function`` with a default,
+    its position counted after the first ``skip`` (None if keyword-only)."""
+    args = function.args
+    positional = [*args.posonlyargs, *args.args]
+    first = len(positional) - len(args.defaults)
+    out = [(i - skip, a.arg) for i, a in enumerate(positional) if i >= first]
+    out += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def unset_parameters(sources: dict[str, str]) -> set[str]:
+    """``module.function:parameter`` of each defaulted parameter of a
+    function in ``sources`` (module name to source) that no call there
+    passes, by keyword or by position. A call is matched to a definition
+    by name (a method by its attribute name, ``__init__`` by its class's);
+    a method's ``self`` is not a position of its calls, and a call with
+    ``*args`` or ``**kwargs`` passes every parameter that it could."""
+    defaulted: dict[str, list[tuple[str, int | None, str]]] = {}
+    calls: list[ast.Call] = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+
+        def visit(node, owner):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    visit(child, child.name)
+                    continue
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in child.decorator_list)
+                    skip = int(owner is not None and not static)  # self or cls
+                    if child.name == "__init__":
+                        name, label = owner, f"{module}.{owner}"
+                    else:
+                        name = child.name
+                        label = f"{module}.{owner + '.' if owner else ''}{name}"
+                    for position, arg in _defaulted(child, skip):
+                        defaulted.setdefault(name, []).append((label, position, arg))
+                    visit(child, None)
+                    continue
+                if isinstance(child, ast.Call):
+                    calls.append(child)
+                visit(child, owner)
+
+        visit(tree, None)
+    passed = set()
+    for call in calls:
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        starred = any(isinstance(a, ast.Starred) for a in call.args)
+        spread = any(k.arg is None for k in call.keywords)
+        keywords = {k.arg for k in call.keywords}
+        for label, position, arg in defaulted.get(name, ()):
+            by_position = position is not None and (starred or position < len(call.args))
+            if spread or by_position or arg in keywords:
+                passed.add(f"{label}:{arg}")
+    return {f"{label}:{arg}" for entries in defaulted.values()
+            for label, _, arg in entries} - passed
+
+
+@pytest.mark.parametrize("source, unset", [
+    ("def f(a, b=1): pass\nf(0)\n", {"m.f:b"}),
+    ("def f(a, b=1): pass\nf(0, 2)\n", set()),
+    ("def f(a, *, b=1): pass\nf(0, b=2)\n", set()),
+    ("def f(a, b=1): pass\nf(*args)\n", set()),
+    ("def f(a, b=1): pass\nf(0, **kw)\n", set()),
+    ("class C:\n    def g(self, a=1): pass\nC().g()\n", {"m.C.g:a"}),
+    ("class C:\n    def g(self, a=1): pass\nC().g(2)\n", set()),
+    ("class C:\n    def __init__(self, a, b=1): pass\nC(0)\n", {"m.C:b"}),
+    ("class C:\n    def __init__(self, a, b=1): pass\nC(0, 1)\n", set()),
+    ("class C:\n    @staticmethod\n    def g(a=1): pass\nC.g(2)\n", set()),
+    ("class C:\n    @staticmethod\n    def g(a=1): pass\nC.g()\n", {"m.C.g:a"}),
+    ("def f():\n    def g(a=1): pass\n    return g()\n", {"m.g:a"}),
+])
+def test_unset_parameters_are_found(source, unset):
+    assert unset_parameters({"m": source}) == unset
+
+
+def test_every_defaulted_parameter_is_set_or_api():
+    """A default that no caller overrides is a constant: it belongs in the
+    body (as ``gam.MAX_SWEEPS`` does), not in the signature, unless it is
+    library API."""
+    sources = {module.stem: module.read_text(encoding="utf-8")
+               for module in sorted(PACKAGE.glob("*.py"))}
+    assert unset_parameters(sources) == UNSET_API

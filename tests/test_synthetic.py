@@ -150,7 +150,8 @@ class TestSimulate:
     def test_validates_arguments(self):
         with pytest.raises(ConfigurationError, match="n >= 1"):
             simulate_listings(0, linear_truth())
-        for sigma in (-0.1, math.nan, math.inf):
+        # the last two draw rents that exp overflows to inf or underflows to 0
+        for sigma in (-0.1, math.nan, math.inf, 1000.0, 1e308):
             with pytest.raises(ConfigurationError, match="sigma"):
                 simulate_listings(10, linear_truth(), sigma=sigma)
 
