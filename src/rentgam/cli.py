@@ -36,6 +36,7 @@ from .errors import ConfigurationError, DataError, NumericalError
 from .gam import (
     blocks_from_records,
     build_design,
+    DEFAULT_GRID_POINTS,
     default_model_spec,
     derive_rows,
     Design,
@@ -582,6 +583,12 @@ def _write_surface(path: Path, surface) -> None:
 
 def cmd_surfaces(config: RunConfig, out: Path) -> tuple[dict, list[str]]:
     stored, spec, records, beta = _read_stored(config)
+    for term in spec.terms:
+        if len(term.variables) not in DEFAULT_GRID_POINTS:
+            raise DataError(
+                f"term {term.name} has {len(term.variables)} variables: surfaces "
+                f"exports terms of up to {max(DEFAULT_GRID_POINTS)} variables"
+            )
     model = _stored_model(config, stored, spec, records, beta)
     # every surface before any file: a refused term leaves no file behind
     surfaces = [effect_surface(model, block.term.name) for block in model.design.blocks]

@@ -466,12 +466,14 @@ class Design:
     def penalty(self, lambdas: Mapping[str, float]) -> np.ndarray:
         """Total penalty matrix S at the given main-effect smoothing
         parameters; interaction directions inherit the matching main
-        effect's value."""
+        effect's value. A value so large that S overflows gives infinities
+        here, with no warning: the factorization refuses them by name."""
         resolved = self.spec.resolve_lambdas(lambdas)
         s = np.zeros((self.p, self.p))
-        for block in self.blocks:
-            for pen, owner in zip(block.penalties, block.penalty_owners):
-                s[block.columns, block.columns] += resolved[owner] * pen
+        with np.errstate(over="ignore", invalid="ignore"):
+            for block in self.blocks:
+                for pen, owner in zip(block.penalties, block.penalty_owners):
+                    s[block.columns, block.columns] += resolved[owner] * pen
         return s
 
     def _owned_root(self, name: str) -> np.ndarray:
@@ -796,6 +798,21 @@ def _mirror_upper(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _cholesky(a: np.ndarray, lambdas: dict[str, float]) -> tuple:
+    """``cho_factor`` of ``a = X'X + S``, in place. ``X'X`` is finite, so
+    when ``a`` is not (``cho_factor``'s check), a smoothing parameter has
+    overflowed ``S``: the ValueError names the largest."""
+    try:
+        return linalg.cho_factor(a, overwrite_a=True)
+    except linalg.LinAlgError:  # not positive definite: a ValueError too
+        raise
+    except ValueError as exc:
+        name = max(lambdas, key=lambdas.get)
+        raise ValueError(
+            f"term {name}: smoothing parameter {lambdas[name]!r} overflows the penalty"
+        ) from exc
+
+
 def _penalized_factor(design: Design, lambdas: dict[str, float]) -> _Factor:
     """The :class:`_Factor` at resolved ``lambdas``, from the design's
     one-entry cache when they repeat its last ones: the one place
@@ -814,14 +831,14 @@ def _penalized_factor(design: Design, lambdas: dict[str, float]) -> _Factor:
     a = np.add(gram, design.penalty(lambdas), order="F")
     ridged = False
     try:
-        cho = linalg.cho_factor(a, overwrite_a=True)
+        cho = _cholesky(a, lambdas)
     except linalg.LinAlgError:
         ridged = True
         a = np.add(gram, design.penalty(lambdas), order="F")
         diagonal = np.diag_indices_from(a)
         a[diagonal] += 1e-10 * a[diagonal]
         try:
-            cho = linalg.cho_factor(a, overwrite_a=True)
+            cho = _cholesky(a, lambdas)
         except linalg.LinAlgError as exc:
             raise NumericalError(
                 "penalized normal equations are not positive definite "
@@ -1087,16 +1104,19 @@ def smoothing_ladder(grid: Sequence[float] | None) -> np.ndarray:
     return np.sort(ladder)
 
 
-def _coordinate_descent(
+def select_smoothness(
     design: Design,
     y: np.ndarray,
-    grid: Sequence[float] | None,
+    grid: Sequence[float] | None = None,
     signal: np.ndarray | None = None,
 ) -> dict[str, float]:
-    """Minimize each ladder point's BIC, or with a ``signal`` the RMSE
-    ``sqrt(gap / n)`` of its fitted values against it, over the main-effect
-    smoothing parameters by coordinate descent on one ladder shared by
-    every term (:func:`smoothing_ladder` of ``grid``).
+    """Choose every main effect's smoothing parameter by coordinate
+    descent over one ladder shared by every term (:func:`smoothing_ladder`
+    of ``grid``), minimizing each ladder point's BIC or, given the
+    noiseless ``signal``, the RMSE ``sqrt(gap / n)`` of its fitted values
+    against it (the oracle selection that BIC is judged by). Interactions
+    are never swept: their penalties inherit the main-effect values as
+    they move.
 
     Every main effect starts at the middle of the ladder. Terms are
     swept in spec order, each set to its best-scoring ladder value with
@@ -1149,22 +1169,9 @@ def _coordinate_descent(
             f"smoothness selection stopped at max_sweeps={MAX_SWEEPS} "
             "before converging: the last sweep still changed a value",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     return current
-
-
-def select_smoothness(
-    design: Design,
-    y: np.ndarray,
-    grid: Sequence[float] | None = None,
-) -> dict[str, float]:
-    """Choose every main effect's smoothing parameter by coordinate
-    descent on BIC over a finite ladder (see :func:`_coordinate_descent`).
-    Interactions are never swept: their penalties inherit the
-    main-effect values as they move.
-    """
-    return _coordinate_descent(design, y, grid)
 
 
 def predict(model: FittedModel, columns: Mapping[str, np.ndarray]) -> np.ndarray:

@@ -15,19 +15,12 @@ import math
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .gam import (
-    EARTH_RADIUS_MILES,
-    Design,
-    FittedModel,
-    fit_pls,
-    year_and_doy,
-    _coordinate_descent,
-)
+from .gam import EARTH_RADIUS_MILES, FittedModel, year_and_doy
 from .listings import (
     INDEX_COLUMNS,
     REQUIRED_COLUMNS,
@@ -376,17 +369,3 @@ def recovery_rmse(
         out[term.name] = float(np.sqrt(np.mean((fitted - target) ** 2)))
     return out
 
-
-def oracle_smoothness(
-    design: Design,
-    y: np.ndarray,
-    signal: np.ndarray,
-    grid: Sequence[float] | None = None,
-) -> tuple[dict[str, float], FittedModel]:
-    """Reference smoothing parameters chosen with access to the truth:
-    coordinate descent over the same ladder as BIC selection, minimizing
-    the RMSE of the fitted values against the noiseless signal. The
-    returned model's k is the truth-complexity yardstick for BIC
-    selection."""
-    current = _coordinate_descent(design, y, grid, signal)
-    return current, fit_pls(design, y, current)

@@ -14,13 +14,30 @@ every sweep fitted.
 ``refit_model`` is a stored model as ``surfaces`` and ``bootstrap`` once
 read it back: its design built again from the rows and fitted at its
 smoothing parameters.
+
+``parse_one_row_at_a_time`` is ``listings.parse_listings`` as it ran one
+row at a time (``csv.DictReader`` or one ``json.loads`` per line, then
+each row's field rules), copied here so that a columnar parse can be
+checked against it.
 """
 
+import csv
+import json
 import math
+import re
+from datetime import date
+from pathlib import Path
 
 import numpy as np
 
 from rentgam import gam
+from rentgam.listings import (
+    PROPERTY_TYPES,
+    REQUIRED_COLUMNS,
+    WEEKS_PER_MONTH,
+    MalformedRow,
+    ParseResult,
+)
 
 
 def penalty_roots(block):
@@ -56,7 +73,7 @@ def augmented_ls_beta(design, y, lambdas):
 
 
 def unmemoized_descent(design, y, score, grid=None, signal=None):
-    """Coordinate descent as ``gam._coordinate_descent`` runs it, but with
+    """Coordinate descent as ``gam.select_smoothness`` runs it, but with
     every term's ladder fitted in every sweep (no memo): the selected
     smoothing parameters, and the term and the values held at each ladder,
     in order. Scores within ``1e-9*|best| + 1e-12`` of the best tie, and a
@@ -87,3 +104,97 @@ def refit_model(rows, spec, lambdas):
     """The fit of ``spec`` at ``lambdas`` on model columns ``rows``, through
     ``build_design`` and ``fit_pls``."""
     return gam.fit_pls(gam.build_design(rows, spec), rows["logprice"], lambdas)
+
+
+def listing_from_mapping(row, row_number):
+    """One feed row's fields (a mapping of column to text) as a parsed
+    listing tuple in ``REQUIRED_COLUMNS`` order, or the MalformedRow that
+    the first bad field makes."""
+    def text(key):
+        value = row.get(key)
+        return "" if value is None else str(value).strip()
+
+    start_raw, end_raw = text("start_date"), text("end_date")
+    try:
+        start = date.fromisoformat(start_raw) if start_raw else None
+        end = date.fromisoformat(end_raw) if end_raw else None
+    except ValueError:
+        return MalformedRow(row_number, f"bad date {start_raw or end_raw!r}")
+
+    rent_raw = text("rent")
+    rent = None
+    if rent_raw:
+        try:
+            rent = float(rent_raw)
+        except ValueError:
+            return MalformedRow(row_number, f"non-numeric rent {rent_raw!r}")
+    period = text("rent_period").lower()
+    if period in ("week", "weekly"):
+        if rent is not None:
+            rent *= WEEKS_PER_MONTH
+    elif period not in ("", "month", "monthly"):
+        return MalformedRow(row_number, f"unknown rent period {period!r}")
+    if rent is not None and not math.isfinite(rent):
+        return MalformedRow(row_number, f"non-finite rent {rent_raw!r}")
+
+    beds_raw = text("bedrooms")
+    bedrooms = None
+    if beds_raw:
+        try:
+            bedrooms = int(beds_raw)
+            float(bedrooms)
+        except ValueError:
+            return MalformedRow(row_number, f"non-integer bedrooms {beds_raw!r}")
+        except OverflowError:
+            return MalformedRow(row_number, f"too many bedrooms {beds_raw!r}")
+        if bedrooms < 0:
+            return MalformedRow(row_number, f"negative bedrooms {bedrooms}")
+
+    kind = re.sub(r"[\s-]+", "_", text("property_type").lower())
+    return (
+        text("listing_id"),
+        start,
+        end,
+        re.sub(r"\s+", " ", text("postcode").upper()),
+        rent,
+        bedrooms,
+        kind if kind in PROPERTY_TYPES else "other",
+    )
+
+
+def parse_one_row_at_a_time(path):
+    """The ParseResult of a listings feed: a ``.jsonl`` or ``.ndjson`` file
+    read one ``json.loads`` per line (numbered from 1; a blank line is
+    skipped but counted), any other through ``csv.DictReader`` (data rows
+    numbered from 2, after the header; a blank line is no row; a row of
+    the wrong width is malformed), and each row by
+    :func:`listing_from_mapping`."""
+    path = Path(path)
+    result = ParseResult([], [])
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        if path.suffix in (".jsonl", ".ndjson"):
+            numbered = (
+                (number, line) for number, line in enumerate(fh, start=1) if line.strip()
+            )
+        else:
+            reader = csv.DictReader(fh)
+            assert set(REQUIRED_COLUMNS) <= set(reader.fieldnames)
+            numbered = enumerate(reader, start=2)
+        for number, row in numbered:
+            if isinstance(row, str):
+                try:
+                    row = json.loads(row)
+                except json.JSONDecodeError as exc:
+                    row = MalformedRow(number, f"bad json: {exc.msg}")
+                else:
+                    if not isinstance(row, dict):
+                        row = MalformedRow(number, "not an object")
+            elif None in row or None in row.values():
+                row = MalformedRow(number, "wrong column count")
+            if isinstance(row, dict):
+                row = listing_from_mapping(row, number)
+            if isinstance(row, MalformedRow):
+                result.malformed.append(row)
+            else:
+                result.listings.append(row)
+    return result

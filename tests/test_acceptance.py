@@ -37,7 +37,6 @@ from rentgam.splines import (
 from rentgam.synthetic import (
     TruthSpec,
     default_truth,
-    oracle_smoothness,
     recovery_rmse,
     simulate_listings,
 )
@@ -88,7 +87,9 @@ def recovery_experiment():
     design = build_design(rows, spec)
     lams = select_smoothness(design, y)
     model = fit_pls(design, y, lams)
-    _, oracle_model = oracle_smoothness(design, y, truth.signal(rows))
+    oracle_model = fit_pls(
+        design, y, select_smoothness(design, y, signal=truth.signal(rows))
+    )
     return {
         "truth": truth,
         "rows": rows,

@@ -584,6 +584,25 @@ class TestFit:
         )
         assert "segments takes whole numbers >= 1" in err
 
+    @pytest.mark.parametrize("ladder", ["1e308", "1,2,1e308"])
+    def test_overflowing_penalty_exits_2(self, pipeline, tmp_path, capsys, ladder):
+        """A smoothing parameter whose penalty overflows is named on one
+        error line, with no numpy warning, and leaves no --out."""
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text(f"lambda_grid = {ladder}\n")
+        out = tmp_path / "out"
+        code, _, err = run(
+            [
+                "fit", "--config", cfg,
+                "--clean-listings", pipeline["out"] / "clean_listings.csv",
+                "--out", out,
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert err == "error: term beds: smoothing parameter 1e+308 overflows the penalty\n"
+        assert not out.exists()
+
     def refused_before_rows(self, pipeline, tmp_path, capsys, monkeypatch, line):
         """Run fit with one config ``line``, which must exit 2 with one
         error line before any row is read and leave no --out."""
@@ -656,9 +675,10 @@ class TestSurfaces:
         assert written() == want
 
     def test_four_variable_term_exits_2(self, pipeline, tmp_path, capsys, monkeypatch):
-        """A term of 4 variables has no default grid: surfaces names it and
-        its variable count on one error line (once a bare ``error: 4``), and
-        writes no surface of the terms before it."""
+        """A term of 4 variables has no default grid: surfaces names it,
+        its variable count and the 3-variable limit on one error line (once
+        a bare ``error: 4``), before it reads gram.npy, and writes no
+        surface of the terms before it."""
         spec = gam.ModelSpec(terms=(
             gam.TermSpec("deprivation", ("deprivation",), (3,)),
             gam.TermSpec("year", ("year",), (3,)),
@@ -675,11 +695,12 @@ class TestSurfaces:
         assert run(["fit", "--config", cfg, "--clean-listings", clean, "--out", fitted]) == (
             0, None, None)
         out = tmp_path / "surf"
+        monkeypatch.setattr(cli, "_load_gram", lambda *args: pytest.fail("gram.npy read"))
         code, _, err = run(["surfaces", "--model", fitted / "model.json", "--out", out],
                            capsys)
         assert code == 2
-        assert err == ("error: term deprivation:location:year has 4 variables, which no "
-                       "default grid covers: give grid\n")
+        assert err == ("error: term deprivation:location:year has 4 variables: surfaces "
+                       "exports terms of up to 3 variables\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["surfaces", "bootstrap"])

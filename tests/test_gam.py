@@ -35,7 +35,7 @@ from rentgam.gam import (
     year_and_doy,
 )
 from rentgam.listings import GEOCODED_COLUMNS, columns_of
-from rentgam.synthetic import default_truth, oracle_smoothness, simulate_listings
+from rentgam.synthetic import default_truth, simulate_listings
 from oracles import augmented_ls_beta, unmemoized_descent
 from tolerance import rounding_tolerance
 
@@ -464,6 +464,19 @@ class TestFitPls:
         with pytest.raises(ValueError, match="^the design holds no rows$"):
             select_smoothness(design, y)
 
+    def test_overflowing_penalty_names_its_term(self):
+        # 1e308 passes as finite, but its S overflows: once two numpy
+        # overflow warnings and cho_factor's "must not contain infs or NaNs"
+        rows, y = synthetic_rows(150, noise=0.3)
+        design = build_design(rows, two_term_spec())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValueError,
+                match=r"^term year: smoothing parameter 1e\+308 overflows the penalty$",
+            ):
+                fit_pls(design, y, {"deprivation": 1.0, "year": 1e308})
+
     def test_products_without_rows_refused(self):
         # X b and X' v need the rows; the matrix itself is None, as
         # documented, on the design and on one dropped from it
@@ -847,8 +860,9 @@ class TestSelectSmoothness:
             warnings.simplefilter("error")  # converged: no warning
             select_smoothness(design, y)
         monkeypatch.setattr(gam, "MAX_SWEEPS", 1)
-        with pytest.warns(RuntimeWarning, match="max_sweeps=1"):
+        with pytest.warns(RuntimeWarning, match="max_sweeps=1") as record:
             select_smoothness(design, y)
+        assert record[0].filename == __file__  # the caller's line
 
     @pytest.mark.parametrize("best", [-500.0, 0.0], ids=["relative", "absolute"])
     @pytest.mark.parametrize(
@@ -1004,11 +1018,11 @@ class TestLadderEvaluator:
         design, y, signal = simulated(1000, seed, spec)
         calls = counting_fit_pls(monkeypatch)
         fast_bic = select_smoothness(design, y)
-        fast_oracle, _ = oracle_smoothness(design, y, signal)
+        fast_oracle = select_smoothness(design, y, signal=signal)
         assert calls == []
         monkeypatch.setattr(gam, "_ladder_fits", plain_ladder_fits)
         assert fast_bic == select_smoothness(design, y)
-        assert fast_oracle == oracle_smoothness(design, y, signal)[0]
+        assert fast_oracle == select_smoothness(design, y, signal=signal)
 
     def test_owned_root_per_term(self, monkeypatch):
         """Each term's cached penalty root: R'R reproduces the penalty the
@@ -1109,7 +1123,7 @@ class TestLadderEvaluator:
                 design, y, oracle_score(design), signal=signal
             )
             ladders = recording_ladder_fits(monkeypatch)
-            got = oracle_smoothness(design, y, signal)[0]
+            got = select_smoothness(design, y, signal=signal)
         assert got == want
         assert ladders == memo_ladders(trace)
         assert len(ladders) < len(trace)  # the memo skipped a ladder
@@ -1129,7 +1143,7 @@ class TestLadderEvaluator:
                 blas.scipy_openblas_set_num_threads(count)
                 design, y, signal = simulated(1000, 3, default_model_spec())
                 lambdas = select_smoothness(design, y)
-                oracle = oracle_smoothness(design, y, signal)[0]
+                oracle = select_smoothness(design, y, signal=signal)
                 picks.append((lambdas, oracle, fit_pls(design, y, lambdas)))
         finally:
             blas.scipy_openblas_set_num_threads(threads)

@@ -175,7 +175,7 @@ UNSET_API = {
     "cli.main:argv",
     "gam.effect_surface:grid",
     "gam.effect_surface:at",
-    "synthetic.oracle_smoothness:grid",
+    "gam.select_smoothness:signal",
 }
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rentgam import gam, synthetic
+from rentgam import gam
 from rentgam.errors import ConfigurationError, DataError
 from rentgam.gam import (
     build_design,
@@ -14,6 +14,7 @@ from rentgam.gam import (
     fit_pls,
     haversine_miles,
     rows_to_columns,
+    select_smoothness,
 )
 from rentgam.listings import (
     GEOCODED_COLUMNS,
@@ -30,7 +31,6 @@ from rentgam.synthetic import (
     default_truth,
     linear_truth,
     load_truth,
-    oracle_smoothness,
     recovery_rmse,
     simulate_listings,
     synthetic_postcode,
@@ -295,9 +295,8 @@ class TestOracle:
             raise AssertionError("fitted before the signal was checked")
 
         monkeypatch.setattr(gam, "_ladder_fits", no_fit)
-        monkeypatch.setattr(synthetic, "fit_pls", no_fit)
         with pytest.raises(error, match=message):
-            oracle_smoothness(design, columns["logprice"], signal)
+            select_smoothness(design, columns["logprice"], signal=signal)
 
     def test_noiseless_oracle_prefers_smoothest_tie(self):
         truth = linear_truth()
@@ -306,9 +305,8 @@ class TestOracle:
         spec = default_model_spec()
         design = build_design(columns, spec)
         y = columns["logprice"]
-        lams, model = oracle_smoothness(
-            design, y, truth.signal(columns), grid=[0.1, 10.0]
-        )
+        lams = select_smoothness(design, y, grid=[0.1, 10.0], signal=truth.signal(columns))
+        model = fit_pls(design, y, lams)
         # RMSE is ~0 everywhere on a null-space truth; ties go smoother
         assert lams == {t.name: 10.0 for t in spec.main_terms}
         assert np.max(np.abs(model.fitted - y)) < 1e-8
@@ -331,7 +329,7 @@ class TestOracle:
         design = build_design(columns, spec)
         y = columns["logprice"]
         signal = truth.signal(columns)
-        lams, model = oracle_smoothness(design, y, signal)
+        model = fit_pls(design, y, select_smoothness(design, y, signal=signal))
         fitted_rmse = float(np.sqrt(np.mean((model.fitted - signal) ** 2)))
         # the oracle fit must beat interpolation-level smoothing
         rough = fit_pls(design, y, {"deprivation": 1e-3})
