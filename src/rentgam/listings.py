@@ -100,12 +100,13 @@ def _listing_from_mapping(row: dict, row_number: int) -> tuple | MalformedRow:
         value = row.get(key)
         return "" if value is None else str(value).strip()
 
-    start_raw, end_raw = text("start_date"), text("end_date")
-    try:
-        start = date.fromisoformat(start_raw) if start_raw else None
-        end = date.fromisoformat(end_raw) if end_raw else None
-    except ValueError:
-        return MalformedRow(row_number, f"bad date {start_raw or end_raw!r}")
+    dates = []
+    for raw in (text("start_date"), text("end_date")):
+        try:
+            dates.append(date.fromisoformat(raw) if raw else None)
+        except ValueError:
+            return MalformedRow(row_number, f"bad date {raw!r}")
+    start, end = dates
 
     rent_raw = text("rent")
     rent: float | None = None
@@ -131,6 +132,10 @@ def _listing_from_mapping(row: dict, row_number: int) -> tuple | MalformedRow:
             bedrooms = int(beds_raw)
             float(bedrooms)  # the column holds floats
         except ValueError:
+            # int refuses a signed run of digits only for its length, past
+            # sys.get_int_max_str_digits()
+            if re.fullmatch(r"[+-]?\d+", beds_raw):
+                return MalformedRow(row_number, f"too many bedrooms {beds_raw!r}")
             return MalformedRow(row_number, f"non-integer bedrooms {beds_raw!r}")
         except OverflowError:
             return MalformedRow(row_number, f"too many bedrooms {beds_raw!r}")

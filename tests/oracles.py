@@ -117,9 +117,12 @@ def listing_from_mapping(row, row_number):
     start_raw, end_raw = text("start_date"), text("end_date")
     try:
         start = date.fromisoformat(start_raw) if start_raw else None
+    except ValueError:
+        return MalformedRow(row_number, f"bad date {start_raw!r}")
+    try:
         end = date.fromisoformat(end_raw) if end_raw else None
     except ValueError:
-        return MalformedRow(row_number, f"bad date {start_raw or end_raw!r}")
+        return MalformedRow(row_number, f"bad date {end_raw!r}")
 
     rent_raw = text("rent")
     rent = None
@@ -144,6 +147,9 @@ def listing_from_mapping(row, row_number):
             bedrooms = int(beds_raw)
             float(bedrooms)
         except ValueError:
+            digits = beds_raw[1:] if beds_raw[0] in "+-" else beds_raw
+            if digits.isdecimal():  # past int's digit limit
+                return MalformedRow(row_number, f"too many bedrooms {beds_raw!r}")
             return MalformedRow(row_number, f"non-integer bedrooms {beds_raw!r}")
         except OverflowError:
             return MalformedRow(row_number, f"too many bedrooms {beds_raw!r}")

@@ -25,6 +25,7 @@ from rentgam.gam import (
     build_design,
     default_model_spec,
     derive_rows,
+    design_matrix,
     effect_surface,
     fit_pls,
     haversine_miles,
@@ -426,6 +427,70 @@ class TestDesignDrop:
             assert len(got.penalties) == len(want.penalties)
             for a, b in zip(got.penalties, want.penalties):
                 assert np.array_equal(a, b)
+
+
+class TestRowBlocks:
+    """Products with a row per observation run ``ROW_CHUNK`` rows at a
+    time; the oracle is the plain path, one product over every row."""
+
+    @pytest.mark.parametrize("n", [1, 6, 7, 8, 14, 17])
+    def test_blocks_of_row_chunk_rows_cover_the_rows(self, monkeypatch, n):
+        monkeypatch.setattr(gam, "ROW_CHUNK", 7)
+        blocks = [range(n)[rows] for rows in gam._row_blocks(n)]
+        assert [len(b) for b in blocks] == [min(n, 7)] * math.ceil(n / 7)
+        assert sorted({i for b in blocks for i in b}) == list(range(n))
+        assert blocks[-1][-1] == n - 1
+
+    def test_fills_equal_one_product(self, default_design, monkeypatch):
+        # n = 2 x 7 + 3: two whole blocks, then a last block that overlaps
+        # the second; at n 17 < ROW_CHUNK the unpatched build is one block
+        rows = {name: col[:17] for name, col in default_design[0].items()}
+        want = build_design(rows, default_model_spec())
+        monkeypatch.setattr(gam, "ROW_CHUNK", 7)
+        got = build_design(rows, default_model_spec())
+        assert np.array_equal(got.matrix, want.matrix)
+        for a, b in zip(got.blocks, want.blocks):
+            assert np.array_equal(a.column_sums, b.column_sums)  # None for interactions
+        assert np.array_equal(design_matrix(want.blocks, rows), want.matrix)
+
+    @pytest.fixture(scope="class")
+    def tall_design(self):
+        # n = 2 ROW_CHUNK + 3 rows: the last block overlaps the second
+        corpus = simulate_listings(2 * gam.ROW_CHUNK + 200, default_truth(), sigma=0.1, seed=3)
+        rows = derive_rows(corpus.listings)
+        rows = {name: col[: 2 * gam.ROW_CHUNK + 3] for name, col in rows.items()}
+        return build_design(rows, default_model_spec())
+
+    @staticmethod
+    def padded(parent, design, b):
+        """``b`` with zero rows in the columns of ``parent`` that ``design``
+        lacks, as a dropped design's product pads it."""
+        full = np.zeros((parent.p, b.shape[1]))
+        full[slice(None) if design._kept is None else design._kept] = b
+        return full
+
+    @pytest.mark.parametrize("term", [None, "deprivation:year"])
+    def test_matvec_equals_one_product(self, tall_design, term):
+        design = tall_design if term is None else tall_design.drop(term)
+        b = np.random.default_rng(0).standard_normal((design.p, 19))
+        want = tall_design.matrix @ self.padded(tall_design, design, b)
+        assert np.array_equal(design.matvec(b), want)
+
+    @pytest.mark.parametrize("term", [None, "deprivation:year"])
+    def test_matvec_in_small_blocks_within_rounding(self, default_design, monkeypatch, term):
+        # blocks of 7 rows go to OpenBLAS's small-matrix kernel, which sums
+        # in another order than its blocked kernel does over all rows (up
+        # to 4.4e-16 apart here), so each value is held to the dot-product
+        # bound 2 p eps times its sum of absolute terms
+        full = default_design[1]
+        x = full.matrix[:17]
+        parent = Design(full.spec, x, full.blocks, gram=full.gram)
+        design = parent if term is None else parent.drop(term)
+        b = np.random.default_rng(0).standard_normal((design.p, 19))
+        full = self.padded(parent, design, b)
+        bound = 2 * parent.p * np.finfo(float).eps * (np.abs(x) @ np.abs(full))
+        monkeypatch.setattr(gam, "ROW_CHUNK", 7)
+        assert (np.abs(design.matvec(b) - x @ full) <= bound).all()
 
 
 class TestInteractionMargins:
@@ -1216,7 +1281,7 @@ class TestPredictAndSurfaces:
         # one product over every grid row, with a chunk size that leaves a
         # ragged last chunk. The effect crosses zero, so its error is taken
         # relative to its largest value.
-        monkeypatch.setattr(gam, "SE_CHUNK_ROWS", 7)
+        monkeypatch.setattr(gam, "ROW_CHUNK", 7)
         rows, y = synthetic_rows(150, noise=0.3)
         model = fit_pls(build_design(rows, two_term_spec()), y, {"deprivation": 1.0, "year": 1.0})
         surface = effect_surface(model, "deprivation:year", grid=12)

@@ -542,6 +542,39 @@ class TestParsing:
         (bad,) = parse_listings(p).malformed
         assert bad.reason == f"too many bedrooms {huge!r}"
 
+    @pytest.mark.parametrize("beds, reason", [
+        ("9" * 5000, "too many"),
+        ("-" + "9" * 5000, "too many"),
+        ("+" + "9" * 5000, "too many"),
+        ("9" * 5000 + "x", "non-integer"),
+        ("+-" + "9" * 5000, "non-integer"),
+        ("9" * 5000 + ".0", "non-integer"),
+    ])
+    def test_bedroom_count_past_ints_digit_limit(self, tmp_path, beds, reason):
+        # int refuses a run of more than 4300 digits with a ValueError, for
+        # its length alone: still too many, as 310 to 4300 digits are
+        p = tmp_path / "feed.csv"
+        p.write_text(
+            "listing_id,start_date,end_date,postcode,rent,bedrooms,property_type\n"
+            f"b,2014-01-05,2014-02-01,G12 8QQ,650,{beds},flat\n"
+        )
+        (bad,) = parse_listings(p).malformed
+        assert bad.reason == f"{reason} bedrooms {beds!r}"
+
+    @pytest.mark.parametrize("start, end, named", [
+        ("2014-01-05", "2015-07", "2015-07"),
+        ("2014-13-01", "2015-07", "2014-13-01"),
+        ("", "2014-02-30", "2014-02-30"),
+    ])
+    def test_bad_date_names_the_field_that_failed(self, tmp_path, start, end, named):
+        p = tmp_path / "feed.csv"
+        p.write_text(
+            "listing_id,start_date,end_date,postcode,rent,bedrooms,property_type\n"
+            f"a,{start},{end},G12 8QQ,650,2,flat\n"
+        )
+        (bad,) = parse_listings(p).malformed
+        assert bad.reason == f"bad date {named!r}"
+
     def test_missing_file(self):
         with pytest.raises(ConfigurationError, match="not found"):
             parse_listings("/nonexistent/feed.csv")

@@ -4,9 +4,18 @@ design matrix exists once, a fit holds few p x p arrays at a time,
 selection holds no n x r array, the reduced fit makes no copy of the
 design, the replicates take two n x B arrays, a stored model is read
 back with no design matrix and no rows, and a surface holds no whole-grid
-basis."""
+basis.
 
+tracemalloc sees only what Python and numpy allocate, not OpenBLAS's
+packing buffers, which stay resident once touched. So the bound on
+``X @ B`` reads the high-water mark of a fresh process instead."""
+
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -178,7 +187,7 @@ def test_stored_model_read_back_does_not_grow_with_n(tmp_path):
 
 
 def test_location_surface_holds_no_grid_basis():
-    # the surface's basis, effect and SE are taken SE_CHUNK_ROWS grid rows
+    # the surface's basis, effect and SE are taken ROW_CHUNK grid rows
     # at a time: evaluating the whole 8000 x 343 location:year basis at
     # once (22 MB) peaked at 26.8 MB, chunked the peak is 7.6 MB
     rows = default_rows(2000)
@@ -191,3 +200,43 @@ def test_location_surface_holds_no_grid_basis():
     grid_basis = surface.effect.size * model.design.block("location:year").width * 8
     assert grid_basis == 8000 * 343 * 8
     assert peak < 0.5 * grid_basis
+
+
+# in a fresh process: the high-water mark (VmHWM) before and after X @ B
+# through Design.matvec, for a fully touched X of n 20000 x p 640 and a B
+# of 19 columns (the bootstrap's betas), with BLAS's threads started first
+MATVEC_HIGH_WATER = """
+import json
+import numpy as np
+from rentgam.gam import Design, ModelSpec
+
+def high_water():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) * 1024
+
+rng = np.random.default_rng(0)
+x = rng.standard_normal((20000, 640))
+b = rng.standard_normal((640, 19))
+x[:8] @ b
+design = Design(ModelSpec(terms=()), x, [])
+before = high_water()
+out = design.matvec(b)
+print(json.dumps([high_water() - before, out.nbytes]))
+"""
+
+
+def test_matvec_high_water_is_its_output():
+    # one product over all 20000 rows raised the high-water mark by 51.9 MB
+    # on numpy's default 2 BLAS threads (3.1 MB on 1): OpenBLAS packs X's
+    # rows into its buffers. In blocks of ROW_CHUNK rows the rise was
+    # 5.6 MB, the 2.9 MB output and 2.7 MB of buffers.
+    done = subprocess.run(
+        [sys.executable, "-c", MATVEC_HIGH_WATER],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    rise, output = json.loads(done.stdout)
+    assert rise <= output + 5e6

@@ -301,7 +301,7 @@ def test_chunked_surface_equals_one_product(case, data):
     block = design.block(term)
     grid = [data.draw(st.integers(1, 6)) for _ in block.term.variables]
     chunk = data.draw(st.integers(1, 40))
-    with mock.patch.object(gam, "SE_CHUNK_ROWS", chunk):
+    with mock.patch.object(gam, "ROW_CHUNK", chunk):
         surface = effect_surface(model, term, grid=grid)
     g = block.evaluate(dict(zip(block.term.variables, surface.points)))
     v = model.covariance_block(term)
