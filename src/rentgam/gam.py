@@ -53,8 +53,8 @@ DEFAULT_LAMBDA_GRID = np.logspace(-3.0, 6.0, 13)
 # sweeps of smoothness selection before it stops unconverged, with a warning
 MAX_SWEEPS = 10
 
-# rows per block of every product with one row per observation or grid
-# point: X's fills, X @ B and effect_surface's basis. OpenBLAS then packs
+# rows per block of every product with one row per observation or given
+# point: X's fills, X @ B and effect_surface's basis at ``at``. OpenBLAS packs
 # one block, not every row, into its buffers, which stay resident once
 # touched: X @ B over all rows raised the high-water mark by 52 MB at
 # n 20000, p 640, B 19 wide, on 2 threads.
@@ -369,11 +369,16 @@ class TermBlock:
         2006)."""
         if not self.term.interaction:
             return np.matmul(self.raw_basis(columns), self.transform.z, out=out)
-        margins = [
-            m.apply(bspline_basis(columns[v], kv))
-            for m, v, kv in zip(self.transform.margins, self.term.variables, self.knots)
-        ]
-        return tensor_basis(margins, out=out)
+        return tensor_basis(self.margins(columns), out=out)
+
+    def margins(self, columns: Mapping[str, np.ndarray]) -> list[np.ndarray]:
+        """One basis per variable at its own values: an interaction's
+        constrained margins ``B_k z_k``, a main effect's raw margins
+        ``B_k`` (its ``z`` does not factor over them)."""
+        raw = [bspline_basis(columns[v], kv) for v, kv in zip(self.term.variables, self.knots)]
+        if not self.term.interaction:
+            return raw
+        return [m.apply(b) for m, b in zip(self.transform.margins, raw)]
 
 
 class Design:
@@ -1215,6 +1220,17 @@ def predict(model: FittedModel, columns: Mapping[str, np.ndarray]) -> np.ndarray
     return out
 
 
+def _contract_axes(margins: Sequence[np.ndarray], array: np.ndarray) -> np.ndarray:
+    """``array``, of one axis per margin as wide as its columns, with axis
+    k summed against margin k's columns: the rotated H-transform of Currie,
+    Durban & Eilers (2006). Each step contracts the first axis and appends
+    the margin's rows as the last, so the result's axes are the margins'
+    rows in order, C-order over a grid whose first axis varies slowest."""
+    for m in margins:
+        array = np.tensordot(array, m, axes=(0, 1))
+    return array
+
+
 @dataclass
 class EffectSurface:
     """A term's centered effect on a grid or at observed points, with
@@ -1243,9 +1259,17 @@ def effect_surface(
     variable (default 100 univariate, 60 per location axis, 20 per axis
     for three-way terms; a term of more variables has no default); ``at``
     evaluates at explicit coordinate arrays instead, e.g. the observed
-    locations, and cannot be given with ``grid``. The basis, effect and SE
-    are taken ``ROW_CHUNK`` points at a time, so no points x width array is
-    made (8000 x 343 for location:year).
+    locations, and cannot be given with ``grid``.
+
+    On a grid the term's basis is the Kronecker product of its margins
+    (:meth:`TermBlock.margins`), each evaluated at its own axis's points,
+    so no grid basis is made (8000 x 343 for location:year): the effect
+    contracts the coefficient array with one margin at a time, and the
+    variance the covariance, as an array of one ``c_k**2`` axis per
+    margin, with each margin's row tensor ``M_k (.) M_k`` (Currie, Durban
+    & Eilers 2006). A main effect contracts its raw coefficients ``z beta``
+    and covariance ``z V z'``. At ``at`` points the basis, effect and SE
+    are taken ``ROW_CHUNK`` points at a time.
     """
     block = model.design.block(term)
     nvars = len(block.term.variables)
@@ -1277,16 +1301,30 @@ def effect_surface(
         axes = [np.linspace(kv.lo, kv.hi, m) for kv, m in zip(block.knots, per_axis)]
         points = tuple(m.ravel() for m in np.meshgrid(*axes, indexing="ij"))
 
-    v = model.covariance_block(term)
-    effect, var = np.empty((2, points[0].size))
-    # blocks from every ROW_CHUNK-th point, the last one short: the effect
-    # is a matrix-vector product, whose rounding follows the blocks on more
-    # than one BLAS thread, and its surfaces have always been written so
-    for i in range(0, len(var), ROW_CHUNK):
-        rows = slice(i, i + ROW_CHUNK)
-        g = block.evaluate({name: p[rows] for name, p in zip(block.term.variables, points)})
-        effect[rows] = g @ model.beta[block.columns]
-        var[rows] = ((g @ v) * g).sum(axis=1)
+    beta, v = model.coefficients(term), model.covariance_block(term)
+    if at is None:
+        margins = block.margins(dict(zip(block.term.variables, axes)))
+        if not block.term.interaction:
+            z = block.transform.z
+            beta, v = z @ beta, z @ v @ z.T
+        widths = [m.shape[1] for m in margins]
+        k = len(widths)
+        # v's axes (a_1..a_K, c_1..c_K) paired as (a_1 c_1, ..., a_K c_K)
+        v = v.reshape(widths * 2).transpose([i for j in range(k) for i in (j, j + k)])
+        effect = _contract_axes(margins, beta.reshape(widths)).ravel()
+        var = _contract_axes([(m[:, :, None] * m[:, None, :]).reshape(len(m), -1)
+                              for m in margins],
+                             v.reshape([w * w for w in widths])).ravel()
+    else:
+        effect, var = np.empty((2, points[0].size))
+        # blocks from every ROW_CHUNK-th point, the last one short: the
+        # effect is a matrix-vector product, whose rounding follows the
+        # blocks on more than one BLAS thread
+        for i in range(0, len(var), ROW_CHUNK):
+            rows = slice(i, i + ROW_CHUNK)
+            g = block.evaluate({name: p[rows] for name, p in zip(block.term.variables, points)})
+            effect[rows] = g @ beta
+            var[rows] = ((g @ v) * g).sum(axis=1)
     se = np.sqrt(np.maximum(var, 0.0))
     return EffectSurface(
         term=term,

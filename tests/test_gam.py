@@ -1277,21 +1277,22 @@ class TestPredictAndSurfaces:
             assert np.max(np.abs(surface.se - oracle)) < 1e-8
 
     def test_chunked_se_equals_one_product(self, monkeypatch):
-        # the basis, effect and SE are taken in row chunks; the reference is
-        # one product over every grid row, with a chunk size that leaves a
-        # ragged last chunk. The effect crosses zero, so its error is taken
-        # relative to its largest value.
+        # at points the basis, effect and SE are taken in row chunks, on a
+        # grid by its margins; the reference is one product over every grid
+        # row, with a chunk size that leaves a ragged last chunk. The effect
+        # crosses zero, so its error is taken relative to its largest value.
         monkeypatch.setattr(gam, "ROW_CHUNK", 7)
         rows, y = synthetic_rows(150, noise=0.3)
         model = fit_pls(build_design(rows, two_term_spec()), y, {"deprivation": 1.0, "year": 1.0})
-        surface = effect_surface(model, "deprivation:year", grid=12)
+        grid = effect_surface(model, "deprivation:year", grid=12)
         block = model.design.block("deprivation:year")
-        g = block.evaluate(dict(zip(block.term.variables, surface.points)))
+        g = block.evaluate(dict(zip(block.term.variables, grid.points)))
         v = model.covariance_block("deprivation:year")
         oracle = np.sqrt(np.maximum(((g @ v) * g).sum(axis=1), 0.0))
-        assert np.max(np.abs(surface.se - oracle) / oracle) <= 1e-12
         effect = g @ model.coefficients("deprivation:year")
-        assert np.max(np.abs(surface.effect - effect)) <= 1e-12 * np.max(np.abs(effect))
+        for surface in (grid, effect_surface(model, "deprivation:year", at=grid.points)):
+            assert np.max(np.abs(surface.se - oracle) / oracle) <= 1e-12
+            assert np.max(np.abs(surface.effect - effect)) <= 1e-12 * np.max(np.abs(effect))
 
     @pytest.mark.parametrize("grid", [[5, 6, 7], [5]])
     def test_grid_of_the_wrong_length_refused(self, grid):

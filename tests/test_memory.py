@@ -187,9 +187,12 @@ def test_stored_model_read_back_does_not_grow_with_n(tmp_path):
 
 
 def test_location_surface_holds_no_grid_basis():
-    # the surface's basis, effect and SE are taken ROW_CHUNK grid rows
-    # at a time: evaluating the whole 8000 x 343 location:year basis at
-    # once (22 MB) peaked at 26.8 MB, chunked the peak is 7.6 MB
+    # on a grid the surface is taken by the term's 20-row margins: it
+    # holds two w x w arrays, the covariance block and its copy paired by
+    # margin, and its 8000-point outputs, 2.6 MB at w 343. The whole
+    # 8000 x 343 location:year basis (22 MB) peaked at 26.8 MB. At the
+    # grid's 8000 points the basis, effect and SE are taken ROW_CHUNK
+    # points at a time, which peaks at 7.4 MB.
     rows = default_rows(2000)
     spec = default_model_spec()
     model = fit_pls(
@@ -197,8 +200,11 @@ def test_location_surface_holds_no_grid_basis():
     )
     model.covariance_unscaled  # formed once per model, before any surface
     surface, peak, _ = traced_peak(lambda: effect_surface(model, "location:year"))
-    grid_basis = surface.effect.size * model.design.block("location:year").width * 8
+    width = model.design.block("location:year").width
+    grid_basis = surface.effect.size * width * 8
     assert grid_basis == 8000 * 343 * 8
+    assert peak < 4 * width ** 2 * 8
+    _, peak, _ = traced_peak(lambda: effect_surface(model, "location:year", at=surface.points))
     assert peak < 0.5 * grid_basis
 
 

@@ -32,6 +32,7 @@ from rentgam.gam import (
     TermSpec,
     blocks_from_records,
     build_design,
+    default_model_spec,
     derive_rows,
     design_matrix,
     effect_surface,
@@ -289,11 +290,13 @@ def test_bootstrap_replicates_equal_per_replicate_refits(case, data):
 @CASES
 @given(cases(), st.data())
 def test_chunked_surface_equals_one_product(case, data):
-    """``effect_surface`` in chunks of a drawn size against one product
-    over every grid row. Both sum the same products in possibly other
-    orders, so each value is held to the dot-product rounding bound
-    ``2 w eps`` times its sum of absolute terms (w the term's width); an
-    SE, a square root, moves by at most the root of its variance's bound."""
+    """``effect_surface`` at a grid's points, in chunks of a drawn size,
+    against one product over every point. Both sum the same products in
+    possibly other orders, so each value is held to the dot-product
+    rounding bound ``2 w eps`` times its sum of absolute terms (w the
+    term's width); an SE, a square root, moves by at most the root of its
+    variance's bound. Only ``at`` points are chunked: a grid is taken by
+    its margins (see :func:`test_grid_surface_equals_its_points`)."""
     spec, rows, lambdas = case
     design = built(spec, rows)
     model = quiet_fit(design, rows["logprice"], lambdas)
@@ -301,9 +304,10 @@ def test_chunked_surface_equals_one_product(case, data):
     block = design.block(term)
     grid = [data.draw(st.integers(1, 6)) for _ in block.term.variables]
     chunk = data.draw(st.integers(1, 40))
+    points = effect_surface(model, term, grid=grid).points
     with mock.patch.object(gam, "ROW_CHUNK", chunk):
-        surface = effect_surface(model, term, grid=grid)
-    g = block.evaluate(dict(zip(block.term.variables, surface.points)))
+        surface = effect_surface(model, term, at=points)
+    g = block.evaluate(dict(zip(block.term.variables, points)))
     v = model.covariance_block(term)
     beta = model.coefficients(term)
     bound = 2 * block.width * np.finfo(float).eps
@@ -313,6 +317,74 @@ def test_chunked_surface_equals_one_product(case, data):
     var_bound = bound * ((np.abs(g) @ np.abs(v)) * np.abs(g)).sum(axis=1)
     se = np.sqrt(np.maximum(var, 0.0))
     assert (np.abs(surface.se - se) <= np.sqrt(var_bound) + 2 * np.finfo(float).eps * se).all()
+
+
+def assert_grid_equals_points(model, term, grid):
+    """``effect_surface`` on a grid, contracted margin by margin, against
+    the same term at the grid's points through its basis rows. In the raw
+    B-spline basis ``B`` of the term and its constraint ``z`` both sum
+    the same products ``B z beta`` (``B z V z' B'`` for the variance) in
+    other orders, so each value is held to the dot-product rounding bound
+    ``2 n eps`` times its sum of absolute terms, with n the most roundings
+    on one path through either sum: ``D + w + K`` for the effect and
+    ``D + 2w + sum d_k**2 + 2K + 1`` for the variance, of a term of K
+    margins of d_k raw columns, D in all, and width w. An SE, a square
+    root, moves by at most the root of its variance's bound."""
+    surface = effect_surface(model, term, grid=grid)
+    points = effect_surface(model, term, at=surface.points)
+    assert all(np.array_equal(a, b) for a, b in zip(surface.points, points.points))
+    block = model.design.block(term)
+    dims = [kv.dimension for kv in block.knots]
+    k, w = len(dims), block.width
+    eps = np.finfo(float).eps
+    raw = block.raw_basis(dict(zip(block.term.variables, surface.points)))
+    g = np.abs(raw) @ np.abs(block.transform.z)
+    effect_bound = 2 * (math.prod(dims) + w + k) * eps * (g @ np.abs(model.coefficients(term)))
+    assert (np.abs(surface.effect - points.effect) <= effect_bound).all()
+    depth = math.prod(dims) + 2 * w + sum(d * d for d in dims) + 2 * k + 1
+    var_bound = 2 * depth * eps * ((g @ np.abs(model.covariance_block(term))) * g).sum(axis=1)
+    assert (np.abs(surface.se - points.se) <= np.sqrt(var_bound) + 2 * eps * points.se).all()
+
+
+@CASES
+@given(cases(), st.data())
+def test_grid_surface_equals_its_points(case, data):
+    """A drawn term on a grid of 1 to 6 points per axis equals the term at
+    the grid's points (see :func:`assert_grid_equals_points`)."""
+    spec, rows, lambdas = case
+    model = quiet_fit(built(spec, rows), rows["logprice"], lambdas)
+    term = data.draw(st.sampled_from([t.name for t in spec.terms]))
+    grid = [data.draw(st.integers(1, 6)) for _ in model.design.block(term).term.variables]
+    assert_grid_equals_points(model, term, grid)
+
+
+def test_default_surfaces_equal_their_points():
+    # every term of the default spec at n 2000 on its default grid, the
+    # one surfaces writes (8000 points for location:year), and on a grid
+    # with a 1-point axis
+    rows = derive_rows(simulate_listings(2000, default_truth(), sigma=0.1, seed=3).listings)
+    spec = default_model_spec()
+    model = fit_pls(build_design(rows, spec), rows["logprice"],
+                    {t.name: 10.0 for t in spec.main_terms})
+    for term in spec.terms:
+        assert_grid_equals_points(model, term.name, None)
+        assert_grid_equals_points(model, term.name, [1, 5, 3][: len(term.variables)])
+
+
+def test_four_variable_surfaces_equal_their_points():
+    # a main effect and an interaction of four variables: four margins to
+    # contract, the variance's array of four c_k**2 axes
+    rows = derive_rows(simulate_listings(2000, default_truth(), sigma=0.1, seed=3).listings)
+    names = ("beds", "deprivation", "year", "doy")
+    spec = ModelSpec(terms=(
+        TermSpec("four", names, (1, 1, 1, 1)),
+        TermSpec("location", ("longitude", "latitude"), (4, 4)),
+        TermSpec("beds:deprivation:year:longitude", ("beds", "deprivation", "year", "longitude"),
+                 (1, 2, 1, 1), degree=2, interaction=True),
+    ))
+    model = quiet_fit(built(spec, rows), rows["logprice"], {"four": 1.0, "location": 1.0})
+    for term in ("four", "beds:deprivation:year:longitude"):
+        assert_grid_equals_points(model, term, [3, 1, 4, 2])
 
 
 @CASES
