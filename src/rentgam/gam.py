@@ -53,11 +53,12 @@ DEFAULT_LAMBDA_GRID = np.logspace(-3.0, 6.0, 13)
 # sweeps of smoothness selection before it stops unconverged, with a warning
 MAX_SWEEPS = 10
 
-# rows per block of every product with one row per observation or given
-# point: X's fills, X @ B and effect_surface's basis at ``at``. OpenBLAS packs
-# one block, not every row, into its buffers, which stay resident once
-# touched: X @ B over all rows raised the high-water mark by 52 MB at
-# n 20000, p 640, B 19 wide, on 2 threads.
+# rows per block (_row_blocks) of every product with one row per observation
+# or point: X's fills, X @ B (Design.matvec) and TermBlock.effect (predict,
+# effect_surface at points, multiplicative_effect, recovery_rmse). OpenBLAS
+# packs one block, not every row, into buffers that stay resident: X @ B over
+# all rows raised the high-water mark by 52 MB at n 20000, p 640, B 19 wide,
+# on 2 threads.
 ROW_CHUNK = 1024
 
 
@@ -379,6 +380,24 @@ class TermBlock:
         if not self.term.interaction:
             return raw
         return [m.apply(b) for m, b in zip(self.transform.margins, raw)]
+
+    def effect(
+        self, columns: Mapping[str, np.ndarray], beta: np.ndarray, v: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The term's effect ``g beta`` at the rows of ``columns`` and, given
+        the covariance ``v`` of its coefficients ``beta``, its variance, the
+        diagonal of ``g v g'`` (else None). The one place a term's basis g
+        meets its coefficients: g is evaluated ``ROW_CHUNK`` rows at a time
+        (:func:`_row_blocks`), so no n x width basis is formed."""
+        n = len(columns[self.term.variables[0]])
+        effect = np.empty(n)
+        var = None if v is None else np.empty(n)
+        for rows in _row_blocks(n):
+            g = self.evaluate({name: columns[name][rows] for name in self.term.variables})
+            effect[rows] = g @ beta
+            if v is not None:
+                var[rows] = ((g @ v) * g).sum(axis=1)
+        return effect, var
 
 
 class Design:
@@ -800,12 +819,13 @@ class _Factor(NamedTuple):
     """What a fit needs of ``A = X'X + S`` at given smoothing parameters
     apart from ``y``: the Cholesky factor ``U`` of ``A = U'U`` (upper
     triangular, as ``cho_factor`` returns it), the diagonal of the hat
-    matrix ``A^-1 X'X`` (k and the per-term EDFs), whether the
+    matrix ``A^-1 X'X`` (the per-term EDFs) and its sum k, whether the
     factorization took the ridge retry, and, on a factor just made, the
     upper triangle of ``A^-1`` that the hat diagonal was read from."""
 
     cho: tuple
     hat_diag: np.ndarray
+    k: float
     ridged: bool
     upper_inverse: np.ndarray | None = None
 
@@ -887,9 +907,23 @@ def _penalized_factor(design: Design, lambdas: dict[str, float]) -> _Factor:
         + np.einsum("ij,ij->j", t, gram)
         - np.diag(t) * np.diag(gram)
     )
-    factor = _Factor(cho, hat_diag, ridged)
+    factor = _Factor(cho, hat_diag, float(hat_diag.sum()), ridged)
     design._factor = (dict(lambdas), factor)
     return factor._replace(upper_inverse=t)
+
+
+def _fitted_model(design: Design, lambdas: dict[str, float], factor: _Factor,
+                  beta: np.ndarray, sigma2: float, n: int, y: np.ndarray | None,
+                  fitted: np.ndarray | None, rss: float | None) -> FittedModel:
+    """The one constructor of a :class:`FittedModel`, for :func:`fit_pls`
+    and :func:`fit_from_gram`: k is the factor's, and the EDF of the
+    intercept and of each term are the factor's hat diagonal summed over
+    their columns. The bic is None when ``rss`` is."""
+    diag = factor.hat_diag
+    edf = {"intercept": float(diag[0])}
+    edf.update((block.term.name, float(diag[block.columns].sum())) for block in design.blocks)
+    return FittedModel(design, lambdas, beta, y, fitted, rss, n, factor.k, sigma2, edf,
+                       None if rss is None else bic(rss, n, factor.k), factor.cho)
 
 
 def fit_pls(
@@ -912,25 +946,9 @@ def fit_pls(
     beta = linalg.cho_solve(factor.cho, design.rmatvec(y))
     fitted = design.matvec(beta)
     rss = float(np.sum((y - fitted) ** 2))
-
-    k, edf = _degrees_of_freedom(design, factor)
-    _check_dof(n, k)
-    sigma2 = rss / (n - k)
-
-    return FittedModel(
-        design=design,
-        lambdas=resolved,
-        beta=beta,
-        y=y,
-        fitted=fitted,
-        rss=rss,
-        n=n,
-        k=k,
-        sigma2=sigma2,
-        edf_by_term=edf,
-        bic=bic(rss, n, k),
-        _cho=factor.cho,
-    )
+    _check_dof(n, factor.k)
+    return _fitted_model(design, resolved, factor, beta, rss / (n - factor.k), n, y,
+                         fitted, rss)
 
 
 def fit_from_gram(
@@ -966,23 +984,10 @@ def fit_from_gram(
     if not (math.isfinite(sigma2) and sigma2 >= 0):
         raise ValueError(f"sigma2 {sigma2!r} is not a finite number >= 0")
     factor = _checked_factor(design, resolved)
-    k, edf = _degrees_of_freedom(design, factor)
-    t = factor.upper_inverse
-    return FittedModel(
-        design=design,
-        lambdas=resolved,
-        beta=beta,
-        y=y,
-        fitted=None,
-        rss=None,
-        n=n,
-        k=k,
-        sigma2=sigma2,
-        edf_by_term=edf,
-        bic=None,
-        _cho=factor.cho,
-        _cov_unscaled=None if t is None else _mirror_upper(t),
-    )
+    model = _fitted_model(design, resolved, factor, beta, sigma2, n, y, None, None)
+    if factor.upper_inverse is not None:
+        model._cov_unscaled = _mirror_upper(factor.upper_inverse)
+    return model
 
 
 def _checked_factor(design: Design, lambdas: dict[str, float]) -> _Factor:
@@ -997,16 +1002,6 @@ def _checked_factor(design: Design, lambdas: dict[str, float]) -> _Factor:
             stacklevel=3,
         )
     return factor
-
-
-def _degrees_of_freedom(design: Design, factor: _Factor) -> tuple[float, dict[str, float]]:
-    """k, the hat diagonal's sum, and the EDF of the intercept and of
-    each term, its sums over their columns."""
-    diag = factor.hat_diag
-    edf = {"intercept": float(diag[0])}
-    for block in design.blocks:
-        edf[block.term.name] = float(diag[block.columns].sum())
-    return float(diag.sum()), edf
 
 
 class LadderFit(NamedTuple):
@@ -1047,7 +1042,7 @@ def _eigen_ladder(
     the signal) with base residual ``t0 = t - X beta0`` the closed form
     ``|t - fitted|^2 = t0't0 + 2 a'W'X't0 + a'Qa`` with ``Q = W'(X'X W)``
     gives the rss and the gap; the EDF is ``k0 - g @ h``, where
-    ``k0 = tr(M0^-1 X'X)`` (the factor's hat diagonal summed) and
+    ``k0 = tr(M0^-1 X'X)`` (the factor's k, its hat diagonal summed) and
     ``g = diag(Q)``. No n x r product is formed: the n-sized work is
     ``X beta0``, one ``X't0`` per target and ``X'y`` when not given. The
     base ``l0`` is the middle value of the ladder, which is sorted, as
@@ -1058,7 +1053,7 @@ def _eigen_ladder(
     """
     l0 = float(ladder[len(ladder) // 2])
     lambdas = design.spec.resolve_lambdas({**current, name: l0})
-    cho, hat_diag, ridged = _penalized_factor(design, lambdas)[:3]  # T not kept
+    cho, _, k0, ridged = _penalized_factor(design, lambdas)[:4]  # T not kept
     if ridged:
         return []
     upper = cho[0]
@@ -1078,7 +1073,6 @@ def _eigen_ladder(
     for target in (y,) if signal is None else (y, signal):
         t0 = target - base
         forms.append((float(np.sum(t0**2)), w.T @ design.rmatvec(t0)))
-    k0 = float(hat_diag.sum())
     out = []
     for lam in ladder:
         h = (lam - l0) * d
@@ -1212,11 +1206,12 @@ def select_smoothness(
 
 
 def predict(model: FittedModel, columns: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Fitted log rent at new rows of model columns; covariates must lie
-    inside the training domains."""
+    """Fitted log rent at new rows of model columns, the intercept plus
+    each term's :meth:`TermBlock.effect` (no n-row basis is formed);
+    covariates must lie inside the training domains."""
     out = np.full(len(next(iter(columns.values()))), model.intercept)
     for block in model.design.blocks:
-        out += block.evaluate(columns) @ model.beta[block.columns]
+        out += block.effect(columns, model.beta[block.columns])[0]
     return out
 
 
@@ -1268,8 +1263,8 @@ def effect_surface(
     variance the covariance, as an array of one ``c_k**2`` axis per
     margin, with each margin's row tensor ``M_k (.) M_k`` (Currie, Durban
     & Eilers 2006). A main effect contracts its raw coefficients ``z beta``
-    and covariance ``z V z'``. At ``at`` points the basis, effect and SE
-    are taken ``ROW_CHUNK`` points at a time.
+    and covariance ``z V z'``. At ``at`` points the effect and variance
+    are the term's :meth:`TermBlock.effect`, ``ROW_CHUNK`` points at a time.
     """
     block = model.design.block(term)
     nvars = len(block.term.variables)
@@ -1316,15 +1311,7 @@ def effect_surface(
                               for m in margins],
                              v.reshape([w * w for w in widths])).ravel()
     else:
-        effect, var = np.empty((2, points[0].size))
-        # blocks from every ROW_CHUNK-th point, the last one short: the
-        # effect is a matrix-vector product, whose rounding follows the
-        # blocks on more than one BLAS thread
-        for i in range(0, len(var), ROW_CHUNK):
-            rows = slice(i, i + ROW_CHUNK)
-            g = block.evaluate({name: p[rows] for name, p in zip(block.term.variables, points)})
-            effect[rows] = g @ beta
-            var[rows] = ((g @ v) * g).sum(axis=1)
+        effect, var = block.effect(dict(zip(block.term.variables, points)), beta, v)
     se = np.sqrt(np.maximum(var, 0.0))
     return EffectSurface(
         term=term,
@@ -1339,11 +1326,11 @@ def effect_surface(
 def multiplicative_effect(model: FittedModel, term: str, x0, x1) -> float:
     """Ratio of expected rents implied by a term between two covariate
     points, each one value per variable of the term: exp(effect(x1) -
-    effect(x0)), from the term's basis at the two points (no covariance)."""
+    effect(x0)), from the term's :meth:`TermBlock.effect` at the two points."""
     block = model.design.block(term)
     x0, x1 = np.atleast_1d(x0), np.atleast_1d(x1)
     if not x0.size == x1.size == len(block.term.variables):
         raise ValueError(f"term {term} needs one value per variable at each point")
     pair = np.column_stack([x0, x1]).astype(float)
-    effect = block.evaluate(dict(zip(block.term.variables, pair))) @ model.beta[block.columns]
+    effect, _ = block.effect(dict(zip(block.term.variables, pair)), model.coefficients(term))
     return float(np.exp(effect[1] - effect[0]))

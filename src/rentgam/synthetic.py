@@ -204,7 +204,9 @@ def linear_truth(center: tuple[float, float] = GLASGOW_CENTER) -> TruthSpec:
 
 
 def synthetic_postcode(i: int) -> str:
-    """Distinct, shape-valid postcode for row i (unique below 26^4)."""
+    """Shape-valid postcode for row i: four letters from i's last four
+    base-26 digits and two digits 1-9 from what is left, so codes repeat
+    with period 26^4 * 81 = 37 015 056 and are distinct below it."""
     letters = []
     j = i
     for _ in range(4):
@@ -354,15 +356,16 @@ def write_corpus(out_dir: str | Path, corpus: SimulatedCorpus) -> dict[str, Path
 def recovery_rmse(
     model: FittedModel, columns: Mapping[str, np.ndarray], truth: TruthSpec
 ) -> dict[str, float]:
-    """Root-mean-square gap between each fitted term effect and the
-    matching truth component at the observed model columns, both
+    """Root-mean-square gap between each fitted term effect
+    (:meth:`~rentgam.gam.TermBlock.effect`, which forms no n-row basis) and
+    the matching truth component at the observed model columns, both
     centered there. Terms without a truth component are scored against
     zero."""
     true_values = truth.component_values(columns)
     out: dict[str, float] = {}
     for term in model.spec.terms:
         block = model.design.block(term.name)
-        effect = block.evaluate(columns) @ model.coefficients(term.name)
+        effect, _ = block.effect(columns, model.coefficients(term.name))
         fitted = effect - effect.mean()
         target = true_values.get(term.name, np.zeros(effect.size))
         target = target - target.mean()

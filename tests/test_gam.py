@@ -38,7 +38,7 @@ from rentgam.gam import (
 from rentgam.listings import GEOCODED_COLUMNS, columns_of
 from rentgam.synthetic import default_truth, simulate_listings
 from oracles import augmented_ls_beta, unmemoized_descent
-from tolerance import rounding_tolerance
+from tolerance import dot_product_bound, rounding_tolerance
 
 
 def geocoded(
@@ -488,9 +488,30 @@ class TestRowBlocks:
         design = parent if term is None else parent.drop(term)
         b = np.random.default_rng(0).standard_normal((design.p, 19))
         full = self.padded(parent, design, b)
-        bound = 2 * parent.p * np.finfo(float).eps * (np.abs(x) @ np.abs(full))
         monkeypatch.setattr(gam, "ROW_CHUNK", 7)
-        assert (np.abs(design.matvec(b) - x @ full) <= bound).all()
+        assert (np.abs(design.matvec(b) - x @ full) <= dot_product_bound(x, full)).all()
+
+    @pytest.mark.parametrize("term", [t.name for t in default_model_spec().terms])
+    def test_term_effect_in_small_blocks_within_rounding(self, default_design, monkeypatch,
+                                                          term):
+        # TermBlock.effect over n = 2 x 7 + 3 rows in blocks of 7 against
+        # one product over every row of the basis: the effect g beta and
+        # the variance, the diagonal of g v g', each held to the dot-product
+        # bound 2 w eps, w the term's width, as matvec is above
+        rows = {name: col[:17] for name, col in default_design[0].items()}
+        block = default_design[1].block(term)
+        g = block.evaluate(rows)
+        rng = np.random.default_rng(0)
+        beta = rng.standard_normal(block.width)
+        root = rng.standard_normal((block.width, block.width))
+        v = root @ root.T
+        monkeypatch.setattr(gam, "ROW_CHUNK", 7)
+        effect, var = block.effect(rows, beta, v)
+        assert (np.abs(effect - g @ beta) <= dot_product_bound(g, beta)).all()
+        var_bound = (dot_product_bound(g, v) * np.abs(g)).sum(axis=1)
+        assert (np.abs(var - ((g @ v) * g).sum(axis=1)) <= var_bound).all()
+        assert np.array_equal(block.effect(rows, beta)[0], effect)
+        assert block.effect(rows, beta)[1] is None
 
 
 class TestInteractionMargins:

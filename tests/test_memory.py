@@ -1,10 +1,11 @@
 """Traced memory of design assembly, of a penalized fit, of smoothness
-selection, of the bootstrap and of reading a stored model back: the n x p
-design matrix exists once, a fit holds few p x p arrays at a time,
-selection holds no n x r array, the reduced fit makes no copy of the
-design, the replicates take two n x B arrays, a stored model is read
-back with no design matrix and no rows, and a surface holds no whole-grid
-basis.
+selection, of the bootstrap, of reading a stored model back and of a
+term's effect at the rows: the n x p design matrix exists once, a fit
+holds few p x p arrays at a time, selection holds no n x r array, the
+reduced fit makes no copy of the design, the replicates take two n x B
+arrays, a stored model is read back with no design matrix and no rows, a
+surface holds no whole-grid basis, and prediction and recovery scoring
+hold no n-row basis.
 
 tracemalloc sees only what Python and numpy allocate, not OpenBLAS's
 packing buffers, which stay resident once touched. So the bound on
@@ -27,10 +28,11 @@ from rentgam.gam import (
     default_model_spec,
     derive_rows,
     fit_pls,
+    predict,
     select_smoothness,
 )
 from rentgam.inference import bootstrap_term_test
-from rentgam.synthetic import default_truth, simulate_listings
+from rentgam.synthetic import default_truth, recovery_rmse, simulate_listings
 
 
 def traced_peak(fn):
@@ -127,6 +129,32 @@ def test_selection_peak_does_not_grow_with_n():
         peaks.append(peak)
         del rows, design
     assert peaks[1] - peaks[0] < 2e6
+
+
+def test_term_effects_at_the_rows_do_not_grow_with_n():
+    # a term's effect at the rows is its basis taken ROW_CHUNK rows at a
+    # time (TermBlock.effect), so n enters only through n-vectors: predict
+    # holds its output and one term's effect; recovery_rmse every truth
+    # component, the effect and a few centred and squared gaps. Measured
+    # from n 5000 to n 20000: predict 6.40 -> 6.65 MB, recovery_rmse 6.81
+    # -> 8.25 MB (12 n-vectors). Taking each term's whole basis, up to
+    # n x 343 for location:year, peaked at 16.7 -> 66.4 and 17.1 -> 68.0 MB.
+    truth = default_truth()
+    spec = default_model_spec()
+    peaks = {predict: [], recovery_rmse: []}
+    for n in (5000, 20000):
+        rows = default_rows(n)
+        model = fit_pls(build_design(rows, spec), rows["logprice"],
+                        {t.name: 10.0 for t in spec.main_terms})
+        _, peak, _ = traced_peak(lambda: predict(model, rows))
+        peaks[predict].append(peak)
+        _, peak, _ = traced_peak(lambda: recovery_rmse(model, rows, truth))
+        peaks[recovery_rmse].append(peak)
+        del rows, model
+    n_vector = (20000 - 5000) * 8
+    assert peaks[predict][1] - peaks[predict][0] <= 4 * n_vector
+    assert (peaks[recovery_rmse][1] - peaks[recovery_rmse][0]
+            <= (len(truth.components) + 8) * n_vector)
 
 
 def _fitted_corpus(tmp_path, n):

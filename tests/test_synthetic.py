@@ -137,6 +137,15 @@ class TestPostcodeGenerator:
         codes = {synthetic_postcode(i) for i in range(20000)}
         assert len(codes) == 20000
 
+    def test_period_is_26_to_the_4_times_81(self):
+        # four letters, then two digits 1-9 from what is left over: the
+        # codes repeat at 26**4 * 81 = 37 015 056, not at 26**4
+        period = 26**4 * 81
+        assert period == 37_015_056
+        assert synthetic_postcode(period) == synthetic_postcode(0)
+        for i in (26**4 - 1, 26**4, period - 1):
+            assert synthetic_postcode(i) != synthetic_postcode(0), i
+
 
 class TestSimulate:
     def test_deterministic(self):

@@ -12,7 +12,9 @@ workload. Every output file, and each command's stdout, stderr and exit
 code, is compared byte for byte; in stdout and stderr each tree's own
 path reads ``<tree>``, so a warning's source line compares by its file's
 place in the tree. Prints the number of files compared, then each file
-that differs, and exits 1 if any differs.
+that differs with what moved in it (a JSON file's differing dotted keys
+and the largest relative difference of their numbers, a CSV file's count
+of differing lines), and exits 1 if any differs.
 
 The commands inherit the caller's environment, so
 ``OPENBLAS_NUM_THREADS=1 tools/identity.py REV`` runs both trees under
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import shutil
 import subprocess
@@ -67,6 +70,46 @@ def compare_trees(a: Path, b: Path, skip: Iterable[str] = ()) -> tuple[int, list
                 and (a / name).read_bytes() == (b / name).read_bytes())
     ]
     return len(names), differ
+
+
+def leaves(value, key: str = "") -> dict:
+    """Each leaf of a parsed JSON value by its dotted key, a list's items
+    by their index; an empty object or list is a leaf."""
+    if isinstance(value, (dict, list)) and value:
+        pairs = value.items() if isinstance(value, dict) else enumerate(value)
+        return {name: leaf for k, v in pairs
+                for name, leaf in leaves(v, f"{key}.{k}" if key else str(k)).items()}
+    return {key: value}
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def same(u, v) -> bool:
+    """JSON leaves of one type and value, NaN counted equal to NaN."""
+    return type(u) is type(v) and (u == v or u != u and v != v)
+
+
+def describe(a: Path, b: Path) -> str:
+    """What differs between two versions of a file: for JSON the dotted
+    keys whose values differ and the largest relative difference of those
+    that are numbers in both, for CSV the number of differing lines, and
+    for any other file nothing."""
+    if a.suffix == ".json":
+        x, y = (leaves(json.loads(path.read_bytes())) for path in (a, b))
+        missing = object()
+        keys = sorted(k for k in x.keys() | y.keys()
+                      if not same(x.get(k, missing), y.get(k, missing)))
+        moved = [abs(x[k] - y[k]) / max(abs(x[k]), abs(y[k])) for k in keys
+                 if is_number(x.get(k)) and is_number(y.get(k))]
+        largest = f"; largest relative difference {max(moved):.3g}" if moved else ""
+        return ", ".join(keys) + largest
+    if a.suffix == ".csv":
+        x, y = (path.read_bytes().splitlines() for path in (a, b))
+        count = sum(u != v for u, v in zip(x, y)) + abs(len(x) - len(y))
+        return f"{count} of {max(len(x), len(y))} lines differ"
+    return ""
 
 
 def extract(rev: str, into: Path) -> None:
@@ -133,9 +176,11 @@ def main() -> int:
         run_commands(tmp / "rev", runs, tmp / "work" / "rev")
         run_commands(ROOT, runs, tmp / "work" / "tree")
         count, differ = compare_trees(tmp / "work" / "rev", tmp / "work" / "tree", skip)
-    print(f"{count} files compared, {len(differ)} differ")
-    for name in differ:
-        print(name)
+        print(f"{count} files compared, {len(differ)} differ")
+        for name in differ:
+            a, b = tmp / "work" / "rev" / name, tmp / "work" / "tree" / name
+            detail = describe(a, b) if a.is_file() and b.is_file() else "in one tree only"
+            print(f"{name}: {detail}" if detail else name)
     return 1 if differ else 0
 
 
