@@ -40,7 +40,6 @@ from .gam import (
     default_model_spec,
     derive_rows,
     Design,
-    design_matrix,
     effect_surface,
     fit_from_gram,
     fit_pls,
@@ -406,8 +405,8 @@ def cmd_fit(config: RunConfig, out: Path) -> tuple[dict, list[str]]:
     spec = _spec_from_config(config)
     ladder = smoothing_ladder(config.lambda_grid)
     rows = _fit_rows(config)
-    design = build_design(rows, spec)
     y = rows["logprice"]
+    design = build_design(rows, spec, y)
     lams = select_smoothness(design, y, ladder)
     ends = {ladder[0]: "lowest", ladder[-1]: "highest"}
     for name, lam in lams.items():
@@ -524,28 +523,25 @@ def _load_gram(config: RunConfig, stored: dict, p: int):
 
 
 def _stored_model(config: RunConfig, stored: dict, spec: ModelSpec, records: list,
-                  beta: list, with_matrix: bool = False) -> FittedModel:
+                  beta: list, rows: dict | None = None) -> FittedModel:
     """The stored model, read back without a refit, for ``surfaces`` and
     ``bootstrap`` alike, from what :func:`_read_stored` read: its blocks
     from the term records (see :func:`~rentgam.gam.blocks_from_records`),
     its ``X'X`` from fit's gram file, its coefficients ``beta``, ``sigma2``
-    and ``n``. Only ``with_matrix`` reads rows, the ones the model applies
-    to (see :func:`_stored_rows`), for the response and the n x p design
-    matrix that ``bootstrap``'s draws and reduced fit need."""
+    and ``n``. Given the model columns of the rows the model applies to
+    (``bootstrap`` reads them by :func:`_stored_rows`), its design holds
+    them and its response is their ``logprice``, for the bootstrap's
+    reduced fit and draws; no design matrix is formed."""
     try:
         blocks = blocks_from_records(spec, records)
     except (DataError, TypeError, ValueError) as exc:
         raise DataError(f"{config.model}: bad model file: {exc}; re-run fit") from None
-    y = x = None
-    if with_matrix:
-        rows = _stored_rows(config, stored)
-        y, x = rows["logprice"], design_matrix(blocks, rows)
     p = 1 + sum(block.width for block in blocks)
-    design = Design(spec=spec, matrix=x, blocks=blocks,
-                    gram=_load_gram(config, stored, p))
+    design = Design(spec=spec, matrix=None, blocks=blocks,
+                    gram=_load_gram(config, stored, p), columns=rows)
     try:
         return fit_from_gram(design, stored["lambdas"], beta, stored["sigma2"],
-                             stored["n"], y)
+                             stored["n"], None if rows is None else rows["logprice"])
     except (TypeError, ValueError) as exc:
         raise DataError(f"{config.model}: bad model file: {exc}") from None
 
@@ -607,7 +603,7 @@ def cmd_surfaces(config: RunConfig, out: Path) -> tuple[dict, list[str]]:
 def cmd_bootstrap(config: RunConfig, out: Path) -> tuple[dict, list[str]]:
     stored, spec, records, beta = _read_stored(config)
     check_bootstrap_request(spec, config.term, config.bootstrap_b)
-    model = _stored_model(config, stored, spec, records, beta, with_matrix=True)
+    model = _stored_model(config, stored, spec, records, beta, _stored_rows(config, stored))
     result = bootstrap_term_test(model, config.term, b=config.bootstrap_b, seed=config.seed)
     summary = (f"term {result.term}: W_obs = {result.statistic:.3f}, "
                f"p = {result.p_value:.4f} ({result.replicates.size} replicates, "

@@ -16,9 +16,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
 from numbers import Integral, Real
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import linalg
@@ -53,12 +52,14 @@ DEFAULT_LAMBDA_GRID = np.logspace(-3.0, 6.0, 13)
 # sweeps of smoothness selection before it stops unconverged, with a warning
 MAX_SWEEPS = 10
 
-# rows per block (_row_blocks) of every product with one row per observation
-# or point: X's fills, X @ B (Design.matvec) and TermBlock.effect (predict,
-# effect_surface at points, multiplicative_effect, recovery_rmse). OpenBLAS
-# packs one block, not every row, into buffers that stay resident: X @ B over
-# all rows raised the high-water mark by 52 MB at n 20000, p 640, B 19 wide,
-# on 2 threads.
+# rows per block (_row_blocks) of every pass over the rows of X or of a
+# term's basis: the moments X'X and X'v (build_design, Design.gram,
+# Design.rmatvec), X @ B (Design.matvec) and TermBlock.effect (predict,
+# effect_surface at points, multiplicative_effect, recovery_rmse). A pass
+# holds one block of X, 5.2 MB at p 640, never all n rows; and OpenBLAS
+# packs one block, not every row, into buffers that stay resident: X @ B
+# over all rows raised the high-water mark by 52 MB at n 20000, p 640, B 19
+# wide, on 2 threads.
 ROW_CHUNK = 1024
 
 
@@ -67,9 +68,20 @@ def _row_blocks(n: int) -> list[slice]:
     rows when n is smaller). The last ends at n and may overlap the one
     before it: a shorter block would go to OpenBLAS's small-matrix kernel,
     which sums in another order, so its rows would not equal those of one
-    product over every row bit for bit."""
+    product over every row bit for bit. A sum over the rows counts the
+    overlap once (see :func:`_fresh_row_blocks`)."""
     return [slice(i, i + ROW_CHUNK)
             for i in (*range(0, n - ROW_CHUNK, ROW_CHUNK), max(n - ROW_CHUNK, 0))]
+
+
+def _fresh_row_blocks(n: int) -> Iterator[tuple[slice, int]]:
+    """Each slice of :func:`_row_blocks` with the number of its leading
+    rows that the block before it already holds (0 but for an overlapping
+    last block), so a sum over the blocks' later rows counts every row once."""
+    done = 0
+    for rows in _row_blocks(n):
+        yield rows, done - rows.start
+        done = min(rows.stop, n)
 
 
 def year_and_doy(starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -401,21 +413,26 @@ class TermBlock:
 
 
 class Design:
-    """Assembled design matrix: intercept column followed by one
-    constrained block per term.
+    """The design of ``spec`` at its rows: an intercept column followed by
+    one constrained block per term.
 
-    The columns live in one n x P array. A design from :meth:`drop` shares
-    its parent's array and keeps the index of its own columns in it, so
-    its products ``X @ b`` (:meth:`matvec`) and ``X' v`` (:meth:`rmatvec`)
-    run through the parent's columns and no n x p copy is made. ``X @ B``
-    for a p x m matrix B runs ``ROW_CHUNK`` rows of X at a time.
+    The n x p matrix X is not held. A design built from model columns (see
+    :func:`build_design`) keeps the columns and evaluates X ``ROW_CHUNK``
+    rows at a time (:func:`_row_blocks`) on each pass over the rows; a
+    design given a matrix (tests, library callers) reads it in the same
+    blocks. Its p-sized moments are what the fits use: ``X'X``
+    (:attr:`gram`), formed on the first pass unless it is given, and
+    ``X'y`` with the centred total of one response, in a one-entry cache
+    (see :func:`_moments`). The products ``X @ b`` (:meth:`matvec`) and
+    ``X' v`` (:meth:`rmatvec`) and :attr:`matrix` itself are each one more
+    pass. A design from :meth:`drop` shares its parent's columns and takes
+    the matching sub-blocks of its moments.
 
-    ``X'X`` is formed once, on first use, unless it is given. A design
-    given the blocks of :func:`blocks_from_records` on the records that
-    :func:`build_design` took from the rows, and the ``X'X`` it formed
-    there (``fit`` stores both), has the built design's penalty and factor
-    bit for bit. It may hold no matrix (``matrix`` is None), but then
-    ``n``, :meth:`matvec` and :meth:`rmatvec` refuse, with ValueError.
+    A design given the blocks of :func:`blocks_from_records` on the
+    records that :func:`build_design` took from the rows, and the ``X'X``
+    it formed there (``fit`` stores both), has the built design's penalty
+    and factor bit for bit. It may hold no rows (``matrix`` is None), but
+    then ``n``, :meth:`matvec` and :meth:`rmatvec` refuse, with ValueError.
     """
 
     def __init__(
@@ -424,68 +441,92 @@ class Design:
         matrix: np.ndarray | None,
         blocks: list[TermBlock],
         gram: np.ndarray | None = None,
+        columns: Mapping[str, np.ndarray] | None = None,
     ):
         self.spec = spec
         self.blocks = blocks
         self._x = matrix
-        self._kept: np.ndarray | None = None  # this design's columns of _x
+        self._columns = columns
         self._gram = gram
+        # (a copy of the response, its _Moments): see _moments
+        self._response: tuple[np.ndarray, _Moments] | None = None
         self._roots: dict[str, np.ndarray] = {}
         # (lambdas, factor) of the last fit_pls: refits at known smoothness
         # repeat the same lambdas, often many times
         self._factor: tuple[dict[str, float], _Factor] | None = None
 
     @property
-    def matrix(self) -> np.ndarray:
-        """The n x p design matrix; a dropped design copies its columns
-        out of the shared array on every read."""
-        if self._kept is None or self._x is None:
-            return self._x
-        return np.ascontiguousarray(self._x[:, self._kept])
-
-    @property
-    def _rows(self) -> np.ndarray:
-        """The shared array of rows; ValueError when there is none."""
-        if self._x is None:
-            raise ValueError("the design holds no rows")
+    def matrix(self) -> np.ndarray | None:
+        """The n x p design matrix, evaluated from the columns on every read
+        (see :func:`design_matrix`); None when the design holds no rows."""
+        if self._columns is not None:
+            return design_matrix(self.blocks, self._columns)
         return self._x
 
     @property
+    def has_rows(self) -> bool:
+        return self._x is not None or self._columns is not None
+
+    @property
     def n(self) -> int:
-        return self._rows.shape[0]
+        if not self.has_rows:
+            raise ValueError("the design holds no rows")
+        if self._x is not None:
+            return self._x.shape[0]
+        return len(next(iter(self._columns.values())))
 
     @property
     def p(self) -> int:
-        if self._kept is not None:
-            return self._kept.size
-        return (self._gram if self._x is None else self._x).shape[1]
+        if self._x is not None:
+            return self._x.shape[1]
+        return self.blocks[-1].columns.stop if self.blocks else 1
 
     @property
     def gram(self) -> np.ndarray:
         if self._gram is None:
-            self._gram = self._x.T @ self._x
+            self._gram = self._pass([], True)[0]
         return self._gram
 
+    def _x_blocks(self) -> Iterator[tuple[slice, int, np.ndarray]]:
+        """``(rows, overlap, X[rows])`` for each slice of
+        :func:`_fresh_row_blocks`: a view of a given matrix, or the rows
+        evaluated from the columns into one buffer that every block reuses."""
+        n = self.n
+        if self._x is not None:
+            for rows, overlap in _fresh_row_blocks(n):
+                yield rows, overlap, self._x[rows]
+            return
+        buffer = np.empty((min(n, ROW_CHUNK), self.p))
+        for rows, overlap in _fresh_row_blocks(n):
+            _fill_rows(self.blocks, {v: c[rows] for v, c in self._columns.items()}, buffer)
+            yield rows, overlap, buffer
+
+    def _pass(self, vs: Sequence[np.ndarray], gram: bool) -> tuple[np.ndarray | None, list]:
+        """One pass over the rows: ``X'X`` when ``gram`` (else None) and
+        ``X'v`` for each n-vector or n x m matrix ``v`` of ``vs``, each
+        summed over the blocks with an overlapping block's repeated rows
+        left out."""
+        xx = np.zeros((self.p, self.p)) if gram else None
+        xvs = [np.zeros((self.p,) + v.shape[1:]) for v in vs]
+        for rows, overlap, x in self._x_blocks():
+            x = x[overlap:]
+            if gram:
+                xx += x.T @ x
+            for v, xv in zip(vs, xvs):
+                xv += x.T @ v[rows][overlap:]
+        return xx, xvs
+
     def matvec(self, b: np.ndarray) -> np.ndarray:
-        """``X @ b`` for a coefficient vector or a p x m matrix, the matrix
-        one block of rows at a time (:func:`_row_blocks`); a dropped design
-        pads ``b`` with zeros in the columns it lacks."""
-        x = self._rows
-        if self._kept is not None:
-            full = np.zeros((x.shape[1],) + b.shape[1:])
-            full[self._kept] = b
-            b = full
-        if b.ndim == 1:  # a matrix-vector product packs no rows
-            return x @ b
-        out = np.empty((x.shape[0], b.shape[1]))
-        for rows in _row_blocks(x.shape[0]):
-            np.matmul(x[rows], b, out=out[rows])
+        """``X @ b`` for a coefficient vector or a p x m matrix, one block of
+        rows at a time (:func:`_row_blocks`)."""
+        out = np.empty((self.n,) + b.shape[1:])
+        for rows, _, x in self._x_blocks():
+            np.matmul(x, b, out=out[rows])
         return out
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
         """``X' v`` for an n-vector or an n x m matrix."""
-        out = self._rows.T @ v
-        return out if self._kept is None else out[self._kept]
+        return self._pass([v], False)[1][0]
 
     def block(self, name: str) -> TermBlock:
         for b in self.blocks:
@@ -493,22 +534,32 @@ class Design:
                 return b
         raise KeyError(f"no term named {name!r}")
 
+    def kept_columns(self, name: str) -> np.ndarray:
+        """The columns of this design that :meth:`drop` of ``name`` keeps,
+        in order: the intercept and each kept block's."""
+        terms = self.spec.drop(name).terms
+        return np.concatenate([np.arange(1)] + [
+            np.arange(b.columns.start, b.columns.stop) for b in self.blocks if b.term in terms
+        ])
+
     def drop(self, name: str) -> "Design":
-        """Design of ``spec.drop(name)`` on the same rows: the kept
-        blocks, re-based, over this design's array, with ``X'X`` the
-        matching sub-block of this design's."""
+        """Design of ``spec.drop(name)`` on the same rows: the kept blocks,
+        re-based, over this design's columns (a given matrix's kept columns
+        are copied), with ``X'X`` and the cached ``X'y`` the matching
+        sub-blocks of this design's."""
         spec = self.spec.drop(name)
-        kept = [b for b in self.blocks if b.term in spec.terms]
         blocks, start = [], 1
-        for b in kept:
-            blocks.append(replace(b, columns=slice(start, start + b.width)))
-            start += b.width
-        pos = np.concatenate(
-            [np.arange(1)] + [np.arange(b.columns.start, b.columns.stop) for b in kept]
-        )
-        out = Design(spec=spec, matrix=self._x, blocks=blocks)
-        out._kept = pos if self._kept is None else self._kept[pos]
-        out._gram = self.gram[np.ix_(pos, pos)]
+        for b in self.blocks:
+            if b.term in spec.terms:
+                blocks.append(replace(b, columns=slice(start, start + b.width)))
+                start += b.width
+        pos = self.kept_columns(name)
+        matrix = None if self._x is None else np.ascontiguousarray(self._x[:, pos])
+        out = Design(spec, matrix, blocks, gram=self.gram[np.ix_(pos, pos)],
+                     columns=self._columns)
+        if self._response is not None:
+            y, moments = self._response
+            out._response = (y, moments._replace(xt=moments.xt[pos], xtc=moments.xtc[pos]))
         return out
 
     def penalty(self, lambdas: Mapping[str, float]) -> np.ndarray:
@@ -547,14 +598,6 @@ class Design:
             root[:, cols] = (u[:, keep] * np.sqrt(e[keep])).T
             self._roots[name] = root
         return root
-
-
-def _width(term: TermSpec, dims: Sequence[int]) -> int:
-    """Constrained column count: one sum-to-zero constraint on a main
-    effect, one per margin and index on an interaction."""
-    if term.interaction:
-        return math.prod(d - 1 for d in dims)
-    return math.prod(dims) - 1
 
 
 def _constrained_penalties(
@@ -650,71 +693,78 @@ def blocks_from_records(spec: ModelSpec, records: Sequence[TermRecord]) -> list[
     return blocks
 
 
+def _fill_rows(blocks: Sequence[TermBlock], part: Mapping[str, np.ndarray],
+               out: np.ndarray) -> None:
+    """Rows of the design matrix of ``blocks`` at the model columns
+    ``part``, written into ``out``: the intercept column, then each block
+    into its own columns."""
+    out[:, 0] = 1.0
+    for block in blocks:
+        block.evaluate(part, out=out[:, block.columns])
+
+
 def design_matrix(blocks: Sequence[TermBlock], columns: Mapping[str, np.ndarray]) -> np.ndarray:
     """The n x p design matrix of ``blocks`` at the rows, given as model
-    columns (see :func:`derive_rows`): one array, allocated once, with an
-    intercept column and each block written into its own columns, one
-    block of ``ROW_CHUNK`` rows at a time (:func:`_row_blocks`). So no
-    other array has n rows."""
+    columns (see :func:`derive_rows`): one array, allocated once, written
+    one block of ``ROW_CHUNK`` rows at a time (:func:`_row_blocks`) by
+    :func:`_fill_rows`, as a :class:`Design` evaluates its rows on a pass.
+    So no other array has n rows. Only :attr:`Design.matrix` calls it: no
+    command forms X."""
     n = len(next(iter(columns.values())))
     x = np.empty((n, blocks[-1].columns.stop if blocks else 1))
-    x[:, 0] = 1.0
     for rows in _row_blocks(n):
-        part = {name: col[rows] for name, col in columns.items()}
-        for block in blocks:
-            block.evaluate(part, out=x[rows, block.columns])
+        _fill_rows(blocks, {name: col[rows] for name, col in columns.items()}, x[rows])
     return x
 
 
-def build_design(columns: Mapping[str, np.ndarray], spec: ModelSpec) -> Design:
-    """The design of ``spec`` at the observed rows, given as model columns
-    (see :func:`derive_rows`), in one pass over the rows, and ``X'X``
-    formed once on it. Raises when a term's constrained block is not
-    identifiable even under its penalty.
+def _main_effect_sums(spec: ModelSpec, columns: Mapping[str, np.ndarray],
+                      domains: Sequence[Sequence[tuple]]) -> list[np.ndarray | None]:
+    """Each main effect's raw-basis column sums at the rows (None for an
+    interaction), taken ``ROW_CHUNK`` rows at a time. Each block's rows are
+    appended to the running sums and reduced along the rows
+    (``np.add.reduce`` of the sums stacked over the block), so the rows are
+    added one after another in order, as ``raw.sum(axis=0)`` over every row
+    adds them: the sums equal that bit for bit, which a sum of per-block
+    sums would not, and no n-row basis is formed."""
+    n = len(next(iter(columns.values())))
+    mains = [(i, term, _term_knots(term, domains[i]))
+             for i, term in enumerate(spec.terms) if not term.interaction]
+    sums: list[np.ndarray | None] = [None] * len(spec.terms)
+    for rows, overlap in _fresh_row_blocks(n):
+        for i, term, knots in mains:
+            raw = _raw_basis(term, knots, {v: columns[v][rows] for v in term.variables})[overlap:]
+            if sums[i] is not None:
+                raw = np.concatenate([sums[i][None], raw])
+            sums[i] = np.add.reduce(raw, axis=0)
+    return sums
 
-    Each term's :class:`TermRecord` is taken from the rows on the way:
-    domains from the observed minima and maxima, and each main effect's
-    column sums from its raw basis, which is evaluated once and then
-    written through its block's ``z`` into its columns. The blocks are
-    :func:`blocks_from_records`' on those records. The knots fix each
-    term's width, so the matrix is allocated once, and the largest other
-    n-sized array is one raw basis (n x 121 for ``location``). Every block
-    is written ``ROW_CHUNK`` rows at a time (:func:`_row_blocks`).
+
+def build_design(columns: Mapping[str, np.ndarray], spec: ModelSpec,
+                 y: np.ndarray | None = None) -> Design:
+    """The design of ``spec`` at the observed rows, given as model columns
+    (see :func:`derive_rows`), with ``X'X`` and, given the response ``y``,
+    its moments (see :func:`_moments`), and never the n x p matrix. Raises
+    when a term's constrained block is not identifiable even under its
+    penalty.
+
+    Each term's :class:`TermRecord` is taken from the rows: domains from
+    the observed minima and maxima, and on a first pass over the rows each
+    main effect's raw-basis column sums (:func:`_main_effect_sums`). The
+    blocks are :func:`blocks_from_records`' on those records. A second
+    pass evaluates the full rows of X ``ROW_CHUNK`` at a time into one
+    buffer and adds each block's ``X'X`` and ``X'(y - mean y)`` to the
+    moments. So the largest n-sized arrays are the columns themselves.
     """
     n = len(next(iter(columns.values())))
     if n < 2:
         raise DataError(f"need at least 2 rows, got {n}")
-    term_knots = [
-        _term_knots(term, [(columns[v].min(), columns[v].max()) for v in term.variables])
-        for term in spec.terms
-    ]
-    widths = [
-        _width(term, [kv.dimension for kv in knots])
-        for term, knots in zip(spec.terms, term_knots)
-    ]
-    starts = list(accumulate(widths, initial=1))
-    # Building the interactions' blocks before the n x p buffer keeps their
-    # raw-size lifted penalties (3 x 2 MB for location:year) out of the
-    # buffer's lifetime.
-    blocks: list[TermBlock | None] = [
-        _term_block(spec, term, knots, None, start) if term.interaction else None
-        for term, knots, start in zip(spec.terms, term_knots, starts)
-    ]
-    x = np.empty((n, starts[-1]))
-    x[:, 0] = 1.0
-    for i, (term, knots, start) in enumerate(zip(spec.terms, term_knots, starts)):
-        cols = slice(start, start + widths[i])
-        if term.interaction:
-            for rows in _row_blocks(n):
-                part = {v: columns[v][rows] for v in term.variables}
-                blocks[i].evaluate(part, out=x[rows, cols])
-        else:
-            raw = _raw_basis(term, knots, columns)
-            blocks[i] = _term_block(spec, term, knots, raw.sum(axis=0), start)
-            for rows in _row_blocks(n):
-                np.matmul(raw[rows], blocks[i].transform.z, out=x[rows, cols])
-            del raw
-    design = Design(spec=spec, matrix=x, blocks=blocks)
+    domains = [[(columns[v].min(), columns[v].max()) for v in term.variables]
+               for term in spec.terms]
+    sums = _main_effect_sums(spec, columns, domains)
+    blocks = blocks_from_records(spec, [TermRecord(d, s) for d, s in zip(domains, sums)])
+    design = Design(spec=spec, matrix=None, blocks=blocks, columns=columns)
+    if y is not None:
+        _moments(design, _response(design, y), True)
     gram = design.gram
     for block in blocks:
         sl = block.columns
@@ -752,7 +802,6 @@ class FittedModel:
     lambdas: dict[str, float]
     beta: np.ndarray
     y: np.ndarray | None
-    fitted: np.ndarray | None = field(repr=False)
     rss: float | None
     n: int
     k: float
@@ -761,6 +810,15 @@ class FittedModel:
     bic: float | None
     _cho: tuple = field(repr=False, default=None)
     _cov_unscaled: np.ndarray | None = field(repr=False, default=None)
+    _fitted: np.ndarray | None = field(repr=False, default=None)
+
+    @property
+    def fitted(self) -> np.ndarray | None:
+        """The fitted values ``X beta``, one pass over the design's rows on
+        first read (no command reads them); None for a model with no rss."""
+        if self.rss is not None and self._fitted is None:
+            self._fitted = self.design.matvec(self.beta)
+        return self._fitted
 
     @property
     def spec(self) -> ModelSpec:
@@ -914,7 +972,7 @@ def _penalized_factor(design: Design, lambdas: dict[str, float]) -> _Factor:
 
 def _fitted_model(design: Design, lambdas: dict[str, float], factor: _Factor,
                   beta: np.ndarray, sigma2: float, n: int, y: np.ndarray | None,
-                  fitted: np.ndarray | None, rss: float | None) -> FittedModel:
+                  rss: float | None) -> FittedModel:
     """The one constructor of a :class:`FittedModel`, for :func:`fit_pls`
     and :func:`fit_from_gram`: k is the factor's, and the EDF of the
     intercept and of each term are the factor's hat diagonal summed over
@@ -922,8 +980,63 @@ def _fitted_model(design: Design, lambdas: dict[str, float], factor: _Factor,
     diag = factor.hat_diag
     edf = {"intercept": float(diag[0])}
     edf.update((block.term.name, float(diag[block.columns].sum())) for block in design.blocks)
-    return FittedModel(design, lambdas, beta, y, fitted, rss, n, factor.k, sigma2, edf,
+    return FittedModel(design, lambdas, beta, y, rss, n, factor.k, sigma2, edf,
                        None if rss is None else bic(rss, n, factor.k), factor.cho)
+
+
+class _Moments(NamedTuple):
+    """What a fit needs of an n-vector t besides ``X'X``: its mean, its
+    centred total ``|t - mean|^2``, ``X't`` and ``X'(t - mean)``."""
+
+    mean: float
+    total: float
+    xt: np.ndarray
+    xtc: np.ndarray
+
+
+def _moments(design: Design, t: np.ndarray, keep: bool,
+             vs: Sequence[np.ndarray] = ()) -> tuple[_Moments, list[np.ndarray]]:
+    """The :class:`_Moments` of ``t`` and ``X'v`` for each v of ``vs``: the
+    moments from the design's one-entry cache when ``t`` equals the vector
+    cached there, else all from one pass over the rows, which also forms
+    ``X'X`` if the design has none yet. ``keep`` puts the moments in the
+    cache (the response does; selection's signal does not, so the
+    response's stay)."""
+    cached = design._response
+    if cached is not None and np.array_equal(cached[0], t):
+        return cached[1], [design.rmatvec(v) for v in vs]
+    mean = float(t.mean())
+    centred = t - mean
+    gram, (xt, xtc, *xvs) = design._pass([t, centred, *vs], design._gram is None)
+    if gram is not None:
+        design._gram = gram
+    moments = _Moments(mean, float(centred @ centred), xt, xtc)
+    if keep:
+        design._response = (t.copy(), moments)
+    return moments, xvs
+
+
+def _centred(beta: np.ndarray, m: _Moments) -> np.ndarray:
+    """``beta`` less the mean of t in the intercept: ``t - X beta`` equals
+    ``(t - mean) - X b`` for the b returned, as X's first column is ones."""
+    b = beta.copy()
+    b[0] -= m.mean
+    return b
+
+
+def _residual_ss(design: Design, t: np.ndarray, m: _Moments, beta: np.ndarray) -> float:
+    """``|t - X beta|^2`` in closed form from the moments m of t,
+    ``|t_c|^2 - 2 b'X't_c + b'X'X b`` with t centred and ``b`` from
+    :func:`_centred`: p-sized work. Centring keeps the cancellation to the
+    spread of t, not its level (log rents near 7). Where the closed form is
+    at most ``1e-12 |t_c|^2`` it is rounding (an interpolating fit's
+    ~1e-28 becomes +-eps |t_c|^2), so one pass over the rows takes
+    ``sum((t - X beta)^2)`` instead."""
+    b = _centred(beta, m)
+    ss = m.total - 2.0 * float(b @ m.xtc) + float(b @ (design.gram @ b))
+    if ss <= 1e-12 * m.total:
+        ss = float(np.sum((t - design.matvec(beta)) ** 2))
+    return ss
 
 
 def fit_pls(
@@ -934,21 +1047,23 @@ def fit_pls(
     Solves (X'X + S) beta = X'y with a Cholesky factorization, retrying
     once with a tiny ridge on the diagonal (with a ``RuntimeWarning``, on
     every fit that uses that factor) before giving up. The effective
-    degrees of freedom k are the trace of the hat matrix. The factor and
-    the hat diagonal depend on the smoothing parameters alone, so a fit
-    at the design's last smoothing parameters reuses them (see
-    :func:`_penalized_factor`) and costs one solve against ``X'y``.
+    degrees of freedom k are the trace of the hat matrix. Only moments are
+    read: ``X'y`` from the design's cache (one pass over the rows for a
+    response it does not hold, see :func:`_moments`), and the rss in
+    closed form (:func:`_residual_ss`). The factor and the hat diagonal
+    depend on the smoothing parameters alone, so a fit at the design's
+    last smoothing parameters reuses them (see :func:`_penalized_factor`)
+    and costs one solve against ``X'y``.
     """
     y = _response(design, y)
     n = design.n
     resolved = design.spec.resolve_lambdas(lambdas)
     factor = _checked_factor(design, resolved)
-    beta = linalg.cho_solve(factor.cho, design.rmatvec(y))
-    fitted = design.matvec(beta)
-    rss = float(np.sum((y - fitted) ** 2))
+    moments = _moments(design, y, True)[0]
+    beta = linalg.cho_solve(factor.cho, moments.xt)
+    rss = _residual_ss(design, y, moments, beta)
     _check_dof(n, factor.k)
-    return _fitted_model(design, resolved, factor, beta, rss / (n - factor.k), n, y,
-                         fitted, rss)
+    return _fitted_model(design, resolved, factor, beta, rss / (n - factor.k), n, y, rss)
 
 
 def fit_from_gram(
@@ -961,7 +1076,7 @@ def fit_from_gram(
 ) -> FittedModel:
     """The model of a fit already made on ``n`` rows (with the response
     ``y``, when given), from a design given its ``X'X`` (see
-    :class:`Design`; its matrix, if any, is not read here), its smoothing
+    :class:`Design`; its rows, if any, are not read here), its smoothing
     parameters, its coefficients ``beta`` and its ``sigma2``, as ``fit``
     stores them: ``X'X + S`` is factored by :func:`_penalized_factor`, as
     :func:`fit_pls` factors it (with its ridge warning), so the covariance
@@ -984,7 +1099,7 @@ def fit_from_gram(
     if not (math.isfinite(sigma2) and sigma2 >= 0):
         raise ValueError(f"sigma2 {sigma2!r} is not a finite number >= 0")
     factor = _checked_factor(design, resolved)
-    model = _fitted_model(design, resolved, factor, beta, sigma2, n, y, None, None)
+    model = _fitted_model(design, resolved, factor, beta, sigma2, n, y, None)
     if factor.upper_inverse is not None:
         model._cov_unscaled = _mirror_upper(factor.upper_inverse)
     return model
@@ -1022,12 +1137,13 @@ def _eigen_ladder(
     name: str,
     ladder: np.ndarray,
     signal: np.ndarray | None = None,
-    xty: np.ndarray | None = None,
+    signal_moments: _Moments | None = None,
 ) -> list[LadderFit]:
     """The fit at every ladder value of term ``name``, the other terms
     held at ``current``, from one r x r eigenproblem; empty when the base
-    matrix took the ridge retry. ``xty`` is ``X'y`` when the caller has
-    formed it (selection forms it once for all its ladders).
+    matrix took the ridge retry. ``signal_moments`` are the signal's
+    :class:`_Moments` when the caller has taken them (selection takes them
+    once for all its ladders).
 
     Only the penalty ``R'R`` owned by ``name`` (``Design._owned_root``,
     r rows) moves along the ladder. The base ``M0 = X'X + S(others) +
@@ -1043,13 +1159,15 @@ def _eigen_ladder(
     ``|t - fitted|^2 = t0't0 + 2 a'W'X't0 + a'Qa`` with ``Q = W'(X'X W)``
     gives the rss and the gap; the EDF is ``k0 - g @ h``, where
     ``k0 = tr(M0^-1 X'X)`` (the factor's k, its hat diagonal summed) and
-    ``g = diag(Q)``. No n x r product is formed: the n-sized work is
-    ``X beta0``, one ``X't0`` per target and ``X'y`` when not given. The
-    base ``l0`` is the middle value of the ladder, which is sorted, as
-    :func:`smoothing_ladder` gives it; there ``h = 0`` and the point is
-    the direct fit bit for bit. Over one BIC sweep of the default spec (n 1000,
-    seed 3) every point agrees with :func:`fit_pls` to about 8e-10
-    relative in k, 7e-11 in rss and 7e-10 in the gap.
+    ``g = diag(Q)``. Every term is p-sized: ``t0't0`` is
+    :func:`_residual_ss` at ``beta0``, as :func:`fit_pls` takes its rss,
+    and ``X't0 = X't_c - X'X b0`` with t and ``b0`` centred (see
+    :func:`_centred`). The base ``l0`` is the middle value of the ladder,
+    which is sorted, as :func:`smoothing_ladder` gives it; there ``h = 0``
+    and the point is the direct fit (:func:`_direct_fit`) bit for bit.
+    Over one BIC sweep of the default spec (n 1000, seed 3) every point
+    agrees with :func:`fit_pls` to about 8e-10 relative in k, 7e-11 in rss
+    and 7e-10 in the gap.
     """
     l0 = float(ladder[len(ladder) // 2])
     lambdas = design.spec.resolve_lambdas({**current, name: l0})
@@ -1062,17 +1180,22 @@ def _eigen_ladder(
     keep = d > 0
     d = d[keep]
     w = linalg.solve_triangular(upper, (c @ v[:, keep]) / np.sqrt(d))
-    q = w.T @ (design.gram @ w)
+    gram = design.gram
+    q = w.T @ (gram @ w)
     g = np.diag(q)
     # the fit_pls expressions, so the middle point repeats it bit for bit
-    if xty is None:
-        xty = design.rmatvec(y)
-    base = design.matvec(linalg.cho_solve(cho, xty))
-    proj = w.T @ xty
+    moments = _moments(design, y, True)[0]
+    beta0 = linalg.cho_solve(cho, moments.xt)
+    proj = w.T @ moments.xt
     forms = []  # (t0't0, W'X't0) per target
-    for target in (y,) if signal is None else (y, signal):
-        t0 = target - base
-        forms.append((float(np.sum(t0**2)), w.T @ design.rmatvec(t0)))
+    targets = [(y, moments)]
+    if signal is not None:
+        if signal_moments is None:
+            signal_moments = _moments(design, signal, False)[0]
+        targets.append((signal, signal_moments))
+    for target, m in targets:
+        forms.append((_residual_ss(design, target, m, beta0),
+                      w.T @ (m.xtc - gram @ _centred(beta0, m))))
     out = []
     for lam in ladder:
         h = (lam - l0) * d
@@ -1087,11 +1210,14 @@ def _eigen_ladder(
 
 
 def _direct_fit(
-    design: Design, y: np.ndarray, lambdas: Mapping[str, float], signal: np.ndarray | None
+    design: Design, y: np.ndarray, lambdas: Mapping[str, float],
+    signal: np.ndarray | None, signal_moments: _Moments | None,
 ) -> LadderFit:
-    """The :class:`LadderFit` of one :func:`fit_pls`."""
+    """The :class:`LadderFit` of one :func:`fit_pls`, its gap to the
+    signal by :func:`_residual_ss` from the signal's moments."""
     model = fit_pls(design, y, lambdas)
-    gap = None if signal is None else float(np.sum((model.fitted - signal) ** 2))
+    gap = (None if signal is None
+           else _residual_ss(design, signal, signal_moments, model.beta))
     return LadderFit(model.rss, model.k, gap)
 
 
@@ -1102,17 +1228,20 @@ def _ladder_fits(
     name: str,
     ladder: np.ndarray,
     signal: np.ndarray | None = None,
-    xty: np.ndarray | None = None,
+    signal_moments: _Moments | None = None,
 ) -> Iterable[LadderFit]:
     """The fit at every ladder value of term ``name``, in ladder order: by
-    :func:`_eigen_ladder` (handed ``xty``) on a ladder of two or more
-    positive values, else by one :func:`fit_pls` per point. ``fit_pls``
-    also takes the ladder when the evaluator's base matrix took the ridge
-    retry, and when some closed-form rss is at most ``1e-12 y'y`` or some
-    gap is not positive (no value is clamped): such a value is near
-    rounding, and how each path rounds it would rank the points."""
+    :func:`_eigen_ladder` on a ladder of two or more positive values, else
+    by one :func:`fit_pls` per point. ``fit_pls`` also takes the ladder
+    when the evaluator's base matrix took the ridge retry, and when some
+    closed-form rss is at most ``1e-12 y'y`` or some gap is not positive
+    (no value is clamped): such a value is near rounding, and how each path
+    rounds it would rank the points. The signal's moments are taken here
+    when the caller has not taken them."""
+    if signal is not None and signal_moments is None:
+        signal_moments = _moments(design, signal, False)[0]
     if len(ladder) > 1 and ladder.min() > 0:
-        fits = _eigen_ladder(design, y, current, name, ladder, signal, xty)
+        fits = _eigen_ladder(design, y, current, name, ladder, signal, signal_moments)
         if (
             fits
             and min(fit.rss for fit in fits) > 1e-12 * float(y @ y)
@@ -1120,7 +1249,8 @@ def _ladder_fits(
         ):
             return fits
     return (
-        _direct_fit(design, y, {**current, name: float(lam)}, signal) for lam in ladder
+        _direct_fit(design, y, {**current, name: float(lam)}, signal, signal_moments)
+        for lam in ladder
     )
 
 
@@ -1163,9 +1293,10 @@ def select_smoothness(
     """
     ladder = smoothing_ladder(grid)
     y = _response(design, y)
+    signal_moments = None
     if signal is not None:
         signal = _response(design, signal, "signal")
-    xty = design.rmatvec(y)
+        signal_moments = _moments(design, signal, False)[0]
 
     current = {t.name: float(ladder[len(ladder) // 2]) for t in design.spec.main_terms}
     last_ladder: dict[str, dict[str, float]] = {}  # current after each term's ladder
@@ -1177,7 +1308,7 @@ def select_smoothness(
                 continue
             best_lam = current[name]
             best = None
-            fits = _ladder_fits(design, y, current, name, ladder, signal, xty)
+            fits = _ladder_fits(design, y, current, name, ladder, signal, signal_moments)
             for lam, fit in zip(ladder, fits):
                 value = (bic(fit.rss, design.n, fit.k) if signal is None
                          else math.sqrt(fit.gap / design.n))

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import linalg
 
 from .errors import NumericalError
-from .gam import FittedModel, ModelSpec, fit_pls
+from .gam import FittedModel, ModelSpec, _moments, fit_pls
 
 # unused here; the benchmark's tracer wraps these names on this module
 from .gam import build_design, rows_to_columns, select_smoothness  # noqa: F401
@@ -95,34 +95,48 @@ def bootstrap_term_test(
     """Parametric bootstrap p-value for dropping ``term`` from ``model``.
 
     Fits the reduced model (``model``'s design without the term, at the
-    same smoothing parameters), then simulates B responses from it at
-    its estimated noise level and recomputes the Wald statistic on
-    each. With the smoothing parameters fixed, every replicate is
-    solved against ``model``'s factorization of X'X + S, and shares one
-    pseudo-inverse (rank ``wald_rank``) with the observed statistic.
-    Replicate b draws from a fresh stream keyed by (seed, b), so any
-    prefix of the replicates is reproducible. Replicates with a
-    non-finite statistic are discarded; over 10% discarded aborts.
+    same smoothing parameters), then simulates B responses
+    ``y* = X_r b_r + s e`` from it at its estimated noise level s and
+    recomputes the Wald statistic on each. With the smoothing parameters
+    fixed, every replicate is solved against ``model``'s factorization of
+    X'X + S, and shares one pseudo-inverse (rank ``wald_rank``) with the
+    observed statistic. Replicate b draws its noise e from a fresh stream
+    keyed by (seed, b), so any prefix of the replicates is reproducible.
+    Replicates with a non-finite statistic are discarded; over 10%
+    discarded aborts.
+
+    Only moments are formed, so no n x p array and one n x B array (the
+    noise) are held. One pass over the rows gives ``X'e`` for every
+    replicate, and ``X'y`` too when the design does not hold it. The
+    reduced fit takes the sub-blocks of the model's ``X'X`` and ``X'y``
+    (:meth:`~rentgam.gam.Design.drop`). Then, with ``b~`` the
+    reduced coefficients placed in the model's columns, each replicate's
+    ``X'y* = X'X b~ + s X'e``, and with ``d = b~ - beta*`` its residual
+    ``y* - X beta* = X d + s e``, so its rss is
+    ``d'X'X d + 2 s d'X'e + s^2 e'e``: p-sized algebra.
     """
     check_bootstrap_request(model.spec, term, b)
     design = model.design
-    if design._x is None or model.y is None:  # .matrix would copy a dropped design
+    if not design.has_rows or model.y is None:
         raise ValueError("the bootstrap needs the model's rows (X and y)")
     sl, v_inv, wald_rank, observed = _wald_form(model, term)
-    reduced = fit_pls(design.drop(term), model.y, model.lambdas)
-    mu = reduced.fitted
-    scale = float(np.sqrt(reduced.sigma2))
-
-    # one X'X + S for every replicate: its factor, and k, are the model's;
-    # two n x B arrays, the fitted values and the responses, which become
-    # the squared residuals in place
     n = model.n
-    simulated = np.empty((n, b))
+    noise = np.empty((n, b))
     for i in range(b):
-        simulated[:, i] = mu + scale * np.random.default_rng([seed, i]).standard_normal(n)
-    betas = linalg.cho_solve(model._cho, design.rmatvec(simulated))
-    residuals = np.subtract(simulated, design.matvec(betas), out=simulated)
-    sigma2 = np.square(residuals, out=residuals).sum(axis=0) / (n - model.k)
+        noise[:, i] = np.random.default_rng([seed, i]).standard_normal(n)
+    # the one pass: X'e, and the response's moments unless the design holds them
+    xte = _moments(design, model.y, True, [noise])[1][0]
+    ete = np.einsum("ij,ij->j", noise, noise)
+    del noise
+    reduced = fit_pls(design.drop(term), model.y, model.lambdas)
+    scale = float(np.sqrt(reduced.sigma2))
+    gram = design.gram
+    b_reduced = np.zeros(design.p)  # b~: the reduced fit in the model's columns
+    b_reduced[design.kept_columns(term)] = reduced.beta
+    betas = linalg.cho_solve(model._cho, (gram @ b_reduced)[:, None] + scale * xte)
+    d = b_reduced[:, None] - betas
+    rss = ((gram @ d) * d).sum(axis=0) + 2.0 * scale * (d * xte).sum(axis=0) + scale**2 * ete
+    sigma2 = rss / (n - model.k)
     stats = ((v_inv @ betas[sl]) * betas[sl]).sum(axis=0) / sigma2
     kept = stats[np.isfinite(stats)]
     discarded = b - kept.size

@@ -360,14 +360,15 @@ def recovery_rmse(
     (:meth:`~rentgam.gam.TermBlock.effect`, which forms no n-row basis) and
     the matching truth component at the observed model columns, both
     centered there. Terms without a truth component are scored against
-    zero."""
-    true_values = truth.component_values(columns)
+    zero. Each component is evaluated when its term is scored, so one
+    component's values are held at a time."""
     out: dict[str, float] = {}
     for term in model.spec.terms:
         block = model.design.block(term.name)
         effect, _ = block.effect(columns, model.coefficients(term.name))
         fitted = effect - effect.mean()
-        target = true_values.get(term.name, np.zeros(effect.size))
+        form = truth.components.get(term.name)
+        target = np.zeros(effect.size) if form is None else component_value(form, columns)
         target = target - target.mean()
         out[term.name] = float(np.sqrt(np.mean((fitted - target) ** 2)))
     return out

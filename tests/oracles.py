@@ -15,6 +15,14 @@ every sweep fitted.
 read it back: its design built again from the rows and fitted at its
 smoothing parameters.
 
+``n_path_fit``, ``n_path_ladder`` and ``n_path_bootstrap`` are the fit,
+the eigen ladder and the bootstrap as they ran on the n x p matrix, before
+they took only moments: X from ``gam.design_matrix``, ``X'y`` as one
+product over every row, each rss and gap a sum of squares over the rows,
+and the bootstrap's replicates as an n x B array of responses refitted as
+``X'S`` and ``S - X betas``. Each takes ``X'X`` and its factor from the
+design, so the paths differ only in what is n-sized.
+
 ``parse_one_row_at_a_time`` is ``listings.parse_listings`` as it ran one
 row at a time (``csv.DictReader`` or one ``json.loads`` per line, then
 each row's field rules), copied here so that a columnar parse can be
@@ -30,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rentgam import gam
+from rentgam import gam, inference
 from rentgam.listings import (
     PROPERTY_TYPES,
     REQUIRED_COLUMNS,
@@ -204,3 +212,70 @@ def parse_one_row_at_a_time(path):
             else:
                 result.listings.append(row)
     return result
+
+
+def n_path_fit(design, y, lambdas):
+    """``(beta, rss, k)`` of the penalized fit at ``lambdas`` on the design's
+    own factor: beta from ``X'y``, one product over every row of X, and the
+    rss ``sum((y - X beta)^2)``."""
+    x = design.matrix
+    factor = gam._penalized_factor(design, design.spec.resolve_lambdas(lambdas))
+    beta = gam.linalg.cho_solve(factor.cho, x.T @ y)
+    return beta, float(np.sum((y - x @ beta) ** 2)), factor.k
+
+
+def n_path_ladder(design, y, current, name, ladder, signal=None):
+    """``gam._eigen_ladder`` as it ran on the rows: the base fitted values
+    ``X beta0``, and for each target ``t0 = t - X beta0`` with
+    ``t0't0`` and ``W'X't0`` taken over the rows."""
+    x = design.matrix
+    l0 = float(ladder[len(ladder) // 2])
+    lambdas = design.spec.resolve_lambdas({**current, name: l0})
+    cho, _, k0, _ = gam._penalized_factor(design, lambdas)[:4]
+    linalg = gam.linalg
+    upper = cho[0]
+    c = linalg.solve_triangular(upper, design._owned_root(name).T, trans="T")
+    d, v = linalg.eigh(linalg.blas.dsyrk(1.0, c, trans=1), lower=False, driver="evd")
+    keep = d > 0
+    d = d[keep]
+    w = linalg.solve_triangular(upper, (c @ v[:, keep]) / np.sqrt(d))
+    q = w.T @ (design.gram @ w)
+    g = np.diag(q)
+    xty = x.T @ y
+    base = x @ linalg.cho_solve(cho, xty)
+    proj = w.T @ xty
+    forms = []
+    for target in (y,) if signal is None else (y, signal):
+        t0 = target - base
+        forms.append((float(np.sum(t0 ** 2)), w.T @ (x.T @ t0)))
+    out = []
+    for lam in ladder:
+        h = (lam - l0) * d
+        h /= 1.0 + h
+        a = h * proj
+        aqa = float(a @ (q @ a))
+        rss, *gap = (s0 + 2.0 * float(a @ b) + aqa for s0, b in forms)
+        out.append(gam.LadderFit(rss, k0 - float(g @ h), *gap))
+    return out
+
+
+def n_path_bootstrap(model, term, b, seed):
+    """The observed Wald statistic and the replicates of
+    ``inference.bootstrap_term_test`` as it ran on the rows: the reduced
+    fit's fitted values ``mu`` from :func:`n_path_fit`, the n x B responses
+    ``S = mu + s e`` (e drawn per replicate from ``(seed, i)``), their
+    coefficients from ``X'S`` on the model's factor, and each replicate's
+    sigma2 from the residuals ``S - X betas``."""
+    design = model.design
+    x = design.matrix
+    sl, v_inv, _, observed = inference._wald_form(model, term)
+    reduced = design.drop(term)
+    beta_r, rss_r, k_r = n_path_fit(reduced, model.y, model.lambdas)
+    mu = reduced.matrix @ beta_r
+    scale = math.sqrt(rss_r / (model.n - k_r))
+    simulated = np.empty((model.n, b))
+    for i in range(b):
+        simulated[:, i] = mu + scale * np.random.default_rng([seed, i]).standard_normal(model.n)
+    betas = gam.linalg.cho_solve(model._cho, x.T @ simulated)
+    sigma2 = np.sum((simulated - x @ betas) ** 2, axis=0) / (model.n - model.k)
+    return observed, ((v_inv @ betas[sl]) * betas[sl]).sum(axis=0) / sigma2

@@ -459,13 +459,14 @@ class TestFit:
                 raw_width = math.prod(s + t["degree"] for s in t["segments"])
                 assert len(t["column_sums"]) == raw_width == len(t["coefficients"]) + 1
 
-    def test_one_pass_over_the_bases(self, pipeline, tmp_path, monkeypatch):
-        # build_design takes each main effect's column sums from the raw
-        # basis it writes into X: the default spec's 13 B-spline margins
-        # (6 of main effects, 7 of interactions), each evaluated once over
-        # every row, as before fit stored the sums; recovery_rmse evaluates
-        # them once more against --truth. 13 and 26 calls are the counts
-        # of the fit that stored no sums.
+    def test_two_passes_over_the_main_effect_bases(self, pipeline, tmp_path, monkeypatch):
+        # build_design makes two passes over the rows and holds no n x p
+        # matrix: the first takes each main effect's column sums from its
+        # raw basis, the second evaluates every block for the moments. So
+        # the default spec's 6 B-spline margins of main effects are
+        # evaluated twice and its 7 margins of interactions once, each over
+        # every row (this corpus is one block of rows); recovery_rmse
+        # evaluates all 13 once more against --truth.
         calls, building = [], []
         basis, build_design = gam.bspline_basis, gam.build_design
 
@@ -487,8 +488,8 @@ class TestFit:
             "--truth", str(pipeline["data"] / "truth.json"), "--out", str(tmp_path),
         ]) == 0
         n = json.loads((tmp_path / "model.json").read_text())["n"]
-        assert [rows for rows, inside in calls if inside] == [n] * 13
-        assert [rows for rows, _ in calls] == [n] * 26
+        assert [rows for rows, inside in calls if inside] == [n] * 19
+        assert [rows for rows, _ in calls] == [n] * 32
 
     def test_recovery_reported(self, pipeline):
         model = json.loads((pipeline["out"] / "model.json").read_text())
@@ -777,19 +778,17 @@ class TestBootstrap:
         assert "nope" in err
 
     @pytest.mark.parametrize(
-        "term, b, code, matrices",
+        "term, b, code",
         [
-            # the stored model's n x p matrix, for the draws; the reduced
-            # fit reuses its columns
-            pytest.param("deprivation:year", "19", 0, 1, id="good-input"),
+            # the stored model's rows, for the draws and the moments of the
+            # reduced fit; no n x p matrix and no design built from them
+            pytest.param("deprivation:year", "19", 0, id="good-input"),
             # bad requests are refused before any rows are derived
-            pytest.param("deprivation:year", "5", 2, 0, id="b-below-19"),
-            pytest.param("nope", "19", 2, 0, id="unknown-term"),
+            pytest.param("deprivation:year", "5", 2, id="b-below-19"),
+            pytest.param("nope", "19", 2, id="unknown-term"),
         ],
     )
-    def test_builds_one_design(
-        self, pipeline, tmp_path, monkeypatch, term, b, code, matrices
-    ):
+    def test_builds_one_design(self, pipeline, tmp_path, monkeypatch, term, b, code):
         built, designs = [], []
         design_matrix, build_design = gam.design_matrix, gam.build_design
 
@@ -801,7 +800,7 @@ class TestBootstrap:
             designs.append(args)
             return build_design(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "design_matrix", counting_matrix)
+        monkeypatch.setattr(gam, "design_matrix", counting_matrix)
         for module in (cli, inference):
             monkeypatch.setattr(module, "build_design", counting_design)
         assert main([
@@ -810,7 +809,7 @@ class TestBootstrap:
             "--model", str(pipeline["out"] / "model.json"),
             "--term", term, "--b", b, "--out", str(tmp_path),
         ]) == code
-        assert (len(built), len(designs)) == (matrices, 0)
+        assert (len(built), len(designs)) == (0, 0)
 
 
 class TestRefusedRuns:
@@ -1305,14 +1304,15 @@ def test_stored_model_surfaces_equal_the_refit(readme_fits, fit):
 
 @pytest.mark.parametrize("fit", ["bic", "pinned"])
 def test_stored_model_bootstrap_equals_the_refit(readme_fits, fit):
-    """bootstrap on the model read back with its design matrix gives the
-    refit's statistic, Wald rank, discard count and replicates bit for bit.
+    """bootstrap on the model read back with its rows gives the refit's
+    statistic, Wald rank, discard count and replicates bit for bit.
     Dropping ``year``, a main effect, drops its interactions too."""
     config = RunConfig(clean_listings=str(readme_fits / "run" / "clean_listings.csv"),
                        model=str(readme_fits / fit / "model.json"))
     stored, spec, records, beta = cli._read_stored(config)
-    model = cli._stored_model(config, stored, spec, records, beta, with_matrix=True)
-    refit = refit_model(cli._stored_rows(config, stored), spec, stored["lambdas"])
+    rows = cli._stored_rows(config, stored)
+    model = cli._stored_model(config, stored, spec, records, beta, rows)
+    refit = refit_model(rows, spec, stored["lambdas"])
     for term in ("deprivation:year", "location:year", "year"):
         got = inference.bootstrap_term_test(model, term, b=19, seed=7)
         want = inference.bootstrap_term_test(refit, term, b=19, seed=7)
@@ -1322,15 +1322,16 @@ def test_stored_model_bootstrap_equals_the_refit(readme_fits, fit):
         assert np.array_equal(got.replicates, want.replicates), term
 
 
-@pytest.mark.parametrize("with_matrix", [False, True], ids=["surfaces", "bootstrap"])
-def test_read_back_model_has_no_r_squared(readme_fits, with_matrix):
+@pytest.mark.parametrize("with_rows", [False, True], ids=["surfaces", "bootstrap"])
+def test_read_back_model_has_no_r_squared(readme_fits, with_rows):
     """A model read back holds no fit residuals, with its rows or without:
     R^2 is refused by name, not with an AttributeError or a TypeError."""
     config = RunConfig(clean_listings=str(readme_fits / "run" / "clean_listings.csv"),
                        model=str(readme_fits / "pinned" / "model.json"))
     stored, spec, records, beta = cli._read_stored(config)
-    model = cli._stored_model(config, stored, spec, records, beta, with_matrix=with_matrix)
-    assert (model.y is not None) == with_matrix
+    rows = cli._stored_rows(config, stored) if with_rows else None
+    model = cli._stored_model(config, stored, spec, records, beta, rows)
+    assert (model.y is not None) == with_rows
     with pytest.raises(ValueError, match="holds no fit residuals"):
         model.r_squared
 

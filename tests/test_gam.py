@@ -462,18 +462,20 @@ class TestRowBlocks:
         return build_design(rows, default_model_spec())
 
     @staticmethod
-    def padded(parent, design, b):
-        """``b`` with zero rows in the columns of ``parent`` that ``design``
-        lacks, as a dropped design's product pads it."""
+    def padded(parent, term, b):
+        """``b`` with zero rows in the columns of ``parent`` that its design
+        without ``term`` lacks (None: all of them kept)."""
         full = np.zeros((parent.p, b.shape[1]))
-        full[slice(None) if design._kept is None else design._kept] = b
+        full[slice(None) if term is None else parent.kept_columns(term)] = b
         return full
 
     @pytest.mark.parametrize("term", [None, "deprivation:year"])
     def test_matvec_equals_one_product(self, tall_design, term):
+        # a dropped design evaluates only its own columns: its product is
+        # one product over its own matrix
         design = tall_design if term is None else tall_design.drop(term)
         b = np.random.default_rng(0).standard_normal((design.p, 19))
-        want = tall_design.matrix @ self.padded(tall_design, design, b)
+        want = design.matrix @ b
         assert np.array_equal(design.matvec(b), want)
 
     @pytest.mark.parametrize("term", [None, "deprivation:year"])
@@ -487,7 +489,7 @@ class TestRowBlocks:
         parent = Design(full.spec, x, full.blocks, gram=full.gram)
         design = parent if term is None else parent.drop(term)
         b = np.random.default_rng(0).standard_normal((design.p, 19))
-        full = self.padded(parent, design, b)
+        full = self.padded(parent, term, b)
         monkeypatch.setattr(gam, "ROW_CHUNK", 7)
         assert (np.abs(design.matvec(b) - x @ full) <= dot_product_bound(x, full)).all()
 
@@ -1084,17 +1086,22 @@ class TestLadderEvaluator:
     def test_middle_point_is_the_direct_fit(self):
         """The ladder's base is fit_pls's own cached factor, so at the
         middle value, where the Woodbury update is zero, the evaluator
-        gives the direct fit's rss, k and gap to the signal bit for bit."""
+        gives the direct fit's rss, k and gap to the signal bit for bit;
+        that gap, a closed form in the signal's moments, is the plain
+        sum of squares to 1e-12."""
         design, y, signal = simulated(1000, 3, default_model_spec())
         ladder = DEFAULT_LAMBDA_GRID
         mid = float(ladder[len(ladder) // 2])
         current = {t.name: mid for t in design.spec.main_terms}
+        moments = gam._moments(design, signal, False)[0]
         for name in current:
             fits = gam._eigen_ladder(design, y, current, name, ladder, signal)
             fit = fits[len(ladder) // 2]
-            m = fit_pls(design, y, {**current, name: mid})
+            lambdas = {**current, name: mid}
+            m = fit_pls(design, y, lambdas)
             assert fit.k == m.k and fit.rss == m.rss
-            assert fit.gap == float(np.sum((m.fitted - signal) ** 2))
+            assert fit == gam._direct_fit(design, y, lambdas, signal, moments)
+            assert fit.gap == pytest.approx(float(np.sum((m.fitted - signal) ** 2)), rel=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_selection_identical_to_plain_path(self, monkeypatch, seed):
@@ -1189,7 +1196,12 @@ class TestLadderEvaluator:
         calls = counting_fit_pls(monkeypatch)
         fits = list(gam._ladder_fits(design, y, current, "year", ladder, signal))
         assert len(calls) == len(ladder)
-        assert fits == plain_ladder_fits(design, y, current, "year", ladder, signal)
+        plain = plain_ladder_fits(design, y, current, "year", ladder, signal)
+        # fit_pls's rss and k; the gap in closed form from the signal's
+        # moments, the plain sum of squares to 1e-12
+        assert [fit[:2] for fit in fits] == [fit[:2] for fit in plain]
+        for fit, want in zip(fits, plain):
+            assert fit.gap == pytest.approx(want.gap, rel=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("kind", ["bic", "oracle"])

@@ -1,15 +1,14 @@
-"""Traced memory of design assembly, of a penalized fit, of smoothness
-selection, of the bootstrap, of reading a stored model back and of a
-term's effect at the rows: the n x p design matrix exists once, a fit
-holds few p x p arrays at a time, selection holds no n x r array, the
-reduced fit makes no copy of the design, the replicates take two n x B
-arrays, a stored model is read back with no design matrix and no rows, a
-surface holds no whole-grid basis, and prediction and recovery scoring
-hold no n-row basis.
+"""Memory of the model path: a fit, smoothness selection, the bootstrap,
+reading a stored model back and a term's effect at the rows. No n x p
+design matrix is formed by a command, so a pinned fit's and a bootstrap's
+peaks grow with n by a few n-vectors; a fit holds few p x p arrays at a
+time, selection holds no n x r array, the replicates take one n x B array
+(their noise), a stored model is read back with no rows, a surface holds no
+whole-grid basis, and prediction and recovery scoring hold no n-row basis.
 
 tracemalloc sees only what Python and numpy allocate, not OpenBLAS's
-packing buffers, which stay resident once touched. So the bound on
-``X @ B`` reads the high-water mark of a fresh process instead."""
+packing buffers, which stay resident once touched. So the bounds on whole
+commands read the high-water mark of a fresh process instead."""
 
 import json
 import os
@@ -54,35 +53,12 @@ def default_rows(n):
     return derive_rows(corpus.listings)
 
 
-def test_build_design_holds_one_matrix():
-    # n 5000, p 640: X is 25.6 MB; per-block copies, a stacked copy or the
-    # 512-column raw location:year tensor each add over 0.3 X
-    rows = default_rows(5000)
-    design, peak, _ = traced_peak(lambda: build_design(rows, default_model_spec()))
-    assert peak <= 1.3 * design.matrix.nbytes + 8e6
-
-
-def test_bootstrap_makes_no_copy_of_the_design():
-    # dropping deprivation:year keeps 615 of 640 columns: a reduced
-    # design matrix would alone be 0.96 X
-    rows = default_rows(10000)
-    spec = default_model_spec()
-    design = build_design(rows, spec)
-    model = fit_pls(
-        design, rows["logprice"], {t.name: 10.0 for t in spec.main_terms}
-    )
-    result, peak, _ = traced_peak(
-        lambda: bootstrap_term_test(model, "deprivation:year", b=19, seed=1)
-    )
-    assert result.replicates.size == 19
-    assert peak < 0.5 * design.matrix.nbytes
-
-
 def test_bootstrap_holds_two_n_by_b_arrays():
-    # the replicate responses and their residuals are the only n x B
-    # arrays: drawing into a list, stacking, scaling and shifting each made
-    # one more (22.7 MB of growth from b 19 to b 99 at n 10000, about 3.5
-    # arrays; 10.0 MB, about 1.6, with both filled in place)
+    # at most two n x B arrays: drawing into a list, stacking, scaling and
+    # shifting each made one more (22.7 MB of growth from b 19 to b 99 at n
+    # 10000, about 3.5 arrays; 10.0 MB, about 1.6, with the responses and
+    # their residuals filled in place). The replicates now take only the
+    # noise, drawn in place, and reduce it to p-sized moments.
     rows = default_rows(10000)
     spec = default_model_spec()
     design = build_design(rows, spec)
@@ -105,8 +81,8 @@ def test_fit_holds_two_p_by_p_arrays_at_a_time():
     # model and the design's cache, is all that stays
     rows = default_rows(5000)
     spec = default_model_spec()
-    design = build_design(rows, spec)
-    design.gram  # formed once per design, before any fit
+    # X'X and X'y formed once per design, before any fit
+    design = build_design(rows, spec, rows["logprice"])
     lams = {t.name: 10.0 for t in spec.main_terms}
     model, peak, held = traced_peak(lambda: fit_pls(design, rows["logprice"], lams))
     assert model.beta.size == design.p
@@ -134,11 +110,12 @@ def test_selection_peak_does_not_grow_with_n():
 def test_term_effects_at_the_rows_do_not_grow_with_n():
     # a term's effect at the rows is its basis taken ROW_CHUNK rows at a
     # time (TermBlock.effect), so n enters only through n-vectors: predict
-    # holds its output and one term's effect; recovery_rmse every truth
-    # component, the effect and a few centred and squared gaps. Measured
-    # from n 5000 to n 20000: predict 6.40 -> 6.65 MB, recovery_rmse 6.81
-    # -> 8.25 MB (12 n-vectors). Taking each term's whole basis, up to
-    # n x 343 for location:year, peaked at 16.7 -> 66.4 and 17.1 -> 68.0 MB.
+    # holds its output and one term's effect; recovery_rmse one truth
+    # component at a time, the effect and a few centred and squared gaps.
+    # Measured from n 5000 to n 20000: predict 6.40 -> 6.65 MB,
+    # recovery_rmse 6.48 -> 6.97 MB (4 n-vectors; 12 while it held every
+    # component at once). Taking each term's whole basis, up to n x 343 for
+    # location:year, peaked at 16.7 -> 66.4 and 17.1 -> 68.0 MB.
     truth = default_truth()
     spec = default_model_spec()
     peaks = {predict: [], recovery_rmse: []}
@@ -153,8 +130,7 @@ def test_term_effects_at_the_rows_do_not_grow_with_n():
         del rows, model
     n_vector = (20000 - 5000) * 8
     assert peaks[predict][1] - peaks[predict][0] <= 4 * n_vector
-    assert (peaks[recovery_rmse][1] - peaks[recovery_rmse][0]
-            <= (len(truth.components) + 8) * n_vector)
+    assert peaks[recovery_rmse][1] - peaks[recovery_rmse][0] <= (1 + 8) * n_vector
 
 
 def _fitted_corpus(tmp_path, n):
@@ -236,41 +212,50 @@ def test_location_surface_holds_no_grid_basis():
     assert peak < 0.5 * grid_basis
 
 
-# in a fresh process: the high-water mark (VmHWM) before and after X @ B
-# through Design.matvec, for a fully touched X of n 20000 x p 640 and a B
-# of 19 columns (the bootstrap's betas), with BLAS's threads started first
-MATVEC_HIGH_WATER = """
+# in a fresh process: one CLI command, then the process's high-water mark
+# (VmHWM), which also counts OpenBLAS's packing buffers
+COMMAND_HIGH_WATER = """
 import json
-import numpy as np
-from rentgam.gam import Design, ModelSpec
+import sys
+from rentgam.cli import main
 
-def high_water():
-    with open("/proc/self/status") as status:
-        for line in status:
-            if line.startswith("VmHWM:"):
-                return int(line.split()[1]) * 1024
-
-rng = np.random.default_rng(0)
-x = rng.standard_normal((20000, 640))
-b = rng.standard_normal((640, 19))
-x[:8] @ b
-design = Design(ModelSpec(terms=()), x, [])
-before = high_water()
-out = design.matvec(b)
-print(json.dumps([high_water() - before, out.nbytes]))
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    peak = next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmHWM:"))
+print(json.dumps([code, peak]))
 """
 
 
-def test_matvec_high_water_is_its_output():
-    # one product over all 20000 rows raised the high-water mark by 51.9 MB
-    # on numpy's default 2 BLAS threads (3.1 MB on 1): OpenBLAS packs X's
-    # rows into its buffers. In blocks of ROW_CHUNK rows the rise was
-    # 5.6 MB, the 2.9 MB output and 2.7 MB of buffers.
+def command_high_water(argv):
+    """The exit code and VmHWM in bytes of one CLI command in a fresh process."""
     done = subprocess.run(
-        [sys.executable, "-c", MATVEC_HIGH_WATER],
+        [sys.executable, "-c", COMMAND_HIGH_WATER, *argv],
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    rise, output = json.loads(done.stdout)
-    assert rise <= output + 5e6
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_fit_and_bootstrap_peaks_grow_by_n_vectors(tmp_path):
+    # Fixed before the first run: from n 5000 to 20000 the fresh-process
+    # peak of a pinned fit, and of bootstrap --b 19, may grow by at most 200
+    # n-vectors (24 MB). That covers the clean file's columns (about 190
+    # bytes a row, held by the read, the concatenation of its chunks and the
+    # spatial filter's copy), the model columns, the response's copies and
+    # the bootstrap's n x 19 noise and its products. An n x p design matrix
+    # is 640 n-vectors at p 640: with one, fit peaked at 192 MB at n 20000
+    # and grew by 6.2 KB a row, 775 n-vectors.
+    peaks = {}
+    for n in (5000, 20000):
+        config = _fitted_corpus(tmp_path / str(n), n)
+        out = str(tmp_path / str(n) / "again")
+        fit = ["fit", "--config", str(tmp_path / str(n) / "pin.cfg"),
+               "--clean-listings", config.clean_listings, "--out", out]
+        bootstrap = ["bootstrap", "--clean-listings", config.clean_listings,
+                     "--model", config.model, "--term", "deprivation:year",
+                     "--b", "19", "--out", out]
+        peaks[n] = [command_high_water(argv) for argv in (fit, bootstrap)]
+    for (code_small, small), (code_large, large) in zip(peaks[5000], peaks[20000]):
+        assert code_small == code_large == 0
+        assert large - small <= 200 * (20000 - 5000) * 8

@@ -91,7 +91,8 @@ def model_specs(draw):
 
 
 def _width(term):
-    """The constrained column count of a term (see ``gam._width``)."""
+    """The constrained column count of a term: one sum-to-zero constraint
+    on a main effect, one per margin and index on an interaction."""
     if term.interaction:
         return math.prod(s + term.degree - 1 for s in term.segments)
     return math.prod(s + term.degree for s in term.segments) - 1
