@@ -537,8 +537,7 @@ def _stored_model(config: RunConfig, stored: dict, spec: ModelSpec, records: lis
     except (DataError, TypeError, ValueError) as exc:
         raise DataError(f"{config.model}: bad model file: {exc}; re-run fit") from None
     p = 1 + sum(block.width for block in blocks)
-    design = Design(spec=spec, matrix=None, blocks=blocks,
-                    gram=_load_gram(config, stored, p), columns=rows)
+    design = Design(spec, blocks, gram=_load_gram(config, stored, p), columns=rows)
     try:
         return fit_from_gram(design, stored["lambdas"], beta, stored["sigma2"],
                              stored["n"], None if rows is None else rows["logprice"])

@@ -416,40 +416,37 @@ class Design:
     """The design of ``spec`` at its rows: an intercept column followed by
     one constrained block per term.
 
-    The n x p matrix X is not held. A design built from model columns (see
-    :func:`build_design`) keeps the columns and evaluates X ``ROW_CHUNK``
-    rows at a time (:func:`_row_blocks`) on each pass over the rows; a
-    design given a matrix (tests, library callers) reads it in the same
-    blocks. Its p-sized moments are what the fits use: ``X'X``
-    (:attr:`gram`), formed on the first pass unless it is given, and
-    ``X'y`` with the centred total of one response, in a one-entry cache
-    (see :func:`_moments`). The products ``X @ b`` (:meth:`matvec`) and
-    ``X' v`` (:meth:`rmatvec`) and :attr:`matrix` itself are each one more
-    pass. A design from :meth:`drop` shares its parent's columns and takes
-    the matching sub-blocks of its moments.
+    The n x p matrix X is not held. A design keeps the model columns of its
+    rows (see :func:`build_design`) and evaluates X ``ROW_CHUNK`` rows at a
+    time (:func:`_row_blocks`) on each pass over the rows. Its p-sized
+    moments are what the fits use: ``X'X`` (:attr:`gram`), formed on the
+    first pass unless it is given, and the :class:`_Moments` of one
+    response, in a one-entry cache (see :func:`_moments`). The products
+    ``X @ b`` (:meth:`matvec`) and ``X' v`` (:meth:`rmatvec`) and
+    :attr:`matrix` itself are each one more pass. A design from
+    :meth:`drop` shares its parent's columns and takes the matching
+    sub-blocks of its moments.
 
     A design given the blocks of :func:`blocks_from_records` on the
     records that :func:`build_design` took from the rows, and the ``X'X``
     it formed there (``fit`` stores both), has the built design's penalty
-    and factor bit for bit. It may hold no rows (``matrix`` is None), but
-    then ``n``, :meth:`matvec` and :meth:`rmatvec` refuse, with ValueError.
+    and factor bit for bit. It may hold no rows (``columns`` is None), but
+    then ``n``, :meth:`matvec` and :meth:`rmatvec` refuse, with ValueError,
+    and ``matrix`` is None.
     """
 
     def __init__(
         self,
         spec: ModelSpec,
-        matrix: np.ndarray | None,
         blocks: list[TermBlock],
         gram: np.ndarray | None = None,
         columns: Mapping[str, np.ndarray] | None = None,
     ):
         self.spec = spec
         self.blocks = blocks
-        self._x = matrix
         self._columns = columns
         self._gram = gram
-        # (a copy of the response, its _Moments): see _moments
-        self._response: tuple[np.ndarray, _Moments] | None = None
+        self._response: _Moments | None = None  # see _moments
         self._roots: dict[str, np.ndarray] = {}
         # (lambdas, factor) of the last fit_pls: refits at known smoothness
         # repeat the same lambdas, often many times
@@ -458,27 +455,31 @@ class Design:
     @property
     def matrix(self) -> np.ndarray | None:
         """The n x p design matrix, evaluated from the columns on every read
-        (see :func:`design_matrix`); None when the design holds no rows."""
-        if self._columns is not None:
-            return design_matrix(self.blocks, self._columns)
-        return self._x
+        by copying the blocks of one pass into one array; None when the
+        design holds no rows. No command forms X: it is read by the tests'
+        oracles, and by the benchmark tracer's ``_count_design``
+        (``perfbench/tracing.py``), which forms it on every traced
+        ``build_design`` call until ``gam.design_bytes_computed`` counts
+        something else (ROADMAP item 1)."""
+        if not self.has_rows:
+            return None
+        x = np.empty((self.n, self.p))
+        for rows, _, block in self._x_blocks():
+            x[rows] = block
+        return x
 
     @property
     def has_rows(self) -> bool:
-        return self._x is not None or self._columns is not None
+        return self._columns is not None
 
     @property
     def n(self) -> int:
         if not self.has_rows:
             raise ValueError("the design holds no rows")
-        if self._x is not None:
-            return self._x.shape[0]
         return len(next(iter(self._columns.values())))
 
     @property
     def p(self) -> int:
-        if self._x is not None:
-            return self._x.shape[1]
         return self.blocks[-1].columns.stop if self.blocks else 1
 
     @property
@@ -489,16 +490,15 @@ class Design:
 
     def _x_blocks(self) -> Iterator[tuple[slice, int, np.ndarray]]:
         """``(rows, overlap, X[rows])`` for each slice of
-        :func:`_fresh_row_blocks`: a view of a given matrix, or the rows
-        evaluated from the columns into one buffer that every block reuses."""
+        :func:`_fresh_row_blocks`: the rows evaluated from the columns into
+        one buffer that every block reuses, its intercept column set once."""
         n = self.n
-        if self._x is not None:
-            for rows, overlap in _fresh_row_blocks(n):
-                yield rows, overlap, self._x[rows]
-            return
         buffer = np.empty((min(n, ROW_CHUNK), self.p))
+        buffer[:, 0] = 1.0
         for rows, overlap in _fresh_row_blocks(n):
-            _fill_rows(self.blocks, {v: c[rows] for v, c in self._columns.items()}, buffer)
+            part = {v: c[rows] for v, c in self._columns.items()}
+            for block in self.blocks:
+                block.evaluate(part, out=buffer[:, block.columns])
             yield rows, overlap, buffer
 
     def _pass(self, vs: Sequence[np.ndarray], gram: bool) -> tuple[np.ndarray | None, list]:
@@ -544,9 +544,8 @@ class Design:
 
     def drop(self, name: str) -> "Design":
         """Design of ``spec.drop(name)`` on the same rows: the kept blocks,
-        re-based, over this design's columns (a given matrix's kept columns
-        are copied), with ``X'X`` and the cached ``X'y`` the matching
-        sub-blocks of this design's."""
+        re-based, over this design's columns, with ``X'X`` and the cached
+        ``X'y`` the matching sub-blocks of this design's."""
         spec = self.spec.drop(name)
         blocks, start = [], 1
         for b in self.blocks:
@@ -554,12 +553,10 @@ class Design:
                 blocks.append(replace(b, columns=slice(start, start + b.width)))
                 start += b.width
         pos = self.kept_columns(name)
-        matrix = None if self._x is None else np.ascontiguousarray(self._x[:, pos])
-        out = Design(spec, matrix, blocks, gram=self.gram[np.ix_(pos, pos)],
-                     columns=self._columns)
+        out = Design(spec, blocks, gram=self.gram[np.ix_(pos, pos)], columns=self._columns)
         if self._response is not None:
-            y, moments = self._response
-            out._response = (y, moments._replace(xt=moments.xt[pos], xtc=moments.xtc[pos]))
+            m = self._response
+            out._response = m._replace(xt=m.xt[pos], xtc=m.xtc[pos])
         return out
 
     def penalty(self, lambdas: Mapping[str, float]) -> np.ndarray:
@@ -693,30 +690,6 @@ def blocks_from_records(spec: ModelSpec, records: Sequence[TermRecord]) -> list[
     return blocks
 
 
-def _fill_rows(blocks: Sequence[TermBlock], part: Mapping[str, np.ndarray],
-               out: np.ndarray) -> None:
-    """Rows of the design matrix of ``blocks`` at the model columns
-    ``part``, written into ``out``: the intercept column, then each block
-    into its own columns."""
-    out[:, 0] = 1.0
-    for block in blocks:
-        block.evaluate(part, out=out[:, block.columns])
-
-
-def design_matrix(blocks: Sequence[TermBlock], columns: Mapping[str, np.ndarray]) -> np.ndarray:
-    """The n x p design matrix of ``blocks`` at the rows, given as model
-    columns (see :func:`derive_rows`): one array, allocated once, written
-    one block of ``ROW_CHUNK`` rows at a time (:func:`_row_blocks`) by
-    :func:`_fill_rows`, as a :class:`Design` evaluates its rows on a pass.
-    So no other array has n rows. Only :attr:`Design.matrix` calls it: no
-    command forms X."""
-    n = len(next(iter(columns.values())))
-    x = np.empty((n, blocks[-1].columns.stop if blocks else 1))
-    for rows in _row_blocks(n):
-        _fill_rows(blocks, {name: col[rows] for name, col in columns.items()}, x[rows])
-    return x
-
-
 def _main_effect_sums(spec: ModelSpec, columns: Mapping[str, np.ndarray],
                       domains: Sequence[Sequence[tuple]]) -> list[np.ndarray | None]:
     """Each main effect's raw-basis column sums at the rows (None for an
@@ -762,7 +735,7 @@ def build_design(columns: Mapping[str, np.ndarray], spec: ModelSpec,
                for term in spec.terms]
     sums = _main_effect_sums(spec, columns, domains)
     blocks = blocks_from_records(spec, [TermRecord(d, s) for d, s in zip(domains, sums)])
-    design = Design(spec=spec, matrix=None, blocks=blocks, columns=columns)
+    design = Design(spec, blocks, columns=columns)
     if y is not None:
         _moments(design, _response(design, y), True)
     gram = design.gram
@@ -985,9 +958,10 @@ def _fitted_model(design: Design, lambdas: dict[str, float], factor: _Factor,
 
 
 class _Moments(NamedTuple):
-    """What a fit needs of an n-vector t besides ``X'X``: its mean, its
-    centred total ``|t - mean|^2``, ``X't`` and ``X'(t - mean)``."""
+    """What a fit needs of an n-vector t besides ``X'X``: t itself, its
+    mean, its centred total ``|t - mean|^2``, ``X't`` and ``X'(t - mean)``."""
 
+    t: np.ndarray
     mean: float
     total: float
     xt: np.ndarray
@@ -999,20 +973,20 @@ def _moments(design: Design, t: np.ndarray, keep: bool,
     """The :class:`_Moments` of ``t`` and ``X'v`` for each v of ``vs``: the
     moments from the design's one-entry cache when ``t`` equals the vector
     cached there, else all from one pass over the rows, which also forms
-    ``X'X`` if the design has none yet. ``keep`` puts the moments in the
-    cache (the response does; selection's signal does not, so the
-    response's stay)."""
+    ``X'X`` if the design has none yet. ``keep`` puts the moments, with a
+    copy of ``t``, in the cache (the response does; selection's signal
+    does not, so the response's stay)."""
     cached = design._response
-    if cached is not None and np.array_equal(cached[0], t):
-        return cached[1], [design.rmatvec(v) for v in vs]
+    if cached is not None and np.array_equal(cached.t, t):
+        return cached, [design.rmatvec(v) for v in vs]
     mean = float(t.mean())
     centred = t - mean
     gram, (xt, xtc, *xvs) = design._pass([t, centred, *vs], design._gram is None)
     if gram is not None:
         design._gram = gram
-    moments = _Moments(mean, float(centred @ centred), xt, xtc)
+    moments = _Moments(t, mean, float(centred @ centred), xt, xtc)
     if keep:
-        design._response = (t.copy(), moments)
+        design._response = moments = moments._replace(t=t.copy())
     return moments, xvs
 
 
@@ -1024,7 +998,7 @@ def _centred(beta: np.ndarray, m: _Moments) -> np.ndarray:
     return b
 
 
-def _residual_ss(design: Design, t: np.ndarray, m: _Moments, beta: np.ndarray) -> float:
+def _residual_ss(design: Design, m: _Moments, beta: np.ndarray) -> float:
     """``|t - X beta|^2`` in closed form from the moments m of t,
     ``|t_c|^2 - 2 b'X't_c + b'X'X b`` with t centred and ``b`` from
     :func:`_centred`: p-sized work. Centring keeps the cancellation to the
@@ -1035,7 +1009,7 @@ def _residual_ss(design: Design, t: np.ndarray, m: _Moments, beta: np.ndarray) -
     b = _centred(beta, m)
     ss = m.total - 2.0 * float(b @ m.xtc) + float(b @ (design.gram @ b))
     if ss <= 1e-12 * m.total:
-        ss = float(np.sum((t - design.matvec(beta)) ** 2))
+        ss = float(np.sum((m.t - design.matvec(beta)) ** 2))
     return ss
 
 
@@ -1061,7 +1035,7 @@ def fit_pls(
     factor = _checked_factor(design, resolved)
     moments = _moments(design, y, True)[0]
     beta = linalg.cho_solve(factor.cho, moments.xt)
-    rss = _residual_ss(design, y, moments, beta)
+    rss = _residual_ss(design, moments, beta)
     _check_dof(n, factor.k)
     return _fitted_model(design, resolved, factor, beta, rss / (n - factor.k), n, y, rss)
 
@@ -1136,14 +1110,13 @@ def _eigen_ladder(
     current: Mapping[str, float],
     name: str,
     ladder: np.ndarray,
-    signal: np.ndarray | None = None,
-    signal_moments: _Moments | None = None,
+    signal: _Moments | None = None,
 ) -> list[LadderFit]:
     """The fit at every ladder value of term ``name``, the other terms
     held at ``current``, from one r x r eigenproblem; empty when the base
-    matrix took the ridge retry. ``signal_moments`` are the signal's
-    :class:`_Moments` when the caller has taken them (selection takes them
-    once for all its ladders).
+    matrix took the ridge retry. ``signal`` is the :class:`_Moments` of the
+    signal, when selection tracks one (it takes them once for all its
+    ladders).
 
     Only the penalty ``R'R`` owned by ``name`` (``Design._owned_root``,
     r rows) moves along the ladder. The base ``M0 = X'X + S(others) +
@@ -1187,15 +1160,10 @@ def _eigen_ladder(
     moments = _moments(design, y, True)[0]
     beta0 = linalg.cho_solve(cho, moments.xt)
     proj = w.T @ moments.xt
-    forms = []  # (t0't0, W'X't0) per target
-    targets = [(y, moments)]
-    if signal is not None:
-        if signal_moments is None:
-            signal_moments = _moments(design, signal, False)[0]
-        targets.append((signal, signal_moments))
-    for target, m in targets:
-        forms.append((_residual_ss(design, target, m, beta0),
-                      w.T @ (m.xtc - gram @ _centred(beta0, m))))
+    forms = [  # (t0't0, W'X't0) per target
+        (_residual_ss(design, m, beta0), w.T @ (m.xtc - gram @ _centred(beta0, m)))
+        for m in ((moments,) if signal is None else (moments, signal))
+    ]
     out = []
     for lam in ladder:
         h = (lam - l0) * d
@@ -1210,14 +1178,12 @@ def _eigen_ladder(
 
 
 def _direct_fit(
-    design: Design, y: np.ndarray, lambdas: Mapping[str, float],
-    signal: np.ndarray | None, signal_moments: _Moments | None,
+    design: Design, y: np.ndarray, lambdas: Mapping[str, float], signal: _Moments | None,
 ) -> LadderFit:
     """The :class:`LadderFit` of one :func:`fit_pls`, its gap to the
     signal by :func:`_residual_ss` from the signal's moments."""
     model = fit_pls(design, y, lambdas)
-    gap = (None if signal is None
-           else _residual_ss(design, signal, signal_moments, model.beta))
+    gap = None if signal is None else _residual_ss(design, signal, model.beta)
     return LadderFit(model.rss, model.k, gap)
 
 
@@ -1227,31 +1193,26 @@ def _ladder_fits(
     current: Mapping[str, float],
     name: str,
     ladder: np.ndarray,
-    signal: np.ndarray | None = None,
-    signal_moments: _Moments | None = None,
+    signal: _Moments | None = None,
 ) -> Iterable[LadderFit]:
     """The fit at every ladder value of term ``name``, in ladder order: by
     :func:`_eigen_ladder` on a ladder of two or more positive values, else
     by one :func:`fit_pls` per point. ``fit_pls`` also takes the ladder
     when the evaluator's base matrix took the ridge retry, and when some
-    closed-form rss is at most ``1e-12 y'y`` or some gap is not positive
-    (no value is clamped): such a value is near rounding, and how each path
-    rounds it would rank the points. The signal's moments are taken here
-    when the caller has not taken them."""
-    if signal is not None and signal_moments is None:
-        signal_moments = _moments(design, signal, False)[0]
+    closed-form rss is at most ``1e-12 |y_c|^2`` (the centred total, as in
+    :func:`_residual_ss`) or some gap is not positive (no value is
+    clamped): such a value is near rounding, and how each path rounds it
+    would rank the points. ``signal`` is the signal's :class:`_Moments`."""
     if len(ladder) > 1 and ladder.min() > 0:
-        fits = _eigen_ladder(design, y, current, name, ladder, signal, signal_moments)
+        fits = _eigen_ladder(design, y, current, name, ladder, signal)
+        # the evaluator left y's moments in the design's cache
         if (
             fits
-            and min(fit.rss for fit in fits) > 1e-12 * float(y @ y)
+            and min(fit.rss for fit in fits) > 1e-12 * design._response.total
             and (signal is None or min(fit.gap for fit in fits) > 0)
         ):
             return fits
-    return (
-        _direct_fit(design, y, {**current, name: float(lam)}, signal, signal_moments)
-        for lam in ladder
-    )
+    return (_direct_fit(design, y, {**current, name: float(lam)}, signal) for lam in ladder)
 
 
 def smoothing_ladder(grid: Sequence[float] | None) -> np.ndarray:
@@ -1293,10 +1254,8 @@ def select_smoothness(
     """
     ladder = smoothing_ladder(grid)
     y = _response(design, y)
-    signal_moments = None
     if signal is not None:
-        signal = _response(design, signal, "signal")
-        signal_moments = _moments(design, signal, False)[0]
+        signal = _moments(design, _response(design, signal, "signal"), False)[0]
 
     current = {t.name: float(ladder[len(ladder) // 2]) for t in design.spec.main_terms}
     last_ladder: dict[str, dict[str, float]] = {}  # current after each term's ladder
@@ -1308,7 +1267,7 @@ def select_smoothness(
                 continue
             best_lam = current[name]
             best = None
-            fits = _ladder_fits(design, y, current, name, ladder, signal, signal_moments)
+            fits = _ladder_fits(design, y, current, name, ladder, signal)
             for lam, fit in zip(ladder, fits):
                 value = (bic(fit.rss, design.n, fit.k) if signal is None
                          else math.sqrt(fit.gap / design.n))

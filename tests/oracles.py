@@ -17,7 +17,7 @@ smoothing parameters.
 
 ``n_path_fit``, ``n_path_ladder`` and ``n_path_bootstrap`` are the fit,
 the eigen ladder and the bootstrap as they ran on the n x p matrix, before
-they took only moments: X from ``gam.design_matrix``, ``X'y`` as one
+they took only moments: X from ``Design.matrix``, ``X'y`` as one
 product over every row, each rss and gap a sum of squares over the rows,
 and the bootstrap's replicates as an n x B array of responses refitted as
 ``X'S`` and ``S - X betas``. Each takes ``X'X`` and its factor from the
@@ -87,6 +87,8 @@ def unmemoized_descent(design, y, score, grid=None, signal=None):
     in order. Scores within ``1e-9*|best| + 1e-12`` of the best tie, and a
     tie goes to the later point of the ascending ladder, the larger value."""
     ladder = gam.smoothing_ladder(grid)
+    if signal is not None:
+        signal = gam._moments(design, signal, False)[0]
     current = {t.name: float(ladder[len(ladder) // 2]) for t in design.spec.main_terms}
     trace = []
     for _ in range(gam.MAX_SWEEPS):

@@ -790,17 +790,17 @@ class TestBootstrap:
     )
     def test_builds_one_design(self, pipeline, tmp_path, monkeypatch, term, b, code):
         built, designs = [], []
-        design_matrix, build_design = gam.design_matrix, gam.build_design
+        matrix, build_design = gam.Design.matrix, gam.build_design
 
-        def counting_matrix(blocks, columns):
-            built.append(blocks)
-            return design_matrix(blocks, columns)
+        def counting_matrix(design):
+            built.append(design)
+            return matrix.fget(design)
 
         def counting_design(*args, **kwargs):
             designs.append(args)
             return build_design(*args, **kwargs)
 
-        monkeypatch.setattr(gam, "design_matrix", counting_matrix)
+        monkeypatch.setattr(gam.Design, "matrix", property(counting_matrix))
         for module in (cli, inference):
             monkeypatch.setattr(module, "build_design", counting_design)
         assert main([

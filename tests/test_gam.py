@@ -25,7 +25,6 @@ from rentgam.gam import (
     build_design,
     default_model_spec,
     derive_rows,
-    design_matrix,
     effect_surface,
     fit_pls,
     haversine_miles,
@@ -451,7 +450,6 @@ class TestRowBlocks:
         assert np.array_equal(got.matrix, want.matrix)
         for a, b in zip(got.blocks, want.blocks):
             assert np.array_equal(a.column_sums, b.column_sums)  # None for interactions
-        assert np.array_equal(design_matrix(want.blocks, rows), want.matrix)
 
     @pytest.fixture(scope="class")
     def tall_design(self):
@@ -485,8 +483,9 @@ class TestRowBlocks:
         # to 4.4e-16 apart here), so each value is held to the dot-product
         # bound 2 p eps times its sum of absolute terms
         full = default_design[1]
-        x = full.matrix[:17]
-        parent = Design(full.spec, x, full.blocks, gram=full.gram)
+        rows = {name: col[:17] for name, col in default_design[0].items()}
+        parent = Design(full.spec, full.blocks, gram=full.gram, columns=rows)
+        x = parent.matrix
         design = parent if term is None else parent.drop(term)
         b = np.random.default_rng(0).standard_normal((design.p, 19))
         full = self.padded(parent, term, b)
@@ -546,7 +545,7 @@ class TestFitPls:
         # a design given only X'X has no n: fit_pls and selection need rows
         rows, y = synthetic_rows(150, noise=0.3)
         built = build_design(rows, two_term_spec())
-        design = Design(built.spec, None, built.blocks, gram=built.gram)
+        design = Design(built.spec, built.blocks, gram=built.gram)
         with pytest.raises(ValueError, match="^the design holds no rows$"):
             fit_pls(design, y, {"deprivation": 1.0, "year": 1.0})
         with pytest.raises(ValueError, match="^the design holds no rows$"):
@@ -570,7 +569,7 @@ class TestFitPls:
         # documented, on the design and on one dropped from it
         rows, y = synthetic_rows(150, noise=0.3)
         built = build_design(rows, two_term_spec())
-        full = Design(built.spec, None, built.blocks, gram=built.gram)
+        full = Design(built.spec, built.blocks, gram=built.gram)
         for design in (full, full.drop("deprivation:year")):
             assert design.matrix is None
             with pytest.raises(ValueError, match="^the design holds no rows$"):
@@ -690,21 +689,30 @@ class TestFitPls:
         assert model.fitted is model.fitted
         assert np.array_equal(model.fitted, design.matvec(model.beta))
 
+    @staticmethod
+    def singular_design():
+        """Five distinct values, twice each, under an unpenalized basis of 8
+        columns: X'X is exactly singular, of rank 5. The ridged fit gives
+        the group means, with k 5 (measured 4.9999995, and fitted values
+        within 7e-10 of the means)."""
+        x = np.repeat([0.0, 0.3, 0.5, 0.7, 1.0], 2)
+        y = np.arange(10.0)
+        rows = model_columns(10, deprivation=x, logprice=y)
+        return build_design(rows, one_term_spec(segments=5)), y
+
     def test_ridge_retry_warns(self):
-        # two identical unpenalized columns: X'X is exactly singular
-        design = Design(spec=ModelSpec(terms=()), matrix=np.ones((4, 2)), blocks=[])
+        design, y = self.singular_design()
         with pytest.warns(RuntimeWarning, match="ridge"):
-            model = fit_pls(design, np.array([1.0, 2.0, 3.0, 4.0]), {})
-        assert model.k == pytest.approx(1.0)
-        assert model.fitted == pytest.approx(np.full(4, 2.5))
+            model = fit_pls(design, y, {"deprivation": 0.0})
+        assert model.k == pytest.approx(5.0)
+        assert model.fitted == pytest.approx(np.repeat(y[::2] + 0.5, 2))
 
     def test_ridge_retry_warns_on_every_fit_of_its_factor(self):
-        design = Design(spec=ModelSpec(terms=()), matrix=np.ones((4, 2)), blocks=[])
-        y = np.array([1.0, 2.0, 3.0, 4.0])
+        design, y = self.singular_design()
         with pytest.warns(RuntimeWarning, match="ridge"):
-            first = fit_pls(design, y, {})
+            first = fit_pls(design, y, {"deprivation": 0.0})
         with pytest.warns(RuntimeWarning, match="ridge"):
-            again = fit_pls(design, y, {})  # from the cached factor
+            again = fit_pls(design, y, {"deprivation": 0.0})  # from the cached factor
         assert again._cho is first._cho
         assert again.k == first.k
 
@@ -779,7 +787,7 @@ class TestFactorCache:
         model = fit_pls(design, y, lams)
         stored = (lams, model.beta, model.sigma2, model.n)
         fresh = gam.fit_from_gram(
-            Design(design.spec, None, design.blocks, gram=design.gram), *stored
+            Design(design.spec, design.blocks, gram=design.gram), *stored
         )
         calls = self.counting_cho_factor(monkeypatch)
         cached = gam.fit_from_gram(design, *stored)
@@ -971,7 +979,7 @@ class TestSelectSmoothness:
         scores = {lam: bic(r, n, k) for lam, (r, k) in points.items()}
         assert (scores[10.0] - scores[1.0]) / tol == pytest.approx(gap, rel=0.01)
 
-        def scripted(design, y, current, name, ladder, signal, xty):
+        def scripted(design, y, current, name, ladder, signal):
             return [gam.LadderFit(*points[lam]) for lam in ladder]
 
         monkeypatch.setattr(gam, "_ladder_fits", scripted)
@@ -994,13 +1002,13 @@ class TestSelectSmoothness:
         ) < 1e-12
 
 
-def plain_ladder_fits(design, y, current, name, ladder, signal=None, xty=None):
-    """The plain path: one fit_pls per ladder point (fit_pls forms its
-    own X'y, so ``xty`` is not read)."""
+def plain_ladder_fits(design, y, current, name, ladder, signal=None):
+    """The plain path: one fit_pls per ladder point, its gap to the signal
+    (given as its moments) a sum of squares over the rows."""
     fits = []
     for lam in ladder:
         m = fit_pls(design, y, {**current, name: float(lam)})
-        gap = None if signal is None else float(np.sum((m.fitted - signal) ** 2))
+        gap = None if signal is None else float(np.sum((m.fitted - signal.t) ** 2))
         fits.append(gam.LadderFit(m.rss, m.k, gap))
     return fits
 
@@ -1067,9 +1075,10 @@ class TestLadderEvaluator:
         design, y, signal = simulated(1000, 3, default_model_spec())
         ladder = DEFAULT_LAMBDA_GRID
         current = {t.name: float(ladder[len(ladder) // 2]) for t in design.spec.main_terms}
+        moments = gam._moments(design, signal, False)[0]
         for name in list(current):
             calls = counting_fit_pls(monkeypatch)
-            fits = list(gam._ladder_fits(design, y, current, name, ladder, signal))
+            fits = list(gam._ladder_fits(design, y, current, name, ladder, moments))
             monkeypatch.undo()
             assert calls == []  # the evaluator, not the plain path
             bics = []
@@ -1095,12 +1104,12 @@ class TestLadderEvaluator:
         current = {t.name: mid for t in design.spec.main_terms}
         moments = gam._moments(design, signal, False)[0]
         for name in current:
-            fits = gam._eigen_ladder(design, y, current, name, ladder, signal)
+            fits = gam._eigen_ladder(design, y, current, name, ladder, moments)
             fit = fits[len(ladder) // 2]
             lambdas = {**current, name: mid}
             m = fit_pls(design, y, lambdas)
             assert fit.k == m.k and fit.rss == m.rss
-            assert fit == gam._direct_fit(design, y, lambdas, signal, moments)
+            assert fit == gam._direct_fit(design, y, lambdas, moments)
             assert fit.gap == pytest.approx(float(np.sum((m.fitted - signal) ** 2)), rel=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -1194,14 +1203,42 @@ class TestLadderEvaluator:
 
         monkeypatch.setattr(gam, "_eigen_ladder", spoiled)
         calls = counting_fit_pls(monkeypatch)
-        fits = list(gam._ladder_fits(design, y, current, "year", ladder, signal))
+        moments = gam._moments(design, signal, False)[0]
+        fits = list(gam._ladder_fits(design, y, current, "year", ladder, moments))
         assert len(calls) == len(ladder)
-        plain = plain_ladder_fits(design, y, current, "year", ladder, signal)
+        plain = plain_ladder_fits(design, y, current, "year", ladder, moments)
         # fit_pls's rss and k; the gap in closed form from the signal's
         # moments, the plain sum of squares to 1e-12
         assert [fit[:2] for fit in fits] == [fit[:2] for fit in plain]
         for fit, want in zip(fits, plain):
             assert fit.gap == pytest.approx(want.gap, rel=1e-12)
+
+    @pytest.mark.parametrize("share, falls_back", [(2e-12, False), (1e-12, True)])
+    def test_rounding_rule_is_relative_to_the_centred_total(
+        self, monkeypatch, share, falls_back
+    ):
+        """A closed-form rss is rounding when it is at most 1e-12 of the
+        centred total |y - mean y|^2, as in _residual_ss: above that the
+        evaluator's fits are kept, at it the ladder goes to fit_pls. Log
+        rents near 7 make y'y far larger than the centred total, so a rule
+        on y'y would drop the fits at 2e-12 of it too."""
+        design, y, _ = simulated(1000, 3, default_model_spec(6, 5, 4, 3))
+        ladder = DEFAULT_LAMBDA_GRID
+        current = {t.name: float(ladder[6]) for t in design.spec.main_terms}
+        total = gam._moments(design, y, False)[0].total
+        assert share * total < 1e-12 * float(y @ y)
+        eigen_ladder = gam._eigen_ladder
+
+        def smallest(*args):
+            fits = eigen_ladder(*args)
+            fits[0] = fits[0]._replace(rss=share * total)
+            return fits
+
+        monkeypatch.setattr(gam, "_eigen_ladder", smallest)
+        calls = counting_fit_pls(monkeypatch)
+        fits = list(gam._ladder_fits(design, y, current, "year", ladder))
+        assert len(calls) == (len(ladder) if falls_back else 0)
+        assert (fits[0].rss == share * total) is not falls_back
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("kind", ["bic", "oracle"])

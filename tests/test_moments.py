@@ -1,6 +1,6 @@
 """The fits and the bootstrap take only moments of the rows; the oracle is
 the n-path they replaced (``tests/oracles.py``): X from
-``gam.design_matrix``, ``X'y`` as one product over every row, each rss and
+``Design.matrix``, ``X'y`` as one product over every row, each rss and
 gap a sum of squares over the rows, and the bootstrap's n x B responses.
 Both paths share ``X'X`` and its factor, so they differ only in what is
 n-sized.
@@ -51,8 +51,9 @@ def test_every_ladder_point_equals_the_n_path(corpus):
     design, y, signal = corpus
     ladder = DEFAULT_LAMBDA_GRID
     current = {t.name: float(ladder[len(ladder) // 2]) for t in design.spec.main_terms}
+    moments = gam._moments(design, signal, False)[0]
     for name in current:
-        fits = gam._eigen_ladder(design, y, current, name, ladder, signal)
+        fits = gam._eigen_ladder(design, y, current, name, ladder, moments)
         want = n_path_ladder(design, y, current, name, ladder, signal)
         assert len(fits) == len(ladder)
         for fit, plain in zip(fits, want):
@@ -101,7 +102,7 @@ def test_overlapping_block_is_counted_once(corpus, monkeypatch):
     assert np.all(np.abs(small.gram - x.T @ x) <= dot_product_bound(x.T, x))
     v = np.random.default_rng(0).standard_normal((17, 3))
     assert np.all(np.abs(small.rmatvec(v) - x.T @ v) <= dot_product_bound(x.T, v))
-    moments = small._response[1]
+    moments = small._response
     assert np.all(np.abs(moments.xt - x.T @ y) <= dot_product_bound(x.T, y))
     centred = y - y.mean()
     assert np.all(np.abs(moments.xtc - x.T @ centred) <= dot_product_bound(x.T, centred))

@@ -34,7 +34,6 @@ from rentgam.gam import (
     build_design,
     default_model_spec,
     derive_rows,
-    design_matrix,
     effect_surface,
     fit_from_gram,
     fit_pls,
@@ -181,7 +180,7 @@ def test_stored_model_reads_back_the_fit(case):
             assert np.array_equal(record.column_sums, block.column_sums)
     blocks = blocks_from_records(read_spec, records)
     same_blocks(blocks, design.blocks)
-    assert np.array_equal(design_matrix(blocks, rows), design.matrix)
+    assert np.array_equal(Design(read_spec, blocks, columns=rows).matrix, design.matrix)
 
 
 @CASES
@@ -230,7 +229,7 @@ def gram_only(design):
     record, a copy of ``X'X`` and no matrix."""
     records = [TermRecord([[kv.lo, kv.hi] for kv in b.knots], b.column_sums)
                for b in design.blocks]
-    return Design(design.spec, None, blocks_from_records(design.spec, records),
+    return Design(design.spec, blocks_from_records(design.spec, records),
                   gram=design.gram.copy())
 
 
