@@ -327,8 +327,14 @@ def cmd_validate(config: RunConfig, out: Path) -> tuple[dict, list[str]]:
     return payload, lines
 
 
-def _fit_rows(config: RunConfig) -> dict:
-    """The model columns of the clean listings the spatial filter keeps."""
+# the model columns' order: the rows of rows.npy, whose data bytes
+# rows_sha256 hashes
+ROW_ORDER = ("logprice", *MODEL_VARIABLES)
+
+
+def _fit_rows(config: RunConfig) -> np.ndarray:
+    """The model columns of the clean listings the spatial filter keeps,
+    as the rows of one C-order float64 array in :data:`ROW_ORDER`."""
     kept = spatial_filter(
         read_clean_listings(config.clean_listings),
         (config.center_lat, config.center_lon),
@@ -337,15 +343,17 @@ def _fit_rows(config: RunConfig) -> dict:
     )
     if not kept["rent"].size:
         raise DataError("no listings survive the spatial filter")
-    return derive_rows(kept)
+    derived = derive_rows(kept)
+    table = np.empty((len(ROW_ORDER), kept["rent"].size))
+    for row, name in zip(table, ROW_ORDER):
+        row[:] = derived.pop(name)  # a column derive_rows made is freed once copied
+    return table
 
 
-def _rows_sha256(rows: dict) -> str:
-    """sha256 of the model columns' bytes, in a fixed column order."""
-    digest = hashlib.sha256()
-    for name in ("logprice", *MODEL_VARIABLES):
-        digest.update(rows[name].tobytes())
-    return digest.hexdigest()
+def _rows_sha256(table: np.ndarray) -> str:
+    """sha256 of the model columns' bytes: the data of a C-order table of
+    :func:`_fit_rows`, read as one buffer with no copy."""
+    return hashlib.sha256(table).hexdigest()
 
 
 def _spec_from_config(config: RunConfig) -> ModelSpec:
@@ -386,8 +394,10 @@ def _model_payload(model, design) -> dict:
     }
 
 
-# fit's X'X, beside model.json, which records its sha256
+# fit's X'X and model columns, beside model.json, which records the
+# sha256 of each: of gram.npy's file, and of rows.npy's data bytes
 GRAM_FILE = "gram.npy"
+ROWS_FILE = "rows.npy"
 
 
 def _save_gram(path: Path, gram) -> str:
@@ -404,7 +414,8 @@ def cmd_fit(config: RunConfig, out: Path) -> tuple[dict, list[str]]:
     truth = None if config.truth is None else load_truth(config.truth)
     spec = _spec_from_config(config)
     ladder = smoothing_ladder(config.lambda_grid)
-    rows = _fit_rows(config)
+    table = _fit_rows(config)
+    rows = dict(zip(ROW_ORDER, table))
     y = rows["logprice"]
     design = build_design(rows, spec, y)
     lams = select_smoothness(design, y, ladder)
@@ -415,7 +426,7 @@ def cmd_fit(config: RunConfig, out: Path) -> tuple[dict, list[str]]:
                   "of its ladder; BIC may improve beyond it", file=sys.stderr)
     model = fit_pls(design, y, lams)
     payload = _model_payload(model, design)
-    payload["rows_sha256"] = _rows_sha256(rows)
+    payload["rows_sha256"] = _rows_sha256(table)
 
     lines = [
         f"n = {model.n}   k = {model.k:.2f}   BIC = {model.bic:.1f}",
@@ -433,6 +444,8 @@ def cmd_fit(config: RunConfig, out: Path) -> tuple[dict, list[str]]:
             lines.append(f"  {name:<18} {value:.6f}")
 
     payload["gram_sha256"] = _save_gram(out / GRAM_FILE, design.gram)
+    # straight to the file: rows_sha256 is of its data, so no copy is hashed
+    np.save(out / ROWS_FILE, table, allow_pickle=False)
     lines.append(f"model -> {out / 'model.json'}")
     return payload, lines
 
@@ -453,6 +466,9 @@ def _read_stored(config: RunConfig) -> tuple[dict, ModelSpec, list[TermRecord], 
             raise DataError(f"{config.model}: bad model file: missing {key!r}; re-run fit")
     if not isinstance(stored["lambdas"], dict):
         raise DataError(f"{config.model}: bad model file: lambdas must be an object")
+    if type(stored["n"]) is not int or stored["n"] < 2:
+        raise DataError(f"{config.model}: bad model file: n {stored['n']!r} is not a "
+                        "whole number >= 2")
     spec_keys = [f.name for f in fields(TermSpec)]
     terms, records, beta = [], [], [stored["intercept"]]
     try:
@@ -485,41 +501,65 @@ def _read_stored(config: RunConfig) -> tuple[dict, ModelSpec, list[TermRecord], 
     return stored, spec, records, beta
 
 
-def _stored_rows(config: RunConfig, stored: dict) -> dict:
-    """The model columns of the rows a stored model applies to, refusing
-    rows whose fingerprint differs from the fit's."""
-    rows = _fit_rows(config)
-    if stored.get("rows_sha256") != _rows_sha256(rows):
-        raise DataError(
-            f"clean listings give {rows['logprice'].size} rows that are not "
-            f"the {stored['n']} the model was fitted on (rows_sha256 differs "
-            "or is missing); re-run fit"
-        )
-    return rows
-
-
-def _load_gram(config: RunConfig, stored: dict, p: int):
-    """The p x p ``X'X`` that fit wrote beside the model file, checked
-    against the model file's ``gram_sha256``."""
-    path = Path(config.model).parent / GRAM_FILE
+def _read_array(config: RunConfig, stored: dict, name: str, shape: tuple[int, int],
+                what: str, key: str, of_data: bool = False) -> np.ndarray:
+    """The float64 array of ``shape`` (the model's ``what``) that fit saved
+    to ``name`` beside the model file, read once: a read-only view over the
+    file's bytes (an ``np.save`` file's data starts 64-byte aligned),
+    checked against the model file's ``key``, the sha256 of the whole file
+    or, ``of_data``, of its data (:func:`_rows_sha256`). A file
+    that is missing, unreadable, not a C-order float64 ``.npy`` of
+    ``shape`` or that hashes differently is refused with a DataError that
+    names it and ends ``re-run fit``."""
+    if key not in stored:
+        raise DataError(f"{config.model}: bad model file: missing {key!r}; re-run fit")
+    path = Path(config.model).parent / name
     try:
-        fh = open_input(path, "gram file", binary=True)
+        fh = open_input(path, f"{path.stem} file", binary=True)
     except ConfigurationError as exc:
         raise DataError(f"{exc}; re-run fit") from None
     with fh:
         raw = fh.read()
-    if hashlib.sha256(raw).hexdigest() != stored["gram_sha256"]:
-        raise DataError(f"{path}: sha256 is not the model file's gram_sha256; re-run fit")
+    stream = io.BytesIO(raw)
     try:
-        gram = np.lib.format.read_array(io.BytesIO(raw), allow_pickle=False)
+        if np.lib.format.read_magic(stream) != (1, 0):
+            raise ValueError("not a version 1.0 .npy file, which np.save writes")
+        got, fortran, dtype = np.lib.format.read_array_header_1_0(stream)
+        offset = stream.tell()
+        if dtype == np.float64 and len(raw) - offset != 8 * math.prod(got):
+            raise ValueError(f"{len(raw) - offset} data bytes for shape {got}")
     except ValueError as exc:
-        raise DataError(f"{path}: not a gram file: {exc}; re-run fit") from None
-    if gram.dtype != np.float64 or gram.shape != (p, p):
-        raise DataError(
-            f"{path}: holds a {gram.dtype} array of shape {gram.shape}, not the "
-            f"model's {p} x {p} X'X; re-run fit"
-        )
-    return gram
+        raise DataError(f"{path}: not a .npy file: {exc}; re-run fit") from None
+    if dtype != np.float64 or fortran or got != shape:
+        order = "Fortran-order " if fortran else ""
+        raise DataError(f"{path}: holds a {order}{dtype} array of shape {got}, not the "
+                        f"model's {shape[0]} x {shape[1]} {what}; re-run fit")
+    array = np.frombuffer(raw, dtype=np.float64, offset=offset).reshape(shape)
+    digest = _rows_sha256(array) if of_data else hashlib.sha256(raw).hexdigest()
+    if digest != stored[key]:
+        raise DataError(f"{path}: sha256 is not the model file's {key}; re-run fit")
+    return array
+
+
+def _stored_rows(config: RunConfig, stored: dict) -> dict:
+    """The model columns of the rows a stored model applies to, from the
+    rows.npy that fit wrote beside the model file (see :func:`_read_array`),
+    as read-only views: the clean listings are not read."""
+    shape = (len(ROW_ORDER), stored["n"])
+    return dict(zip(ROW_ORDER, _read_array(config, stored, ROWS_FILE, shape,
+                                           "model columns", "rows_sha256", of_data=True)))
+
+
+def _load_gram(config: RunConfig, stored: dict, p: int) -> np.ndarray:
+    """The p x p ``X'X`` that fit wrote to gram.npy beside the model file
+    (see :func:`_read_array`), as an array of its own: the file's bytes are
+    freed, not kept under a view. Nothing writes into it (the fits add the
+    penalty into a new array), but a view made ``surfaces`` unsteady: the
+    p x p arrays the factorization allocates next took 0 minor page faults
+    on some runs and about 2300 on others (``ru_minflt``, ``large_n``
+    corpus, p 640, 2-core Xeon VM), where the copy takes a steady 1600,
+    as before the view."""
+    return _read_array(config, stored, GRAM_FILE, (p, p), "X'X", "gram_sha256").copy()
 
 
 def _stored_model(config: RunConfig, stored: dict, spec: ModelSpec, records: list,
@@ -527,11 +567,12 @@ def _stored_model(config: RunConfig, stored: dict, spec: ModelSpec, records: lis
     """The stored model, read back without a refit, for ``surfaces`` and
     ``bootstrap`` alike, from what :func:`_read_stored` read: its blocks
     from the term records (see :func:`~rentgam.gam.blocks_from_records`),
-    its ``X'X`` from fit's gram file, its coefficients ``beta``, ``sigma2``
-    and ``n``. Given the model columns of the rows the model applies to
-    (``bootstrap`` reads them by :func:`_stored_rows`), its design holds
-    them and its response is their ``logprice``, for the bootstrap's
-    reduced fit and draws; no design matrix is formed."""
+    its ``X'X`` from fit's gram.npy (:func:`_load_gram`), its coefficients
+    ``beta``, ``sigma2`` and ``n``. Given the model columns of the rows the
+    model applies to (``bootstrap`` reads them from fit's rows.npy by
+    :func:`_stored_rows`), its design holds them and its response is their
+    ``logprice``, for the bootstrap's reduced fit and draws; no design
+    matrix is formed."""
     try:
         blocks = blocks_from_records(spec, records)
     except (DataError, TypeError, ValueError) as exc:
@@ -600,6 +641,10 @@ def cmd_surfaces(config: RunConfig, out: Path) -> tuple[dict, list[str]]:
 
 
 def cmd_bootstrap(config: RunConfig, out: Path) -> tuple[dict, list[str]]:
+    """Test ``config.term`` on the stored model and the model columns fit
+    saved beside it, checking the request before rows.npy is read. The
+    clean listings are not read: ``--clean-listings`` is accepted, for
+    the command lines written for it before."""
     stored, spec, records, beta = _read_stored(config)
     check_bootstrap_request(spec, config.term, config.bootstrap_b)
     model = _stored_model(config, stored, spec, records, beta, _stored_rows(config, stored))
@@ -647,7 +692,7 @@ _COMMANDS = {
             "fit the additive model with BIC smoothing"),
     "surfaces": (cmd_surfaces, ("model",), ("clean_listings",), "surfaces.json",
                  "export effect grids from a fitted model"),
-    "bootstrap": (cmd_bootstrap, ("clean_listings", "model"), ("term", "bootstrap_b"),
+    "bootstrap": (cmd_bootstrap, ("model",), ("clean_listings", "term", "bootstrap_b"),
                   "bootstrap.json", "parametric bootstrap test for one term"),
     "simulate": (cmd_simulate, (), ("n", "sigma", "truth", "truth_kind"), "simulate.json",
                  "write a synthetic corpus with known truth"),
@@ -662,8 +707,8 @@ _FLAG_HELP = {
     "format": "stdout format: table or json",
     "listings": "raw listings csv or jsonl",
     "postcodes": "postcode index csv",
-    "clean_listings": "clean listings csv from clean (surfaces takes it and reads "
-                      "no rows)",
+    "clean_listings": "clean listings csv from clean (surfaces and bootstrap take "
+                      "it and do not read it)",
     "area_reference": "area stock and flow csv",
     "national_reference": "national stock and flow csv",
     "model": "model json from fit",

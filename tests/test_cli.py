@@ -705,26 +705,17 @@ class TestSurfaces:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["surfaces", "bootstrap"])
-    def test_stale_model_rejected(self, pipeline, tmp_path, command):
-        # bootstrap reads rows, and refuses a model fitted on others;
-        # surfaces reads none, and refuses a model file written before fit
-        # stored its main effects' column sums
-        model = pipeline["out"] / "model.json"
-        clean = pipeline["out"] / "clean_listings.csv"
+    def test_stale_model_rejected(self, pipeline, readme_fits, tmp_path, command):
+        # bootstrap reads the rows.npy beside the model file, and refuses
+        # one that another fit wrote; surfaces reads no rows, and refuses a
+        # model file written before fit stored its main effects' column sums
         if command == "surfaces":
             model = _model_without_sums(pipeline, tmp_path / "stale")
         else:
-            data2 = tmp_path / "data2"
-            clean = tmp_path / "out2" / "clean_listings.csv"
-            assert main([
-                "simulate", "--n", "80", "--seed", "99", "--out", str(data2),
-            ]) == 0
-            assert main([
-                "clean", "--listings", str(data2 / "listings.csv"),
-                "--postcodes", str(data2 / "postcodes.csv"), "--out", str(clean.parent),
-            ]) == 0
+            model = _stored_copy(pipeline, tmp_path / "stale", lambda stored: None)
+            shutil.copy(readme_fits / "pinned" / "rows.npy", model.parent / "rows.npy")
         code = main([
-            command, "--clean-listings", str(clean),
+            command, "--clean-listings", str(pipeline["out"] / "clean_listings.csv"),
             "--model", str(model), "--out", str(tmp_path / "out"),
         ])
         assert code == 2
@@ -751,7 +742,9 @@ class TestBootstrap:
         assert "statistic" in payload and "config_sha256" in payload
         assert "W_obs" in text
 
-    def test_small_b_exits_2(self, pipeline, tmp_path, capsys):
+    def test_small_b_exits_2(self, pipeline, tmp_path, capsys, monkeypatch):
+        # the request is checked before rows.npy is read
+        monkeypatch.setattr(cli, "_stored_rows", lambda *args: pytest.fail("rows read"))
         code, _, err = run(
             [
                 "bootstrap",
@@ -764,7 +757,8 @@ class TestBootstrap:
         assert code == 2
         assert "19" in err
 
-    def test_unknown_term_exits_2(self, pipeline, tmp_path, capsys):
+    def test_unknown_term_exits_2(self, pipeline, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_stored_rows", lambda *args: pytest.fail("rows read"))
         code, _, err = run(
             [
                 "bootstrap",
@@ -877,11 +871,12 @@ class TestRefusedRuns:
 def _stored_copy(pipeline, directory, edit):
     """The pipeline's model.json, changed by ``edit`` (which takes the
     parsed file and changes it in place), written to ``directory`` beside
-    a copy of its gram.npy; returns the new model.json's path."""
+    copies of its gram.npy and rows.npy; returns the new model.json's path."""
     stored = json.loads((pipeline["out"] / "model.json").read_text())
     edit(stored)
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / "gram.npy").write_bytes((pipeline["out"] / "gram.npy").read_bytes())
+    for name in ("gram.npy", "rows.npy"):
+        shutil.copy(pipeline["out"] / name, directory / name)
     model = directory / "model.json"
     model.write_text(json.dumps(stored))
     return model
@@ -920,7 +915,7 @@ REQUIRED_INPUTS = {
     "validate": ("clean_listings", "area_reference", "national_reference"),
     "fit": ("clean_listings",),
     "surfaces": ("model",),
-    "bootstrap": ("clean_listings", "model"),
+    "bootstrap": ("model",),
 }
 
 
@@ -977,8 +972,8 @@ class TestUnopenableInputs:
         def no_rows(*args, **kwargs):
             raise AssertionError("rows read before --out was made")
 
-        monkeypatch.setattr(cli, "parse_listings", no_rows)
-        monkeypatch.setattr(cli, "read_clean_listings", no_rows)
+        for name in ("parse_listings", "read_clean_listings", "_stored_rows"):
+            monkeypatch.setattr(cli, name, no_rows)
         blocker = tmp_path / "blocker"
         blocker.write_text("kept\n")
         argv = [command, *_input_flags(
@@ -1032,22 +1027,28 @@ def test_result_json_is_the_json_summary(pipeline, tmp_path, capsys, command):
     ).sha256()
 
 
-def _edit_rent(lines):
-    header = lines[0].split(",")
-    fields_ = lines[5].split(",")
-    rent = header.index("rent")
-    fields_[rent] = repr(float(fields_[rent]) + 1.0)
-    return lines[:5] + [",".join(fields_)] + lines[6:]
+def _saved_rows(directory, edit):
+    """The rows.npy in ``directory``, changed by ``edit`` (which takes a
+    writable copy of its (7, n) array and returns what to save), saved back
+    by ``np.save``."""
+    rows = np.load(directory / "rows.npy")
+    np.save(directory / "rows.npy", edit(rows))
 
 
-def _swap_rows(lines):
-    return [lines[0], lines[2], lines[1], *lines[3:]]
+def _edit_logprice(rows):
+    rows[0, 4] += 1.0
+    return rows
+
+
+def _swap_rows(rows):
+    rows[:, [0, 1]] = rows[:, [1, 0]]
+    return rows
 
 
 class TestFingerprint:
     """bootstrap reads a model back only on the rows it was fitted on: a
-    clean file with the same row count but other rows, or a model file
-    without the fingerprint, exits 2 before any output. surfaces reads no
+    rows.npy with the same shape but other values, or a model file without
+    the fingerprint, exits 2 before any output. surfaces reads no
     rows; it and bootstrap rebuild the term blocks from the model file's
     domains and main-effect column sums, and refuse sums that fit could not
     have written."""
@@ -1055,26 +1056,28 @@ class TestFingerprint:
     @pytest.mark.parametrize("command", ["bootstrap"])
     @pytest.mark.parametrize("case", ["edited-rent", "swapped-rows", "no-fingerprint"])
     def test_other_rows_rejected(self, pipeline, tmp_path, capsys, command, case):
-        clean = pipeline["out"] / "clean_listings.csv"
-        model = pipeline["out"] / "model.json"
-        if case == "no-fingerprint":
-            stored = json.loads(model.read_text())
-            del stored["rows_sha256"]
-            model = tmp_path / "model.json"
-            model.write_text(json.dumps(stored))
-        else:
-            lines = clean.read_text().splitlines()
-            edit = _edit_rent if case == "edited-rent" else _swap_rows
-            clean = tmp_path / "clean_listings.csv"
-            clean.write_text("\n".join(edit(lines)) + "\n")
+        # an edited log rent, and two rows swapped, in rows.npy
+        def edit(stored):
+            if case == "no-fingerprint":
+                del stored["rows_sha256"]
+
+        model = _stored_copy(pipeline, tmp_path / "model", edit)
+        if case != "no-fingerprint":
+            _saved_rows(model.parent, _edit_logprice if case == "edited-rent" else _swap_rows)
         out = tmp_path / "out"
         extra = ["--term", "deprivation:year", "--b", "19"] if command == "bootstrap" else []
         code, _, err = run(
-            [command, "--clean-listings", clean, "--model", model, "--out", out, *extra],
+            [command, "--clean-listings", pipeline["out"] / "clean_listings.csv",
+             "--model", model, "--out", out, *extra],
             capsys,
         )
         assert code == 2
-        assert "re-run fit" in err and "600 rows" in err and "the 600 " in err
+        assert err.count("\n") == 1 and err.endswith("re-run fit\n")
+        if case == "no-fingerprint":
+            assert err == f"error: {model}: bad model file: missing 'rows_sha256'; re-run fit\n"
+        else:
+            assert err == (f"error: {model.parent / 'rows.npy'}: sha256 is not the model "
+                           "file's rows_sha256; re-run fit\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("case", ["missing", "short", "not-finite", "all-zero"])
@@ -1105,6 +1108,109 @@ class TestFingerprint:
     def test_fit_records_the_fingerprint(self, pipeline):
         stored = json.loads((pipeline["out"] / "model.json").read_text())
         assert len(stored["rows_sha256"]) == 64
+
+
+class TestRowsFile:
+    """fit writes the model columns it fitted on to rows.npy beside
+    model.json, whose rows_sha256 is the sha256 of the file's data;
+    bootstrap reads its rows from there, not from the clean listings, and
+    refuses a rows file that fit did not write before --out is made."""
+
+    def test_fit_writes_the_rows(self, pipeline):
+        stored = json.loads((pipeline["out"] / "model.json").read_text())
+        raw = (pipeline["out"] / "rows.npy").read_bytes()
+        rows = np.load(io.BytesIO(raw))
+        assert rows.dtype == np.float64 and rows.flags.c_contiguous
+        assert rows.shape == (len(cli.ROW_ORDER), stored["n"])
+        assert cli.ROW_ORDER == ("logprice", *gam.MODEL_VARIABLES)
+        assert hashlib.sha256(raw[-rows.nbytes:]).hexdigest() == stored["rows_sha256"]
+        config = RunConfig(clean_listings=str(pipeline["out"] / "clean_listings.csv"))
+        assert np.array_equal(rows, cli._fit_rows(config))
+
+    def test_digest_of_the_readme_corpus(self, readme_fits):
+        """The digest of the README corpus's rows (n 1999 kept), pinned:
+        the bytes of each column in ROW_ORDER, as fit has hashed them
+        since it first recorded rows_sha256."""
+        config = RunConfig(clean_listings=str(readme_fits / "run" / "clean_listings.csv"))
+        table = cli._fit_rows(config)
+        want = "f756d0f2afbac9f062f985e64440b19a8aa646fe3face26176be497af42875f5"
+        assert table.shape == (7, 1999)
+        assert cli._rows_sha256(table) == want
+        per_column = hashlib.sha256(b"".join(column.tobytes() for column in table))
+        assert per_column.hexdigest() == want
+        for fit in ("bic", "pinned"):
+            stored = json.loads((readme_fits / fit / "model.json").read_text())
+            assert stored["rows_sha256"] == want
+
+    def test_bootstrap_reads_no_clean_listings(self, pipeline, tmp_path, monkeypatch):
+        """bootstrap writes the same bytes when reading the clean listings
+        fails and when --clean-listings names a file that is gone, and
+        rows.npy's data hashes to the model file's rows_sha256."""
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        for name in ("clean_listings.csv", "model.json", "gram.npy", "rows.npy"):
+            shutil.copy(pipeline["out"] / name, run_dir / name)
+        out = tmp_path / "boot"
+        argv = ["bootstrap", "--clean-listings", str(run_dir / "clean_listings.csv"),
+                "--model", str(run_dir / "model.json"), "--term", "deprivation:year",
+                "--b", "19", "--seed", "3", "--out", str(out)]
+
+        def written():
+            assert main(argv) == 0
+            return (out / "bootstrap.json").read_bytes()
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("bootstrap read the clean listings")
+
+        want = written()
+        monkeypatch.setattr(cli, "read_clean_listings", no_rows)
+        assert written() == want
+        (run_dir / "clean_listings.csv").unlink()
+        assert written() == want
+        stored = json.loads((run_dir / "model.json").read_text())
+        rows = np.load(run_dir / "rows.npy")
+        assert hashlib.sha256(rows).hexdigest() == stored["rows_sha256"]
+
+    @pytest.mark.parametrize(
+        "case",
+        ["missing", "not-npy", "truncated", "float32", "fortran-order", "transposed",
+         "wrong-n"],
+    )
+    def test_refused(self, pipeline, tmp_path, capsys, case):
+        # "wrong-n" drops the last row and records the sha256 of the rest,
+        # so only n differs
+        def edit(stored):
+            if case == "wrong-n":
+                rows = np.load(pipeline["out"] / "rows.npy")[:, :-1]
+                stored["rows_sha256"] = hashlib.sha256(rows.copy()).hexdigest()
+
+        model = _stored_copy(pipeline, tmp_path / "model", edit)
+        path = model.parent / "rows.npy"
+        if case == "missing":
+            path.unlink()
+        elif case == "not-npy":
+            path.write_text("logprice,beds\n")
+        elif case == "truncated":
+            path.write_bytes(path.read_bytes()[:-8])
+        else:
+            _saved_rows(model.parent, {
+                "float32": lambda rows: rows.astype(np.float32),
+                "fortran-order": np.asfortranarray,
+                "transposed": lambda rows: rows.T.copy(),
+                "wrong-n": lambda rows: rows[:, :-1],
+            }[case])
+        out = tmp_path / "out"
+        code, _, err = run([
+            "bootstrap", "--model", model, "--term", "deprivation:year", "--b", "19",
+            "--out", out,
+        ], capsys)
+        assert code == 2
+        if case == "missing":
+            assert err.startswith(f"error: rows file not found: {path};")
+        else:
+            assert err.startswith(f"error: {path}: ")
+        assert err.count("\n") == 1 and err.endswith("re-run fit\n")
+        assert not out.exists()
 
 
 def _saved(save, array) -> bytes:
@@ -1160,6 +1266,7 @@ class TestGramFile:
         model = tmp_path / "model" / "model.json"
         model.parent.mkdir()
         model.write_text(json.dumps(stored))
+        shutil.copy(pipeline["out"] / "rows.npy", model.parent / "rows.npy")
         if case != "missing":
             (model.parent / "gram.npy").write_bytes(raw)
         out = tmp_path / "out"
@@ -1201,7 +1308,8 @@ class TestGramFile:
             stored["sigma2"] = math.nan
         model = tmp_path / "model.json"
         model.write_text(json.dumps(stored))
-        (tmp_path / "gram.npy").write_bytes((pipeline["out"] / "gram.npy").read_bytes())
+        for name in ("gram.npy", "rows.npy"):
+            shutil.copy(pipeline["out"] / name, tmp_path / name)
         out = tmp_path / "out"
         for command, extra in STORED_MODEL_COMMANDS.items():
             code, _, err = run([
@@ -1354,11 +1462,13 @@ class TestStoredModel:
 
     def refused(self, pipeline, tmp_path, capsys, command, edit):
         """Run ``command`` on the pipeline's model.json after ``edit``,
-        which changes it in place or returns what replaces it."""
+        which changes it in place or returns what replaces it, beside a
+        copy of the pipeline's rows.npy (and no gram.npy)."""
         stored = json.loads((pipeline["out"] / "model.json").read_text())
         replaced = edit(stored)
         model = tmp_path / "model.json"
         model.write_text(json.dumps(stored if replaced is None else replaced))
+        shutil.copy(pipeline["out"] / "rows.npy", tmp_path / "rows.npy")
         out = tmp_path / "out"
         extra = ["--term", "deprivation:year", "--b", "19"] if command == "bootstrap" else []
         code, _, err = run(
@@ -1403,13 +1513,11 @@ class TestStoredModel:
     ):
         # a term holds the keys fit writes and no other: a file written
         # while terms still carried "lam": null is refused, as is any key
-        # fit never writes, before the clean listings are read
+        # fit never writes, before any rows are read
         def edit(stored):
             next(t for t in stored["terms"] if t["name"] == name)[key] = value
 
-        monkeypatch.setattr(
-            cli, "read_clean_listings", lambda path: pytest.fail("clean listings read")
-        )
+        monkeypatch.setattr(cli, "_stored_rows", lambda *args: pytest.fail("rows read"))
         err = self.refused(pipeline, tmp_path, capsys, command, edit)
         assert err == (
             f"error: {tmp_path / 'model.json'}: bad model file: "
@@ -1429,9 +1537,7 @@ class TestStoredModel:
         def edit(stored):
             del next(t for t in stored["terms"] if t["name"] == name)[key]
 
-        monkeypatch.setattr(
-            cli, "read_clean_listings", lambda path: pytest.fail("clean listings read")
-        )
+        monkeypatch.setattr(cli, "_stored_rows", lambda *args: pytest.fail("rows read"))
         err = self.refused(pipeline, tmp_path, capsys, command, edit)
         assert err == (
             f"error: {tmp_path / 'model.json'}: bad model file: "
@@ -1446,9 +1552,7 @@ class TestStoredModel:
         def edit(stored):
             del stored[key]
 
-        monkeypatch.setattr(
-            cli, "read_clean_listings", lambda path: pytest.fail("clean listings read")
-        )
+        monkeypatch.setattr(cli, "_stored_rows", lambda *args: pytest.fail("rows read"))
         err = self.refused(pipeline, tmp_path, capsys, command, edit)
         assert err == (
             f"error: {tmp_path / 'model.json'}: bad model file: missing {key!r}; re-run fit\n"
@@ -1489,13 +1593,11 @@ class TestStoredModel:
         self, pipeline, tmp_path, capsys, monkeypatch, command
     ):
         # every main effect needs its one smoothing parameter; the model
-        # file is refused before the clean listings are read
+        # file is refused before any rows are read
         def edit(stored):
             del stored["lambdas"]["beds"]
 
-        monkeypatch.setattr(
-            cli, "read_clean_listings", lambda path: pytest.fail("clean listings read")
-        )
+        monkeypatch.setattr(cli, "_stored_rows", lambda *args: pytest.fail("rows read"))
         err = self.refused(pipeline, tmp_path, capsys, command, edit)
         assert err == (
             f"error: {tmp_path / 'model.json'}: bad model file: "
@@ -1508,13 +1610,11 @@ class TestStoredModel:
     def test_bad_smoothing_parameter_refused(
         self, pipeline, tmp_path, capsys, monkeypatch, value
     ):
-        # a model file fault, refused before the clean listings are read
+        # a model file fault, refused before any rows are read
         def edit(stored):
             stored["lambdas"]["beds"] = value
 
-        monkeypatch.setattr(
-            cli, "read_clean_listings", lambda path: pytest.fail("clean listings read")
-        )
+        monkeypatch.setattr(cli, "_stored_rows", lambda *args: pytest.fail("rows read"))
         for command in ("surfaces", "bootstrap"):
             err = self.refused(pipeline, tmp_path, capsys, command, edit)
             assert err.startswith(
@@ -1739,7 +1839,8 @@ def test_fifo_input_is_opened_once(tmp_path):
 
 
 
-# (command, the input given a byte-order mark): every text file a command reads
+# (command, the input given a byte-order mark): every text file a command
+# reads, and bootstrap's clean listings, which it accepts and does not read
 BOM_READS = [
     ("clean", "listings"), ("clean", "listings_jsonl"), ("clean", "postcodes"),
     ("validate", "clean_listings"), ("validate", "area_reference"),
@@ -1759,6 +1860,7 @@ def test_input_with_a_byte_order_mark_reads_as_without(
     exit code, stdout, stderr and output bytes, from the same paths."""
     paths = dict(_inputs(pipeline))
     paths["gram"] = pipeline["out"] / "gram.npy"
+    paths["rows"] = pipeline["out"] / "rows.npy"
     paths["listings_jsonl"] = DATA / "golden" / "feed.jsonl"
     inputs = tmp_path / "in"
     inputs.mkdir()
@@ -1810,7 +1912,7 @@ class TestNegativeSeed:
         def no_read(*args, **kwargs):
             raise AssertionError("the model or the rows were read")
 
-        for name in ("read_clean_listings", "_read_stored"):
+        for name in ("_stored_rows", "_read_stored"):
             monkeypatch.setattr(cli, name, no_read)
         if source == "flag":
             argv = [command, "--seed", "-1"]
