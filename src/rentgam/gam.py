@@ -64,24 +64,10 @@ ROW_CHUNK = 1024
 
 
 def _row_blocks(n: int) -> list[slice]:
-    """Slices of ``ROW_CHUNK`` rows covering ``range(n)`` (one slice of n
-    rows when n is smaller). The last ends at n and may overlap the one
-    before it: a shorter block would go to OpenBLAS's small-matrix kernel,
-    which sums in another order, so its rows would not equal those of one
-    product over every row bit for bit. A sum over the rows counts the
-    overlap once (see :func:`_fresh_row_blocks`)."""
-    return [slice(i, i + ROW_CHUNK)
-            for i in (*range(0, n - ROW_CHUNK, ROW_CHUNK), max(n - ROW_CHUNK, 0))]
-
-
-def _fresh_row_blocks(n: int) -> Iterator[tuple[slice, int]]:
-    """Each slice of :func:`_row_blocks` with the number of its leading
-    rows that the block before it already holds (0 but for an overlapping
-    last block), so a sum over the blocks' later rows counts every row once."""
-    done = 0
-    for rows in _row_blocks(n):
-        yield rows, done - rows.start
-        done = min(rows.stop, n)
+    """Consecutive slices of ``ROW_CHUNK`` rows covering ``range(n)`` once,
+    in order; the last holds the rows left over, so it is shorter unless
+    ``ROW_CHUNK`` divides n."""
+    return [slice(i, min(i + ROW_CHUNK, n)) for i in range(0, n, ROW_CHUNK)]
 
 
 def year_and_doy(starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -464,7 +450,7 @@ class Design:
         if not self.has_rows:
             return None
         x = np.empty((self.n, self.p))
-        for rows, _, block in self._x_blocks():
+        for rows, block in self._x_blocks():
             x[rows] = block
         return x
 
@@ -488,39 +474,38 @@ class Design:
             self._gram = self._pass([], True)[0]
         return self._gram
 
-    def _x_blocks(self) -> Iterator[tuple[slice, int, np.ndarray]]:
-        """``(rows, overlap, X[rows])`` for each slice of
-        :func:`_fresh_row_blocks`: the rows evaluated from the columns into
-        one buffer that every block reuses, its intercept column set once."""
+    def _x_blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
+        """``(rows, X[rows])`` for each slice of :func:`_row_blocks`: the
+        rows evaluated from the columns into the leading rows of one buffer
+        that every block reuses, its intercept column set once."""
         n = self.n
         buffer = np.empty((min(n, ROW_CHUNK), self.p))
         buffer[:, 0] = 1.0
-        for rows, overlap in _fresh_row_blocks(n):
+        for rows in _row_blocks(n):
+            x = buffer[: rows.stop - rows.start]
             part = {v: c[rows] for v, c in self._columns.items()}
             for block in self.blocks:
-                block.evaluate(part, out=buffer[:, block.columns])
-            yield rows, overlap, buffer
+                block.evaluate(part, out=x[:, block.columns])
+            yield rows, x
 
     def _pass(self, vs: Sequence[np.ndarray], gram: bool) -> tuple[np.ndarray | None, list]:
         """One pass over the rows: ``X'X`` when ``gram`` (else None) and
         ``X'v`` for each n-vector or n x m matrix ``v`` of ``vs``, each
-        summed over the blocks with an overlapping block's repeated rows
-        left out."""
+        summed over the blocks."""
         xx = np.zeros((self.p, self.p)) if gram else None
         xvs = [np.zeros((self.p,) + v.shape[1:]) for v in vs]
-        for rows, overlap, x in self._x_blocks():
-            x = x[overlap:]
+        for rows, x in self._x_blocks():
             if gram:
                 xx += x.T @ x
             for v, xv in zip(vs, xvs):
-                xv += x.T @ v[rows][overlap:]
+                xv += x.T @ v[rows]
         return xx, xvs
 
     def matvec(self, b: np.ndarray) -> np.ndarray:
         """``X @ b`` for a coefficient vector or a p x m matrix, one block of
         rows at a time (:func:`_row_blocks`)."""
         out = np.empty((self.n,) + b.shape[1:])
-        for rows, _, x in self._x_blocks():
+        for rows, x in self._x_blocks():
             np.matmul(x, b, out=out[rows])
         return out
 
@@ -693,21 +678,21 @@ def blocks_from_records(spec: ModelSpec, records: Sequence[TermRecord]) -> list[
 def _main_effect_sums(spec: ModelSpec, columns: Mapping[str, np.ndarray],
                       domains: Sequence[Sequence[tuple]]) -> list[np.ndarray | None]:
     """Each main effect's raw-basis column sums at the rows (None for an
-    interaction), taken ``ROW_CHUNK`` rows at a time. Each block's rows are
-    appended to the running sums and reduced along the rows
-    (``np.add.reduce`` of the sums stacked over the block), so the rows are
-    added one after another in order, as ``raw.sum(axis=0)`` over every row
-    adds them: the sums equal that bit for bit, which a sum of per-block
-    sums would not, and no n-row basis is formed."""
+    interaction), taken ``ROW_CHUNK`` rows at a time. The running sums are
+    added into each block's first row and the block is reduced along its
+    rows (``np.add.reduce``), so the rows are added one after another in
+    order, as ``raw.sum(axis=0)`` over every row adds them: the sums equal
+    that bit for bit, which a sum of per-block sums would not, and no
+    n-row basis is formed."""
     n = len(next(iter(columns.values())))
     mains = [(i, term, _term_knots(term, domains[i]))
              for i, term in enumerate(spec.terms) if not term.interaction]
     sums: list[np.ndarray | None] = [None] * len(spec.terms)
-    for rows, overlap in _fresh_row_blocks(n):
+    for rows in _row_blocks(n):
         for i, term, knots in mains:
-            raw = _raw_basis(term, knots, {v: columns[v][rows] for v in term.variables})[overlap:]
+            raw = _raw_basis(term, knots, {v: columns[v][rows] for v in term.variables})
             if sums[i] is not None:
-                raw = np.concatenate([sums[i][None], raw])
+                raw[0] += sums[i]
             sums[i] = np.add.reduce(raw, axis=0)
     return sums
 

@@ -86,21 +86,23 @@ def test_interpolating_fit_takes_its_rss_from_the_rows():
     assert model.rss == float(np.sum((rows["logprice"] - design.matvec(model.beta)) ** 2))
 
 
-def test_overlapping_block_is_counted_once(corpus, monkeypatch):
-    # n = 2 x 7 + 3 in blocks of 7: the last block, rows 10-16, overlaps
-    # the second by 4 rows. Counting them twice would move X'X and X'v by
-    # those rows' products, far past the rounding bound of one product
-    # over every row; the main effects' column sums are raw.sum(axis=0)'s
-    # bit for bit.
+@pytest.mark.parametrize("n", [17, 15])
+def test_short_last_block_is_counted_once(corpus, monkeypatch, n):
+    # n = 2 x 7 + 3 and 2 x 7 + 1 in blocks of 7: two whole blocks, then a
+    # last block of the rows left over (one row at n 15, which goes to
+    # another BLAS kernel). Missing or repeating a row would move X'X and
+    # X'v by that row's products, far past the rounding bound of one
+    # product over every row; the main effects' column sums are
+    # raw.sum(axis=0)'s bit for bit.
     design = corpus[0]
-    rows = {name: col[:17] for name, col in design._columns.items()}
+    rows = {name: col[:n] for name, col in design._columns.items()}
     y = rows["logprice"]
     monkeypatch.setattr(gam, "ROW_CHUNK", 7)
-    assert [(s.start, s.stop) for s in gam._row_blocks(17)] == [(0, 7), (7, 14), (10, 17)]
+    assert [(s.start, s.stop) for s in gam._row_blocks(n)] == [(0, 7), (7, 14), (14, n)]
     small = build_design(rows, default_model_spec(), y)
     x = small.matrix
     assert np.all(np.abs(small.gram - x.T @ x) <= dot_product_bound(x.T, x))
-    v = np.random.default_rng(0).standard_normal((17, 3))
+    v = np.random.default_rng(0).standard_normal((n, 3))
     assert np.all(np.abs(small.rmatvec(v) - x.T @ v) <= dot_product_bound(x.T, v))
     moments = small._response
     assert np.all(np.abs(moments.xt - x.T @ y) <= dot_product_bound(x.T, y))

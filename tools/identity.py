@@ -12,9 +12,11 @@ workload. Every output file, and each command's stdout, stderr and exit
 code, is compared byte for byte; in stdout and stderr each tree's own
 path reads ``<tree>``, so a warning's source line compares by its file's
 place in the tree. Prints the number of files compared, then each file
-that differs with what moved in it (a JSON file's differing dotted keys
-and the largest relative difference of their numbers, a CSV file's count
-of differing lines), and exits 1 if any differs.
+that differs with what moved in it (a JSON file's differing dotted keys,
+a ``.npy`` array's count of differing entries or its two shapes and
+dtypes, a CSV file's count of differing lines, each with the largest
+relative difference of the numbers that moved), and exits 1 if any
+differs.
 
 The commands inherit the caller's environment, so
 ``OPENBLAS_NUM_THREADS=1 tools/identity.py REV`` runs both trees under
@@ -26,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -34,6 +37,8 @@ import tarfile
 import tempfile
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS_SEED = 3
@@ -91,24 +96,48 @@ def same(u, v) -> bool:
     return type(u) is type(v) and (u == v or u != u and v != v)
 
 
+def largest_relative(pairs: Iterable[tuple[float, float]]) -> str:
+    """``"; largest relative difference <r>"`` over the finite pairs of
+    numbers that differ, or "" when there are none."""
+    moved = [abs(u - v) / max(abs(u), abs(v)) for u, v in pairs
+             if u != v and math.isfinite(u) and math.isfinite(v)]
+    return f"; largest relative difference {max(moved):.3g}" if moved else ""
+
+
+def as_number(field: bytes) -> float | None:
+    try:
+        return float(field)
+    except ValueError:
+        return None
+
+
 def describe(a: Path, b: Path) -> str:
     """What differs between two versions of a file: for JSON the dotted
-    keys whose values differ and the largest relative difference of those
-    that are numbers in both, for CSV the number of differing lines, and
-    for any other file nothing."""
+    keys whose values differ, for a ``.npy`` array the number of differing
+    entries (or the two shapes or dtypes, when those differ), for CSV the
+    number of differing lines; each with the largest relative difference
+    of the numbers that moved. For any other file nothing."""
     if a.suffix == ".json":
         x, y = (leaves(json.loads(path.read_bytes())) for path in (a, b))
         missing = object()
         keys = sorted(k for k in x.keys() | y.keys()
                       if not same(x.get(k, missing), y.get(k, missing)))
-        moved = [abs(x[k] - y[k]) / max(abs(x[k]), abs(y[k])) for k in keys
-                 if is_number(x.get(k)) and is_number(y.get(k))]
-        largest = f"; largest relative difference {max(moved):.3g}" if moved else ""
-        return ", ".join(keys) + largest
+        moved = [(x[k], y[k]) for k in keys if is_number(x.get(k)) and is_number(y.get(k))]
+        return ", ".join(keys) + largest_relative(moved)
+    if a.suffix == ".npy":
+        x, y = (np.load(path, allow_pickle=False) for path in (a, b))
+        if x.shape != y.shape or x.dtype != y.dtype:
+            return f"shape {x.shape} {x.dtype} against {y.shape} {y.dtype}"
+        differ = ~((x == y) | (x != x) & (y != y))
+        moved = zip(x[differ].tolist(), y[differ].tolist())
+        return f"{differ.sum()} of {x.size} entries differ" + largest_relative(moved)
     if a.suffix == ".csv":
         x, y = (path.read_bytes().splitlines() for path in (a, b))
         count = sum(u != v for u, v in zip(x, y)) + abs(len(x) - len(y))
-        return f"{count} of {max(len(x), len(y))} lines differ"
+        fields = [(as_number(f), as_number(g)) for u, v in zip(x, y) if u != v
+                  for f, g in zip(u.split(b","), v.split(b","))]
+        moved = [(f, g) for f, g in fields if f is not None and g is not None]
+        return f"{count} of {max(len(x), len(y))} lines differ" + largest_relative(moved)
     return ""
 
 
